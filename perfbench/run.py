@@ -2,13 +2,16 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload sweep-distinct-serial --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload sweep-distinct --seed 1 --seconds 10 --trace 0
 
-``--trace 0`` measures the end-to-end metrics with no instrumentation.
+``--trace 0`` measures the end-to-end metrics with no instrumentation;
+each timing is rescaled to reference host speed by the
+:func:`measure.reference_s` reading taken right before its window.
 ``--trace 1`` is the separate traced run: it times the same operations
 untraced and then traced, prints a per-layer table (calls, self time,
-share of wall time) with the tracing overhead, writes the raw spans to
-``.perfbench/``, and reports the per-layer metrics.  The last line of
+share of the traced pass's timed work) with the tracing overhead, writes
+the raw spans to ``.perfbench/``, and reports the per-layer metrics.  The
+last line of
 standard output is one JSON object: ``correct``, ``attempted``,
 ``failed`` and ``metrics``.  See ``perfbench/README.md``.
 """
@@ -22,7 +25,7 @@ import json
 import sys
 import traceback
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Set, Tuple
 
 #: glibc's mallopt parameter number for the arena cap.
 M_ARENA_MAX = -8
@@ -31,8 +34,24 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
-from measure import TAIL_BEYOND, median, peak_rss_mb, quartiles, tail  # noqa: E402
-from workloads import OpResult, Workload, build, clock, names  # noqa: E402
+from measure import (  # noqa: E402
+    REFERENCE_NOMINAL_S,
+    TAIL_BEYOND,
+    TAIL_GROUP,
+    median,
+    peak_rss_mb,
+    quartiles,
+    reference_s,
+    tail_of_groups,
+)
+from workloads import OpResult, Window, Workload, build, clock, names  # noqa: E402
+
+#: Set-ups per run; ``setup_s`` is their median.
+SETUP_REPEATS = 3
+#: The peak RSS is read once the timed operations have completed this many
+#: executions, so a workload whose memory grows with the work done (the
+#: mission service keeps every mission) reports the same work on any host.
+RSS_AFTER_EXECUTIONS = 1200
 
 #: (name, unit, better) of every end-to-end metric, in output order.
 END_TO_END: List[Tuple[str, str, str]] = [
@@ -113,7 +132,7 @@ PER_LAYER: List[Tuple[str, str, str, Callable[["Layers"], float]]] = [
     ("service.client.result_bytes", "B", "lower", lambda v: v.sample_p50("service.client.result_bytes")),
     ("service.first_record_p50_ms", "ms", "lower", lambda v: v.first_record_p50_ms()),
     ("trace.wall_s", "s", "lower", lambda v: v.traced_wall_s),
-    ("trace.overhead_s", "s", "lower", lambda v: v.traced_wall_s - v.untraced_wall_s),
+    ("trace.overhead_s", "s", "lower", lambda v: v.overhead_s),
 ]
 
 
@@ -128,8 +147,10 @@ class Layers:
         after: Dict[str, float],
         results: List[OpResult],
         traced_wall_s: float,
-        untraced_wall_s: float,
+        overhead_s: float,
     ) -> None:
+        """``traced_wall_s``: the traced pass's timed work as measured;
+        ``overhead_s``: traced minus untraced timed work at reference speed."""
         self.aggregates = recorder.aggregates()
         self.counters = recorder.counters()
         self.recorder = recorder
@@ -138,7 +159,7 @@ class Layers:
         self.after = after
         self.results = results
         self.traced_wall_s = traced_wall_s
-        self.untraced_wall_s = untraced_wall_s
+        self.overhead_s = overhead_s
 
     def calls(self, name: str) -> float:
         return self.aggregates.get(name, (0, 0.0, 0.0))[0]
@@ -179,8 +200,25 @@ class Layers:
 
 
 # --------------------------------------------------------------------------- #
-# running
-# --------------------------------------------------------------------------- #
+def layer_spans() -> Set[str]:
+    """The span names the :data:`PER_LAYER` sources read."""
+    from tracer import Recorder
+
+    names: Set[str] = set()
+
+    class SpanNames(Layers):
+        def _span(self, name: str) -> float:
+            names.add(name)
+            return 0.0
+
+        calls = total_s = self_s = setup_mean_s = _span
+
+    view = SpanNames(Recorder(), {}, {}, {}, [], 0.0, 0.0)
+    for _, _, _, read in PER_LAYER:
+        read(view)
+    return names
+
+
 def run_op(workload: Workload, k: int) -> OpResult:
     """Operation ``k``; a raise counts every attempted operation as failed."""
     try:
@@ -189,135 +227,103 @@ def run_op(workload: Workload, k: int) -> OpResult:
         traceback.print_exc(file=sys.stderr)
         attempts = workload.op_attempts(k)
         return OpResult(
-            host_s=0.0, executions=0, sim_s=0.0, attempted=attempts, failed=attempts,
-            problems=[f"operation {k} raised"],
+            host_s=0.0, attempted=attempts, failed=attempts, problems=[f"operation {k} raised"]
         )
 
 
 def timed_ops(workload: Workload, seconds: float) -> Tuple[List[OpResult], float]:
     """Run operations ``0, 1, …`` until ``seconds`` of timed work.
 
-    Returns the results and the peak RSS read after
-    ``workload.rss_after_ops`` operations (or at the end).  Failing
-    operations take no timed work, so a wall-clock guard ends a run whose
-    operations keep failing.
+    Returns the results and the peak RSS (see :data:`RSS_AFTER_EXECUTIONS`).
+    Failing operations take no timed work, so a wall-clock guard ends a run
+    whose operations keep failing.
     """
     results: List[OpResult] = []
     rss = None
     measured = 0.0
+    executions = 0
     started = clock()
     while measured < seconds and clock() - started < 3 * seconds + 30:
         result = run_op(workload, len(results))
         results.append(result)
         measured += result.host_s
-        if len(results) == workload.rss_after_ops:
+        executions += result.executions
+        if rss is None and executions >= RSS_AFTER_EXECUTIONS:
             rss = peak_rss_mb()
     return results, rss if rss is not None else peak_rss_mb()
 
 
-def latency_groups(results: List[OpResult], group: int) -> List[List[float]]:
-    """The run's latency samples in timed order, cut into groups of ``group``.
+def at_reference_speed(seconds: float, reference: float) -> float:
+    """``seconds`` timed when :func:`measure.reference_s` read ``reference``,
+    rescaled to a host on which it reads :data:`measure.REFERENCE_NOMINAL_S`."""
+    return seconds * REFERENCE_NOMINAL_S / reference
 
-    A trailing partial group is dropped unless it is the only one.
+
+def timed_windows(results: List[OpResult]) -> List[Window]:
+    return [w for r in results for w in r.windows if w.executions > 0 and w.host_s > 0]
+
+
+def tracing_overhead_s(untraced: List[OpResult], traced: List[OpResult]) -> float:
+    """Traced minus untraced timed work (the windows), at reference speed."""
+
+    def work(results: List[OpResult]) -> float:
+        return sum(at_reference_speed(w.host_s, w.reference_s) for w in timed_windows(results))
+
+    return work(traced) - work(untraced)
+
+
+def end_to_end(results: List[OpResult], setups: List[Tuple[float, float]]) -> Dict[str, float]:
+    """The end-to-end timings of a run, at reference speed.
+
+    Each window's host time and latency samples are rescaled by the
+    reference loop timed right before it.  Throughputs are the median over
+    windows, ``latency_p50`` the median of all samples, and the tail is
+    :func:`measure.tail_of_groups` of all samples in timed order.
     """
-    samples = [sample for r in results for sample in r.latencies_s]
-    groups = [samples[i:i + group] for i in range(0, len(samples), group)]
-    if len(groups) > 1 and len(groups[-1]) < group:
-        groups.pop()
-    return groups
-
-
-def latency_summary(results: List[OpResult], group: int) -> Tuple[float, float, str]:
-    """Median and tail latency (s), and how the tail was taken.
-
-    Each group of ``group`` consecutive samples gives its median and its
-    tail (the highest percentile with ten samples beyond it); the reported
-    figures are the fast quartile of those over groups (see
-    :func:`fast_quartile`).  Groups too small for a tail pool the samples
-    of the faster half of the groups (by median) instead.
-    """
-    groups = latency_groups(results, group)
-    if not groups or not groups[0]:
+    windows = timed_windows(results)
+    if not windows:
         raise RuntimeError("no operation completed")
-    p50 = fast_quartile([median(g) for g in groups], "lower")
-    if group > TAIL_BEYOND and all(len(g) > TAIL_BEYOND for g in groups):
-        tails = [tail(g) for g in groups]
-        percentiles = sorted(percentile for _, percentile in tails)
-        return (
-            p50,
-            fast_quartile([value for value, _ in tails], "lower"),
-            f"fast quartile over {len(groups)} groups of {group} samples of each one's "
-            f"p{percentiles[0]:.2f}..p{percentiles[-1]:.2f}",
-        )
-    faster_half = sorted(groups, key=median)[: max(1, len(groups) // 2)]
-    pooled = [sample for g in faster_half for sample in g]
-    pooled_tail = tail(pooled)
-    if pooled_tail is None:
-        return p50, max(pooled), f"max of {len(pooled)} samples"
-    return (
-        p50,
-        pooled_tail[0],
-        f"p{pooled_tail[1]:.2f} of the {len(pooled)} samples in the faster half of the groups",
-    )
-
-
-def fast_quartile(values: List[float], better: str) -> float:
-    """The quartile of per-operation figures on the fast side.
-
-    The host is shared: for stretches of seconds every operation runs
-    30-50% slower, whatever the program does.  The fast quartile (the
-    third quartile of rates, the first of latencies) is what the program
-    does when the host lets it; a change to the program moves it like
-    the median, and a slow stretch covering most of a run does not.
-    """
-    low, _, high = quartiles(values)
-    return high if better == "higher" else low
-
-
-def end_to_end(
-    results: List[OpResult], setup_times: List[float], rss: float, latency_group: int
-) -> Dict[str, Any]:
-    timed = [r for r in results if r.host_s > 0 and r.executions > 0]
-    if not timed:
-        raise RuntimeError("no operation completed")
-    p50, tail_s, how = latency_summary(timed, latency_group)
-    windows = [w for r in timed for w in r.windows] or [
-        (r.host_s, r.executions, r.sim_s) for r in timed
-    ]
-    rates = sorted(executions / host for host, executions, _ in windows)
-    print(f"timed work: {sum(r.host_s for r in timed):.2f} s over {len(timed)} operations; "
-          f"latency tail = {how}")
-    print("exec/s over {} windows: min {:.1f}, quartiles {}, max {:.1f}".format(
-        len(rates), rates[0], ", ".join(f"{q:.1f}" for q in quartiles(rates)), rates[-1]))
+    hosts = [at_reference_speed(w.host_s, w.reference_s) for w in windows]
+    samples = [at_reference_speed(s, w.reference_s) for w in windows for s in w.latencies_s]
+    tail_s, percentile = tail_of_groups(samples)
+    speeds = quartiles([REFERENCE_NOMINAL_S / w.reference_s for w in windows])
+    raw = [w.executions / w.host_s for w in windows]
+    print(f"timed work: {sum(r.host_s for r in results):.2f} s over {len(results)} operations, "
+          f"{len(windows)} windows, {len(samples)} latency samples; tail = median over groups "
+          f"of <= {TAIL_GROUP} samples of each one's highest percentile with {TAIL_BEYOND} beyond "
+          f"(>= p{percentile:.2f})")
+    print("host speed before each window, relative to the reference: quartiles "
+          + ", ".join(f"{q:.2f}" for q in speeds)
+          + f"; as measured, exec/s median {median(raw):.1f}, "
+          f"latency p50 {1000 * median([s for w in windows for s in w.latencies_s]):.4g} ms")
     return {
-        "setup_s": median(setup_times),
-        "exec_per_s": fast_quartile(rates, "higher"),
-        "sim_rtf": fast_quartile([sim / host for host, _, sim in windows], "higher"),
-        "latency_p50_ms": 1000.0 * p50,
+        "setup_s": median([at_reference_speed(s, ref) for s, ref in setups]),
+        "exec_per_s": median([w.executions / h for w, h in zip(windows, hosts)]),
+        "sim_rtf": median([w.sim_s / h for w, h in zip(windows, hosts)]),
+        "latency_p50_ms": 1000.0 * median(samples),
         "latency_tail_ms": 1000.0 * tail_s,
-        "peak_rss_mb": rss,
     }
 
 
 def layer_table(layers: Layers) -> None:
     wall = layers.traced_wall_s
     rows = sorted(layers.aggregates.items(), key=lambda item: -item[1][2])
-    print(f"per-layer spans of the traced pass (wall {wall:.3f} s; threads run in "
+    print(f"per-layer spans of the traced pass (timed work {wall:.3f} s; threads run in "
           "parallel, so shares can sum past 100%):")
     print(f"  {'span':44s} {'calls':>10s} {'self [s]':>10s} {'share':>7s}")
     for name, (calls, _, own) in rows:
         print(f"  {name:44s} {int(calls):10d} {own:10.4f} {100.0 * own / wall:6.1f}%")
-    overhead = layers.traced_wall_s - layers.untraced_wall_s
-    print(f"tracing overhead: traced {layers.traced_wall_s:.3f} s - untraced "
-          f"{layers.untraced_wall_s:.3f} s = {overhead:.3f} s on the same operations")
+    print(f"tracing overhead: {layers.overhead_s:.3f} s = traced minus untraced timed work of "
+          "the same operations, at reference speed (host drift the reference loop misses remains)")
 
 
 def limit_malloc_arenas() -> None:
     """Cap glibc's per-thread malloc arenas before any thread starts.
 
     The mission server answers each HTTP request on a new thread; which of
-    up to eight arenas per CPU a thread lands on changes the peak RSS of
-    the same work by a quarter.  Two arenas make it repeatable.
+    up to eight arenas per CPU a thread lands on changed the peak RSS of
+    the same `service-stream` work between 301 and 333 MB over three runs.
+    With two arenas ten runs read IQR/median 0.015 (median 222 MB).
     """
     try:
         libc = ctypes.CDLL(ctypes.util.find_library("c") or "libc.so.6")
@@ -346,21 +352,24 @@ def main(argv: List[str]) -> int:
     workload = build(args.workload, args.seed)
     recorder = patches = None
     setup_aggregates: Dict[str, List[float]] = {}
+    problems: List[str] = []
     if args.trace:
         from tracer import Recorder, instrument
 
         recorder = Recorder()
         patches = instrument(recorder)
+        problems += [f"traced run: no method to wrap for span {name}"
+                     for name in patches.missing(layer_spans())]
 
-    setup_times: List[float] = []
-    problems: List[str] = []
+    setups: List[Tuple[float, float]] = []  # (host seconds, reference reading)
     try:
-        for repeat in range(workload.setup_repeats):
+        for repeat in range(SETUP_REPEATS):
             if repeat:
                 workload.teardown()
+            reference = reference_s()
             started = clock()
             workload.setup()
-            setup_times.append(clock() - started)
+            setups.append((clock() - started, reference))
         if patches is not None:
             patches.undo()
             setup_aggregates = recorder.aggregates()
@@ -368,15 +377,13 @@ def main(argv: List[str]) -> int:
         workload.prepare()
         results, rss = timed_ops(workload, args.seconds / 2 if args.trace else args.seconds)
         if args.trace:
-            untraced_wall = sum(r.host_s for r in results)
             before = workload.layer_state()
             patches = instrument(recorder)
-            traced_started = clock()
             traced = [run_op(workload, k) for k in range(len(results))]
-            traced_wall = clock() - traced_started
             patches.undo()
-            layers = Layers(recorder, setup_aggregates, before, workload.layer_state(),
-                            traced, traced_wall, untraced_wall)
+            layers = Layers(recorder, setup_aggregates, before, workload.layer_state(), traced,
+                            sum(w.host_s for w in timed_windows(traced)),
+                            tracing_overhead_s(results, traced))
             results += traced
         problems += workload.finish()
     finally:
@@ -401,7 +408,8 @@ def main(argv: List[str]) -> int:
         metrics = {name: {"value": read(layers), "unit": unit}
                    for name, unit, _, read in PER_LAYER}
     else:
-        values = end_to_end(results, setup_times, rss, workload.latency_group)
+        values = end_to_end(results, setups)
+        values["peak_rss_mb"] = rss
         metrics = {name: {"value": values[name], "unit": unit} for name, unit, _ in END_TO_END}
     for name, metric in metrics.items():
         print(f"  {name:46s} {metric['value']:>16.6g} {metric['unit']}")

@@ -18,7 +18,7 @@ sys.path.insert(0, str(HERE))
 import measure  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
-from run import END_TO_END, PER_LAYER  # noqa: E402
+from run import END_TO_END, PER_LAYER, at_reference_speed, end_to_end, layer_spans  # noqa: E402
 
 
 # --------------------------------------------------------------------------- #
@@ -43,6 +43,18 @@ def test_tail_of_small_run_is_below_the_top():
     samples = [1.0] * 50 + [100.0] * 10
     value, _ = measure.tail(samples)
     assert value == 1.0  # ten outliers never make the tail by themselves
+
+
+def test_tail_of_groups_cuts_near_equal_groups_of_at_most_a_thousand():
+    # 2500 samples -> three groups of 833/834/833; group g holds g*1000 + rank
+    samples = [float(1000 * g + r) for g, size in enumerate((833, 834, 833)) for r in range(size)]
+    value, percentile = measure.tail_of_groups(samples)
+    assert value == 1000.0 + 834 - 11  # the middle group's tail
+    assert percentile == pytest.approx(100.0 * 823 / 833)  # the lowest, the first group's
+    small, percentile = measure.tail_of_groups([float(x) for x in range(60)])
+    assert (small, percentile) == (49.0, pytest.approx(100.0 * 50 / 60))  # one group
+    with pytest.raises(ValueError):
+        measure.tail_of_groups([1.0] * 10)
 
 
 # --------------------------------------------------------------------------- #
@@ -140,7 +152,20 @@ def test_wrapper_hooks_and_undo():
     assert recorder.aggregates()["target.work"][0] == 1
     patches.undo()
     assert Target.__dict__["work"] is original
-    assert not patches.wrap_method(Target, "missing", "target.missing")
+    assert patches.missing() == []
+    assert not patches.wrap_method(Target, "absent", "target.absent")
+    assert patches.missing(["target.work", "never.tried"]) == ["never.tried", "target.absent"]
+
+
+def test_every_layer_span_is_installed_on_the_program():
+    sys.path.insert(0, str(ROOT / "src"))
+    spans = layer_spans()
+    assert {"core.semantics.fire", "testing.population.walk", "geometry.clearance.densify"} <= spans
+    patches = tracer.instrument(tracer.Recorder())
+    try:
+        assert patches.missing(spans) == []
+    finally:
+        patches.undo()
 
 
 def test_instrument_undo_restores_the_program():
@@ -156,6 +181,22 @@ def test_instrument_undo_restores_the_program():
     assert client.post_json is originals[2]  # the client's HTTP is its own layer
     patches.undo()
     assert (SemanticsEngine._fire_ordered, protocol.dumps, drone.post_json) == originals
+
+
+# --------------------------------------------------------------------------- #
+# timings at reference speed
+# --------------------------------------------------------------------------- #
+def test_windows_are_rescaled_by_the_reference_read_before_them():
+    nominal = measure.REFERENCE_NOMINAL_S
+    slow = workloads.Window(2.0, 100, 50.0, 2 * nominal, [0.02] * 40)  # host at half speed
+    fast = workloads.Window(1.0, 100, 50.0, nominal, [0.01] * 40)
+    assert at_reference_speed(2.0, 2 * nominal) == pytest.approx(1.0)
+    values = end_to_end([workloads.OpResult(host_s=3.0, windows=[slow, fast])], [(0.4, 2 * nominal)])
+    assert values["exec_per_s"] == pytest.approx(100.0)
+    assert values["sim_rtf"] == pytest.approx(50.0)
+    assert values["latency_p50_ms"] == pytest.approx(10.0)
+    assert values["latency_tail_ms"] == pytest.approx(10.0)
+    assert values["setup_s"] == pytest.approx(0.2)
 
 
 # --------------------------------------------------------------------------- #

@@ -23,7 +23,7 @@ import threading
 import time
 from collections import defaultdict
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 _clock = time.perf_counter
 
@@ -183,14 +183,27 @@ class Instrumentation:
     def __init__(self, recorder: Recorder) -> None:
         self.recorder = recorder
         self._undo: List[Tuple[Any, str, Any]] = []
+        #: Span names a wrap was attempted for, and those at least one wrap installed.
+        self.attempted: Set[str] = set()
+        self.installed: Set[str] = set()
+
+    def missing(self, required: Iterable[str] = ()) -> List[str]:
+        """Span names (attempted or ``required``) that no wrap installed.
+
+        Their metrics would silently read zero, so a traced run with any
+        missing span fails.
+        """
+        return sorted((self.attempted | set(required)) - self.installed)
 
     def wrap_method(self, cls: type, attr: str, name: str, **hooks: Any) -> bool:
         """Wrap ``cls.attr`` if the class itself defines it."""
+        self.attempted.add(name)
         original = cls.__dict__.get(attr)
         if original is None or not callable(original):
             return False
         setattr(cls, attr, span_wrapper(self.recorder, name, original, **hooks))
         self._undo.append((cls, attr, original))
+        self.installed.add(name)
         return True
 
     def wrap_function(
@@ -201,6 +214,7 @@ class Instrumentation:
         Other importers keep the original, so their calls are not
         attributed to this layer.
         """
+        self.attempted.add(name)
         module = sys.modules.get(module_name)
         original = getattr(module, attr, None) if module is not None else None
         if original is None:
@@ -210,6 +224,7 @@ class Instrumentation:
             if owner is not None and owner.__dict__.get(attr) is original:
                 setattr(owner, attr, wrapped)
                 self._undo.append((owner, attr, original))
+        self.installed.add(name)
         return True
 
     def undo(self) -> None:
@@ -239,8 +254,8 @@ def _json_size(payload: Any) -> int:
 def instrument(recorder: Recorder) -> Instrumentation:
     """Wrap every layer's entry points; returns the undo handle.
 
-    Layer names follow the ``repro`` packages.  Methods a later version
-    of the program no longer has are skipped: their metrics read zero.
+    Layer names follow the ``repro`` packages.  A span none of whose
+    methods exists any more is listed by :meth:`Instrumentation.missing`.
     """
     # Import every layer first so the class walk and alias patching see it.
     import repro.apps.scenarios  # noqa: F401
@@ -299,13 +314,11 @@ def instrument(recorder: Recorder) -> Instrumentation:
 
     # testing ---------------------------------------------------------------- #
     def choices_before(args: tuple) -> int:
-        return getattr(args[0], "orderings_chosen", 0)
+        return args[0].orderings_chosen
 
     def choices_after(call: tuple, result: Any, duration: float) -> None:
         args, before = call
-        recorder.count(
-            "testing.scheduler.choices", getattr(args[0], "orderings_chosen", 0) - before
-        )
+        recorder.count("testing.scheduler.choices", args[0].orderings_chosen - before)
 
     wrap(
         BoundedAsynchronyScheduler, "order", "testing.scheduler.order",

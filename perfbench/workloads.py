@@ -8,7 +8,9 @@ Each workload has the same life cycle, driven by ``run.py``:
 2. ``prepare()`` — untimed oracle work the correctness checks compare
    against (the serial tester on each sweep or mission seed).
 3. ``run_op(k)`` — operation ``k``, timed by the workload itself and
-   checked right after; returns an :class:`OpResult`.
+   checked right after; returns an :class:`OpResult` whose timed work is
+   cut into :class:`Window` s, each preceded by a :func:`measure.reference_s`
+   reading of the host's speed.
 4. ``finish()`` — end-of-run checks (determinism re-runs, golden digest).
 
 Every input comes from the workload seed through
@@ -21,35 +23,43 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from measure import derive_seed, digest
+from measure import derive_seed, digest, reference_s
 
 clock = time.perf_counter
+
+
+@dataclass
+class Window:
+    """A stretch of timed work and the host's speed measured right before it."""
+
+    host_s: float  # host seconds of the stretch
+    executions: int  # executions completed (see each workload's definition)
+    sim_s: float  # simulated seconds covered
+    reference_s: float  # measure.reference_s() just before the stretch
+    latencies_s: List[float] = field(default_factory=list)
 
 
 @dataclass
 class OpResult:
     """What one timed operation did."""
 
-    host_s: float  # host seconds of the timed operation
-    executions: int  # executions completed (see each workload's definition)
-    sim_s: float  # simulated seconds covered
-    latencies_s: List[float] = field(default_factory=list)
+    host_s: float  # host seconds of the timed operation, reference loops excluded
+    windows: List[Window] = field(default_factory=list)
     attempted: int = 1
     failed: int = 0
     first_records_s: List[float] = field(default_factory=list)
-    #: Optional (host_s, executions, sim_s) sub-windows; when given, the
-    #: throughput quartiles are taken over these instead of operations.
-    windows: List[Tuple[float, int, float]] = field(default_factory=list)
     problems: List[str] = field(default_factory=list)
+
+    @property
+    def executions(self) -> int:
+        return sum(window.executions for window in self.windows)
 
 
 def clear_world_memo() -> None:
     """Drop the per-process surveillance world so the next build densifies again."""
     import repro.apps.scenarios as scenarios
 
-    clear = getattr(getattr(scenarios, "_shared_world", None), "cache_clear", None)
-    if clear is not None:
-        clear()
+    scenarios._shared_world.cache_clear()
 
 
 def shared_clearance_stats() -> Any:
@@ -63,14 +73,6 @@ class Workload:
     why = ""
     #: What ``latency_*`` times on this workload.
     latency_of = ""
-    setup_repeats = 3
-    #: Read the peak RSS after this many operations (``None``: at the end),
-    #: so a workload whose memory grows per operation reports the same
-    #: amount of work however fast the host is.
-    rss_after_ops: Optional[int] = None
-    #: Latency samples per group: each group gives one median and one tail
-    #: (the highest percentile with ten samples beyond it).
-    latency_group = 100
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
@@ -117,8 +119,8 @@ def _clearance_state(stats: Any) -> Dict[str, float]:
 # --------------------------------------------------------------------------- #
 MISSION_DURATION = 300.0
 CANARY_SEED = 0
-#: Discrete steps per throughput window: missions differ in length and
-#: cost, and ~50 windows per run give a steadier quartile than ~12 missions.
+#: Discrete steps per window: missions differ in length and cost, and ~50
+#: windows per run give a steadier median than ~13 missions.
 STEP_WINDOW = 500
 #: Digest of the canary mission's simulated statistics (seed 0).  It must
 #: not change across commits: the runtime is deterministic.
@@ -148,12 +150,15 @@ class MissionCity(Workload):
         self.world = world
         self.canary_digests.append(self._mission(CANARY_SEED)[-1])
 
-    def _mission(self, mission_seed: int) -> Tuple[float, Any, Any, List[float], list, str]:
+    def _mission(self, mission_seed: int) -> Tuple[float, Any, List[Window], str]:
+        """Fly one mission; the windows cover the stack build and every full
+        window of ``STEP_WINDOW`` steps (a trailing partial window is dropped)."""
         from repro.apps import StackConfig, build_stack
 
-        samples: List[float] = []
-        marks: List[Tuple[float, float]] = []  # (host, simulated) time at each step start
-        started = clock()
+        windows: List[Window] = []
+        open_window = Window(0.0, 0, 0.0, reference_s())
+        reference_total = 0.0
+        window_started = started = clock()
         stack = build_stack(
             StackConfig(
                 world=self.world,
@@ -166,17 +171,28 @@ class MissionCity(Workload):
         )
         engine = stack.simulation.engine
         step = engine.step
+        window_sim_start = engine.current_time
 
         def timed_step() -> Any:
+            nonlocal open_window, window_started, window_sim_start, reference_total
+            if len(open_window.latencies_s) == STEP_WINDOW:
+                ended = clock()
+                open_window.host_s = ended - window_started
+                open_window.executions = STEP_WINDOW
+                open_window.sim_s = engine.current_time - window_sim_start
+                windows.append(open_window)
+                open_window = Window(0.0, 0, 0.0, reference_s())
+                window_started = clock()
+                reference_total += window_started - ended
+                window_sim_start = engine.current_time
             begun = clock()
-            marks.append((begun, engine.current_time))
             result = step()
-            samples.append(clock() - begun)
+            open_window.latencies_s.append(clock() - begun)
             return result
 
         engine.step = timed_step
         metrics, result = stack.run(MISSION_DURATION)
-        host = clock() - started
+        host = clock() - started - reference_total
         stats = result.engine.stats
         record = {
             "mission_time": metrics.mission_time,
@@ -186,19 +202,14 @@ class MissionCity(Workload):
             "mode_switches": stats.mode_switches,
             "min_clearance": metrics.min_clearance,
         }
-        windows = [
-            (marks[i + STEP_WINDOW][0] - marks[i][0], STEP_WINDOW,
-             marks[i + STEP_WINDOW][1] - marks[i][1])
-            for i in range(0, len(marks) - STEP_WINDOW, STEP_WINDOW)
-        ]
-        return host, metrics, stats, samples, windows, digest(record)
+        return host, metrics, windows, digest(record)
 
     def mission_seed(self, k: int) -> int:
         return derive_seed(self.seed, "mission", k)
 
     def run_op(self, k: int) -> OpResult:
         mission_seed = self.mission_seed(k)
-        host, metrics, stats, samples, windows, mission_digest = self._mission(mission_seed)
+        host, metrics, windows, mission_digest = self._mission(mission_seed)
         problems = []
         if metrics.collided:
             problems.append(f"mission seed {mission_seed} collided")
@@ -207,13 +218,7 @@ class MissionCity(Workload):
             problems.append(f"mission seed {mission_seed} is not deterministic")
         self.ac_fractions.append(metrics.ac_time_fraction.get("SafeMotionPrimitive", 1.0))
         return OpResult(
-            host_s=host,
-            executions=stats.time_progress_steps,
-            sim_s=metrics.mission_time,
-            latencies_s=samples,
-            windows=windows,
-            failed=1 if problems else 0,
-            problems=problems,
+            host_s=host, windows=windows, failed=1 if problems else 0, problems=problems
         )
 
     def finish(self) -> List[str]:
@@ -269,7 +274,6 @@ class Sweep(Workload):
     ``SystematicTester`` (reset-reuse) on the same seed, run untimed.
     """
 
-    setup_repeats = 7
     latency_of = "one execution (run_single) inside the sweep"
 
     def __init__(
@@ -325,6 +329,7 @@ class Sweep(Workload):
             return record
 
         tester.run_single = timed_run_single
+        reference = reference_s()
         started = clock()
         report = tester.explore()
         host = clock() - started
@@ -343,15 +348,13 @@ class Sweep(Workload):
                 problems.append(f"sweep seed {sweep_seed}: {mismatched} records differ from serial")
             failed = min(self.budget, failed + mismatched)
         for key in self.population:
-            self.population[key] += getattr(tester.stats, key, 0)
+            self.population[key] += getattr(tester.stats, key)
+        window = Window(
+            host, report.execution_count, report.execution_count * self.horizon, reference,
+            latencies,
+        )
         return OpResult(
-            host_s=host,
-            executions=report.execution_count,
-            sim_s=report.execution_count * self.horizon,
-            latencies_s=latencies,
-            attempted=self.budget,
-            failed=failed,
-            problems=problems,
+            host_s=host, windows=[window], attempted=self.budget, failed=failed, problems=problems
         )
 
     def layer_state(self) -> Dict[str, float]:
@@ -391,10 +394,12 @@ def sweep_workloads() -> Dict[str, Dict[str, Any]]:
 # --------------------------------------------------------------------------- #
 SERVICE_HORIZON = 2.0
 SERVICE_BUDGET = 40
-SERVICE_SEEDS = 8
+#: Distinct missions per run, cycled.  Missions of different seeds differ
+#: in cost by up to a third, so a run's figures depend on the mix; 24 keep
+#: that mix close across workload seeds (8 spread runs by ~0.1) while the
+#: serial oracle for all of them takes ~2 s of set-up.
+SERVICE_SEEDS = 24
 SERVICE_WARMUP_MISSIONS = 2
-#: Missions per timed operation: each window gives one throughput figure.
-SERVICE_WINDOW = 5
 
 
 class ServiceStream(Workload):
@@ -404,8 +409,6 @@ class ServiceStream(Workload):
         "MissionServer: protocol, leases, HTTP, event log and drone loop dominate"
     )
     latency_of = "one mission, from submit until its result is received"
-    rss_after_ops = 6  # windows, i.e. 30 missions
-    latency_group = SERVICE_WINDOW  # one group per window; the tail pools them
 
     def __init__(self, seed: int) -> None:
         super().__init__(seed)
@@ -466,29 +469,13 @@ class ServiceStream(Workload):
         report = self.client.result(mission_id)
         return clock() - started, first_record, streamed, finished, report
 
-    def op_attempts(self, k: int) -> int:
-        return SERVICE_WINDOW
-
     def run_op(self, k: int) -> OpResult:
-        """A window of ``SERVICE_WINDOW`` consecutive missions."""
-        window = OpResult(host_s=0.0, executions=0, sim_s=0.0, attempted=SERVICE_WINDOW)
-        for j in range(SERVICE_WINDOW):
-            mission_seed = self.mission_seeds[(k * SERVICE_WINDOW + j) % len(self.mission_seeds)]
-            problems = self._checked_mission(mission_seed, window)
-            window.failed += 1 if problems else 0
-            window.problems += problems
-        return window
-
-    def _checked_mission(self, mission_seed: int, window: OpResult) -> List[str]:
         from repro.service.client import decode_report_coverage, decode_report_records
 
+        mission_seed = self.mission_seeds[k % len(self.mission_seeds)]
+        reference = reference_s()
         host, first_record, streamed, finished, report = self._mission(mission_seed)
-        window.host_s += host
-        window.executions += streamed
-        window.sim_s += streamed * SERVICE_HORIZON
-        window.latencies_s.append(host)
-        if first_record is not None:
-            window.first_records_s.append(first_record)
+        window = Window(host, streamed, streamed * SERVICE_HORIZON, reference, [host])
         problems = []
         if finished is None or finished.get("error"):
             problems.append(f"mission seed {mission_seed} did not finish cleanly: {finished}")
@@ -505,13 +492,18 @@ class ServiceStream(Workload):
             problems.append(
                 f"mission seed {mission_seed}: trails or coverage differ from the serial tester"
             )
-        return problems
+        return OpResult(
+            host_s=host,
+            windows=[window],
+            failed=1 if problems else 0,
+            first_records_s=[first_record] if first_record is not None else [],
+            problems=problems,
+        )
 
     def layer_state(self) -> Dict[str, float]:
         state = _clearance_state(shared_clearance_stats())
         state["service.duplicates"] = self.duplicates
-        missions = getattr(getattr(self.server, "service", None), "_missions", None)
-        state["service.retained"] = len(missions) if missions is not None else 0
+        state["service.retained"] = len(self.server.service._missions)
         return state
 
 
