@@ -19,16 +19,11 @@ standard output is one JSON object: ``correct``, ``attempted``,
 from __future__ import annotations
 
 import argparse
-import ctypes
-import ctypes.util
 import json
 import sys
 import traceback
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Set, Tuple
-
-#: glibc's mallopt parameter number for the arena cap.
-M_ARENA_MAX = -8
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -46,8 +41,9 @@ from measure import (  # noqa: E402
 )
 from workloads import OpResult, Window, Workload, build, clock, names  # noqa: E402
 
-#: Set-ups per run; ``setup_s`` is their median.
-SETUP_REPEATS = 3
+#: Set-ups per run; ``setup_s`` is their median.  The first, cold one takes
+#: 1.3-3x as long as the rest, so the median of five is a warm set-up.
+SETUP_REPEATS = 5
 #: The peak RSS is read once the timed operations have completed this many
 #: executions, so a workload whose memory grows with the work done (the
 #: mission service keeps every mission) reports the same work on any host.
@@ -317,23 +313,6 @@ def layer_table(layers: Layers) -> None:
           "the same operations, at reference speed (host drift the reference loop misses remains)")
 
 
-def limit_malloc_arenas() -> None:
-    """Cap glibc's per-thread malloc arenas before any thread starts.
-
-    The mission server answers each HTTP request on a new thread; which of
-    up to eight arenas per CPU a thread lands on changed the peak RSS of
-    the same `service-stream` work between 301 and 333 MB over three runs.
-    With two arenas ten runs read IQR/median 0.015 (median 222 MB).
-    """
-    try:
-        libc = ctypes.CDLL(ctypes.util.find_library("c") or "libc.so.6")
-        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-        libc.mallopt.restype = ctypes.c_int
-        libc.mallopt(M_ARENA_MAX, 2)
-    except (OSError, AttributeError):
-        pass  # not glibc: nothing to cap
-
-
 def main(argv: List[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=names())
@@ -341,7 +320,6 @@ def main(argv: List[str]) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
-    limit_malloc_arenas()
 
     source = ROOT / "src"
     if not (source / "repro" / "__init__.py").is_file():
