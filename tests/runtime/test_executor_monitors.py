@@ -68,3 +68,45 @@ class TestSimulatedTimeExecutorBatching:
     def test_monitor_batch_validated(self):
         with pytest.raises(ValueError):
             SimulatedTimeExecutor(_bad_tick_system(), monitor_batch=0)
+
+
+class TestWallClockParity:
+    """Paced execution is the virtual-time semantics plus sleeps, nothing else."""
+
+    @staticmethod
+    def _run(executor_cls, name, scenario_kw, seed, **executor_kw):
+        import repro.apps.scenarios  # noqa: F401 — registers the built-in scenarios
+        from repro.testing import RandomStrategy, scenario_factory
+
+        instance = scenario_factory(name, **scenario_kw)()
+        strategy = RandomStrategy(seed=seed)
+        if instance.environment is not None:
+            instance.environment.reset()
+            instance.environment.bind_strategy(strategy)
+        for node in instance.system.all_nodes():
+            bind = getattr(node, "bind_strategy", None)
+            if bind is not None:
+                bind(strategy)
+        strategy.execution_started()
+        executor = executor_cls(
+            instance.system, monitors=instance.monitors, monitor_period=0.1, **executor_kw
+        )
+        environment = instance.environment.apply if instance.environment is not None else None
+        result = executor.run(instance.horizon - 0.03, environment=environment)
+        return (
+            [(event.time, event.node) for event in result.trace.firings],
+            [(v.time, v.monitor, v.message) for v in result.monitors.violations],
+            result.end_time,
+        )
+
+    @pytest.mark.parametrize(
+        "name, scenario_kw",
+        [("toy-closed-loop", {"broken_ttf": True}), ("drone-surveillance", {})],
+    )
+    def test_wall_clock_fires_and_flags_like_simulated_time(self, name, scenario_kw):
+        simulated = self._run(SimulatedTimeExecutor, name, scenario_kw, seed=3)
+        paced = self._run(WallClockExecutor, name, scenario_kw, seed=3, time_scale=1e4)
+        assert simulated[0]  # the system actually fired
+        if scenario_kw:
+            assert simulated[1]  # the broken time-to-failure bound is caught
+        assert paced == simulated
