@@ -60,7 +60,7 @@ def test_full_stack_simulation_step_cost(benchmark):
 
     def advance_one_second():
         state["until"] += 1.0
-        simulation.engine.run_until(state["until"], environment=simulation._environment)
+        simulation.run(state["until"])
 
     benchmark(advance_one_second)
     assert simulation.engine.stats.node_firings > 0

@@ -83,8 +83,8 @@ def metrics_from_result(
     surveillance: Optional[SurveillanceNode] = None,
     goals_target: Optional[int] = None,
 ) -> MissionMetrics:
-    """Build :class:`MissionMetrics` from a finished simulation."""
-    plant = result.plant
+    """Build :class:`MissionMetrics` from a finished single-vehicle simulation."""
+    plant = result.channels[0].plant
     disengagements: Dict[str, int] = {}
     reengagements: Dict[str, int] = {}
     ac_fraction: Dict[str, float] = {}

@@ -32,9 +32,10 @@ serial and the parallel tester construct these workloads by name:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import replace
-from functools import lru_cache
-from typing import List, Optional
+from functools import lru_cache, wraps
+from typing import Callable, List, Optional, TypeVar
 
 from ..core.compiler import Program, SoterCompiler
 from ..core.module import RTAModuleSpec
@@ -50,15 +51,21 @@ from ..planning import GridAStarPlanner, Plan
 from ..planning.validation import PlanValidator
 from ..runtime.faults import ChoiceFaultInjector, FaultPlan, FaultPlane, FaultSite
 from ..simulation import MissionWorld, surveillance_city
-from ..simulation.drone import BatteryStatus, DronePlant
-from ..simulation.plantenv import PlantChannel, PlantEnvironment
-from ..simulation.sensors import BatterySensor, StateEstimator
+from ..simulation.drone import BatteryStatus
+from ..simulation.plantenv import PlantEnvironment
 from ..testing.abstractions import AbstractEnvironment, NondeterministicNode, constant_environment
 from ..testing.explorer import ModelInstance
 from ..testing.scenarios import register_scenario
 from .modules import PlannerModuleConfig, build_safe_motion_planner
 from .nodes import PlanForwardNode, PlannerNode
-from .stack import FleetConfig, StackConfig, build_discrete_model, build_fleet_discrete_model, fleet_configs
+from .stack import (
+    FleetConfig,
+    StackConfig,
+    build_discrete_model,
+    build_fleet_discrete_model,
+    build_plant_channel,
+    fleet_configs,
+)
 from .topics import (
     ACTIVE_PLAN_TOPIC,
     BATTERY_TOPIC,
@@ -69,7 +76,30 @@ from .topics import (
 )
 
 
-@lru_cache(maxsize=None)
+_T = TypeVar("_T")
+
+
+def _build_once(factory: Callable[[], _T]) -> Callable[[], _T]:
+    """Memoize a zero-argument world factory, building at most once.
+
+    A plain ``lru_cache`` lets concurrent first callers (the mission
+    server's HTTP handler and its drone threads) each build and densify
+    their own copy; the lock makes them wait for the one build and share
+    it.  ``cache_clear()`` drops the memo as ``lru_cache`` does.
+    """
+    memo = lru_cache(maxsize=None)(factory)
+    lock = threading.Lock()
+
+    @wraps(factory)
+    def build() -> _T:
+        with lock:
+            return memo()
+
+    build.cache_clear = memo.cache_clear  # type: ignore[attr-defined]
+    return build
+
+
+@_build_once
 def _shared_world():
     """One surveillance-city world per process, shared across executions.
 
@@ -248,7 +278,7 @@ def build_faulty_planner(
     return ModelInstance(system=system, monitors=monitors, environment=None, horizon=horizon)
 
 
-@lru_cache(maxsize=None)
+@_build_once
 def _geofence_workspace():
     # Cached per process for the same reason as _shared_world: the pillar
     # field is immutable and its ClearanceField warms across executions.
@@ -432,7 +462,7 @@ def _region_grid_points(
     return points
 
 
-@lru_cache(maxsize=None)
+@_build_once
 def _pillar_world() -> MissionWorld:
     """The three-pillar field as a mission world (shared per process)."""
     workspace = _geofence_workspace()
@@ -751,34 +781,10 @@ def build_plant_surveillance(
     # instances carry the fleet-wide parameters.
     shared_dynamics = model.vehicles[0].model
     shared_battery = model.vehicles[0].battery_model
-    channels: List[PlantChannel] = []
-    for index, vehicle in enumerate(model.vehicles):
-        vehicle_config = vehicle.config
-        ns = vehicle_config.namespace
-        start = vehicle_config.start_position or vehicle_config.world.home
-        plant = DronePlant(
-            model=shared_dynamics,
-            workspace=vehicle_config.world.workspace,
-            battery_model=shared_battery,
-            initial_state=DroneState(position=start),
-            initial_charge=vehicle_config.initial_charge,
-            collision_margin=0.0,
-        )
-        channels.append(
-            PlantChannel(
-                plant=plant,
-                estimator=StateEstimator(
-                    position_noise=vehicle_config.estimator_noise,
-                    velocity_noise=vehicle_config.estimator_noise,
-                    seed=vehicle_config.seed,
-                ),
-                battery_sensor=BatterySensor(seed=vehicle_config.seed + 1),
-                command_topic=ns.command,
-                position_topic=ns.position,
-                battery_topic=ns.battery,
-                label=ns.prefix.rstrip("/") if ns.prefix else f"drone{index}",
-            )
-        )
+    channels = [
+        build_plant_channel(vehicle.config, shared_dynamics, shared_battery, index)
+        for index, vehicle in enumerate(model.vehicles)
+    ]
     environment = PlantEnvironment(
         channels=channels,
         gust_menu=[

@@ -17,9 +17,8 @@ and the mission-metric extraction used by every benchmark.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from ..control import (
     AggressiveTracker,
@@ -50,14 +49,11 @@ from ..simulation import (
     FaultyStateEstimator,
     DronePlant,
     DroneSimulation,
-    FleetResult,
-    FleetSimulation,
-    FleetSimulationConfig,
     MissionWorld,
+    PlantChannel,
     SimulationConfig,
     SimulationResult,
     StateEstimator,
-    VehicleChannels,
     surveillance_city,
 )
 from .metrics import MissionMetrics, metrics_from_result
@@ -193,8 +189,6 @@ class BuiltStack:
         """True once a battery-triggered abort has ended with the drone on the ground."""
         assert self.battery is not None
         dm = self.system.module_named(self.battery.spec.name).decision
-        from ..core.decision import Mode
-
         aborted = any(switch.is_disengagement for switch in dm.switches)
         return aborted and self.plant.landed
 
@@ -547,33 +541,52 @@ def build_discrete_model(config: Optional[StackConfig] = None) -> DiscreteModel:
 def build_stack(config: Optional[StackConfig] = None) -> BuiltStack:
     """Assemble, compile, and wire the drone software stack described by ``config``."""
     config = config or StackConfig()
-    world = config.world
-    workspace = world.workspace
     assembled = _assemble_program(config)
-    program = assembled.program
-    surveillance = assembled.surveillance
-    model = assembled.model
-    battery_model = assembled.battery_model
-    planner_module = assembled.planner_module
-    battery_module = assembled.battery_module
-    mp_module = assembled.mp_module
+    system = SoterCompiler(strict=True).compile(assembled.program).system
+    monitors = _safety_monitors(config, system, assembled.model, assembled.mp_module)
+    channel = build_plant_channel(config, assembled.model, assembled.battery_model)
+    simulation = DroneSimulation(
+        system=system,
+        channels=[channel],
+        scheduler=config.scheduler,
+        monitors=monitors,
+    )
+    return BuiltStack(
+        config=config,
+        program=assembled.program,
+        system=system,
+        simulation=simulation,
+        plant=channel.plant,
+        surveillance=assembled.surveillance,
+        monitors=monitors,
+        motion_primitive=assembled.mp_module,
+        battery=assembled.battery_module,
+        planner=assembled.planner_module,
+    )
 
-    # ----------------------------------------------------------------- #
-    # compile and wire the co-simulation
-    # ----------------------------------------------------------------- #
-    compiled = SoterCompiler(strict=True).compile(program)
-    system = compiled.system
 
-    start = config.start_position or world.home
+def build_plant_channel(
+    config: StackConfig,
+    model: BoundedDoubleIntegrator,
+    battery_model: BatteryModel,
+    index: int = 0,
+) -> PlantChannel:
+    """One vehicle's plant, sensors and namespace topics.
+
+    The sensor and command topics follow the vehicle's namespace: with a
+    prefixed namespace the default topic names would publish where no
+    node listens (a dead, vacuously-safe mission).  The label is the
+    namespace prefix, or ``drone<index>`` for the empty default prefix.
+    """
+    ns = config.namespace
     plant = DronePlant(
         model=model,
-        workspace=workspace,
+        workspace=config.world.workspace,
         battery_model=battery_model,
-        initial_state=DroneState(position=start),
+        initial_state=DroneState(position=config.start_position or config.world.home),
         initial_charge=config.initial_charge,
         collision_margin=0.0,
     )
-    monitors = _safety_monitors(config, system, model, mp_module)
     estimator: Any = StateEstimator(
         position_noise=config.estimator_noise,
         velocity_noise=config.estimator_noise,
@@ -590,33 +603,14 @@ def build_stack(config: Optional[StackConfig] = None) -> BuiltStack:
         battery_sensor = FaultyBatterySensor(
             inner=battery_sensor, mode=mode, fault_from=start, fault_until=stop
         )
-    simulation = DroneSimulation(
-        system=system,
+    return PlantChannel(
         plant=plant,
         estimator=estimator,
         battery_sensor=battery_sensor,
-        scheduler=config.scheduler,
-        monitors=monitors,
-        # Sensor/command wiring must follow the vehicle's namespace: with a
-        # prefixed namespace the default topic names would publish where no
-        # node listens (a dead, vacuously-safe mission).
-        config=SimulationConfig(
-            position_topic=config.namespace.position,
-            battery_topic=config.namespace.battery,
-            command_topic=config.namespace.command,
-        ),
-    )
-    return BuiltStack(
-        config=config,
-        program=program,
-        system=system,
-        simulation=simulation,
-        plant=plant,
-        surveillance=surveillance,
-        monitors=monitors,
-        motion_primitive=mp_module,
-        battery=battery_module,
-        planner=planner_module,
+        command_topic=ns.command,
+        position_topic=ns.position,
+        battery_topic=ns.battery,
+        label=ns.prefix.rstrip("/") or f"drone{index}",
     )
 
 
@@ -815,75 +809,50 @@ class FleetStack:
     config: FleetConfig
     program: Program
     system: RTASystem
-    simulation: FleetSimulation
+    simulation: DroneSimulation
     monitors: MonitorSuite
     vehicles: List[FleetVehicle]
-    channels: List[VehicleChannels]
+    channels: List[PlantChannel]
     separation: Optional[SeparationMonitor] = None
 
     @property
     def mission_complete(self) -> bool:
         return all(vehicle.surveillance.mission_complete for vehicle in self.vehicles)
 
-    def run(self, duration: float, stop_on_complete: bool = True) -> FleetResult:
+    def run(self, duration: float, stop_on_complete: bool = True) -> SimulationResult:
         """Run the fleet mission (stopping when every tour is complete)."""
 
-        def stop(sim: FleetSimulation) -> bool:
+        def stop(sim: DroneSimulation) -> bool:
             return stop_on_complete and self.mission_complete
 
         return self.simulation.run(duration, stop_when=stop)
 
 
 def build_fleet_stack(
-    config: FleetConfig, sim_config: Optional[FleetSimulationConfig] = None
+    config: FleetConfig, sim_config: Optional[SimulationConfig] = None
 ) -> FleetStack:
     """Assemble, compile, and wire the N-vehicle fleet with per-vehicle plants.
 
     Every vehicle gets its own :class:`DronePlant`, state estimator and
     battery sensor, publishing on its namespace's sensor topics; one
     semantics engine drives the composed program while all plants
-    integrate in lock-step (see
-    :class:`~repro.simulation.FleetSimulation`).  The compiled system and
-    monitors come from :func:`build_fleet_discrete_model`, so the
-    simulated fleet and the discrete model the testers explore are the
-    same composition by construction.
+    integrate in lock-step (see :class:`~repro.simulation.DroneSimulation`).
+    The compiled system and monitors come from
+    :func:`build_fleet_discrete_model`, so the simulated fleet and the
+    discrete model the testers explore are the same composition by
+    construction.
     """
     model = build_fleet_discrete_model(config)
-    channels: List[VehicleChannels] = []
-    for index, vehicle in enumerate(model.vehicles):
-        vehicle_config = vehicle.config
-        world = vehicle_config.world
-        ns = vehicle_config.namespace
-        start = vehicle_config.start_position or world.home
-        plant = DronePlant(
-            model=vehicle.model,
-            workspace=world.workspace,
-            battery_model=vehicle.battery_model,
-            initial_state=DroneState(position=start),
-            initial_charge=vehicle_config.initial_charge,
-            collision_margin=0.0,
-        )
-        channels.append(
-            VehicleChannels(
-                name=ns.prefix.rstrip("/") if ns.prefix else f"drone{index}",
-                plant=plant,
-                estimator=StateEstimator(
-                    position_noise=vehicle_config.estimator_noise,
-                    velocity_noise=vehicle_config.estimator_noise,
-                    seed=vehicle_config.seed,
-                ),
-                battery_sensor=BatterySensor(seed=vehicle_config.seed + 1),
-                position_topic=ns.position,
-                battery_topic=ns.battery,
-                command_topic=ns.command,
-            )
-        )
-    simulation = FleetSimulation(
+    channels = [
+        build_plant_channel(vehicle.config, vehicle.model, vehicle.battery_model, index)
+        for index, vehicle in enumerate(model.vehicles)
+    ]
+    simulation = DroneSimulation(
         system=model.system,
-        vehicles=channels,
+        channels=channels,
         scheduler=config.vehicles[0].scheduler,
         monitors=model.monitors,
-        config=sim_config or FleetSimulationConfig(),
+        config=sim_config,
     )
     return FleetStack(
         config=config,

@@ -31,6 +31,7 @@ from .semantics import EngineStatistics, SemanticsEngine
 from .monitor import (
     DeadlineMonitor,
     InvariantMonitor,
+    MonitorCadence,
     MonitorResult,
     MonitorSuite,
     SeparationMonitor,
@@ -87,6 +88,7 @@ __all__ = [
     "SemanticsEngine",
     "DeadlineMonitor",
     "InvariantMonitor",
+    "MonitorCadence",
     "MonitorResult",
     "MonitorSuite",
     "SeparationMonitor",

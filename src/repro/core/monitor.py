@@ -634,3 +634,51 @@ class MonitorSuite:
             status = "ok" if monitor.result.ok else f"{monitor.result.count} violation(s)"
             lines.append(f"  {monitor.name}: {status}")
         return "\n".join(lines)
+
+
+class MonitorCadence:
+    """Samples a :class:`MonitorSuite` every ``period`` seconds of virtual time.
+
+    This is the executors' and the plant co-simulation's cadence: call
+    :meth:`advance` right before each discrete step, and every sampling
+    instant at or before the step's time that has not been taken yet is
+    taken now, against the state the step is about to read.  ``batch`` 1
+    checks every monitor at once; larger values capture samples and flush
+    them in windows of that many (:meth:`MonitorSuite.flush`), which yields
+    the same violations, and :meth:`finish` flushes the last window.
+
+    The systematic testers use the other cadence — every monitor after
+    every step — which is part of their own step loop.
+    """
+
+    def __init__(self, suite: MonitorSuite, period: float, batch: int = 1) -> None:
+        if period <= 0.0:
+            raise ValueError("monitor_period must be positive")
+        if batch < 1:
+            raise ValueError("monitor_batch must be at least 1")
+        self.suite = suite
+        self.period = period
+        self.batch = batch
+        self.next_time = 0.0
+
+    def reset(self) -> None:
+        """Rewind to the first sampling instant and reset the suite."""
+        self.suite.reset()
+        self.next_time = 0.0
+
+    def advance(self, engine: SemanticsEngine, upcoming: float) -> None:
+        """Take every sample due at or before ``upcoming``."""
+        suite = self.suite
+        while self.next_time <= upcoming + 1e-12:
+            if self.batch > 1:
+                suite.capture_all(engine)
+                if suite.pending_samples >= self.batch:
+                    suite.flush()
+            else:
+                suite.check_all(engine)
+            self.next_time += self.period
+
+    def finish(self) -> None:
+        """Evaluate any samples still pending in the last window."""
+        if self.batch > 1:
+            self.suite.flush()

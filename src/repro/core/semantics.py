@@ -20,7 +20,7 @@ holds everything else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
 
 from .calendar import Calendar
@@ -226,7 +226,7 @@ class SemanticsEngine:
                     stats.dropped_firings += 1
                     self._reschedule(node)
                     continue
-            # -- the read → step → publish body of _fire, inlined -------- #
+            # -- read → step → publish ------------------------------------ #
             clock += 1
             node_versions[name] = clock
             inputs = {topic: board_values.get(topic) for topic in node.subscribes}
@@ -260,24 +260,6 @@ class SemanticsEngine:
     def _reschedule(self, node: Node) -> None:
         jitter = max(0.0, self.scheduler.release_jitter(node, self.calendar.nominal_time_of(node.name)))
         self.calendar.reschedule(node.name, jitter=jitter, not_before=self.current_time)
-
-    def _fire(self, node: Node) -> None:
-        inputs = self.board.read_many(node.subscribes)
-        self._delta_clock += 1
-        self.node_versions[node.name] = self._delta_clock
-        outputs = validate_outputs(node, node.step(self.current_time, inputs) or {})
-        self.stats.node_firings += 1
-        if isinstance(node, DecisionModule):
-            self._apply_decision(node)
-            enabled = True
-        else:
-            enabled = self.output_enabled.get(node.name, True)
-            if enabled:
-                self.board.publish_many(outputs)
-            elif outputs:
-                self.stats.suppressed_publishes += 1
-        for listener in self.listeners:
-            listener.on_node_fired(self.current_time, node, outputs, enabled)
 
     def _apply_decision(self, dm: DecisionModule) -> None:
         """DM-STEP: propagate the DM's mode into the output-enable map."""

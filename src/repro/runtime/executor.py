@@ -10,9 +10,18 @@ behaviour.  The Python runtime offers three equivalents:
   virtual-time semantics, but the environment hook may be a coroutine so
   wall-clock-bound work (sensor IO, fleet co-simulation) of many missions
   can overlap in one event loop;
-* :class:`WallClockExecutor` — paces the same semantics against the wall
-  clock (a thin demonstration of on-line execution; not used by the
-  benchmarks).
+* :class:`WallClockExecutor` — the simulated-time executor with a pacing
+  hook that delays each discrete step until its virtual time has elapsed
+  on the wall clock (a thin demonstration of on-line execution; not used
+  by the benchmarks).
+
+All three sample their monitors on one cadence,
+:class:`~repro.core.monitor.MonitorCadence`: every ``monitor_period``
+seconds of virtual time, right before the discrete step that follows.
+The synchronous two drive :meth:`SemanticsEngine.run_until
+<repro.core.semantics.SemanticsEngine.run_until>`; the asyncio twin keeps
+its own copy of that loop because it must ``await`` inside it, and its
+parity tests prove the copy equal.
 
 Re-entrancy
 -----------
@@ -30,10 +39,10 @@ from __future__ import annotations
 import asyncio
 import inspect
 import time as _time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Optional, Tuple
 
-from ..core.monitor import MonitorSuite
+from ..core.monitor import MonitorCadence, MonitorSuite
 from ..core.semantics import SchedulingPolicy, SemanticsEngine
 from ..core.system import RTASystem
 from .tracing import ExecutionTrace
@@ -60,7 +69,42 @@ class ExecutionResult:
         return self.monitors.ok
 
 
-class SimulatedTimeExecutor:
+class _Executor:
+    """What every executor shares: the system, the policy, the monitor cadence."""
+
+    def __init__(
+        self,
+        system: RTASystem,
+        scheduler: Optional[SchedulingPolicy] = None,
+        monitors: Optional[MonitorSuite] = None,
+        monitor_period: float = 0.05,
+        monitor_batch: int = 1,
+    ) -> None:
+        self.system = system
+        self.scheduler = scheduler
+        self.monitors = monitors or MonitorSuite()
+        self.cadence = MonitorCadence(self.monitors, monitor_period, monitor_batch)
+
+    def _start(self) -> Tuple[SemanticsEngine, ExecutionTrace]:
+        """Reset the monitors (re-entrancy) and build a traced engine."""
+        self.cadence.reset()
+        trace = ExecutionTrace()
+        return SemanticsEngine(self.system, scheduler=self.scheduler, listeners=[trace]), trace
+
+    def _result(
+        self, engine: SemanticsEngine, trace: ExecutionTrace, started: float
+    ) -> ExecutionResult:
+        self.cadence.finish()
+        return ExecutionResult(
+            engine=engine,
+            trace=trace,
+            monitors=self.monitors,
+            wall_time=_time.perf_counter() - started,
+            end_time=engine.current_time,
+        )
+
+
+class SimulatedTimeExecutor(_Executor):
     """Runs an RTA system in virtual time with optional monitors and environment.
 
     ``monitor_batch`` selects the monitor-evaluation path: ``1`` (the
@@ -72,24 +116,6 @@ class SimulatedTimeExecutor:
     predicate dispatch.  A final flush runs before :meth:`run` returns, so
     the result always reflects every sample.
     """
-
-    def __init__(
-        self,
-        system: RTASystem,
-        scheduler: Optional[SchedulingPolicy] = None,
-        monitors: Optional[MonitorSuite] = None,
-        monitor_period: float = 0.05,
-        monitor_batch: int = 1,
-    ) -> None:
-        if monitor_period <= 0.0:
-            raise ValueError("monitor_period must be positive")
-        if monitor_batch < 1:
-            raise ValueError("monitor_batch must be at least 1")
-        self.system = system
-        self.scheduler = scheduler
-        self.monitors = monitors or MonitorSuite()
-        self.monitor_period = monitor_period
-        self.monitor_batch = monitor_batch
 
     def run(
         self,
@@ -103,40 +129,20 @@ class SimulatedTimeExecutor:
         one executor produce independent verdicts (no violations or
         pending batched samples inherited from an earlier mission).
         """
-        self.monitors.reset()
-        trace = ExecutionTrace()
-        engine = SemanticsEngine(self.system, scheduler=self.scheduler, listeners=[trace])
+        engine, trace = self._start()
         started = _time.perf_counter()
-        next_monitor_time = 0.0
-        batched = self.monitor_batch > 1
+        cadence = self.cadence
 
         def hook(inner_engine: SemanticsEngine, upcoming: float) -> None:
-            nonlocal next_monitor_time
             if environment is not None:
                 environment(inner_engine, upcoming)
-            while next_monitor_time <= upcoming + 1e-12:
-                if batched:
-                    self.monitors.capture_all(inner_engine)
-                    if self.monitors.pending_samples >= self.monitor_batch:
-                        self.monitors.flush()
-                else:
-                    self.monitors.check_all(inner_engine)
-                next_monitor_time += self.monitor_period
+            cadence.advance(inner_engine, upcoming)
 
         engine.run_until(duration, environment=hook, stop_when=stop_when)
-        if batched:
-            self.monitors.flush()
-        wall = _time.perf_counter() - started
-        return ExecutionResult(
-            engine=engine,
-            trace=trace,
-            monitors=self.monitors,
-            wall_time=wall,
-            end_time=engine.current_time,
-        )
+        return self._result(engine, trace, started)
 
 
-class AsyncSimulatedTimeExecutor:
+class AsyncSimulatedTimeExecutor(_Executor):
     """The asyncio twin of :class:`SimulatedTimeExecutor`.
 
     Drives the identical virtual-time semantics — same step order, same
@@ -163,17 +169,9 @@ class AsyncSimulatedTimeExecutor:
         monitor_batch: int = 1,
         yield_every: int = 0,
     ) -> None:
-        if monitor_period <= 0.0:
-            raise ValueError("monitor_period must be positive")
-        if monitor_batch < 1:
-            raise ValueError("monitor_batch must be at least 1")
+        super().__init__(system, scheduler, monitors, monitor_period, monitor_batch)
         if yield_every < 0:
             raise ValueError("yield_every must be non-negative")
-        self.system = system
-        self.scheduler = scheduler
-        self.monitors = monitors or MonitorSuite()
-        self.monitor_period = monitor_period
-        self.monitor_batch = monitor_batch
         self.yield_every = yield_every
 
     async def run(
@@ -189,14 +187,13 @@ class AsyncSimulatedTimeExecutor:
         cadence run before each discrete step, and a final flush delivers
         any pending batched samples.  Awaitables returned by the hook are
         awaited in place — the only points where the mission can suspend
-        besides the optional ``yield_every`` heartbeat.
+        besides the optional ``yield_every`` heartbeat.  This loop is the
+        awaiting copy of :meth:`SemanticsEngine.run_until
+        <repro.core.semantics.SemanticsEngine.run_until>`.
         """
-        self.monitors.reset()
-        trace = ExecutionTrace()
-        engine = SemanticsEngine(self.system, scheduler=self.scheduler, listeners=[trace])
+        engine, trace = self._start()
         started = _time.perf_counter()
-        next_monitor_time = 0.0
-        batched = self.monitor_batch > 1
+        cadence = self.cadence
         steps = 0
         while True:
             next_time = engine.peek_next_time()
@@ -206,39 +203,25 @@ class AsyncSimulatedTimeExecutor:
                 pending = environment(engine, next_time)
                 if inspect.isawaitable(pending):
                     await pending
-            while next_monitor_time <= next_time + 1e-12:
-                if batched:
-                    self.monitors.capture_all(engine)
-                    if self.monitors.pending_samples >= self.monitor_batch:
-                        self.monitors.flush()
-                else:
-                    self.monitors.check_all(engine)
-                next_monitor_time += self.monitor_period
+            cadence.advance(engine, next_time)
             engine.step()
             steps += 1
             if self.yield_every and steps % self.yield_every == 0:
                 await asyncio.sleep(0)
             if stop_when is not None and stop_when(engine):
                 break
-        if batched:
-            self.monitors.flush()
-        wall = _time.perf_counter() - started
-        return ExecutionResult(
-            engine=engine,
-            trace=trace,
-            monitors=self.monitors,
-            wall_time=wall,
-            end_time=engine.current_time,
-        )
+        return self._result(engine, trace, started)
 
 
-class WallClockExecutor:
+class WallClockExecutor(SimulatedTimeExecutor):
     """Paces the discrete-event execution against the wall clock.
 
     Every discrete step is delayed until its virtual time has elapsed in
     real time (scaled by ``time_scale``).  This mirrors deploying the
     generated program with OS timers; it exists for demonstration and for
-    the quickstart example, not for the benchmarks.
+    the quickstart example, not for the benchmarks.  Apart from the
+    pacing it is the :class:`SimulatedTimeExecutor`: same loop, same
+    firing order, same monitor cadence.
     """
 
     def __init__(
@@ -251,15 +234,12 @@ class WallClockExecutor:
     ) -> None:
         if time_scale <= 0.0:
             raise ValueError("time_scale must be positive")
-        if monitor_period <= 0.0:
-            raise ValueError("monitor_period must be positive")
-        self.system = system
+        super().__init__(system, scheduler, monitors, monitor_period)
         self.time_scale = time_scale
-        self.scheduler = scheduler
-        self.monitors = monitors or MonitorSuite()
-        self.monitor_period = monitor_period
 
-    def run(self, duration: float, environment: Optional[EnvironmentHook] = None) -> ExecutionResult:
+    def run(  # type: ignore[override]
+        self, duration: float, environment: Optional[EnvironmentHook] = None
+    ) -> ExecutionResult:
         """Execute for ``duration`` seconds of virtual time, paced in real time.
 
         Monitors passed to the constructor are checked on the same
@@ -267,30 +247,13 @@ class WallClockExecutor:
         uses, right before each discrete step whose time they precede.
         The suite is reset first, so repeated runs stay independent.
         """
-        self.monitors.reset()
-        trace = ExecutionTrace()
-        engine = SemanticsEngine(self.system, scheduler=self.scheduler, listeners=[trace])
         start_wall = _time.perf_counter()
-        next_monitor_time = 0.0
-        while True:
-            next_time = engine.peek_next_time()
-            if next_time is None or next_time > duration:
-                break
-            target_wall = start_wall + next_time / self.time_scale
-            delay = target_wall - _time.perf_counter()
+
+        def paced(engine: SemanticsEngine, upcoming: float) -> None:
+            delay = start_wall + upcoming / self.time_scale - _time.perf_counter()
             if delay > 0:
                 _time.sleep(min(delay, 0.05))
             if environment is not None:
-                environment(engine, next_time)
-            while next_monitor_time <= next_time + 1e-12:
-                self.monitors.check_all(engine)
-                next_monitor_time += self.monitor_period
-            engine.step()
-        wall = _time.perf_counter() - start_wall
-        return ExecutionResult(
-            engine=engine,
-            trace=trace,
-            monitors=self.monitors,
-            wall_time=wall,
-            end_time=engine.current_time,
-        )
+                environment(engine, upcoming)
+
+        return super().run(duration, environment=paced)

@@ -2,12 +2,6 @@
 
 from .drone import BatteryStatus, DronePlant, PlantStatus
 from .environment import ConstantWind, GustyWind, NoWind
-from .fleet import (
-    FleetResult,
-    FleetSimulation,
-    FleetSimulationConfig,
-    VehicleChannels,
-)
 from .plantenv import PlantChannel, PlantEnvironment, RowGroupPlant
 from .population import PopulationSimulation, PopulationStatus
 from .sensors import (
@@ -25,10 +19,6 @@ __all__ = [
     "BatteryStatus",
     "DronePlant",
     "PlantStatus",
-    "FleetResult",
-    "FleetSimulation",
-    "FleetSimulationConfig",
-    "VehicleChannels",
     "ConstantWind",
     "GustyWind",
     "NoWind",

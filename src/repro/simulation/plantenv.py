@@ -31,11 +31,12 @@ so the population plane's equivalence suite doubles as the oracle proof.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..dynamics import ControlCommand
 from ..geometry import Vec3
 from .drone import DronePlant
 from .population import PopulationSimulation
@@ -56,8 +57,10 @@ class PlantChannel:
     period (the latest command the vehicle's stack published); the
     estimator's reading of the post-integration state is published on
     ``position_topic`` and the battery sensor's on ``battery_topic``
-    (``None`` disables battery publishing).  ``label`` names the
-    vehicle's gust choice point in trails (``wind:<label>``).
+    (``None`` disables battery publishing).  ``label`` names the vehicle:
+    its gust choice point in trails (``wind:<label>``) and its trajectory
+    in a :class:`~repro.simulation.sim.DroneSimulation`, which uses the
+    same channels.
     """
 
     plant: DronePlant
@@ -73,6 +76,17 @@ class PlantChannel:
         self.estimator.reset()
         if self.battery_sensor is not None:
             self.battery_sensor.reset()
+
+    def read_command(self, engine) -> Optional[ControlCommand]:
+        """The command the vehicle's stack last published (None = no thrust)."""
+        command = engine.read_topic(self.command_topic)
+        return command if isinstance(command, ControlCommand) else None
+
+    def publish(self, engine) -> None:
+        """ENVIRONMENT-INPUT: the estimated state, then the battery reading."""
+        engine.set_input(self.position_topic, self.estimator.estimate(self.plant.state))
+        if self.battery_sensor is not None and self.battery_topic is not None:
+            engine.set_input(self.battery_topic, self.battery_sensor.measure(self.plant))
 
 
 class RowGroupPlant:
@@ -240,7 +254,8 @@ class PlantEnvironment:
             self._window_gusts = [
                 self._choose_gust(channel) for channel in self.channels
             ]
-            self._publish(engine)
+            for channel in self.channels:
+                channel.publish(engine)
             self._next_time += self.period
             advanced = True
         if advanced:
@@ -254,18 +269,11 @@ class PlantEnvironment:
         index = self.strategy.choose(len(menu), label=f"wind:{channel.label}")
         return menu[index]
 
-    def _command_rows(self, engine) -> List[Any]:
-        commands = []
-        for channel in self.channels:
-            value = engine.read_topic(channel.command_topic)
-            commands.append(value if value is not None else None)
-        return commands
-
     def _integrate_to(self, until: float, engine) -> None:
         duration = until - self._physics_time
         if duration <= 1e-12:
             return
-        commands = self._command_rows(engine)
+        commands = [channel.read_command(engine) for channel in self.channels]
         gusts = self._window_gusts
         if self._use_batch_plant and self._row_group is not None:
             rows = np.zeros((len(commands), 3))
@@ -282,14 +290,6 @@ class PlantEnvironment:
                     channel.plant.apply(command, step, gust)
                 remaining -= step
         self._physics_time = until
-
-    def _publish(self, engine) -> None:
-        for channel in self.channels:
-            estimate = channel.estimator.estimate(channel.plant.state)
-            engine.set_input(channel.position_topic, estimate)
-            if channel.battery_sensor is not None and channel.battery_topic is not None:
-                reading = channel.battery_sensor.measure(channel.plant)
-                engine.set_input(channel.battery_topic, reading)
 
     # -- delta-snapshot hooks (see repro.core.resettable) --------------- #
     def capture_delta_state(self) -> Tuple[Any, ...]:

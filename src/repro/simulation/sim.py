@@ -1,37 +1,45 @@
-"""Co-simulation of the drone plant with a compiled SOTER system.
+"""Co-simulation of drone plants with a compiled SOTER system.
 
 This is the reproduction's Gazebo-with-firmware-in-the-loop: the SOTER
 program runs under its discrete-event semantics while, between discrete
-steps, the plant integrates the currently published control command at a
-fine physics step.  Before every discrete step the simulator publishes the
-(estimated) drone state and battery status on the program's sensor topics
-— those are the ENVIRONMENT-INPUT transitions of the formal semantics.
+steps, every plant integrates its currently published control command at
+a fine physics step.  Before every discrete step the simulator publishes
+each vehicle's (estimated) state and battery status on the program's
+sensor topics — those are the ENVIRONMENT-INPUT transitions of the formal
+semantics.
+
+One :class:`DroneSimulation` drives N ≥ 1 vehicles, each wired in through
+a :class:`~repro.simulation.plantenv.PlantChannel` (plant, sensors and
+topics).  A single-drone stack passes one channel; a fleet passes one per
+vehicle, and all plants then evolve in lock-step through the same
+airspace — which is what the pairwise
+:class:`~repro.core.monitor.SeparationMonitor` observes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
-from ..core.monitor import MonitorSuite
+import numpy as np
+
+from ..core.monitor import MonitorCadence, MonitorSuite
 from ..core.semantics import SchedulingPolicy, SemanticsEngine
 from ..core.system import RTASystem
-from ..dynamics import ControlCommand
-from ..geometry import Trajectory
+from ..geometry import Trajectory, pairwise_separations
 from ..runtime.tracing import ExecutionTrace
-from .drone import DronePlant
 from .environment import NoWind
-from .sensors import BatterySensor, StateEstimator
+from .plantenv import PlantChannel
+
+#: Per-step trace signals, sampled from each plant before every discrete step.
+_SIGNALS = ("clearance", "battery", "speed")
 
 
 @dataclass
 class SimulationConfig:
-    """Wiring and fidelity knobs of the co-simulation."""
+    """Fidelity knobs of the co-simulation, shared by every vehicle."""
 
     physics_dt: float = 0.02
-    position_topic: str = "localPosition"
-    battery_topic: str = "batteryStatus"
-    command_topic: str = "controlCommand"
     monitor_period: float = 0.1
     record_trajectory: bool = True
     record_signals: bool = True
@@ -48,53 +56,80 @@ class SimulationResult:
     """Everything one simulated mission produced."""
 
     engine: SemanticsEngine
-    plant: DronePlant
+    channels: List[PlantChannel]
     trace: ExecutionTrace
     monitors: MonitorSuite
-    trajectory: Trajectory
+    trajectories: Dict[str, Trajectory]
     end_time: float
     stop_reason: str
 
     @property
     def collided(self) -> bool:
-        return self.plant.collided
+        return any(channel.plant.collided for channel in self.channels)
 
     @property
     def crashed(self) -> bool:
-        return self.plant.crashed
+        return any(channel.plant.crashed for channel in self.channels)
 
     @property
     def safe(self) -> bool:
-        return not self.plant.crashed and self.monitors.ok
+        return not self.crashed and self.monitors.ok
+
+    def min_separation_observed(self) -> float:
+        """The smallest recorded pairwise separation across the mission.
+
+        Trajectories are sampled at the same instants (every environment
+        transition), so stacking them gives an ``(S, N, 3)`` window that
+        one batched :func:`~repro.geometry.pairwise_separations` call
+        reduces — the same query plane the separation monitor uses.
+        """
+        if len(self.channels) < 2:
+            return float("inf")
+        samples = [
+            [sample.position.as_tuple() for sample in self.trajectories[channel.label].samples]
+            for channel in self.channels
+        ]
+        length = min(len(track) for track in samples)
+        if length == 0:
+            return float("inf")
+        stacked = np.array([track[:length] for track in samples], dtype=float)  # (N, S, 3)
+        return float(pairwise_separations(stacked.transpose(1, 0, 2)).min())
 
 
 class DroneSimulation:
-    """Couples one :class:`DronePlant` with one compiled :class:`RTASystem`."""
+    """Couples N ≥ 1 drone plants with one compiled :class:`RTASystem`."""
 
     def __init__(
         self,
         system: RTASystem,
-        plant: DronePlant,
-        estimator: Optional[StateEstimator] = None,
-        battery_sensor: Optional[BatterySensor] = None,
+        channels: Sequence[PlantChannel],
         wind=None,
         scheduler: Optional[SchedulingPolicy] = None,
         monitors: Optional[MonitorSuite] = None,
         config: Optional[SimulationConfig] = None,
     ) -> None:
+        if not channels:
+            raise ValueError("a simulation needs at least one vehicle channel")
+        labels = [channel.label for channel in channels]
+        if len(set(labels)) != len(labels):
+            raise ValueError("vehicle labels must be distinct")
         self.system = system
-        self.plant = plant
-        self.estimator = estimator or StateEstimator()
-        self.battery_sensor = battery_sensor or BatterySensor()
+        self.channels = list(channels)
         self.wind = wind or NoWind()
         self.scheduler = scheduler
         self.monitors = monitors or MonitorSuite()
         self.config = config or SimulationConfig()
         self.trace = ExecutionTrace()
         self.engine = SemanticsEngine(system, scheduler=scheduler, listeners=[self.trace])
-        self.trajectory = Trajectory()
+        self.trajectories: Dict[str, Trajectory] = {label: Trajectory() for label in labels}
+        # A lone vehicle's signals keep their bare names; a fleet's are
+        # prefixed with each vehicle's label.
+        self._signals = [
+            (channel, _SIGNALS if len(labels) == 1 else tuple(f"{channel.label}/{s}" for s in _SIGNALS))
+            for channel in self.channels
+        ]
+        self._cadence = MonitorCadence(self.monitors, self.config.monitor_period)
         self._last_physics_time = 0.0
-        self._next_monitor_time = 0.0
         # Publish the initial sensor values so the very first node firings
         # already see a state estimate.
         self._publish_sensors()
@@ -102,57 +137,58 @@ class DroneSimulation:
     def reset(self) -> None:
         """Rewind the whole co-simulation to mission start (Resettable).
 
-        Resets the plant, sensors, scheduler, monitors, trace, trajectory
+        Resets the plants, sensors, scheduler, monitors, trace, trajectories
         and semantics engine in place — the compiled system, workspace
         geometry and warm clearance caches are reused, so back-to-back
         missions skip the entire construction cost.
         """
-        self.plant.reset()
-        for component in (self.estimator, self.battery_sensor, self.scheduler):
-            reset = getattr(component, "reset", None)
-            if callable(reset):
-                reset()
-        self.monitors.reset()
+        for channel in self.channels:
+            channel.reset()
+        reset = getattr(self.scheduler, "reset", None)
+        if callable(reset):
+            reset()
+        self._cadence.reset()
         self.trace.reset()
         self.engine.reset()
-        self.trajectory.samples.clear()
+        for trajectory in self.trajectories.values():
+            trajectory.samples.clear()
         self._last_physics_time = 0.0
-        self._next_monitor_time = 0.0
         self._publish_sensors()
 
     # ------------------------------------------------------------------ #
     # the environment hook (plant physics + sensor publication)
     # ------------------------------------------------------------------ #
-    def _advance_plant(self, until: float) -> None:
+    def _advance_plants(self, until: float) -> None:
         until = max(until, self._last_physics_time)
-        command = self.engine.read_topic(self.config.command_topic)
-        if command is not None and not isinstance(command, ControlCommand):
-            command = None
+        commands = [channel.read_command(self.engine) for channel in self.channels]
         while self._last_physics_time < until - 1e-12:
             dt = min(self.config.physics_dt, until - self._last_physics_time)
             disturbance = self.wind.acceleration(self._last_physics_time)
-            self.plant.apply(command, dt, disturbance=disturbance)
+            for channel, command in zip(self.channels, commands):
+                channel.plant.apply(command, dt, disturbance=disturbance)
             self._last_physics_time += dt
         if self.config.record_trajectory:
-            self.trajectory.append(
-                time=until, position=self.plant.state.position, velocity=self.plant.state.velocity
-            )
+            for channel in self.channels:
+                state = channel.plant.state
+                self.trajectories[channel.label].append(
+                    time=until, position=state.position, velocity=state.velocity
+                )
 
     def _publish_sensors(self) -> None:
-        estimate = self.estimator.estimate(self.plant.state)
-        self.engine.set_input(self.config.position_topic, estimate)
-        self.engine.set_input(self.config.battery_topic, self.battery_sensor.measure(self.plant))
+        for channel in self.channels:
+            channel.publish(self.engine)
 
     def _environment(self, engine: SemanticsEngine, upcoming: float) -> None:
-        self._advance_plant(upcoming)
+        self._advance_plants(upcoming)
         self._publish_sensors()
         if self.config.record_signals:
-            self.trace.add_sample(upcoming, "clearance", self.plant.clearance)
-            self.trace.add_sample(upcoming, "battery", self.plant.battery.charge)
-            self.trace.add_sample(upcoming, "speed", self.plant.state.speed)
-        while self._next_monitor_time <= upcoming + 1e-12:
-            self.monitors.check_all(engine)
-            self._next_monitor_time += self.config.monitor_period
+            add_sample = self.trace.add_sample
+            for channel, (clearance, battery, speed) in self._signals:
+                plant = channel.plant
+                add_sample(upcoming, clearance, plant.clearance)
+                add_sample(upcoming, battery, plant.battery.charge)
+                add_sample(upcoming, speed, plant.state.speed)
+        self._cadence.advance(engine, upcoming)
 
     # ------------------------------------------------------------------ #
     # running missions
@@ -163,12 +199,16 @@ class DroneSimulation:
         stop_when: Optional[Callable[["DroneSimulation"], bool]] = None,
         stop_on_crash: bool = True,
     ) -> SimulationResult:
-        """Run the mission for up to ``duration`` seconds of simulated time."""
+        """Run the mission for up to ``duration`` seconds of simulated time.
+
+        Simulated time continues from where the previous call stopped;
+        :meth:`reset` rewinds to mission start.
+        """
         stop_reason = "duration elapsed"
 
         def should_stop(engine: SemanticsEngine) -> bool:
             nonlocal stop_reason
-            if stop_on_crash and self.plant.crashed:
+            if stop_on_crash and any(channel.plant.crashed for channel in self.channels):
                 stop_reason = "crash"
                 return True
             if stop_when is not None and stop_when(self):
@@ -179,10 +219,10 @@ class DroneSimulation:
         self.engine.run_until(duration, environment=self._environment, stop_when=should_stop)
         return SimulationResult(
             engine=self.engine,
-            plant=self.plant,
+            channels=self.channels,
             trace=self.trace,
             monitors=self.monitors,
-            trajectory=self.trajectory,
+            trajectories=self.trajectories,
             end_time=self.engine.current_time,
             stop_reason=stop_reason,
         )

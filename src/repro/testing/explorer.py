@@ -379,10 +379,37 @@ class SystematicTester:
         harness, engine = self._acquire()
         scheduler = self._order_scheduler()
         self._bind_strategy(harness)
-        steps = 0
-        windowed = self.monitor_window > 1
         violations = self._violation_buffer
         violations.clear()
+        steps = self._run_steps(harness, engine, scheduler, 0)
+        self._harvest_coverage()
+        return ExecutionRecord(
+            index=index,
+            steps=steps,
+            violations=list(violations),
+            trail=record_trail(self.strategy),
+        )
+
+    def _run_steps(
+        self,
+        harness: ModelInstance,
+        engine: SemanticsEngine,
+        scheduler: BoundedAsynchronyScheduler,
+        steps: int,
+        boundary: Optional[Callable[[int], None]] = None,
+    ) -> int:
+        """Drive one execution from ``steps`` steps in to its horizon.
+
+        Each step is the Fig. 11 order: environment input, time progress,
+        the due nodes fired in the scheduler's order, then every monitor
+        (immediately, or captured and flushed every ``monitor_window``
+        steps).  New violations go to the violation buffer; the step count
+        at the horizon is returned.  ``boundary`` is called with the step
+        count at every step boundary, including the last.
+        """
+        window = self.monitor_window
+        windowed = window > 1
+        violations = self._violation_buffer
         # Hoisted loop invariants: this is the innermost exploration loop.
         environment = harness.environment
         monitors = harness.monitors
@@ -390,6 +417,8 @@ class SystematicTester:
         stats = engine.stats
         horizon = harness.horizon + 1e-12
         while True:
+            if boundary is not None:
+                boundary(steps)
             pending = calendar.next_due()
             if pending is None:
                 break
@@ -406,32 +435,36 @@ class SystematicTester:
             engine._fire_ordered(scheduler.order(due))
             if windowed:
                 monitors.capture_all(engine)
-                if monitors.pending_samples >= self.monitor_window:
+                if monitors.pending_samples >= window:
                     violations.extend(monitors.flush())
             else:
                 violations.extend(monitors.check_all(engine))
             steps += 1
         if windowed:
             violations.extend(monitors.flush())
-        if self._tracker is not None:
-            # Drain the per-execution map even when tracking is off for
-            # this run (e.g. a replay on a tracker-equipped instance), so
-            # stale samples never leak into a later execution's coverage.
-            execution_coverage = self._tracker.take_execution_map()
-            if self.track_coverage:
-                self.coverage.merge(execution_coverage)
-                observe = getattr(self.strategy, "observe_coverage", None)
-                if observe is not None:
-                    observe(execution_coverage)
-        return ExecutionRecord(
-            index=index,
-            steps=steps,
-            violations=list(violations),
-            trail=record_trail(self.strategy),
-        )
+        return steps
 
-    # Backwards-compatible private name.
-    _run_one = run_single
+    def _harvest_coverage(self) -> Optional[CoverageMap]:
+        """Drain the execution's coverage; credit and return it when tracking.
+
+        The tracker is drained even when tracking is off for this run
+        (e.g. a replay on a tracker-equipped instance), so stale samples
+        never leak into a later execution's coverage.
+        """
+        if self._tracker is None:
+            return None
+        execution_coverage = self._tracker.take_execution_map()
+        if not self.track_coverage:
+            return None
+        self._credit_coverage(execution_coverage)
+        return execution_coverage
+
+    def _credit_coverage(self, execution_coverage: CoverageMap) -> None:
+        """Fold one execution's coverage into the sweep and the strategy."""
+        self.coverage.merge(execution_coverage)
+        observe = getattr(self.strategy, "observe_coverage", None)
+        if observe is not None:
+            observe(execution_coverage)
 
     def replay(self, trail: Sequence[int], index: int = 0) -> ExecutionRecord:
         """Deterministically re-execute a recorded counterexample trail.

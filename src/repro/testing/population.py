@@ -410,9 +410,6 @@ class PopulationTester(SystematicTester):
             node = child
         return self._run_live(index, path_nodes, values)
 
-    # Keep the base class's deprecated alias pointing at the override.
-    _run_one = run_single
-
     def _compact(self, index: int, leaf: _Leaf) -> ExecutionRecord:
         """A dead row: the walked trail is fully known — duplicate its outcome.
 
@@ -423,10 +420,7 @@ class PopulationTester(SystematicTester):
         """
         self.stats.compacted += 1
         if self.track_coverage and leaf.coverage is not None:
-            self.coverage.merge(leaf.coverage)
-            observe = getattr(self.strategy, "observe_coverage", None)
-            if observe is not None:
-                observe(leaf.coverage)
+            self._credit_coverage(leaf.coverage)
         return ExecutionRecord(
             index=index,
             steps=leaf.steps,
@@ -494,73 +488,13 @@ class PopulationTester(SystematicTester):
             elif replayed == 0 and self._effective_after < self.snapshot_after:
                 self._effective_after += 1
         scheduler = self._order_scheduler()
-        steps = start_steps
-        windowed = self.monitor_window > 1
         violations = self._violation_buffer
         violations.clear()
         violations.extend(base_violations)
-        # Hoisted loop invariants, mirroring SystematicTester.run_single.
-        environment = harness.environment
-        monitors = harness.monitors
-        calendar = engine.calendar
-        stats = engine.stats
-        horizon = harness.horizon + 1e-12
-        population = self.stats
-        share = self.share_prefixes
-        n_path = len(path_nodes)
-        snapshot_after = self._effective_after
-        while True:
-            if share:
-                # Lazy snapshot policy: a step boundary inside the walked
-                # (shared) prefix makes the node at the current choice
-                # position a snapshot candidate; live tails (position
-                # beyond the walked path) never pay for copies.
-                position = router.position
-                if 1 <= position < n_path:
-                    node = path_nodes[position]
-                    if node.snapshot is None:
-                        node.boundary_hits += 1
-                        if (
-                            node.boundary_hits >= snapshot_after
-                            and steps >= self.snapshot_min_steps
-                            and population.snapshots_retained < self.population_size
-                        ):
-                            node.snapshot = self._take_snapshot(
-                                steps, violations, position
-                            )
-                            population.snapshots_taken += 1
-                            population.snapshots_retained += 1
-            pending = calendar.next_due()
-            if pending is None:
-                break
-            next_time, due = pending
-            if next_time > horizon:
-                break
-            if environment is not None:
-                environment.apply(engine, next_time)
-            if next_time > engine.current_time:
-                engine.current_time = next_time
-            stats.time_progress_steps += 1
-            engine._fire_ordered(scheduler.order(due))
-            if windowed:
-                monitors.capture_all(engine)
-                if monitors.pending_samples >= self.monitor_window:
-                    violations.extend(monitors.flush())
-            else:
-                violations.extend(monitors.check_all(engine))
-            steps += 1
-        if windowed:
-            violations.extend(monitors.flush())
-        population.live_choices += len(router.tail)
-        leaf_coverage: Optional[CoverageMap] = None
-        if self._tracker is not None:
-            execution_coverage = self._tracker.take_execution_map()
-            if self.track_coverage:
-                leaf_coverage = execution_coverage
-                self.coverage.merge(execution_coverage)
-                observe = getattr(self.strategy, "observe_coverage", None)
-                if observe is not None:
-                    observe(execution_coverage)
+        boundary = self._snapshot_policy(path_nodes) if self.share_prefixes else None
+        steps = self._run_steps(harness, engine, scheduler, start_steps, boundary)
+        self.stats.live_choices += len(router.tail)
+        leaf_coverage = self._harvest_coverage()
         self._extend_trie(
             path_nodes,
             values,
@@ -577,6 +511,36 @@ class PopulationTester(SystematicTester):
             violations=list(violations),
             trail=record_trail(self.strategy),
         )
+
+    def _snapshot_policy(self, path_nodes: List[_TrieNode]) -> Callable[[int], None]:
+        """The step-boundary hook of one live run: the lazy snapshot policy.
+
+        A step boundary inside the walked (shared) prefix makes the node at
+        the current choice position a snapshot candidate; live tails
+        (position beyond the walked path) never pay for copies.
+        """
+        router = self._router
+        population = self.stats
+        violations = self._violation_buffer
+        n_path = len(path_nodes)
+        snapshot_after = self._effective_after
+
+        def at_boundary(steps: int) -> None:
+            position = router.position
+            if 1 <= position < n_path:
+                node = path_nodes[position]
+                if node.snapshot is None:
+                    node.boundary_hits += 1
+                    if (
+                        node.boundary_hits >= snapshot_after
+                        and steps >= self.snapshot_min_steps
+                        and population.snapshots_retained < self.population_size
+                    ):
+                        node.snapshot = self._take_snapshot(steps, violations, position)
+                        population.snapshots_taken += 1
+                        population.snapshots_retained += 1
+
+        return at_boundary
 
     # ------------------------------------------------------------------ #
     # trie maintenance

@@ -15,7 +15,7 @@ from repro.apps import (
 )
 from repro.core import CompositionError, SeparationMonitor
 from repro.geometry import Vec3
-from repro.simulation import FleetSimulationConfig, surveillance_city
+from repro.simulation import SimulationConfig, surveillance_city
 
 
 @pytest.fixture(scope="module")
@@ -159,13 +159,13 @@ class TestFleetSimulation:
             vehicles=fleet_configs(2, _base(world, estimator_noise=0.0)),
             min_separation=2.0,
         )
-        stack = build_fleet_stack(fleet, FleetSimulationConfig(physics_dt=0.02))
+        stack = build_fleet_stack(fleet, SimulationConfig(physics_dt=0.02))
         assert stack.separation is not None
         result = stack.run(duration=6.0, stop_on_complete=False)
         assert result.end_time > 0.0
         assert not result.crashed
         for channel in stack.channels:
-            assert channel.plant.distance_flown > 0.5, f"{channel.name} never moved"
+            assert channel.plant.distance_flown > 0.5, f"{channel.label} never moved"
         # Rotated tours keep the pair apart; the monitor saw no conflicts.
         assert stack.separation.result.ok
         assert result.min_separation_observed() > fleet.min_separation
@@ -200,8 +200,8 @@ class TestFleetSimulation:
             world, estimator_noise=0.0, namespace=vehicle_namespace(0, 2)
         )
         stack = build_stack(config)
-        assert stack.simulation.config.position_topic == "drone0/localPosition"
-        assert stack.simulation.config.command_topic == "drone0/controlCommand"
+        assert stack.simulation.channels[0].position_topic == "drone0/localPosition"
+        assert stack.simulation.channels[0].command_topic == "drone0/controlCommand"
         stack.simulation.run(3.0)
         assert stack.plant.distance_flown > 0.5
 

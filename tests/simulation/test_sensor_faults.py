@@ -124,10 +124,10 @@ class TestStackWiring:
                 battery_fault=("dropout", 1, 4),
             )
         )
-        assert isinstance(stack.simulation.estimator, FaultyStateEstimator)
-        assert stack.simulation.estimator.mode == "stuck"
-        assert isinstance(stack.simulation.battery_sensor, FaultyBatterySensor)
-        assert stack.simulation.battery_sensor.mode == "dropout"
+        assert isinstance(stack.simulation.channels[0].estimator, FaultyStateEstimator)
+        assert stack.simulation.channels[0].estimator.mode == "stuck"
+        assert isinstance(stack.simulation.channels[0].battery_sensor, FaultyBatterySensor)
+        assert stack.simulation.channels[0].battery_sensor.mode == "dropout"
 
     def test_faulted_stack_still_runs_and_stays_safe(self):
         stack = build_stack(
@@ -138,5 +138,5 @@ class TestStackWiring:
 
     def test_default_stack_keeps_plain_sensors(self):
         stack = build_stack(StackConfig(planner="straight"))
-        assert not isinstance(stack.simulation.estimator, FaultyStateEstimator)
-        assert not isinstance(stack.simulation.battery_sensor, FaultyBatterySensor)
+        assert not isinstance(stack.simulation.channels[0].estimator, FaultyStateEstimator)
+        assert not isinstance(stack.simulation.channels[0].battery_sensor, FaultyBatterySensor)
