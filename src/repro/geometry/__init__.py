@@ -16,7 +16,6 @@ from .vec import (
 from .shapes import (
     AABB,
     Sphere,
-    any_box_contains_batch,
     first_box_containing,
     min_distance_to_boxes,
     min_distance_to_boxes_batch,
@@ -54,7 +53,6 @@ __all__ = [
     "unit_rows",
     "AABB",
     "Sphere",
-    "any_box_contains_batch",
     "first_box_containing",
     "min_distance_to_boxes",
     "min_distance_to_boxes_batch",

@@ -263,15 +263,6 @@ def min_distance_to_boxes_batch(points: np.ndarray, boxes: Iterable[AABB]) -> np
     return best
 
 
-def any_box_contains_batch(points: np.ndarray, boxes: Iterable[AABB], margin: float = 0.0) -> np.ndarray:
-    """Vectorised "point is inside some box" over an ``(N, 3)`` point array."""
-    pts = points_as_array(points)
-    inside = np.zeros(pts.shape[0], dtype=bool)
-    for box in boxes:
-        inside |= box.contains_batch(pts, margin=margin)
-    return inside
-
-
 def first_box_containing(point: Vec3, boxes: Iterable[AABB], margin: float = 0.0) -> Optional[AABB]:
     """Return the first box containing ``point`` (inflated by ``margin``), if any."""
     for box in boxes:

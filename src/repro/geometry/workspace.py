@@ -28,7 +28,6 @@ import numpy as np
 
 from .shapes import (
     AABB,
-    any_box_contains_batch,
     min_distance_to_boxes,
     min_distance_to_boxes_batch,
     points_as_array,
@@ -182,8 +181,23 @@ class Workspace:
         )
 
     def in_obstacle_batch(self, points: np.ndarray, margin: float = 0.0) -> np.ndarray:
-        """Vectorised :meth:`in_obstacle` over an ``(N, 3)`` point array."""
-        return any_box_contains_batch(points, self.obstacles, margin=margin)
+        """Vectorised :meth:`in_obstacle` over an ``(N, 3)`` point array.
+
+        One ``(M, N)`` slab comparison per axis against the cached obstacle
+        corners, inflated by ``margin`` with the same float subtraction and
+        addition as :meth:`AABB.contains`, so answers are identical.
+        """
+        pts = points_as_array(points)
+        if not self.obstacles:
+            return np.zeros(pts.shape[0], dtype=bool)
+        lo, hi = self.obstacle_arrays()  # (M, 3)
+        lo = (lo - margin)[:, :, None]  # (M, 3, 1)
+        hi = (hi + margin)[:, :, None]
+        x, y, z = pts.T
+        inside = (x >= lo[:, 0]) & (x <= hi[:, 0])  # (M, N)
+        inside &= (y >= lo[:, 1]) & (y <= hi[:, 1])
+        inside &= (z >= lo[:, 2]) & (z <= hi[:, 2])
+        return inside.any(axis=0)
 
     def is_free_batch(self, points: np.ndarray, margin: float = 0.0) -> np.ndarray:
         """Vectorised :meth:`is_free` over an ``(N, 3)`` point array."""

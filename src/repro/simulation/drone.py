@@ -5,12 +5,21 @@ of the paper's evaluation.  It advances the selected dynamics model with
 the currently commanded control, drains the battery, and detects
 collisions against the workspace — the ground truth the mission metrics
 are computed from.
+
+The ground truth is exact, but most substeps are decided by the
+workspace's :class:`~repro.geometry.clearance.ClearanceField` alone: its
+cell bound ``lb(p) <= clearance(p) <= distance to every box`` already
+proves that a far-from-everything substep cannot lower the running
+minimum clearance, end inside an obstacle or cross one.  The exact
+workspace queries run only when the bound cannot decide, so every plant
+field is bit-identical to running them on every substep.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..dynamics import (
     BatteryModel,
@@ -20,6 +29,17 @@ from ..dynamics import (
     DynamicsModel,
 )
 from ..geometry import Vec3, Workspace
+
+#: Absolute headroom the obstacle and crossing gates demand of the cell
+#: bound on top of their geometric threshold.  It covers the rounding of
+#: the exact tests they stand in for (``lo - margin`` in the containment
+#: test, the slab test's 1e-12 parallel cut-off), so a gated answer is
+#: always the one the exact query gives.
+_GATE_HEADROOM = 1e-9
+
+#: ``AABB.contains`` inflates each axis by the margin, so a contained point
+#: can lie ``sqrt(3) * margin`` from the box (at a corner), not ``margin``.
+_CORNER_FACTOR = math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -65,6 +85,13 @@ class DronePlant:
         self._initial_charge = initial_charge
         self.collision_margin = collision_margin
         self.ground_altitude = ground_altitude
+        # The shared cell-bound oracle; its obstacle-count freshness check
+        # keeps it sound if the workspace later grows an obstacle.
+        self._field = workspace.clearance_field()
+        # (position, obstacle count, exact clearance) of the last exact
+        # query, keyed on the position object rather than invalidated in
+        # ``apply``: snapshot restores assign ``state`` directly.
+        self._clearance_memo: Optional[Tuple[Vec3, int, float]] = None
         self.reset()
 
     def reset(self) -> None:
@@ -82,7 +109,7 @@ class DronePlant:
         self.battery_failed = False
         self.distance_flown = 0.0
         self.time = 0.0
-        self.min_clearance = self.workspace.clearance(self.state.position)
+        self.min_clearance = self.clearance
 
     # ------------------------------------------------------------------ #
     # plant evolution
@@ -111,24 +138,38 @@ class DronePlant:
                 position=self.state.position.with_z(0.0),
                 velocity=Vec3(self.state.velocity.x, self.state.velocity.y, 0.0),
             )
-        self.distance_flown += previous_position.distance_to(self.state.position)
+        step = previous_position.distance_to(self.state.position)
+        self.distance_flown += step
         self.battery = self.battery_model.step(self.battery, command, dt)
         if self.battery.depleted and self.airborne:
             # Latch the failure: running out of charge in the air is a crash
             # (φ_bat violation) even though the drone subsequently falls to
             # the ground.
             self.battery_failed = True
-        self._update_collision(previous_position)
-        self.min_clearance = min(self.min_clearance, self.clearance)
+        bound = self._field.lower_bound(self.state.position)
+        self._update_collision(previous_position, step, bound)
+        # clearance >= bound >= min_clearance: the minimum cannot move.
+        if not bound >= self.min_clearance:
+            self.min_clearance = min(self.min_clearance, self.clearance)
 
-    def _update_collision(self, previous_position: Vec3) -> None:
+    def _update_collision(self, previous_position: Vec3, step: float, bound: float) -> None:
+        """Latch a collision; ``bound`` is the cell bound at the new position."""
         position = self.state.position
         # Only collisions while airborne count: sitting on the ground is fine.
         if not self.airborne:
             return
-        hit_obstacle = self.workspace.in_obstacle(position, margin=self.collision_margin)
-        out_of_bounds = not self.workspace.in_bounds(position)
-        crossed = not self.workspace.segment_is_free(previous_position, position)
+        workspace = self.workspace
+        margin = self.collision_margin
+        # Every box is farther than the bound, hence outside its margin.
+        near_box = bound <= _CORNER_FACTOR * margin + _GATE_HEADROOM
+        hit_obstacle = near_box and workspace.in_obstacle(position, margin=margin)
+        out_of_bounds = not workspace.in_bounds(position)
+        # The step stays inside the ball of radius ``step`` around its
+        # start, which no box reaches when the start's bound exceeds it.
+        if self._field.lower_bound(previous_position) > step + _GATE_HEADROOM:
+            crossed = not workspace.in_bounds(previous_position)
+        else:
+            crossed = not workspace.segment_is_free(previous_position, position)
         if hit_obstacle or out_of_bounds or crossed:
             self.collided = True
             self.collision_position = position
@@ -144,8 +185,21 @@ class DronePlant:
 
     @property
     def clearance(self) -> float:
-        """Current clearance to the nearest obstacle or boundary."""
-        return self.workspace.clearance(self.state.position)
+        """Current clearance to the nearest obstacle or boundary (exact).
+
+        Computed at most once per plant position, so the trace sample taken
+        after the last substep reuses the value ``apply`` needed.  Plant
+        positions bypass the field's exact point memo: continuous positions
+        never repeat and would only fill it.
+        """
+        position = self.state.position
+        count = len(self.workspace.obstacles)
+        memo = self._clearance_memo
+        if memo is not None and memo[0] is position and memo[1] == count:
+            return memo[2]
+        value = self.workspace.clearance(position)
+        self._clearance_memo = (position, count, value)
+        return value
 
     @property
     def crashed(self) -> bool:

@@ -77,6 +77,30 @@ class TestBatchScalarBitEquality:
                 == workspace.is_free_batch(arr, margin=margin)
             ).all()
 
+    def test_obstacle_batch_matches_scalar_on_inflated_faces(self, seed):
+        workspace = random_workspace(seed)
+        for margin in (0.0, 0.05, 0.35):
+            pts = []
+            for box in workspace.obstacles:
+                center = box.center.as_tuple()
+                for axis in range(3):
+                    lo_face = box.lo.as_tuple()[axis] - margin
+                    hi_face = box.hi.as_tuple()[axis] + margin
+                    # Exactly on each inflated face, and one ulp outside it.
+                    for value in (
+                        lo_face,
+                        math.nextafter(lo_face, -math.inf),
+                        hi_face,
+                        math.nextafter(hi_face, math.inf),
+                    ):
+                        coords = list(center)
+                        coords[axis] = value
+                        pts.append(Vec3(*coords))
+            scalar = np.array([workspace.in_obstacle(p, margin=margin) for p in pts])
+            assert scalar.any() and not scalar.all()
+            batch = workspace.in_obstacle_batch(points_as_array(pts), margin=margin)
+            assert (scalar == batch).all()
+
     def test_segment_batch_matches_scalar(self, seed):
         workspace = random_workspace(seed)
         pts = random_points(workspace, seed, count=120)
