@@ -13,8 +13,8 @@ machine-relative bars (both sides always measured in the same process):
   construction still ≥ 5x, with reports and coverage byte-equal to the
   serial oracle; a fast wrong answer is worthless;
 * **vectorized sweep** (``plant-surveillance``, 12 vehicles, unsafe
-  start) — the row-group matrix plant (one ``apply_batch`` per physics
-  substep across the fleet) must beat the scalar per-plant loop inside
+  start) — the row-group matrix plant (one ``apply_window`` per sampling
+  window across the fleet) must beat the scalar per-plant loop inside
   the same population tester, again with identical reports.
 
 All wall times feed the benchmark regression gate

@@ -18,7 +18,6 @@ from .shapes import (
     Sphere,
     first_box_containing,
     min_distance_to_boxes,
-    min_distance_to_boxes_batch,
     points_as_array,
 )
 from .clearance import ClearanceField, ClearanceFieldStats
@@ -55,7 +54,6 @@ __all__ = [
     "Sphere",
     "first_box_containing",
     "min_distance_to_boxes",
-    "min_distance_to_boxes_batch",
     "points_as_array",
     "ClearanceField",
     "ClearanceFieldStats",

@@ -26,7 +26,8 @@ whole worker process.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
@@ -88,10 +89,14 @@ class ClearanceField:
         self._exact_limit = 65536
         self._obstacle_count = len(workspace.obstacles)
         # The optional dense plane: a whole-workspace grid of cell bounds
-        # (see :meth:`densify`).  ``None`` until densified; dropped on any
-        # workspace mutation, exactly like the lazy memo.
-        self._dense: Optional[np.ndarray] = None
+        # (see :meth:`densify`), one flat C-order buffer read by
+        # :meth:`lower_bound` at ``(i*ny + j)*nz + k``.  ``None`` until
+        # densified; dropped on any workspace mutation, exactly like the
+        # lazy memo.  An ``array('d')`` rather than a memoryview, so the
+        # field still pickles and deep-copies.
+        self._dense_values: Optional[array] = None
         self._dense_origin: Cell = (0, 0, 0)
+        self._dense_shape: Cell = (0, 0, 0)
 
     def __len__(self) -> int:
         return len(self._bounds)
@@ -110,7 +115,7 @@ class ClearanceField:
         if count != self._obstacle_count:
             self._bounds.clear()
             self._exact.clear()
-            self._dense = None
+            self._dense_values = None
             self._obstacle_count = count
 
     def _exact_clearance(self, point: Vec3) -> float:
@@ -129,14 +134,6 @@ class ClearanceField:
     # ------------------------------------------------------------------ #
     # bounds
     # ------------------------------------------------------------------ #
-    def _cell_of(self, point: Vec3) -> Cell:
-        res = self.resolution
-        return (
-            int(math.floor(point.x / res)),
-            int(math.floor(point.y / res)),
-            int(math.floor(point.z / res)),
-        )
-
     def densify(self, padding: float = 0.0, max_cells: int = 4_000_000) -> int:
         """Precompute the cell bounds for the whole workspace in one sweep.
 
@@ -189,7 +186,8 @@ class ClearanceField:
             ),
             axis=-1,
         ).reshape(-1, 3)
-        values = np.empty(total, dtype=float)
+        dense_values = array("d", [0.0]) * total
+        values = np.frombuffer(dense_values)
         # Chunked so the (cells x obstacles) intermediates stay bounded.
         chunk = 131072
         for start in range(0, total, chunk):
@@ -197,28 +195,22 @@ class ClearanceField:
             values[start:stop] = (
                 self.workspace.clearance_batch(centers[start:stop]) - self.cell_radius
             )
-        self._dense = values.reshape(shape)
+        self._dense_values = dense_values
         self._dense_origin = lo
+        self._dense_shape = shape
         return total
+
+    @property
+    def _dense(self) -> Optional[np.ndarray]:
+        """The dense grid as an ``(nx, ny, nz)`` view of the flat buffer."""
+        if self._dense_values is None:
+            return None
+        return np.frombuffer(self._dense_values).reshape(self._dense_shape)
 
     @property
     def dense_cells(self) -> int:
         """Number of cells in the dense grid (0 until :meth:`densify`)."""
-        return 0 if self._dense is None else int(self._dense.size)
-
-    def _dense_lookup(self, cell: Cell) -> Optional[float]:
-        """The dense grid's bound for ``cell``, or ``None`` when off-grid."""
-        dense = self._dense
-        if dense is None:
-            return None
-        i = cell[0] - self._dense_origin[0]
-        j = cell[1] - self._dense_origin[1]
-        k = cell[2] - self._dense_origin[2]
-        shape = dense.shape
-        if 0 <= i < shape[0] and 0 <= j < shape[1] and 0 <= k < shape[2]:
-            self.stats.dense_hits += 1
-            return float(dense[i, j, k])
-        return None
+        return 0 if self._dense_values is None else len(self._dense_values)
 
     def lower_bound(self, point: Vec3) -> float:
         """A conservative lower bound on ``workspace.clearance(point)``.
@@ -229,13 +221,21 @@ class ClearanceField:
         otherwise (and for off-grid cells).
         """
         self._check_freshness()
-        cell = self._cell_of(point)
-        bound = self._dense_lookup(cell)
-        if bound is not None:
-            return bound
+        res = self.resolution
+        ci = math.floor(point.x / res)
+        cj = math.floor(point.y / res)
+        ck = math.floor(point.z / res)
+        values = self._dense_values
+        if values is not None:
+            oi, oj, ok = self._dense_origin
+            nx, ny, nz = self._dense_shape
+            i, j, k = ci - oi, cj - oj, ck - ok
+            if 0 <= i < nx and 0 <= j < ny and 0 <= k < nz:
+                self.stats.dense_hits += 1
+                return values[(i * ny + j) * nz + k]
+        cell = (ci, cj, ck)
         bound = self._bounds.get(cell)
         if bound is None:
-            res = self.resolution
             center = Vec3((cell[0] + 0.5) * res, (cell[1] + 0.5) * res, (cell[2] + 0.5) * res)
             bound = self.workspace.clearance(center) - self.cell_radius
             self._bounds[cell] = bound
@@ -300,19 +300,18 @@ class ClearanceField:
         pts = points_as_array(points)
         res = self.resolution
         cells = np.floor(pts / res).astype(int)
-        dense = self._dense
-        if dense is not None:
-            origin = np.array(self._dense_origin, dtype=int)
-            indices = cells - origin
-            shape = np.array(dense.shape, dtype=int)
-            on_grid = np.all((indices >= 0) & (indices < shape), axis=1)
-            if on_grid.all():
-                self.stats.dense_hits += int(on_grid.sum())
-                return dense[indices[:, 0], indices[:, 1], indices[:, 2]].astype(float)
-            out = np.empty(cells.shape[0], dtype=float)
-            picked = indices[on_grid]
-            out[on_grid] = dense[picked[:, 0], picked[:, 1], picked[:, 2]]
-            self.stats.dense_hits += int(on_grid.sum())
+        if self._dense_values is not None:
+            indices = cells - self._dense_origin
+            on_grid = np.all((indices >= 0) & (indices < self._dense_shape), axis=1)
+            _, ny, nz = self._dense_shape
+            flat = (indices[:, 0] * ny + indices[:, 1]) * nz + indices[:, 2]
+            dense = np.frombuffer(self._dense_values)
+            hits = int(np.count_nonzero(on_grid))
+            self.stats.dense_hits += hits
+            if hits == len(cells):
+                return dense[flat]
+            out = np.empty(len(cells), dtype=float)
+            out[on_grid] = dense[flat[on_grid]]
             off = np.flatnonzero(~on_grid)
             out[off] = self._lazy_bounds([tuple(cells[row]) for row in off])
             return out

@@ -22,6 +22,10 @@ from .workspace import Workspace
 
 Cell = Tuple[int, int]
 
+#: The grid steps ``(di, dj)`` in neighbour order: the 4-connected ones,
+#: then the diagonals.  Search tie-breaking follows this order.
+STEPS: Tuple[Cell, ...] = ((-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
+
 
 @dataclass
 class OccupancyGrid:
@@ -145,11 +149,8 @@ class OccupancyGrid:
     def neighbors(self, cell: Cell, diagonal: bool = True) -> List[Cell]:
         """In-grid neighbours of a cell (4- or 8-connected)."""
         i, j = cell
-        steps = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-        if diagonal:
-            steps += [(-1, -1), (-1, 1), (1, -1), (1, 1)]
         result = []
-        for di, dj in steps:
+        for di, dj in STEPS if diagonal else STEPS[:4]:
             candidate = (i + di, j + dj)
             if self.in_grid(candidate):
                 result.append(candidate)

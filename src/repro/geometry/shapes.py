@@ -254,15 +254,6 @@ def min_distance_to_boxes(point: Vec3, boxes: Iterable[AABB]) -> float:
     return best
 
 
-def min_distance_to_boxes_batch(points: np.ndarray, boxes: Iterable[AABB]) -> np.ndarray:
-    """Vectorised :func:`min_distance_to_boxes` over an ``(N, 3)`` point array."""
-    pts = points_as_array(points)
-    best = np.full(pts.shape[0], math.inf)
-    for box in boxes:
-        np.minimum(best, box.distance_to_points(pts), out=best)
-    return best
-
-
 def first_box_containing(point: Vec3, boxes: Iterable[AABB], margin: float = 0.0) -> Optional[AABB]:
     """Return the first box containing ``point`` (inflated by ``margin``), if any."""
     for box in boxes:

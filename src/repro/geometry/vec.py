@@ -188,6 +188,8 @@ def clamp_norm_rows(rows: np.ndarray, max_norm: float) -> np.ndarray:
     # The scalar method returns the vector unchanged when n <= max or n == 0;
     # n > max_norm >= 0 already implies n != 0.
     needs_scaling = norms > max_norm
+    if not needs_scaling.any():
+        return rows.astype(float)
     scale = np.divide(
         max_norm, norms, out=np.ones_like(norms), where=needs_scaling
     )

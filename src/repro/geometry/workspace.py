@@ -26,16 +26,14 @@ from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .shapes import (
-    AABB,
-    min_distance_to_boxes,
-    min_distance_to_boxes_batch,
-    points_as_array,
-)
+from .shapes import AABB, points_as_array
 from .vec import Vec3
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .clearance import ClearanceField
+
+#: One obstacle as ``(lo.x, lo.y, lo.z, hi.x, hi.y, hi.z)``.
+Row = Tuple[float, float, float, float, float, float]
 
 
 @dataclass
@@ -58,7 +56,7 @@ class Workspace:
         # Per-instance caches of the safety-query plane.  Both are keyed on
         # the obstacle count so direct ``add_obstacle`` calls invalidate
         # them; they must never be shared between workspaces.
-        self._obstacle_array_cache: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
+        self._obstacle_cache: Optional[Tuple[int, np.ndarray, np.ndarray, Tuple[Row, ...]]] = None
         self._clearance_field_cache: Optional[Tuple[int, float, "ClearanceField"]] = None
 
     def _check_obstacle(self, obstacle: AABB) -> None:
@@ -73,19 +71,31 @@ class Workspace:
         self._check_obstacle(obstacle)
         self.obstacles.append(obstacle)
 
+    def _obstacles(self) -> Tuple[int, np.ndarray, np.ndarray, Tuple[Row, ...]]:
+        """The obstacle cache: count, ``(M, 3)`` corner arrays and float rows."""
+        cache = self._obstacle_cache
+        if cache is None or cache[0] != len(self.obstacles):
+            rows = tuple((*o.lo.as_tuple(), *o.hi.as_tuple()) for o in self.obstacles)
+            corners = np.array(rows, dtype=float).reshape(-1, 6)
+            cache = (len(rows), corners[:, :3].copy(), corners[:, 3:].copy(), rows)
+            self._obstacle_cache = cache
+        return cache
+
     def obstacle_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Stacked ``(M, 3)`` lower/upper corner arrays of all obstacles (cached)."""
-        cache = self._obstacle_array_cache
+        _, lo, hi, _ = self._obstacles()
+        return lo, hi
+
+    def _obstacle_rows(self) -> Tuple[Row, ...]:
+        """Per-obstacle ``(lo.x, lo.y, lo.z, hi.x, hi.y, hi.z)`` float rows (cached).
+
+        The scalar kernels below loop over these instead of the :class:`AABB`
+        objects, so a query allocates no :class:`Vec3`.
+        """
+        cache = self._obstacle_cache
         if cache is None or cache[0] != len(self.obstacles):
-            if self.obstacles:
-                lo = np.array([o.lo.as_tuple() for o in self.obstacles], dtype=float)
-                hi = np.array([o.hi.as_tuple() for o in self.obstacles], dtype=float)
-            else:
-                lo = np.zeros((0, 3))
-                hi = np.zeros((0, 3))
-            cache = (len(self.obstacles), lo, hi)
-            self._obstacle_array_cache = cache
-        return cache[1], cache[2]
+            cache = self._obstacles()
+        return cache[3]
 
     def clearance_field(self, resolution: float = 0.5) -> "ClearanceField":
         """The lazily built, cached :class:`ClearanceField` of this workspace.
@@ -122,24 +132,85 @@ class Workspace:
         )
 
     def in_obstacle(self, point: Vec3, margin: float = 0.0) -> bool:
-        """True if ``point`` is inside (or within ``margin`` of) any obstacle."""
-        return any(obstacle.contains(point, margin=margin) for obstacle in self.obstacles)
+        """True if ``point`` is inside (or within ``margin`` of) any obstacle.
+
+        The comparisons of :meth:`AABB.contains`, over the cached rows.
+        """
+        x, y, z = point.x, point.y, point.z
+        for lx, ly, lz, hx, hy, hz in self._obstacle_rows():
+            if (
+                lx - margin <= x <= hx + margin
+                and ly - margin <= y <= hy + margin
+                and lz - margin <= z <= hz + margin
+            ):
+                return True
+        return False
 
     def is_free(self, point: Vec3, margin: float = 0.0) -> bool:
         """True if ``point`` is inside bounds and not within ``margin`` of an obstacle."""
         return self.in_bounds(point) and not self.in_obstacle(point, margin=margin)
 
     def segment_is_free(self, seg_a: Vec3, seg_b: Vec3, margin: float = 0.0) -> bool:
-        """True if the straight segment between the endpoints avoids all obstacles."""
+        """True if the straight segment between the endpoints avoids all obstacles.
+
+        Box by box, the arithmetic of ``AABB.inflate(margin)`` (skipped at
+        zero margin, raising when a negative margin collapses the box) and
+        the slab test of :meth:`AABB.segment_intersects`, over the cached
+        rows.
+        """
         if not (self.in_bounds(seg_a) and self.in_bounds(seg_b)):
             return False
-        return not any(
-            obstacle.segment_intersects(seg_a, seg_b, margin=margin) for obstacle in self.obstacles
-        )
+        origin = (seg_a.x, seg_a.y, seg_a.z)
+        delta = (seg_b.x - seg_a.x, seg_b.y - seg_a.y, seg_b.z - seg_a.z)
+        for row in self._obstacle_rows():
+            if margin != 0.0:
+                row = (
+                    row[0] - margin, row[1] - margin, row[2] - margin,
+                    row[3] + margin, row[4] + margin, row[5] + margin,
+                )
+                if row[0] > row[3] or row[1] > row[4] or row[2] > row[5]:
+                    raise ValueError("inflate with a negative margin collapsed the box")
+            t_min, t_max = 0.0, 1.0
+            for axis in (0, 1, 2):
+                o, d, lo, hi = origin[axis], delta[axis], row[axis], row[axis + 3]
+                if abs(d) < 1e-12:
+                    if o < lo or o > hi:
+                        break
+                    continue
+                t1 = (lo - o) / d
+                t2 = (hi - o) / d
+                if t1 > t2:
+                    t1, t2 = t2, t1
+                if t1 > t_min:  # max(t_min, t1)
+                    t_min = t1
+                if t2 < t_max:  # min(t_max, t2)
+                    t_max = t2
+                if t_min > t_max:
+                    break
+            else:
+                return False
+        return True
 
     def distance_to_nearest_obstacle(self, point: Vec3) -> float:
-        """Distance to the nearest obstacle surface (inf if there are none)."""
-        return min_distance_to_boxes(point, self.obstacles)
+        """Distance to the nearest obstacle surface (inf if there are none).
+
+        Equal to :func:`min_distance_to_boxes`: the per-axis gap is the
+        magnitude of ``x - min(max(x, lo), hi)`` (negating a float
+        difference is exact, and a NaN coordinate stays NaN), the squared
+        norm sums in :meth:`Vec3.dot` order, and one ``sqrt`` of the
+        smallest square equals the smallest ``sqrt`` because ``sqrt`` is
+        correctly rounded and monotone.
+        """
+        x, y, z = point.x, point.y, point.z
+        best = math.inf
+        for lx, ly, lz, hx, hy, hz in self._obstacle_rows():
+            dx = (0.0 if x <= hx else x - hx) if x >= lx else lx - x
+            dy = (0.0 if y <= hy else y - hy) if y >= ly else ly - y
+            dz = (0.0 if z <= hz else z - hz) if z >= lz else lz - z
+            d2 = dx * dx + dy * dy + dz * dz
+            if d2 < best:
+                best = d2
+        return math.sqrt(best)
 
     def distance_to_boundary(self, point: Vec3, include_floor: bool = False) -> float:
         """Distance from ``point`` to the workspace boundary (negative if outside).
@@ -162,7 +233,12 @@ class Workspace:
         level-set substitute reason about: the drone is in ``φ_safe`` as
         long as its clearance is positive.
         """
-        return min(self.distance_to_nearest_obstacle(point), self.distance_to_boundary(point))
+        lo, hi = self.bounds.lo, self.bounds.hi
+        x, y = point.x, point.y
+        return min(
+            self.distance_to_nearest_obstacle(point),
+            min(min(x - lo.x, hi.x - x), min(y - lo.y, hi.y - y), hi.z - point.z),
+        )
 
     # ------------------------------------------------------------------ #
     # batched collision queries (bit-identical to the scalar versions)

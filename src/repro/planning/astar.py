@@ -13,9 +13,10 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..geometry import OccupancyGrid, Vec3, Workspace
+from ..geometry.occupancy import STEPS
 from .plan import Plan
 
 Cell = Tuple[int, int]
@@ -39,6 +40,14 @@ class GridAStarPlanner:
         self.grid = OccupancyGrid.from_workspace(
             self.workspace, resolution=self.resolution, inflate=self.clearance, altitude=self.altitude
         )
+        # The search runs on integer cell ids ``i*ny + j`` over one flat
+        # occupancy buffer (1 = occupied), and on the 8 grid steps in
+        # neighbour order with their step costs.
+        self._nx, self._ny = self.grid.shape
+        self._occupied = self.grid.occupied.tobytes()
+        self._moves = tuple(
+            (di, dj, math.hypot(-di, -dj) * self.resolution) for di, dj in STEPS
+        )
 
     # ------------------------------------------------------------------ #
     # planning
@@ -56,57 +65,65 @@ class GridAStarPlanner:
         return Plan(waypoints=tuple(waypoints), goal=goal, planner=self.name, created_at=created_at)
 
     def _search(self, start: Cell, goal: Cell) -> Optional[List[Cell]]:
-        open_heap: List[Tuple[float, Cell]] = [(0.0, start)]
-        came_from: Dict[Cell, Cell] = {}
-        g_score: Dict[Cell, float] = {start: 0.0}
-        closed: set = set()
+        """A* from ``start`` to ``goal``; the cell path, or None if unreachable.
+
+        Heap entries are ``(priority, id)``; as ``0 <= j < ny`` they pop in
+        the order ``(priority, (i, j))`` would, so ties break as before.
+        """
+        nx, ny, occupied, res = self._nx, self._ny, self._occupied, self.resolution
+        gi, gj = goal
+        start_id, goal_id = start[0] * ny + start[1], gi * ny + gj
+        g_score = [math.inf] * (nx * ny)
+        came_from = [-1] * (nx * ny)
+        closed = bytearray(nx * ny)
+        g_score[start_id] = 0.0
+        open_heap: List[Tuple[float, int]] = [(0.0, start_id)]
+        hypot, heappush, heappop = math.hypot, heapq.heappush, heapq.heappop
         while open_heap:
-            _, current = heapq.heappop(open_heap)
-            if current in closed:
+            current = heappop(open_heap)[1]
+            if closed[current]:
                 continue
-            if current == goal:
-                return self._reconstruct(came_from, current)
-            closed.add(current)
-            for neighbor in self.grid.neighbors(current, diagonal=True):
-                if self.grid.is_occupied_cell(neighbor) or neighbor in closed:
+            if current == goal_id:
+                path = [current]
+                while came_from[current] >= 0:
+                    current = came_from[current]
+                    path.append(current)
+                return [divmod(cell, ny) for cell in reversed(path)]
+            closed[current] = 1
+            i, j = divmod(current, ny)
+            base = g_score[current]
+            for di, dj, step in self._moves:
+                ni, nj = i + di, j + dj
+                if not (0 <= ni < nx and 0 <= nj < ny):
                     continue
-                step = self._distance(current, neighbor)
-                tentative = g_score[current] + step
-                if tentative < g_score.get(neighbor, math.inf):
+                neighbor = ni * ny + nj
+                if occupied[neighbor] or closed[neighbor]:
+                    continue
+                tentative = base + step
+                if tentative < g_score[neighbor]:
                     g_score[neighbor] = tentative
                     came_from[neighbor] = current
-                    priority = tentative + self._distance(neighbor, goal)
-                    heapq.heappush(open_heap, (priority, neighbor))
+                    heappush(open_heap, (tentative + hypot(ni - gi, nj - gj) * res, neighbor))
         return None
-
-    def _distance(self, a: Cell, b: Cell) -> float:
-        return math.hypot(a[0] - b[0], a[1] - b[1]) * self.resolution
-
-    @staticmethod
-    def _reconstruct(came_from: Dict[Cell, Cell], current: Cell) -> List[Cell]:
-        path = [current]
-        while current in came_from:
-            current = came_from[current]
-            path.append(current)
-        path.reverse()
-        return path
 
     def _nearest_free_cell(self, cell: Cell, max_radius: int = 6) -> Optional[Cell]:
         """The cell itself if free, otherwise the closest free cell nearby."""
-        if self.grid.in_grid(cell) and not self.grid.is_occupied_cell(cell):
+        nx, ny, occupied = self._nx, self._ny, self._occupied
+        ci, cj = cell
+        if 0 <= ci < nx and 0 <= cj < ny and not occupied[ci * ny + cj]:
             return cell
         best: Optional[Cell] = None
         best_dist = math.inf
-        ci, cj = cell
         for di in range(-max_radius, max_radius + 1):
+            i = ci + di
             for dj in range(-max_radius, max_radius + 1):
-                candidate = (ci + di, cj + dj)
-                if not self.grid.in_grid(candidate) or self.grid.is_occupied_cell(candidate):
+                j = cj + dj
+                if not (0 <= i < nx and 0 <= j < ny) or occupied[i * ny + j]:
                     continue
                 dist = math.hypot(di, dj)
                 if dist < best_dist:
                     best_dist = dist
-                    best = candidate
+                    best = (i, j)
         return best
 
     # ------------------------------------------------------------------ #

@@ -16,11 +16,11 @@ Two interchangeable integration paths exist:
 * the **scalar path** loops ``plant.apply`` per vehicle — the oracle;
 * the **row-group path** (:class:`RowGroupPlant`) gathers the K live
   vehicles' states into the ``(K, …)`` structure-of-arrays matrices of
-  :class:`~repro.simulation.population.PopulationSimulation`, issues one
-  ``apply_batch`` (→ ``step_batch`` + battery ``step_batch``) per physics
-  substep, and scatters the rows back — row-bitwise-identical to the
-  scalar path, which ``tests/simulation/test_plantenv.py`` asserts with
-  ``==``.
+  :class:`~repro.simulation.population.PopulationSimulation`, advances a
+  whole window with one ``apply_window`` (a ``step_batch`` + battery
+  ``step_batch`` per physics substep, one ground-truth pass per window),
+  and scatters the rows back — row-bitwise-identical to the scalar path,
+  which ``tests/simulation/test_plantenv.py`` asserts with ``==``.
 
 :class:`~repro.testing.population.PopulationTester` switches the
 row-group path on (:meth:`PlantEnvironment.set_batch_plant`); the serial
@@ -42,10 +42,10 @@ from .drone import DronePlant
 from .population import PopulationSimulation
 
 #: Minimum row-group size for the matrix path to pay for itself.  Below
-#: this many vehicles numpy's fixed per-call cost in the batched geometry
-#: queries (obstacle containment, clearance, segment visibility) exceeds
-#: the vectorisation win over the memoized scalar loop; the measured
-#: crossover on the reference sweep is ~8 vehicles.
+#: this many vehicles numpy's fixed per-call cost exceeds the
+#: vectorisation win over the gated scalar loop; on the 'plant-surveillance'
+#: sweep of ``benchmarks/bench_population.py`` the two paths break even at
+#: 8-10 vehicles and the matrix path wins from 12.
 BATCH_PLANT_MIN_ROWS = 8
 
 
@@ -95,9 +95,9 @@ class RowGroupPlant:
     The adapter owns a tracker-less :class:`PopulationSimulation` sized to
     the group.  :meth:`step_window` gathers the scalar plants into the
     ``(K, …)`` rows (:meth:`PopulationSimulation.load_rows`), advances all
-    of them with one :meth:`~PopulationSimulation.apply_batch` call per
-    physics substep, and scatters the rows back
-    (:meth:`~PopulationSimulation.store_rows`), so callers observe plain
+    of them through the window's physics substeps with one
+    :meth:`~PopulationSimulation.apply_window` call, and scatters the rows
+    back (:meth:`~PopulationSimulation.store_rows`), so callers observe plain
     scalar plants whose fields are bit-identical to K ``apply`` loops.
 
     All plants must share one dynamics model, workspace and battery model
@@ -150,14 +150,16 @@ class RowGroupPlant:
         """
         if duration <= 0.0:
             return
-        sim = self.sim
-        sim.load_rows(self._plants)
+        steps = []
         remaining = duration
         while remaining > 1e-12:
             step = min(dt, remaining)
-            sim.apply_batch(commands, step, gusts)
-            self.batched_substeps += 1
+            steps.append(step)
             remaining -= step
+        sim = self.sim
+        sim.load_rows(self._plants)
+        sim.apply_window(commands, steps, gusts)
+        self.batched_substeps += len(steps)
         sim.store_rows(self._plants)
 
 

@@ -20,6 +20,7 @@ equality with ``==`` against a loop of real plants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite, nan
 from typing import Optional, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from ..control.base import WaypointTracker
 from ..dynamics import BatteryModel, BatteryState, DroneState, DynamicsModel
 from ..geometry import Vec3, Workspace
 from ..geometry.vec import row_norms
-from .drone import DronePlant
+from .drone import _CORNER_FACTOR, _GATE_HEADROOM, DronePlant
 
 
 @dataclass
@@ -98,6 +99,7 @@ class PopulationSimulation:
     ) -> None:
         self.model = model
         self.workspace = workspace
+        self._field = workspace.clearance_field()
         self.tracker = tracker
         self.battery_model = battery_model or BatteryModel()
         self.collision_margin = collision_margin
@@ -209,67 +211,121 @@ class PopulationSimulation:
         gust matrix.  Rows whose disturbance is exactly zero skip the add,
         matching the scalar plant's ``norm() > 0`` guard bit for bit.
         :meth:`step` derives its commands from the waypoint tracker and
-        delegates here; the testing plane's row-group adapter calls this
-        directly with the commands each execution's discrete stack
-        published.
+        delegates here; a window of substeps under fixed commands is
+        :meth:`apply_window`.
         """
-        if dt < 0.0:
+        self.apply_window(commands, (dt,), disturbances)
+
+    def apply_window(
+        self,
+        commands: np.ndarray,
+        steps: Sequence[float],
+        disturbances: Optional[np.ndarray] = None,
+    ) -> None:
+        """Advance every row through the substeps ``steps`` under fixed commands.
+
+        Equal, field for field, to one :meth:`apply_batch` per substep with
+        the same ``commands``/``disturbances`` — the testing plane's
+        row-group adapter holds them constant over a sampling window, as
+        the scalar path does.  The dynamics and battery run substep by
+        substep; the ground truth (collisions, clearance) is evaluated once
+        over every substep endpoint of the window, and a row's first
+        collision ends its trajectory there: its fields are taken at that
+        substep, where the per-substep loop would have frozen them.
+        """
+        if any(dt < 0.0 for dt in steps):
             raise ValueError("dt must be non-negative")
-        self.time += dt
         active = ~self.collided
-        if not active.any():
+        if not steps or not active.any():
+            for dt in steps:
+                self.time += dt
             return
+        size = self.size
         accelerations = np.array(commands, dtype=float, copy=True)
-        if accelerations.shape != (self.size, 3):
+        if accelerations.shape != (size, 3):
             raise ValueError("commands must be a (K, 3) acceleration matrix")
         if disturbances is not None:
             gusts = np.asarray(disturbances, dtype=float)
-            if gusts.shape != (self.size, 3):
+            if gusts.shape != (size, 3):
                 raise ValueError("disturbances must be a (K, 3) matrix")
             gusty = row_norms(gusts) > 0.0
-            accelerations[gusty] = accelerations[gusty] + gusts[gusty]
-        # Pre-step depletion while airborne: the drone free-falls.
-        airborne_pre = self.positions[:, 2] > self.ground_altitude
-        freefall = (self.charges <= 0.0) & airborne_pre
-        accelerations[freefall] = (0.0, 0.0, -self.model.max_acceleration)
-        previous = self.positions
-        new_positions, new_velocities = self.model.step_batch(
-            previous, self.velocities, accelerations, dt
-        )
-        # Ground clamp: z < 0 rows land with vertical velocity zeroed.
-        below = new_positions[:, 2] < 0.0
-        new_positions[below, 2] = 0.0
-        new_velocities[below, 2] = 0.0
-        travelled = row_norms(new_positions - previous)
-        new_charges = self.battery_model.step_batch(self.charges, accelerations, dt)
-        airborne_post = new_positions[:, 2] > self.ground_altitude
-        new_battery_failed = (new_charges <= 0.0) & airborne_post
+            if gusty.any():
+                accelerations[gusty] = accelerations[gusty] + gusts[gusty]
+        ground = self.ground_altitude
+        positions = [self.positions]
+        charges = [self.charges]
+        velocities = self.velocities
+        for dt in steps:
+            self.time += dt
+            thrust = accelerations
+            # Pre-step depletion while airborne: the drone free-falls.
+            freefall = (charges[-1] <= 0.0) & (positions[-1][:, 2] > ground)
+            if freefall.any():
+                thrust = accelerations.copy()
+                thrust[freefall] = (0.0, 0.0, -self.model.max_acceleration)
+            new_positions, velocities = self.model.step_batch(
+                positions[-1], velocities, thrust, dt
+            )
+            # Ground clamp: z < 0 rows land with vertical velocity zeroed.
+            below = new_positions[:, 2] < 0.0
+            if below.any():
+                new_positions[below, 2] = 0.0
+                velocities[below, 2] = 0.0
+            positions.append(new_positions)
+            charges.append(self.battery_model.step_batch(charges[-1], thrust, dt))
+        count = len(steps)
+        points = np.concatenate(positions)  # substep s runs points[s] -> points[s + 1]
+        starts, ends = points[:-size], points[size:]
+        travelled = row_norms(ends - starts).reshape(count, size)
+        airborne = ends[:, 2].reshape(count, size) > ground
         # Collision latch (airborne rows only): obstacle hit, bounds exit,
-        # or an obstacle crossed between the step's endpoints.
-        hit = airborne_post & (
-            self.workspace.in_obstacle_batch(new_positions, margin=self.collision_margin)
-            | ~self.workspace.in_bounds_batch(new_positions)
-            | ~self.workspace.segments_free_batch(previous, new_positions)
+        # or an obstacle crossed between the step's endpoints.  The gates
+        # of DronePlant.apply: the cell bounds of the two endpoints decide
+        # most substeps, and only the ones they leave open run the exact
+        # queries.  A segment leaving the bounds is caught by the in-bounds
+        # test of its endpoints, exactly as ``segment_is_free`` catches it.
+        workspace = self.workspace
+        margin = self.collision_margin
+        bounds = self._field.lower_bound_batch(points).reshape(count + 1, size)
+        inside = workspace.in_bounds_batch(points).reshape(count + 1, size)
+        live = active & airborne
+        hit = live & ~(inside[:-1] & inside[1:])
+        flat_hit = hit.reshape(-1)
+        near_box = np.flatnonzero(live & (bounds[1:] <= _CORNER_FACTOR * margin + _GATE_HEADROOM))
+        if near_box.size:
+            flat_hit[near_box] |= workspace.in_obstacle_batch(ends[near_box], margin=margin)
+        near_path = np.flatnonzero(live & ~(bounds[:-1] > travelled + _GATE_HEADROOM))
+        if near_path.size:
+            flat_hit[near_path] |= ~workspace.segments_free_batch(
+                starts[near_path], ends[near_path]
+            )
+        # Each row's last live substep: its first collision, else the last.
+        collided = hit.any(axis=0)
+        last = np.where(collided, hit.argmax(axis=0), count - 1)
+        rows = np.arange(size)
+        final = (last + 1, rows)
+        clearances = workspace.clearance_batch(ends).reshape(count, size)
+        min_clearance = np.minimum.accumulate(
+            np.concatenate((self.min_clearance[None], clearances))
         )
-        new_velocities[hit] = 0.0
-        newly_collided = active & hit
-        self.collision_positions[newly_collided] = new_positions[newly_collided]
-        clearances = self.workspace.clearance_batch(new_positions)
-        # Masked commit: frozen rows keep every field; rows colliding this
-        # tick keep their post-step position (frozen from the next tick on)
-        # and still record distance, charge and clearance — exactly the
-        # scalar order of DronePlant.apply.
+        distance = np.add.accumulate(np.concatenate((self.distance_flown[None], travelled)))
+        charges = np.array(charges)
+        battery_failed = np.logical_or.accumulate((charges[1:] <= 0.0) & airborne)[last, rows]
+        new_positions = points.reshape(count + 1, size, 3)[final]
+        if collided.any():
+            velocities[collided] = 0.0
+            self.collision_positions[collided] = new_positions[collided]
+        # Masked commit: frozen rows keep every field; rows colliding in
+        # the window keep their position at the collision (frozen from then
+        # on) and still record distance, charge and clearance up to it —
+        # exactly the scalar order of DronePlant.apply.
         self.positions = np.where(active[:, None], new_positions, self.positions)
-        self.velocities = np.where(active[:, None], new_velocities, self.velocities)
-        self.distance_flown = np.where(
-            active, self.distance_flown + travelled, self.distance_flown
-        )
-        self.charges = np.where(active, new_charges, self.charges)
-        self.battery_failed = self.battery_failed | (active & new_battery_failed)
-        self.min_clearance = np.where(
-            active, np.minimum(self.min_clearance, clearances), self.min_clearance
-        )
-        self.collided = self.collided | (active & hit)
+        self.velocities = np.where(active[:, None], velocities, self.velocities)
+        self.distance_flown = np.where(active, distance[final], self.distance_flown)
+        self.charges = np.where(active, charges[final], self.charges)
+        self.battery_failed = self.battery_failed | (active & battery_failed)
+        self.min_clearance = np.where(active, min_clearance[final], self.min_clearance)
+        self.collided = self.collided | collided
 
     def run(self, duration: float, dt: float = 0.02) -> PopulationStatus:
         """Advance the whole population for ``duration`` seconds of mission time."""
@@ -296,18 +352,25 @@ class PopulationSimulation:
         """
         if len(plants) != self.size:
             raise ValueError("need exactly one plant per population row")
-        for index, plant in enumerate(plants):
-            self.positions[index] = plant.state.position.as_tuple()
-            self.velocities[index] = plant.state.velocity.as_tuple()
-            self.charges[index] = plant.battery.charge
-            self.collided[index] = plant.collided
-            self.battery_failed[index] = plant.battery_failed
-            self.distance_flown[index] = plant.distance_flown
-            self.min_clearance[index] = plant.min_clearance
-            if plant.collision_position is not None:
-                self.collision_positions[index] = plant.collision_position.as_tuple()
-            else:
-                self.collision_positions[index] = np.nan
+        self.positions = np.array(
+            [plant.state.position.as_tuple() for plant in plants], dtype=float
+        )
+        self.velocities = np.array(
+            [plant.state.velocity.as_tuple() for plant in plants], dtype=float
+        )
+        self.charges = np.array([plant.battery.charge for plant in plants], dtype=float)
+        self.collided = np.array([plant.collided for plant in plants], dtype=bool)
+        self.battery_failed = np.array([plant.battery_failed for plant in plants], dtype=bool)
+        self.distance_flown = np.array([plant.distance_flown for plant in plants], dtype=float)
+        self.min_clearance = np.array([plant.min_clearance for plant in plants], dtype=float)
+        self.collision_positions = np.array(
+            [
+                (nan, nan, nan) if plant.collision_position is None
+                else plant.collision_position.as_tuple()
+                for plant in plants
+            ],
+            dtype=float,
+        )
         self.time = float(plants[0].time)
         self.model.begin_batch(self.size)
 
@@ -319,31 +382,27 @@ class PopulationSimulation:
         """
         if len(plants) != self.size:
             raise ValueError("need exactly one plant per population row")
-        for index, plant in enumerate(plants):
-            plant.state = DroneState(
-                position=Vec3(
-                    float(self.positions[index, 0]),
-                    float(self.positions[index, 1]),
-                    float(self.positions[index, 2]),
-                ),
-                velocity=Vec3(
-                    float(self.velocities[index, 0]),
-                    float(self.velocities[index, 1]),
-                    float(self.velocities[index, 2]),
-                ),
-            )
-            plant.battery = BatteryState(charge=float(self.charges[index]))
-            plant.collided = bool(self.collided[index])
-            plant.battery_failed = bool(self.battery_failed[index])
-            plant.distance_flown = float(self.distance_flown[index])
-            plant.min_clearance = float(self.min_clearance[index])
+        rows = zip(
+            plants,
+            self.positions.tolist(),
+            self.velocities.tolist(),
+            self.charges.tolist(),
+            self.collided.tolist(),
+            self.battery_failed.tolist(),
+            self.distance_flown.tolist(),
+            self.min_clearance.tolist(),
+            self.collision_positions.tolist(),
+        )
+        for plant, position, velocity, charge, collided, failed, distance, clearance, hit in rows:
+            plant.state = DroneState(position=Vec3(*position), velocity=Vec3(*velocity))
+            plant.battery = BatteryState(charge=charge)
+            plant.collided = collided
+            plant.battery_failed = failed
+            plant.distance_flown = distance
+            plant.min_clearance = clearance
             plant.time = float(self.time)
-            if plant.collided and np.isfinite(self.collision_positions[index]).all():
-                plant.collision_position = Vec3(
-                    float(self.collision_positions[index, 0]),
-                    float(self.collision_positions[index, 1]),
-                    float(self.collision_positions[index, 2]),
-                )
+            if collided and all(map(isfinite, hit)):
+                plant.collision_position = Vec3(*hit)
             else:
                 plant.collision_position = None
 
