@@ -12,9 +12,10 @@ concurrent parties together:
   each *accepted* record into the owning mission's event log the moment
   it is ingested — streaming rides ingestion, so exactly-once falls out
   of the plane's idempotent dedup;
-* the **mission runner**, one thread per mission driving an in-process
-  :class:`~repro.swarm.tester.SwarmTester` subclass whose transport is
-  direct method calls on the plane instead of HTTP.  Reusing the tester
+* the **mission runner**, one thread per mission driving a
+  :class:`~repro.testing.ParallelTester` subclass whose session runs on
+  the service's plane through the tester's own in-process session
+  runner (the standing fleet does the work).  Reusing the tester
   end-to-end is what makes the final report *byte-equal* to a serial
   :class:`~repro.testing.SystematicTester` run of the same scenario,
   seed and budget: same sharding, same deterministic re-ordering, same
@@ -38,7 +39,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..swarm import protocol
 from ..swarm.controlplane import ControlPlane
-from ..swarm.tester import SwarmReport, SwarmTester
+from ..testing.parallel import ParallelReport, ParallelTester
 
 
 class Mission:
@@ -280,7 +281,7 @@ class MissionService:
                 # A long-lived service must not hoard finished sessions.
                 self.plane.drop_session(mission.session_id)
 
-    def _encode_report(self, mission: Mission, report: SwarmReport) -> Dict[str, Any]:
+    def _encode_report(self, mission: Mission, report: ParallelReport) -> Dict[str, Any]:
         return {
             "mission": mission.mission_id,
             "session": mission.session_id,
@@ -304,13 +305,14 @@ class MissionService:
         }
 
 
-class _MissionRun(SwarmTester):
-    """A :class:`SwarmTester` whose transport is the in-process plane.
+class _MissionRun(ParallelTester):
+    """A mission's sweep, run as a session on the service's plane.
 
-    Everything else — sharding, report type, deterministic finalise,
-    serial replay confirmation — is inherited, which is precisely what
-    guarantees mission reports match ``SwarmTester``/``ParallelTester``
-    (and therefore serial ``SystematicTester``) output exactly.
+    Sharding, deterministic finalise and serial replay confirmation are
+    inherited, which is precisely what guarantees mission reports match
+    ``ParallelTester``/``SwarmTester`` (and therefore serial
+    ``SystematicTester``) output exactly.  The standing fleet does the
+    work, so the session runs without a fleet of its own.
     """
 
     def __init__(self, service: MissionService, mission: Mission) -> None:
@@ -318,38 +320,21 @@ class _MissionRun(SwarmTester):
         super().__init__(
             spec["scenario"],
             strategy=protocol.decode_strategy(spec["strategy"]),
-            drones=int(spec.get("shards") or service.default_shards),
+            workers=int(spec.get("shards") or service.default_shards),
             scenario_overrides=spec.get("overrides") or None,
             track_coverage=bool(spec.get("track_coverage", False)),
             population_size=spec.get("population_size"),
-            deadline=service.deadline,
-            control_plane_url="in-process",  # never dialled; _execute overrides
         )
+        self.deadline = service.deadline
         self.service = service
         self.mission = mission
 
-    def _execute(self, shards: Sequence[Any], report: Any) -> None:
-        plane = self.service.plane
-        mission = self.mission
-        encoded = [protocol.encode_shard(shard) for shard in shards]
-        session_id = plane.create_session(
-            encoded,
-            stop_at_first_violation=bool(shards[0].stop_at_first_violation),
-            label=f"mission {mission.mission_id}",
+    def _execute(self, shards: Sequence[Any], report: ParallelReport) -> None:
+        self._run_on_plane(
+            self.service.plane,
+            [protocol.encode_shard(shard) for shard in shards],
+            report,
+            self.mission.session_finished,
+            on_session=lambda session_id: self.service._attach_session(self.mission, session_id),
+            label=f"mission {self.mission.mission_id}",
         )
-        self.last_session, self.last_url = session_id, "in-process"
-        self.service._attach_session(mission, session_id)
-        deadline = time.monotonic() + self.deadline
-        while not mission.session_finished.wait(timeout=0.25):
-            plane.sweep()  # keep the healing ladder ticking on a quiet fleet
-            if time.monotonic() >= deadline:
-                raise RuntimeError(
-                    f"mission {mission.mission_id} (session {session_id}) missed "
-                    f"its {self.deadline:.0f}s deadline"
-                )
-        summary = plane.session_report(session_id)
-        self._ingest_report(summary, report)
-        if summary["failed"] is not None:
-            raise RuntimeError(
-                f"mission failed in a drone:\n{summary['failed']}"
-            )

@@ -1,8 +1,9 @@
-"""Multi-host exploration swarm: a self-healing control plane + drones.
+"""Sharded testing's execution fabric: a self-healing control plane + drones.
 
-The in-host :class:`~repro.testing.parallel.ParallelTester` tops out at
-one machine's process pool.  This package lifts the very same shard
-descriptions onto a network work queue so a sweep spans many hosts:
+Every sharded sweep is a session on a :class:`ControlPlane`.  The in-host
+:class:`~repro.testing.parallel.ParallelTester` runs it on a private
+in-process plane whose drones are its forked workers (over pipes); this
+package also serves the plane over HTTP so one sweep spans many hosts:
 
 * :mod:`~repro.swarm.protocol` — the versioned JSON wire format for
   shards, execution records, violations and coverage maps;
@@ -12,7 +13,8 @@ descriptions onto a network work queue so a sweep spans many hosts:
   session fails only with no drone left);
 * :mod:`~repro.swarm.drone` — the worker: long-poll a lease, run it on
   the warm reset-and-reuse tester, stream records + coverage home,
-  heartbeat while running;
+  heartbeat while running — over HTTP, a pipe or a direct call — and
+  the local fleet that owns N of them;
 * :mod:`~repro.swarm.tester` — :class:`SwarmTester`, the facade with
   ``ParallelTester.explore()`` semantics (and a localhost self-hosted
   mode that makes swarm runs CI-runnable in one process).

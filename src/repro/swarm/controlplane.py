@@ -3,9 +3,8 @@
 One control plane coordinates a fleet of drones
 (:mod:`repro.swarm.drone`).  It is deliberately dumb about the workload —
 it never builds a scenario or runs an execution; it only moves *shard
-descriptions* (the same value objects the in-host
-:class:`~repro.testing.parallel.ParallelTester` ships to its process
-pool) through a lease queue and folds the streamed results back together:
+descriptions* (the value objects every sharded tester produces) through
+a lease queue and folds the streamed results back together:
 
 * **sessions** group the shards of one exploration sweep and accumulate
   its execution records and coverage;
@@ -28,9 +27,14 @@ pool) through a lease queue and folds the streamed results back together:
   heartbeat, and the trail-keyed ingestion makes the handover safe even
   if both drones race over the boundary subtree.
 
-The pure state machine (:class:`ControlPlane`) is separate from the HTTP
-layer (:class:`ControlPlaneServer`, a stdlib ``ThreadingHTTPServer``) so
-the healing logic is unit-testable with a fake clock.
+The pure state machine (:class:`ControlPlane`) is separate from its
+transports, so the healing logic is unit-testable with a fake clock.
+Every request enters through one route table, :meth:`ControlPlane.call`,
+whichever way it travelled: HTTP (:class:`ControlPlaneServer`, a stdlib
+``ThreadingHTTPServer``), a forked worker's ``multiprocessing.Pipe``, or
+a direct call from an in-process drone.  The first serves the swarm and
+the mission service; the other two serve the private plane of a local
+:class:`~repro.testing.ParallelTester` run.
 """
 
 from __future__ import annotations
@@ -45,8 +49,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import protocol
 
-#: How long an HTTP lease request may block waiting for work (seconds).
+#: How long a lease request may block waiting for work (seconds).
 LEASE_POLL_TIMEOUT = 2.0
+
+
+class UnknownRoute(protocol.ProtocolError):
+    """A request named a route the control plane does not serve."""
 
 
 # --------------------------------------------------------------------- #
@@ -135,8 +143,8 @@ class Session:
 class ControlPlane:
     """The swarm's session/lease/result state machine.
 
-    All public methods are thread-safe (one lock; the HTTP layer calls
-    them from concurrent handler threads).  ``clock`` is injectable so
+    All public methods are thread-safe (one lock; transports call them
+    from concurrent handler and relay threads).  ``clock`` is injectable so
     the escalation ladder is testable without real waiting.
     """
 
@@ -252,9 +260,9 @@ class ControlPlane:
     def sweep(self) -> None:
         """Advance the self-healing ladder: warn, expire, bury, fail.
 
-        Called before every lease grant and by the HTTP layer on every
-        request, so healing needs no dedicated timer thread (one can still
-        call it periodically for very quiet fleets).
+        Called at the top of every request method, so healing needs no
+        dedicated timer thread (in-process session runners still call it
+        periodically for very quiet fleets).
         """
         with self._lock:
             now = self._clock()
@@ -275,7 +283,9 @@ class ControlPlane:
             self._fail_orphaned_sessions()
             self._notify_finish_transitions()
 
-    def _expire_lease(self, lease: Lease, now: float) -> None:
+    def _expire_lease(
+        self, lease: Lease, now: float, cause: str = "missed its proof-of-life deadline"
+    ) -> None:
         session = self._sessions.get(lease.session_id)
         shard = self._shard(lease)
         del self._leases[lease.lease_id]
@@ -305,8 +315,31 @@ class ControlPlane:
         self._event(
             lease.session_id,
             f"re-lease: shard {shard.shard_id} requeued (attempt {shard.attempts + 1}) "
-            f"after drone {lease.drone_id} missed its proof-of-life deadline",
+            f"after drone {lease.drone_id} {cause}",
         )
+
+    def drone_lost(self, drone_id: str) -> None:
+        """Bury a drone known to be gone and requeue its lease now.
+
+        An exited worker is proof of death, unlike a missed heartbeat, so
+        the ladder skips to its last rungs: re-lease, and fail the session
+        when no live drone is left.  :class:`~repro.swarm.drone.LocalFleet`
+        reports its exited workers here and retires its drones the same
+        way when their session ends: a buried drone's lease poll tells it
+        to exit.
+        """
+        with self._lock:
+            now = self._clock()
+            drone = self._drones.get(drone_id)
+            if drone is None:
+                drone = DroneState(drone_id=drone_id, first_seen=now, last_seen=now)
+                self._drones[drone_id] = drone
+            drone.dead = True
+            for lease in [lease for lease in self._leases.values() if lease.drone_id == drone_id]:
+                self._expire_lease(lease, now, cause="exited")
+            self._fail_orphaned_sessions()
+            self._notify_finish_transitions()
+            self._work.notify_all()  # wake its lease long-poll with the news
 
     def _fail_orphaned_sessions(self) -> None:
         # The last rung: only when *no* drone remains to do outstanding
@@ -338,6 +371,56 @@ class ControlPlane:
             session.events.append(message)
 
     # ------------------------------------------------------------------ #
+    # the route table
+    # ------------------------------------------------------------------ #
+    def call(self, route: str, payload: Any = None) -> Any:
+        """Serve one drone- or session-facing request; returns the reply.
+
+        The one entry point of every transport: HTTP path
+        ``/api/v1/<route>``, pipe relay or direct call.  Routes:
+        ``session``, ``lease``, ``heartbeat``, ``result``, ``status``,
+        ``session/<id>/status`` and ``session/<id>/report``.  A malformed
+        payload raises :class:`~repro.swarm.protocol.ProtocolError`, an
+        unknown route :class:`UnknownRoute`.
+        """
+        try:
+            if route == "lease":
+                return self._long_poll_lease(payload)
+            if route == "result":
+                return self.ingest(payload["session"], payload["lease"], **_options(
+                    payload, "results", "done", "released", "error", "population_stats"))
+            if route == "heartbeat":
+                return self.heartbeat(payload["session"], payload["lease"], **_options(
+                    payload, "executions_done", "prefixes_done"))
+            if route == "session":
+                return {"session": self.create_session(payload["shards"], **_options(
+                    payload, "stop_at_first_violation", "label"))}
+            if route == "status":
+                return self.status()
+            if route.startswith("session/"):
+                session_id, _, view = route[len("session/") :].rpartition("/")
+                if view == "status":
+                    return self.session_status(session_id)
+                if view == "report":
+                    return self.session_report(session_id)
+        except (KeyError, TypeError, AttributeError) as error:
+            raise protocol.ProtocolError(f"malformed request: {error!r}") from None
+        raise UnknownRoute(f"unknown route {route!r}")
+
+    def _long_poll_lease(self, payload: Any) -> Dict[str, Any]:
+        deadline = time.monotonic() + min(
+            float(payload.get("poll", LEASE_POLL_TIMEOUT)), LEASE_POLL_TIMEOUT
+        )
+        while True:
+            grant = self.request_lease(payload["drone"])
+            if grant is not None or time.monotonic() >= deadline:
+                return {"lease": grant}
+            # Condition-based wait, not a busy spin: woken the instant a
+            # shard is queued.  Bounded slices keep the healing sweep
+            # (run by request_lease above) ticking on quiet fleets.
+            self.wait_for_work(min(0.25, deadline - time.monotonic()))
+
+    # ------------------------------------------------------------------ #
     # leases
     # ------------------------------------------------------------------ #
     def request_lease(self, drone_id: str) -> Optional[Dict[str, Any]]:
@@ -366,13 +449,12 @@ class ControlPlane:
     def wait_for_work(self, timeout: float) -> bool:
         """Block until new work may be queued (or ``timeout`` elapses).
 
-        The HTTP long-poll's replacement for its old 20 ms busy-wait: the
-        underlying condition is notified whenever a shard enters the
-        queue, so an idle drone's poll wakes the instant a session is
-        created (or a shard is requeued/split) instead of on the next
-        spin.  Returns True on a wake-up, False on timeout.  Callers
-        should keep ``timeout`` bounded (the long-poll uses short slices)
-        so quiet fleets still sweep the healing ladder periodically.
+        The underlying condition is notified whenever a shard enters the
+        queue (or a drone is buried), so an idle drone's long-poll wakes
+        the instant a session is created or a shard is requeued/split.
+        Returns True on a wake-up, False on timeout.  Callers should keep
+        ``timeout`` bounded (the long-poll uses short slices) so quiet
+        fleets still sweep the healing ladder periodically.
         """
         if timeout <= 0:
             return False
@@ -701,6 +783,11 @@ class ControlPlane:
             }
 
 
+def _options(payload: Dict[str, Any], *names: str) -> Dict[str, Any]:
+    """The optional request fields a payload carries, as keyword arguments."""
+    return {name: payload[name] for name in names if name in payload}
+
+
 # --------------------------------------------------------------------- #
 # the HTTP layer (pure stdlib)
 # --------------------------------------------------------------------- #
@@ -734,72 +821,21 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- routes ---------------------------------------------------------- #
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler API)
-        try:
-            if self.path == "/api/v1/status":
-                self._reply(self.plane.status())
-            elif self.path.startswith("/api/v1/session/") and self.path.endswith("/report"):
-                session_id = self.path[len("/api/v1/session/") : -len("/report")]
-                self._reply(self.plane.session_report(session_id))
-            elif self.path.startswith("/api/v1/session/") and self.path.endswith("/status"):
-                session_id = self.path[len("/api/v1/session/") : -len("/status")]
-                self._reply(self.plane.session_status(session_id))
-            else:
-                self._error(f"unknown endpoint {self.path!r}", status=404)
-        except protocol.ProtocolError as error:
-            self._error(str(error))
+        self._serve(post=False)
 
     def do_POST(self) -> None:  # noqa: N802 (stdlib handler API)
+        self._serve(post=True)
+
+    def _serve(self, *, post: bool) -> None:
         try:
-            payload = self._payload()
-            if self.path == "/api/v1/session":
-                session_id = self.plane.create_session(
-                    payload["shards"],
-                    stop_at_first_violation=payload.get("stop_at_first_violation", False),
-                    label=payload.get("label", ""),
-                )
-                self._reply({"session": session_id})
-            elif self.path == "/api/v1/lease":
-                self._reply(self._long_poll_lease(payload))
-            elif self.path == "/api/v1/heartbeat":
-                self._reply(
-                    self.plane.heartbeat(
-                        payload["session"],
-                        payload["lease"],
-                        executions_done=payload.get("executions_done", 0),
-                        prefixes_done=payload.get("prefixes_done", 0),
-                    )
-                )
-            elif self.path == "/api/v1/result":
-                self._reply(
-                    self.plane.ingest(
-                        payload["session"],
-                        payload["lease"],
-                        results=payload.get("results"),
-                        done=payload.get("done", False),
-                        released=payload.get("released", False),
-                        error=payload.get("error"),
-                        population_stats=payload.get("population_stats"),
-                    )
-                )
-            else:
-                self._error(f"unknown endpoint {self.path!r}", status=404)
+            payload = self._payload() if post else None
+            if not self.path.startswith(protocol.API_PREFIX):
+                raise UnknownRoute(self.path)
+            self._reply(self.plane.call(self.path[len(protocol.API_PREFIX) :], payload))
+        except UnknownRoute:
+            self._error(f"unknown endpoint {self.path!r}", status=404)
         except protocol.ProtocolError as error:
             self._error(str(error))
-        except (KeyError, TypeError) as error:
-            self._error(f"malformed request: {error!r}")
-
-    def _long_poll_lease(self, payload: Any) -> Dict[str, Any]:
-        deadline = time.monotonic() + min(
-            float(payload.get("poll", LEASE_POLL_TIMEOUT)), LEASE_POLL_TIMEOUT
-        )
-        while True:
-            grant = self.plane.request_lease(payload["drone"])
-            if grant is not None or time.monotonic() >= deadline:
-                return {"lease": grant}
-            # Condition-based wait, not a busy spin: woken the instant a
-            # shard is queued.  Bounded slices keep the healing sweep
-            # (run by request_lease above) ticking on quiet fleets.
-            self.plane.wait_for_work(min(0.25, deadline - time.monotonic()))
 
 
 class _QuietThreadingHTTPServer(ThreadingHTTPServer):

@@ -2,15 +2,23 @@
 
 A drone is one exploration worker on one host.  It long-polls the
 control plane (:mod:`repro.swarm.controlplane`) for a shard lease,
-rebuilds the workload from the scenario registry, runs it through the
-same warm reset-and-reuse :class:`~repro.testing.SystematicTester` path
-the in-host process pool uses, and streams each
+rebuilds the workload from the shard description, runs it on the warm
+reset-and-reuse :class:`~repro.testing.SystematicTester` (or the
+population plane), and streams each
 :class:`~repro.testing.explorer.ExecutionRecord` (plus the execution's
-own coverage delta) back as it finishes.  While a shard runs, a
+own coverage delta) back as it finishes.  ``Drone._run_lease`` is the
+one shard loop of every sharded tester.  While a shard runs, a
 background thread posts proof-of-life heartbeats; the responses carry
 the control plane's directives — ``stop`` (a violation ended the
 session: drain and release the lease) and ``keep_prefixes`` (an
 adaptive split shrank this lease's exhaustive prefix budget).
+
+A drone reaches its plane over one of three transports: HTTP (a URL),
+a ``multiprocessing.Pipe`` (:class:`PipeTransport`, served by
+:func:`relay` in the parent), or a direct call of
+:meth:`~repro.swarm.controlplane.ControlPlane.call`.  :class:`LocalFleet`
+runs N drones on this host as threads or forked processes and owns
+their lifetimes.
 
 Determinism makes all of this safe: execution *i* of a random sweep and
 trail *t* of an exhaustive enumeration produce identical records on any
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import multiprocessing
 import random
 import socket
 import threading
@@ -30,11 +39,13 @@ import traceback
 import urllib.error
 import urllib.request
 from collections import Counter
-from typing import Any, Dict, Optional
+from multiprocessing.connection import Connection
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..testing.coverage import CoverageMap
 from ..testing.explorer import SystematicTester
-from ..testing.parallel import _RandomShard, shard_tester
+from ..testing.parallel import _RandomShard
+from ..testing.population import PopulationTester
 from ..testing.strategies import ExhaustiveStrategy, RandomStrategy, start_execution
 from . import protocol
 
@@ -89,18 +100,23 @@ def _round_trip(request: urllib.request.Request, timeout: float) -> Any:
 class Drone:
     """One worker of the exploration swarm.
 
+    ``plane`` is the control plane to serve: its URL, or a ``(route,
+    payload) -> reply`` callable (:meth:`ControlPlane.call` itself, or a
+    :class:`PipeTransport`).  A callable plane is in this process or
+    across a pipe, so payloads travel as Python objects and records keep
+    their violation states exactly.
+
     ``worker_index`` (optional) stamps streamed records' ``worker`` field
     so swarm reports read like pool reports.  ``exit_when_idle`` makes
     :meth:`run` return once no lease has been granted for
-    ``idle_timeout`` seconds — the mode the localhost facade uses; a
-    standing fleet drone runs with ``exit_when_idle=False`` and polls
-    forever (until the control plane calls it dead or :meth:`stop` is
-    called).
+    ``idle_timeout`` seconds.  A standing fleet drone, and every drone of
+    a :class:`LocalFleet`, runs with ``exit_when_idle=False`` and polls
+    until the control plane buries it or :meth:`stop` is called.
     """
 
     def __init__(
         self,
-        base_url: str,
+        plane: Union[str, Callable[[str, Any], Any]],
         drone_id: Optional[str] = None,
         *,
         worker_index: Optional[int] = None,
@@ -113,7 +129,11 @@ class Drone:
         result_retries: int = 4,
         max_backoff: float = 2.0,
     ) -> None:
-        self.base_url = base_url.rstrip("/")
+        if callable(plane):
+            self.base_url: Optional[str] = None
+            self._call: Optional[Callable[[str, Any], Any]] = plane
+        else:
+            self.base_url, self._call = plane.rstrip("/"), None
         self.drone_id = drone_id or f"drone-{socket.gethostname()}-{next(_DRONE_IDS)}"
         self.worker_index = worker_index
         self.heartbeat_interval = heartbeat_interval
@@ -132,7 +152,7 @@ class Drone:
         self._backoff_rng = random.Random(self.drone_id)
         # One warm tester per workload identity: consecutive leases of the
         # same scenario reuse the built model instance across shards (the
-        # zero-rebuild hot path, exactly as the process pool's workers).
+        # zero-rebuild hot path).
         self._testers: Dict[Any, SystematicTester] = {}
 
     def stop(self) -> None:
@@ -177,6 +197,8 @@ class Drone:
         return self.leases_run
 
     def _post(self, path: str, payload: Any) -> Any:
+        if self._call is not None:
+            return self._call(path[len(protocol.API_PREFIX) :], payload)
         return post_json(self.base_url, path, payload, timeout=self.http_timeout)
 
     # ------------------------------------------------------------------ #
@@ -266,9 +288,16 @@ class Drone:
             state.apply(directives)
 
     # ------------------------------------------------------------------ #
-    # running shards (the same warm path the process pool uses)
+    # running shards on a warm tester
     # ------------------------------------------------------------------ #
     def _tester(self, shard: Any) -> SystematicTester:
+        """The warm tester a shard asks for: serial, or the population plane.
+
+        A shard with ``population_size`` set runs through
+        :class:`~repro.testing.population.PopulationTester` — same
+        reports, compacted execution — with that bound on retained
+        snapshots; others use the plain reset-and-reuse tester.
+        """
         key = (
             shard.factory,
             shard.max_permuted,
@@ -279,7 +308,18 @@ class Drone:
         )
         tester = self._testers.get(key)
         if tester is None:
-            tester = shard_tester(shard)
+            options = dict(
+                max_permuted=shard.max_permuted,
+                monitor_window=shard.monitor_window,
+                reuse_instances=shard.reuse_instances,
+                track_coverage=shard.track_coverage,
+            )
+            if shard.population_size is None:
+                tester = SystematicTester(shard.factory, **options)
+            else:
+                tester = PopulationTester(
+                    shard.factory, population_size=shard.population_size, **options
+                )
             self._testers[key] = tester
         return tester
 
@@ -304,7 +344,10 @@ class Drone:
             {
                 "session": session_id,
                 "lease": lease_id,
-                "results": [{"record": protocol.encode_record(record), "coverage": coverage}],
+                "results": [{
+                    "record": protocol.encode_record(record, portable=self._call is None),
+                    "coverage": coverage,
+                }],
             },
         )
         state.apply(directives)
@@ -390,9 +433,143 @@ class _LeaseState:
             self.keep_prefixes = keep
 
 
-def run_drone(base_url: str, drone_id: Optional[str] = None, **options: Any) -> int:
-    """Module-level entry point (picklable for ``multiprocessing``)."""
-    return Drone(base_url, drone_id, **options).run()
+class PipeTransport:
+    """A ``(route, payload) -> reply`` transport over one end of a pipe.
+
+    The heartbeat thread and the run loop share the pipe, so a request
+    and its reply travel under one lock.  A closed pipe raises
+    :class:`SwarmUnavailable`, as an unreachable URL does.
+    """
+
+    def __init__(self, connection: Connection) -> None:
+        self._connection = connection
+        self._lock = threading.Lock()
+
+    def __call__(self, route: str, payload: Any) -> Any:
+        with self._lock:
+            try:
+                self._connection.send((route, payload))
+                ok, reply = self._connection.recv()
+            except (EOFError, OSError) as error:
+                raise SwarmUnavailable(f"control plane pipe closed: {error!r}") from None
+        if not ok:
+            raise protocol.ProtocolError(f"control plane rejected the request: {reply}")
+        return reply
+
+
+def relay(plane: Any, connection: Connection) -> None:
+    """Answer a worker's pipe requests with ``plane.call`` until it closes."""
+    while True:
+        try:
+            route, payload = connection.recv()
+        except (EOFError, OSError):
+            return
+        try:
+            reply = (True, plane.call(route, payload))
+        except protocol.ProtocolError as error:
+            reply = (False, str(error))
+        except Exception:  # a plane fault must fail the lease, not hang the worker
+            reply = (False, traceback.format_exc())
+        try:
+            connection.send(reply)
+        except OSError:
+            return
+
+
+def run_drone(plane: Any, drone_id: Optional[str] = None, **options: Any) -> int:
+    """Module-level entry point (picklable for ``multiprocessing``).
+
+    ``plane`` is a control-plane URL or a pipe end that :func:`relay` serves.
+    """
+    if isinstance(plane, Connection):
+        plane = PipeTransport(plane)
+    return Drone(plane, drone_id, **options).run()
+
+
+class LocalFleet:
+    """N drones on this host, as threads or forked processes.
+
+    With a ``url`` the drones use HTTP.  Without one, thread drones call
+    ``plane.call`` directly and process drones each get a pipe, answered
+    by a :func:`relay` thread here.  The fleet owns its drones: it reports
+    each exited process to ``plane.drone_lost`` (:meth:`reap`) and
+    retires every drone the same way (:meth:`stop`), so idle drones exit
+    as soon as their session ends.
+    """
+
+    def __init__(self, plane: Any, count: int, *, processes: bool,
+                 url: Optional[str] = None, context: Any = None) -> None:
+        self.plane, self.processes, self.url = plane, processes, url
+        self._context = context or multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        )
+        kind = "proc" if processes else "thread"
+        self.drone_ids = [f"{kind}-drone-{index}" for index in range(count)]
+        self._drones: List[Drone] = []
+        self._procs: List[Any] = []
+        self._threads: List[threading.Thread] = []  # drone or relay threads
+        self._pipes: List[Connection] = []
+        self._lost: set = set()
+
+    def start(self) -> None:
+        options = {"exit_when_idle": False, "heartbeat_interval": 0.25}
+        for index, drone_id in enumerate(self.drone_ids):
+            if not self.processes:
+                drone = Drone(self.url or self.plane.call, drone_id, worker_index=index, **options)
+                self._drones.append(drone)
+                self._spawn(drone.run)
+                continue
+            target: Any = self.url
+            if target is None:
+                parent_end, target = self._context.Pipe()
+                self._pipes.append(parent_end)
+            process = self._context.Process(
+                target=run_drone, args=(target, drone_id),
+                kwargs={"worker_index": index, **options}, daemon=True,
+            )
+            process.start()
+            self._procs.append(process)
+            if self.url is None:
+                target.close()  # before the next fork, so the relay sees this worker's EOF
+        # Relays start once every worker is forked, so no worker is forked
+        # while a relay thread holds a lock.
+        for parent_end in self._pipes:
+            self._spawn(relay, self.plane, parent_end)
+
+    def _spawn(self, target: Callable[..., Any], *args: Any) -> None:
+        thread = threading.Thread(target=target, args=args, daemon=True)
+        thread.start()
+        self._threads.append(thread)
+
+    @property
+    def exit_codes(self) -> List[Optional[int]]:
+        """The worker processes' exit codes (``None`` while one runs)."""
+        return [process.exitcode for process in self._procs]
+
+    def reap(self) -> None:
+        """Report every newly exited worker process to the plane."""
+        for drone_id, process in zip(self.drone_ids, self._procs):
+            if drone_id not in self._lost and process.exitcode is not None:
+                self._lost.add(drone_id)
+                self.plane.drone_lost(drone_id)
+
+    def stop(self) -> None:
+        """Retire every drone, then wait for threads and processes to end."""
+        if not (self._drones or self._procs):
+            return
+        for drone in self._drones:
+            drone.stop()
+        for drone_id in self.drone_ids:
+            self.plane.drone_lost(drone_id)
+        for process in self._procs:
+            process.join(timeout=10.0)
+            if process.is_alive():  # pragma: no cover - stuck-drone safety net
+                process.terminate()
+                process.join(timeout=5.0)
+        for thread in self._threads:
+            thread.join(timeout=10.0)
+        for pipe in self._pipes:
+            pipe.close()
 
 
 def main(argv: Optional[list] = None) -> int:  # pragma: no cover - CLI convenience

@@ -19,6 +19,11 @@ the wire:
 * **coverage maps** — the ``(vehicle, mode, region) -> count`` counter,
   which merges order-independently on the other side.
 
+A :class:`~repro.testing.ParallelTester`'s private plane never reaches
+JSON (its drones call it directly or over a pickling pipe), so
+``portable=False`` keeps the harness factory and the violations as the
+objects themselves; the decoders pass such objects through unchanged.
+
 Every message travels inside a versioned envelope; a peer speaking a
 different :data:`PROTOCOL_VERSION` is rejected with a
 :class:`ProtocolError` instead of mis-decoding silently.
@@ -45,6 +50,10 @@ from ..testing.strategies import ExhaustiveStrategy, RandomStrategy
 #: Version of the wire format.  Bumped on any incompatible change; both
 #: ends reject mismatched envelopes eagerly.
 PROTOCOL_VERSION = 1
+
+#: The HTTP path prefix of every control-plane route (``/api/v1/lease``
+#: is route ``lease``).
+API_PREFIX = "/api/v1/"
 
 _JSON_SCALARS = (type(None), bool, int, float, str)
 
@@ -139,8 +148,13 @@ def encode_factory(factory: Any) -> Dict[str, Any]:
     return {"scenario": factory.name, "overrides": overrides}
 
 
-def decode_factory(data: Dict[str, Any]) -> ScenarioFactory:
-    """Rebuild the factory from the local scenario registry."""
+def decode_factory(data: Any) -> Any:
+    """Rebuild the factory from the local scenario registry.
+
+    A private plane's factory object (a callable) passes through.
+    """
+    if callable(data):
+        return data
     overrides = {
         key: _tuplify(value) for key, value in data.get("overrides", {}).items()
     }
@@ -161,10 +175,13 @@ def _tuplify(value: Any) -> Any:
 # --------------------------------------------------------------------- #
 
 
-def encode_shard(shard: Any) -> Dict[str, Any]:
-    """Serialise a random or exhaustive shard description."""
+def encode_shard(shard: Any, *, portable: bool = True) -> Dict[str, Any]:
+    """Serialise a random or exhaustive shard description.
+
+    ``portable=False`` keeps the factory object itself (private plane).
+    """
     common = {
-        "factory": encode_factory(shard.factory),
+        "factory": encode_factory(shard.factory) if portable else shard.factory,
         "max_executions": shard.max_executions,
         "max_permuted": shard.max_permuted,
         "stop_at_first_violation": shard.stop_at_first_violation,
@@ -283,7 +300,9 @@ def encode_violation(violation: Violation) -> Dict[str, Any]:
     }
 
 
-def decode_violation(data: Dict[str, Any]) -> Violation:
+def decode_violation(data: Any) -> Violation:
+    if isinstance(data, Violation):  # a private plane's record
+        return data
     return Violation(
         time=float(data["time"]),
         monitor=data["monitor"],
@@ -292,12 +311,16 @@ def decode_violation(data: Dict[str, Any]) -> Violation:
     )
 
 
-def encode_record(record: ExecutionRecord) -> Dict[str, Any]:
-    """Serialise one execution record (trail included: replay identity)."""
+def encode_record(record: ExecutionRecord, *, portable: bool = True) -> Dict[str, Any]:
+    """Serialise one execution record (trail included: replay identity).
+
+    ``portable=False`` keeps the violations themselves (private plane).
+    """
     return {
         "index": record.index,
         "steps": record.steps,
-        "violations": [encode_violation(violation) for violation in record.violations],
+        "violations": [encode_violation(violation) for violation in record.violations]
+        if portable else list(record.violations),
         "trail": list(record.trail) if record.trail is not None else None,
         "worker": record.worker,
     }

@@ -4,22 +4,22 @@
 exactly — same sharding (execution-index slices for random sweeps,
 trail-prefix partitions for exhaustive ones), same deterministic
 aggregation (:meth:`~repro.testing.parallel.ParallelTester._finalise`),
-same early-stop and serial replay confirmation — but the shards travel
-over the :mod:`wire protocol <repro.swarm.protocol>` to a control plane
-and a fleet of drones instead of an in-host process pool.  Because every
-execution is a pure function of the shard description, the resulting
-:class:`SwarmReport` carries the identical violations and coverage a
-``ParallelTester`` run (or the serial tester) would produce — including
-after a drone dies mid-session, since expired leases are re-issued and
-ingestion dedupes by execution identity.
+same early-stop and serial replay confirmation — but the session runs on
+a control plane served over HTTP, with the shards travelling in the
+:mod:`wire protocol <repro.swarm.protocol>`, instead of on the pool's
+private in-process plane.  Because every execution is a pure function of
+the shard description, the resulting :class:`SwarmReport` carries the
+identical violations and coverage a ``ParallelTester`` run (or the serial
+tester) would produce — including after a drone dies mid-session, since
+expired leases are re-issued and ingestion dedupes by execution identity.
 
 Two deployment shapes:
 
 * **localhost (default)** — the tester hosts its own
-  :class:`~repro.swarm.controlplane.ControlPlaneServer` and spawns
-  ``drones`` worker threads (or processes with
-  ``drone_processes=True``), which makes a swarm run CI-runnable in one
-  Python invocation;
+  :class:`~repro.swarm.controlplane.ControlPlaneServer` and a
+  :class:`~repro.swarm.drone.LocalFleet` of ``drones`` HTTP drone
+  threads (or processes with ``drone_processes=True``), which makes a
+  swarm run CI-runnable in one Python invocation;
 * **remote** — pass ``control_plane_url=`` to submit the session to an
   already-running control plane whose standing fleet does the work.
 
@@ -34,33 +34,20 @@ Two deployment shapes:
 
 from __future__ import annotations
 
-import multiprocessing
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..testing.parallel import ParallelReport, ParallelTester
 from ..testing.strategies import ChoiceStrategy
 from . import protocol
 from .controlplane import ControlPlaneServer
-from .drone import Drone, SwarmUnavailable, get_json, post_json, run_drone
+from .drone import LocalFleet, get_json, post_json
 
 
 @dataclass
 class SwarmReport(ParallelReport):
-    """A :class:`ParallelReport` plus swarm-run bookkeeping."""
-
-    #: Duplicate executions the control plane's idempotent ingestion
-    #: dropped (zombie/re-lease/split races; 0 on a healthy run).
-    duplicates: int = 0
-    #: The session's self-healing event log (warnings, re-leases, splits,
-    #: drone deaths) — the report-side view of the escalation ladder.
-    events: List[str] = field(default_factory=list)
-    #: Fleet-wide :class:`~repro.testing.population.PopulationStats`
-    #: counters, summed from every lease's per-drone delta (empty when
-    #: no shard ran the population plane).
-    population_stats: Dict[str, int] = field(default_factory=dict)
+    """A :class:`ParallelReport` from a swarm run (drones, not workers)."""
 
     def summary(self) -> str:
         base = super().summary()
@@ -143,20 +130,17 @@ class SwarmTester(ParallelTester):
 
     def _execute(self, shards: Sequence[Any], report: ParallelReport) -> None:
         encoded = [protocol.encode_shard(shard) for shard in shards]
-        stop_at_first_violation = bool(shards[0].stop_at_first_violation)
         if self.control_plane_url is not None:
-            self._run_session(self.control_plane_url, encoded, stop_at_first_violation, report)
+            self._run_session(self.control_plane_url, encoded, report)
             return
         server = ControlPlaneServer(
             heartbeat_timeout=self.heartbeat_timeout,
             split_lagging_after=self.split_lagging_after,
         ).start()
-        fleet = _LocalFleet(server.url, self.drones, processes=self.drone_processes)
+        fleet = LocalFleet(server.plane, self.drones, processes=self.drone_processes,
+                           url=server.url)
         try:
-            # Session first, fleet second: drones find work on their very
-            # first poll instead of burning their idle budget.
-            self._run_session(server.url, encoded, stop_at_first_violation, report,
-                              fleet=fleet)
+            self._run_session(server.url, encoded, report, fleet=fleet)
         finally:
             fleet.stop()
             server.stop()
@@ -165,40 +149,28 @@ class SwarmTester(ParallelTester):
         self,
         url: str,
         encoded_shards: List[Dict[str, Any]],
-        stop_at_first_violation: bool,
         report: ParallelReport,
-        fleet: Optional["_LocalFleet"] = None,
+        fleet: Optional[LocalFleet] = None,
     ) -> None:
         created = post_json(url, "/api/v1/session", {
             "shards": encoded_shards,
-            "stop_at_first_violation": stop_at_first_violation,
+            "stop_at_first_violation": encoded_shards[0]["stop_at_first_violation"],
             "label": getattr(self.harness_factory, "name", ""),
         })
         session_id = created["session"]
         self.last_session, self.last_url = session_id, url
         if fleet is not None:
-            fleet.start()
+            fleet.start()  # after the session: drones find work on their first poll
         deadline = time.monotonic() + self.deadline
-        # Poll the lightweight status endpoint (counters only) while the
-        # session runs, with capped exponential backoff, and fetch the
-        # full record stream exactly once at the end — the old loop
-        # re-serialized every accumulated record on each 50 ms tick,
-        # making the wait quadratic in session size.
+        # Poll the lightweight status endpoint (counters only) with capped
+        # exponential backoff; fetch the full record stream once, at the end.
         poll = 0.01
-        use_status = True
         while True:
-            if use_status:
-                try:
-                    summary = get_json(url, f"/api/v1/session/{session_id}/status")
-                except protocol.ProtocolError:
-                    # A legacy control plane without the status route:
-                    # degrade to polling the full report as before.
-                    use_status = False
-                    continue
-            else:
-                summary = get_json(url, f"/api/v1/session/{session_id}/report")
+            summary = get_json(url, f"/api/v1/session/{session_id}/status")
             if summary["finished"]:
                 break
+            if fleet is not None:
+                fleet.reap()
             if time.monotonic() >= deadline:
                 raise RuntimeError(
                     f"swarm session {session_id} missed its {self.deadline:.0f}s "
@@ -208,87 +180,4 @@ class SwarmTester(ParallelTester):
             poll = min(poll * 2.0, 0.25)
         full = get_json(url, f"/api/v1/session/{session_id}/report")
         self._ingest_report(full, report)
-        if full["failed"] is not None:
-            raise RuntimeError(
-                f"parallel exploration failed in a worker:\n{full['failed']}"
-            )
-
-    def _ingest_report(self, summary: Dict[str, Any], report: ParallelReport) -> None:
-        for record_data in summary["records"]:
-            report.executions.append(protocol.decode_record(record_data))
-        coverage = protocol.decode_coverage(summary["coverage"])
-        if coverage is not None:
-            report.coverage.merge(coverage)
-        report.completed_workers = sum(
-            1 for shard in summary["shards"] if shard["status"] == "done"
-        )
-        if isinstance(report, SwarmReport):
-            report.duplicates = summary["duplicates"]
-            report.events = list(summary["events"])
-            # .get: a legacy control plane's report has no stats section.
-            report.population_stats = dict(summary.get("population_stats") or {})
-        report.invalidate_caches()
-
-
-class _LocalFleet:
-    """The self-hosted drone fleet: N threads or N OS processes."""
-
-    def __init__(self, url: str, drones: int, *, processes: bool) -> None:
-        self.url = url
-        self.count = drones
-        self.processes = processes
-        self._threads: List[threading.Thread] = []
-        self._drones: List[Drone] = []
-        self._procs: List[Any] = []
-
-    def start(self) -> None:
-        if self.processes:
-            context = multiprocessing.get_context(
-                "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-            )
-            for index in range(self.count):
-                process = context.Process(
-                    target=run_drone,
-                    args=(self.url,),
-                    kwargs={
-                        "drone_id": f"proc-drone-{index}",
-                        "worker_index": index,
-                        "exit_when_idle": True,
-                        "idle_timeout": 2.0,
-                        "heartbeat_interval": 0.25,
-                    },
-                    daemon=True,
-                )
-                process.start()
-                self._procs.append(process)
-            return
-        for index in range(self.count):
-            drone = Drone(
-                self.url,
-                drone_id=f"thread-drone-{index}",
-                worker_index=index,
-                exit_when_idle=True,
-                idle_timeout=2.0,
-                heartbeat_interval=0.25,
-            )
-            thread = threading.Thread(target=drone.run, daemon=True)
-            thread.start()
-            self._drones.append(drone)
-            self._threads.append(thread)
-
-    def stop(self) -> None:
-        for drone in self._drones:
-            drone.stop()
-        for thread in self._threads:
-            thread.join(timeout=10.0)
-        for process in self._procs:
-            process.join(timeout=10.0)
-        for process in self._procs:
-            if process.is_alive():  # pragma: no cover - stuck-drone safety net
-                process.terminate()
-                process.join(timeout=5.0)
-
-    @property
-    def handles(self) -> List[Any]:
-        """Raw process handles (fault-injection tests SIGKILL these)."""
-        return list(self._procs)
+        self._raise_if_failed(full, fleet)

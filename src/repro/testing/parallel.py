@@ -1,8 +1,8 @@
 """Parallel systematic testing: shard executions across worker processes.
 
 The serial :class:`~repro.testing.SystematicTester` explores one execution
-at a time in-process.  This module scales the same exploration across a
-pool of worker processes:
+at a time in-process.  This module scales the same exploration across
+worker processes:
 
 * **Random sweeps** are sharded by execution index.  Because
   :class:`~repro.testing.strategies.RandomStrategy` derives execution
@@ -19,42 +19,42 @@ pool of worker processes:
   restricts each worker to its own subtree.  The union of the subtree
   enumerations is exactly the serial enumeration.
 
-Workers stream :class:`~repro.testing.explorer.ExecutionRecord`s back
-through a queue as they finish, so the aggregator can stop the whole pool
-on the first violation.  Every counterexample the pool reports can be
-(and by default is) replayed on the serial engine for confirmation.
+The shards run as one session on a private, in-process
+:class:`~repro.swarm.controlplane.ControlPlane` — the scheduler the HTTP
+swarm and the mission service use.  Each forked worker is a
+:class:`~repro.swarm.drone.Drone` that reaches the plane over a
+``multiprocessing.Pipe`` and streams
+:class:`~repro.testing.explorer.ExecutionRecord`s home as they finish;
+a single-shard run uses one in-process drone thread that calls the
+plane directly.  The plane's ladder heals the pool: a worker that dies
+has its shard re-leased to a survivor, and ingestion keyed by execution
+identity keeps every record exactly once.  With early stop, the first
+ingested violation drains every worker.  Every counterexample the pool
+reports can be (and by default is) replayed on the serial engine for
+confirmation.
 
 Workloads are named through the scenario registry
 (:mod:`repro.testing.scenarios`) so that worker processes can rebuild the
 model under test from a string instead of pickling closures; an arbitrary
-``harness_factory`` is also accepted (it must be picklable under the
-``spawn`` start method — under the default ``fork`` method any callable
-works).
+``harness_factory`` is also accepted (it must be picklable: it travels
+to the workers inside their lease grants).
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_module
 import threading
 import time
-import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.monitor import Violation
-from .coverage import CoverageMap
 from .explorer import ExecutionRecord, ModelInstance, SystematicTester, TestReport
-from .population import PopulationTester
 from .scenarios import scenario_factory
-from .strategies import ChoiceStrategy, ExhaustiveStrategy, RandomStrategy, start_execution
+from .strategies import ChoiceStrategy, ExhaustiveStrategy, RandomStrategy
 
 HarnessFactory = Callable[[], ModelInstance]
-
-#: How often the aggregator wakes up to check that workers are still alive
-#: while waiting for results (seconds).  Executions can legitimately take
-#: long, so liveness — not elapsed time — decides when the pool is dead.
-_POLL_INTERVAL = 0.5
 
 
 # --------------------------------------------------------------------- #
@@ -98,143 +98,6 @@ class _ExhaustiveShard:
     population_size: Optional[int] = None
 
 
-def _warm_start(factory: HarnessFactory) -> Optional[str]:
-    """Build (and discard) one model instance before the shard's real work.
-
-    Scenario builders memoise their immutable parts per process — the
-    shared world geometry and its :class:`~repro.geometry.ClearanceField`
-    (see :mod:`repro.apps.scenarios`) — so one warm build pays the
-    import/registry/geometry cost exactly once per worker instead of
-    inside the first timed execution.  A scenario that cannot even build
-    will never run: the failure is reported immediately (the returned
-    traceback becomes the worker's error payload) instead of resurfacing
-    later as a confusing per-execution error.
-    """
-    try:
-        factory()
-    except Exception:
-        return traceback.format_exc()
-    return None
-
-
-def _worker_main(worker_id: int, shard: Any, result_queue: Any, stop_event: Any) -> None:
-    """Entry point of one worker process: run the shard, stream records back.
-
-    The shard's cumulative coverage map (``None`` when the shard does not
-    track coverage) rides the final ``done`` message — the aggregator
-    merges shard maps in arrival order, which is safe because the merge
-    is order-independent.
-    """
-    try:
-        if not shard.reuse_instances:
-            # The reset-and-reuse path builds (and keeps) its one instance on
-            # the first execution, which *is* the warm start; only the
-            # fresh-build path needs a throwaway build to pre-warm the
-            # per-process scenario memos outside the first timed execution.
-            build_failure = _warm_start(shard.factory)
-            if build_failure is not None:
-                result_queue.put(("error", worker_id, build_failure))
-                return
-        if isinstance(shard, _RandomShard):
-            coverage = _run_random_shard(worker_id, shard, result_queue, stop_event)
-        else:
-            coverage = _run_exhaustive_shard(worker_id, shard, result_queue, stop_event)
-        result_queue.put(("done", worker_id, coverage))
-    except Exception:  # pragma: no cover - surfaced in the parent as RuntimeError
-        result_queue.put(("error", worker_id, traceback.format_exc()))
-
-
-def shard_tester(shard: Any, strategy: Optional[ChoiceStrategy] = None) -> SystematicTester:
-    """Build the tester a shard asks for: serial, or the population plane.
-
-    A shard with ``population_size`` set runs through
-    :class:`~repro.testing.population.PopulationTester` — same reports,
-    compacted execution — with that bound on retained snapshots; others
-    use the plain reset-and-reuse :class:`SystematicTester`.  Shared by
-    the in-host process pool and the swarm drones.
-    """
-    population_size = getattr(shard, "population_size", None)
-    if population_size is not None:
-        return PopulationTester(
-            shard.factory,
-            strategy,
-            max_permuted=shard.max_permuted,
-            monitor_window=shard.monitor_window,
-            reuse_instances=shard.reuse_instances,
-            track_coverage=shard.track_coverage,
-            population_size=population_size,
-        )
-    return SystematicTester(
-        shard.factory,
-        strategy,
-        max_permuted=shard.max_permuted,
-        monitor_window=shard.monitor_window,
-        reuse_instances=shard.reuse_instances,
-        track_coverage=shard.track_coverage,
-    )
-
-
-def _run_random_shard(
-    worker_id: int, shard: _RandomShard, result_queue: Any, stop_event: Any
-) -> Optional[CoverageMap]:
-    # One strategy + one tester for the whole shard: the strategy re-derives
-    # execution *i*'s RNG stream from ``(seed, i)`` at every
-    # ``begin_execution``, so seeking per index reproduces exactly what a
-    # per-index strategy would do, while the tester's reset-and-reuse path
-    # keeps the built model instance warm across the slice.
-    strategy = RandomStrategy(seed=shard.seed, max_executions=shard.max_executions)
-    tester = shard_tester(shard, strategy)
-    for index in shard.indices:
-        if stop_event.is_set():
-            break
-        strategy.seek(index)
-        strategy.begin_execution()
-        record = tester.run_single(index)
-        record.worker = worker_id
-        result_queue.put(("record", worker_id, record))
-        if shard.stop_at_first_violation and not record.ok:
-            stop_event.set()
-            break
-    return tester.coverage if shard.track_coverage else None
-
-
-def _run_exhaustive_shard(
-    worker_id: int, shard: _ExhaustiveShard, result_queue: Any, stop_event: Any
-) -> Optional[CoverageMap]:
-    local_index = 0
-    tester: Optional[SystematicTester] = None
-
-    def coverage() -> Optional[CoverageMap]:
-        if not shard.track_coverage or tester is None:
-            return None
-        return tester.coverage
-
-    for prefix in shard.prefixes:
-        if stop_event.is_set():
-            break
-        strategy = ExhaustiveStrategy(
-            max_depth=shard.max_depth, max_executions=shard.max_executions, prefix=prefix
-        )
-        if tester is None:
-            tester = shard_tester(shard, strategy)
-        else:
-            # Keep the warm model instance; only the subtree changes.
-            tester.strategy = strategy
-        while strategy.has_more_executions():
-            if stop_event.is_set():
-                return coverage()
-            if not start_execution(strategy):
-                break
-            record = tester.run_single(local_index)
-            record.worker = worker_id
-            local_index += 1
-            result_queue.put(("record", worker_id, record))
-            if shard.stop_at_first_violation and not record.ok:
-                stop_event.set()
-                return coverage()
-    return coverage()
-
-
 # --------------------------------------------------------------------- #
 # reports
 # --------------------------------------------------------------------- #
@@ -257,12 +120,18 @@ class ParallelReport(TestReport):
     wall_time: float = 0.0
     partitions: List[Tuple[int, ...]] = field(default_factory=list)
     confirmations: List[ReplayConfirmation] = field(default_factory=list)
-    #: How many workers delivered their final ``done`` payload (and with it
-    #: their partial coverage map).  Early-stopped runs must still drain a
-    #: ``done`` from every worker, or coverage would silently under-report
-    #: relative to the serial tester — the aggregator asserts nothing, but
-    #: tests pin ``completed_workers == workers``.
+    #: How many shards ran to completion (an early stop cancels the rest).
     completed_workers: int = 0
+    #: Duplicate executions the control plane's idempotent ingestion
+    #: dropped (zombie/re-lease/split races; 0 on a healthy run).
+    duplicates: int = 0
+    #: The session's self-healing event log (warnings, re-leases, splits,
+    #: drone deaths) — the report-side view of the escalation ladder.
+    events: List[str] = field(default_factory=list)
+    #: Fleet-wide :class:`~repro.testing.population.PopulationStats`
+    #: counters, summed from every lease's per-drone delta (empty when
+    #: no shard ran the population plane).
+    population_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
     def all_confirmed(self) -> bool:
@@ -288,14 +157,19 @@ def _violation_keys(violations: Sequence[Violation]) -> List[Tuple[float, str, s
 class ParallelTester:
     """Shards a systematic-testing run across worker processes.
 
+    The workers are drones of a private in-process control plane, so a
+    worker that dies mid-shard is healed like a swarm drone: its shard
+    is re-leased to a survivor.  Only when every worker is gone does
+    :meth:`explore` raise, naming their exit codes.
+
     ``scenario`` names a registered scenario (the portable way to describe
     the workload — workers rebuild it by name); alternatively pass
     ``harness_factory`` exactly as for :class:`SystematicTester`.
 
     ``track_coverage=True`` makes every worker feed the coverage plane;
-    the per-shard cumulative maps are merged — the merge adds counts, so
-    the result is independent of worker completion order — into
-    ``report.coverage``.  A random sweep's parallel coverage equals the
+    each streamed record carries its execution's coverage delta, and the
+    deltas of accepted records are summed — addition, so the result is
+    independent of worker completion order — into ``report.coverage``.  A random sweep's parallel coverage equals the
     serial tester's map for the same seed and budget exactly (identical
     per-execution maps, order-independent merge); an exhaustive run's
     map covers every execution the workers actually performed, which can
@@ -311,6 +185,10 @@ class ParallelTester:
     >>> sorted({region for _, _, region in report.coverage.pairs})
     ['R4:nominal', 'R5:safer']
     """
+
+    #: Wall-clock bound on one session (seconds); ``None`` waits as long
+    #: as a live worker remains.
+    deadline: Optional[float] = None
 
     def __init__(
         self,
@@ -506,110 +384,97 @@ class ParallelTester:
     def _execute(self, shards: Sequence[Any], report: ParallelReport) -> None:
         """Run the shards and stream their records into ``report``.
 
-        The base implementation uses an in-host process pool (or runs a
-        single shard inline).  :class:`~repro.swarm.SwarmTester` overrides
-        this hook to distribute the very same shards over a networked
-        drone fleet instead.
+        The shards become one session on a private in-process control
+        plane.  Several shards fork one worker process per shard, each a
+        drone reaching the plane over a pipe; a single shard runs on one
+        in-process drone thread.  :class:`~repro.swarm.SwarmTester`
+        overrides this hook to run the very same session over HTTP.
         """
-        if len(shards) == 1:
-            # One shard: no process overhead, run it inline.
-            self._run_inline(shards[0], report)
-        else:
-            self._run_pool(shards, report)
+        # Imported here: the swarm package builds on this module.
+        from ..swarm import protocol
+        from ..swarm.controlplane import ControlPlane
+        from ..swarm.drone import LocalFleet
 
-    def _run_inline(self, shard: Any, report: ParallelReport) -> None:
-        sink = queue_module.Queue()
-        stop_event = threading.Event()
-        if isinstance(shard, _RandomShard):
-            coverage = _run_random_shard(0, shard, sink, stop_event)
-        else:
-            coverage = _run_exhaustive_shard(0, shard, sink, stop_event)
-        while not sink.empty():
-            _, _, record = sink.get()
-            report.executions.append(record)
+        plane = ControlPlane()
+        finished = threading.Event()
+        plane.add_listener(SimpleNamespace(session_finished=lambda _session: finished.set()))
+        fleet = LocalFleet(plane, len(shards), processes=len(shards) > 1, context=self._context)
+        # The private plane never reaches JSON: factories (any picklable
+        # callable) and records travel as objects.
+        encoded = [protocol.encode_shard(shard, portable=False) for shard in shards]
+        try:
+            self._run_on_plane(plane, encoded, report, finished, fleet=fleet)
+        finally:
+            fleet.stop()
+
+    def _run_on_plane(
+        self,
+        plane: Any,
+        shards: List[Dict[str, Any]],
+        report: ParallelReport,
+        finished: threading.Event,
+        *,
+        fleet: Any = None,
+        on_session: Optional[Callable[[str], None]] = None,
+        label: str = "",
+    ) -> None:
+        """Run one session on an in-process plane and ingest its report.
+
+        Creates the session from the shards' wire form, hands its id to
+        ``on_session``, then starts ``fleet`` (session first: the drones
+        find work on their first poll).  The wait is event-driven:
+        ``finished`` is set by the plane's ``session_finished`` listener.
+        Every 0.25 s the wait also sweeps the healing ladder, reports
+        exited workers and checks :attr:`deadline`.
+        """
+        session_id = plane.create_session(
+            shards,
+            stop_at_first_violation=bool(shards[0]["stop_at_first_violation"]),
+            label=label,
+        )
+        if on_session is not None:
+            on_session(session_id)
+        if fleet is not None:
+            fleet.start()
+        deadline = None if self.deadline is None else time.monotonic() + self.deadline
+        while not finished.wait(timeout=0.25):
+            plane.sweep()  # keep the healing ladder ticking on a quiet fleet
+            if fleet is not None:
+                fleet.reap()
+            if deadline is not None and time.monotonic() >= deadline:
+                raise RuntimeError(
+                    f"session {session_id} missed its {self.deadline:.0f}s deadline"
+                )
+        summary = plane.session_report(session_id)
+        self._ingest_report(summary, report)
+        self._raise_if_failed(summary, fleet)
+
+    def _ingest_report(self, summary: Dict[str, Any], report: ParallelReport) -> None:
+        """Fold a plane's session report (wire form) into ``report``."""
+        from ..swarm import protocol
+
+        for record_data in summary["records"]:
+            report.executions.append(protocol.decode_record(record_data))
+        coverage = protocol.decode_coverage(summary["coverage"])
         if coverage is not None:
             report.coverage.merge(coverage)
-        report.completed_workers += 1
+        report.completed_workers = sum(
+            1 for shard in summary["shards"] if shard["status"] == "done"
+        )
+        report.duplicates = summary["duplicates"]
+        report.events = list(summary["events"])
+        report.population_stats = dict(summary["population_stats"])
+        report.invalidate_caches()
 
-    def _run_pool(self, shards: Sequence[Any], report: ParallelReport) -> None:
-        result_queue = self._context.Queue()
-        stop_event = self._context.Event()
-        processes = [
-            self._context.Process(
-                target=_worker_main,
-                args=(worker_id, shard, result_queue, stop_event),
-                daemon=True,
-            )
-            for worker_id, shard in enumerate(shards)
-        ]
-        for process in processes:
-            process.start()
-        finished = 0
-        failure: Optional[str] = None
-
-        def consume(kind: str, payload: Any) -> None:
-            # One message-handling path for the live loop *and* the
-            # post-mortem drain: an "error" drained after the pool died
-            # must count the worker as finished and keep its traceback,
-            # exactly as if it had arrived while the pool was healthy,
-            # and a late "done" must still merge its partial coverage
-            # (early-stopped runs rely on this to match serial coverage).
-            nonlocal finished, failure
-            if kind == "record":
-                report.executions.append(payload)
-            elif kind == "done":
-                finished += 1
-                report.completed_workers += 1
-                if payload is not None:
-                    report.coverage.merge(payload)
-            else:  # "error"
-                if failure is None:  # the first traceback is the root cause
-                    failure = payload
-                stop_event.set()
-                finished += 1
-
-        try:
-            while finished < len(processes):
-                try:
-                    kind, _worker_id, payload = result_queue.get(timeout=_POLL_INTERVAL)
-                except queue_module.Empty:
-                    if any(process.is_alive() for process in processes):
-                        continue
-                    # Every worker is gone; drain what the feeder threads
-                    # pushed before reporting the crash.  A short timeout
-                    # (not get_nowait) gives a just-died worker's feeder
-                    # pipe time to flush its final messages — otherwise a
-                    # worker's own traceback can be lost in flight and
-                    # masked by the generic pool-death message below.
-                    try:
-                        while True:
-                            kind, _worker_id, payload = result_queue.get(timeout=_POLL_INTERVAL)
-                            consume(kind, payload)
-                    except queue_module.Empty:
-                        pass
-                    if finished < len(processes):
-                        exit_codes = [process.exitcode for process in processes]
-                        if failure is None:
-                            failure = (
-                                "worker pool died without reporting results "
-                                f"(exit codes: {exit_codes})"
-                            )
-                        else:
-                            # Prefer the worker's own traceback; the exit
-                            # codes ride along as context.
-                            failure += f"\n(worker pool exit codes: {exit_codes})"
-                    break
-                consume(kind, payload)
-        finally:
-            stop_event.set()
-            for process in processes:
-                process.join(timeout=10.0)
-            for process in processes:
-                if process.is_alive():  # pragma: no cover - stuck-worker safety net
-                    process.terminate()
-                    process.join(timeout=5.0)
-        if failure is not None:
-            raise RuntimeError(f"parallel exploration failed in a worker:\n{failure}")
+    @staticmethod
+    def _raise_if_failed(summary: Dict[str, Any], fleet: Any) -> None:
+        failure = summary["failed"]
+        if failure is None:
+            return
+        exit_codes = fleet.exit_codes if fleet is not None else []
+        if any(code is not None for code in exit_codes):
+            failure += f"\n(worker exit codes: {exit_codes})"
+        raise RuntimeError(f"parallel exploration failed in a worker:\n{failure}")
 
     def _finalise(self, report: ParallelReport, stop_at_first_violation: bool) -> None:
         """Put streamed records into a deterministic order and reindex.

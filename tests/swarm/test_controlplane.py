@@ -13,7 +13,7 @@ import urllib.request
 import pytest
 
 from repro.swarm import protocol
-from repro.swarm.controlplane import ControlPlane, ControlPlaneServer
+from repro.swarm.controlplane import ControlPlane, ControlPlaneServer, UnknownRoute
 from repro.testing.parallel import _ExhaustiveShard, _RandomShard
 from repro.testing.scenarios import scenario_factory
 
@@ -363,3 +363,41 @@ class TestHttpLayer:
                 status = protocol.loads(response.read(), expect="response")
             assert status["protocol"] == protocol.PROTOCOL_VERSION
             assert status["sessions"] == {}
+
+    def test_unknown_endpoint_is_404(self):
+        with ControlPlaneServer(heartbeat_timeout=5.0) as server:
+            for path in ("/api/v1/nope", "/elsewhere"):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(server.url + path, timeout=5.0)
+                assert excinfo.value.code == 404
+                detail = protocol.loads(excinfo.value.read(), expect="response")
+                assert path in detail["error"]
+
+
+class TestRouteTable:
+    """``ControlPlane.call``: the one entry point of every transport."""
+
+    def test_routes_reach_the_state_machine(self):
+        plane = make_plane(FakeClock())
+        session = plane.call("session", {"shards": [random_shard_wire((0,))], "label": "x"})
+        session = session["session"]
+        grant = plane.call("lease", {"drone": "d0", "poll": 0.0})["lease"]
+        assert grant["session"] == session
+        assert plane.call("heartbeat", {"session": session, "lease": grant["lease"],
+                                        "executions_done": 1})["lease_valid"]
+        record = {"index": 0, "steps": 1, "violations": [], "trail": [0], "worker": 0}
+        plane.call("result", {"session": session, "lease": grant["lease"],
+                              "results": [{"record": record, "coverage": None}],
+                              "done": True})
+        assert plane.call(f"session/{session}/status")["finished"]
+        assert plane.call(f"session/{session}/report")["records"] == [record]
+        assert plane.call("status")["sessions"][session]["label"] == "x"
+
+    def test_malformed_payload_and_unknown_route(self):
+        plane = make_plane(FakeClock())
+        with pytest.raises(protocol.ProtocolError, match="malformed request"):
+            plane.call("lease", None)
+        with pytest.raises(protocol.ProtocolError, match="malformed request"):
+            plane.call("result", {"session": "s1"})
+        with pytest.raises(UnknownRoute):
+            plane.call("session/s1/nope")

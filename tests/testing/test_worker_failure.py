@@ -1,77 +1,154 @@
-"""Fault injection on the process pool's failure paths.
+"""Fault injection on the sharded testers' failure paths.
 
-Pins the three repaired behaviours of ``ParallelTester._run_pool``:
+Both local fabrics run their workers as drones of a control plane — the
+pool's forked workers over a pipe to its private plane, a self-hosted
+``SwarmTester(drone_processes=True)`` over HTTP — so one set of failure
+tests covers both:
 
-* a worker killed mid-shard produces a clean ``RuntimeError`` naming the
-  pool's exit codes (no hang, no silent truncation);
-* a scenario that cannot even build surfaces the *original* traceback
-  through the worker error channel — at warm-start time on the
-  fresh-build path, on the first execution of the reuse path — instead
-  of being swallowed;
-* an early-stopped run still drains every worker's final ``done``
-  payload, so no partial coverage map is silently dropped.
+* a worker SIGKILLed mid-shard is healed: its shard is re-leased to the
+  survivor and the report equals a healthy run's;
+* when every worker dies, ``explore`` raises naming their exit codes
+  (no hang);
+* a scenario that cannot even build surfaces the builder's own
+  traceback, on the fresh-build and the reuse path alike;
+* an early-stopped run's coverage is exactly that of the executions it
+  reports (coverage rides each accepted record).
 """
 
+import dataclasses
 import os
 import signal
 from dataclasses import dataclass
 
 import pytest
 
-from repro.testing import ParallelTester, RandomStrategy
-from repro.testing.scenarios import build_scenario
+from repro.swarm import SwarmTester
+from repro.testing import ParallelTester, RandomStrategy, SystematicTester
+from repro.testing import scenarios
+from repro.testing.scenarios import build_scenario, scenario_factory
+
+#: Builds per process id, so a worker can die after streaming some records
+#: (a forked worker inherits this dict, but not its parent's pid).
+_builds = {}
 
 
 @dataclass(frozen=True)
-class KillOneWorkerFactory:
-    """Picklable factory: the first worker to build SIGKILLs itself."""
+class KillWorkerFactory:
+    """Picklable factory: a worker SIGKILLs itself on its ``kill_at_build``-th build.
+
+    Only the first worker to get there dies, unless ``every_worker``.  The
+    process that made the factory (the test itself) never dies.
+    """
 
     sentinel_dir: str
+    parent_pid: int
+    kill_at_build: int = 1
+    every_worker: bool = False
+
+    scenario = "test-worker-failure-kill"
 
     def __call__(self):
-        marker = os.path.join(self.sentinel_dir, "killed")
-        try:
-            os.mkdir(marker)  # atomic: exactly one worker wins
-        except FileExistsError:
-            pass
-        else:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return build_scenario("toy-closed-loop")
+        pid = os.getpid()
+        _builds[pid] = _builds.get(pid, 0) + 1
+        if pid != self.parent_pid and _builds[pid] == self.kill_at_build:
+            if self.every_worker or _first_to_claim(self.sentinel_dir):
+                os.kill(os.getpid(), signal.SIGKILL)
+        return build_scenario("toy-closed-loop", broken_ttf=True)
 
 
 @dataclass(frozen=True)
 class ExplodingFactory:
     """Picklable factory that can never build its scenario."""
 
+    scenario = "test-worker-failure-explode"
+
     def __call__(self):
         raise ValueError("scenario build exploded")
 
 
-class TestPoolWorkerFailures:
-    def test_sigkilled_worker_raises_naming_exit_codes(self, tmp_path):
-        tester = ParallelTester(
-            harness_factory=KillOneWorkerFactory(str(tmp_path)),
-            strategy=RandomStrategy(seed=0, max_executions=8),
-            workers=2,
-        )
+def _first_to_claim(sentinel_dir):
+    try:
+        os.mkdir(os.path.join(sentinel_dir, "killed"))  # atomic: one winner
+    except FileExistsError:
+        return False
+    return True
+
+
+@pytest.fixture(autouse=True)
+def failing_scenarios(monkeypatch):
+    """Register the failing factories as scenarios for one test only.
+
+    SwarmTester ships workloads by registry name, and forked drones
+    inherit the registry.  The entries go away after the test, so
+    registry-wide sweeps elsewhere never build them.
+    """
+    scenarios.registered_scenarios()  # load the built-ins first
+    for factory in (KillWorkerFactory, ExplodingFactory):
+        monkeypatch.setitem(scenarios._REGISTRY, factory.scenario, scenarios.Scenario(
+            name=factory.scenario,
+            builder=lambda _cls=factory, **fields: _cls(**fields)(),
+            description=factory.__doc__,
+        ))
+
+
+def _tester(fabric, factory, **options):
+    """The same two-worker run on the pool (pipe) or the swarm (HTTP)."""
+    if fabric == "pool":
+        return ParallelTester(harness_factory=factory, workers=2, **options)
+    return SwarmTester(
+        factory.scenario,
+        scenario_overrides=dataclasses.asdict(factory),
+        drones=2,
+        drone_processes=True,
+        **options,
+    )
+
+
+def _keys(report):
+    return [
+        (record.index, tuple(record.trail),
+         tuple((v.time, v.monitor, v.message) for v in record.violations))
+        for record in report.executions
+    ]
+
+
+FABRICS = pytest.mark.parametrize("fabric", ["pool", "swarm"],
+                                  ids=["pool-pipe", "swarm-http"])
+
+
+@FABRICS
+class TestWorkerFailures:
+    def test_sigkilled_worker_is_healed(self, fabric, tmp_path):
+        strategy = dict(strategy=RandomStrategy(seed=0, max_executions=12),
+                        track_coverage=True)
+        healthy = ParallelTester("toy-closed-loop", scenario_overrides={"broken_ttf": True},
+                                 workers=2, **strategy).explore()
+        # Fresh builds: the doomed worker streams two records, then dies
+        # building its third execution.
+        factory = KillWorkerFactory(str(tmp_path), os.getpid(), kill_at_build=3)
+        report = _tester(fabric, factory, reuse_instances=False, **strategy).explore()
+        assert os.path.isdir(tmp_path / "killed")  # a worker really died
+        assert any(event.startswith("re-lease:") for event in report.events), report.events
+        assert _keys(report) == _keys(healthy)
+        assert not report.ok and report.all_confirmed
+        assert report.coverage.counts == healthy.coverage.counts
+
+    def test_every_worker_killed_raises_naming_exit_codes(self, fabric, tmp_path):
+        factory = KillWorkerFactory(str(tmp_path), os.getpid(), every_worker=True)
+        tester = _tester(fabric, factory, strategy=RandomStrategy(seed=0, max_executions=8))
         with pytest.raises(RuntimeError) as excinfo:
             tester.explore()
         message = str(excinfo.value)
         assert "exit codes" in message
-        assert str(-signal.SIGKILL) in message  # the killed worker's -9
+        assert str(-signal.SIGKILL) in message  # the killed workers' -9
 
     @pytest.mark.parametrize("reuse_instances", [False, True],
-                             ids=["warm-start", "reuse-path"])
-    def test_unbuildable_scenario_surfaces_original_traceback(self, reuse_instances):
-        # reuse_instances=False exercises the _warm_start path (which used
-        # to swallow the exception with a bare `except Exception`); the
-        # reuse path hits the same factory inside the first execution.
-        # Both must surface the builder's own traceback, not a generic
-        # pool-death message.
-        tester = ParallelTester(
-            harness_factory=ExplodingFactory(),
+                             ids=["fresh-build", "reuse-path"])
+    def test_unbuildable_scenario_surfaces_original_traceback(self, fabric, reuse_instances):
+        tester = _tester(
+            fabric,
+            ExplodingFactory(),
             strategy=RandomStrategy(seed=0, max_executions=4),
-            workers=2,
             reuse_instances=reuse_instances,
         )
         with pytest.raises(RuntimeError) as excinfo:
@@ -79,29 +156,29 @@ class TestPoolWorkerFailures:
         message = str(excinfo.value)
         assert "ValueError" in message
         assert "scenario build exploded" in message
-        assert "worker pool died without reporting results" not in message
+        assert "no live drone remains" not in message
 
-    def test_early_stop_drains_every_done_payload(self):
-        # Every worker's final "done" message carries its partial coverage
-        # map; an early-stopped aggregation must still collect all of them
-        # or parallel coverage silently under-reports.
-        tester = ParallelTester(
-            "toy-closed-loop",
-            scenario_overrides={"broken_ttf": True},
-            strategy=RandomStrategy(seed=0, max_executions=16),
-            workers=4,
+    def test_early_stop_coverage_matches_the_reported_executions(self, fabric, tmp_path):
+        # Coverage rides each accepted record, so an early-stopped report's
+        # map is exactly the serial coverage of the executions it reports.
+        factory = KillWorkerFactory(str(tmp_path), os.getpid(), kill_at_build=0)  # never kills
+        report = _tester(
+            fabric, factory, strategy=RandomStrategy(seed=0, max_executions=16),
             track_coverage=True,
-        )
-        report = tester.explore(stop_at_first_violation=True)
+        ).explore(stop_at_first_violation=True)
         assert not report.ok
-        assert report.completed_workers == report.workers == 4
+        strategy = RandomStrategy(seed=0, max_executions=16)
+        serial = SystematicTester(scenario_factory("toy-closed-loop", broken_ttf=True),
+                                  strategy, track_coverage=True)
+        for record in report.executions:
+            strategy.seek(record.index)
+            strategy.begin_execution()
+            assert serial.run_single(record.index).trail == record.trail
         assert report.coverage.total_samples > 0
+        assert report.coverage.counts == serial.coverage.counts
 
-    def test_healthy_pool_reports_all_workers_completed(self):
-        tester = ParallelTester(
-            "toy-closed-loop",
-            strategy=RandomStrategy(seed=1, max_executions=8),
-            workers=2,
-        )
-        report = tester.explore()
+    def test_healthy_run_reports_every_shard_completed(self, fabric, tmp_path):
+        factory = KillWorkerFactory(str(tmp_path), os.getpid(), kill_at_build=0)
+        report = _tester(fabric, factory, strategy=RandomStrategy(seed=1, max_executions=8)).explore()
         assert report.completed_workers == report.workers == 2
+        assert report.duplicates == 0 and report.events == []
