@@ -325,7 +325,6 @@ class _MissionRun(ParallelTester):
             track_coverage=bool(spec.get("track_coverage", False)),
             population_size=spec.get("population_size"),
         )
-        self.deadline = service.deadline
         self.service = service
         self.mission = mission
 
@@ -335,6 +334,7 @@ class _MissionRun(ParallelTester):
             [protocol.encode_shard(shard) for shard in shards],
             report,
             self.mission.session_finished,
+            self.service.deadline,
             on_session=lambda session_id: self.service._attach_session(self.mission, session_id),
             label=f"mission {self.mission.mission_id}",
         )

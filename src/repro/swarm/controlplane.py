@@ -318,6 +318,16 @@ class ControlPlane:
             f"after drone {lease.drone_id} {cause}",
         )
 
+    def register(self, drone_id: str) -> None:
+        """Make ``drone_id`` known (a live drone) before its first lease poll."""
+        with self._lock:
+            self._drone(drone_id, self._clock())
+
+    def _drone(self, drone_id: str, now: float) -> DroneState:
+        if drone_id not in self._drones:
+            self._drones[drone_id] = DroneState(drone_id=drone_id, first_seen=now, last_seen=now)
+        return self._drones[drone_id]
+
     def drone_lost(self, drone_id: str) -> None:
         """Bury a drone known to be gone and requeue its lease now.
 
@@ -330,10 +340,7 @@ class ControlPlane:
         """
         with self._lock:
             now = self._clock()
-            drone = self._drones.get(drone_id)
-            if drone is None:
-                drone = DroneState(drone_id=drone_id, first_seen=now, last_seen=now)
-                self._drones[drone_id] = drone
+            drone = self._drone(drone_id, now)
             drone.dead = True
             for lease in [lease for lease in self._leases.values() if lease.drone_id == drone_id]:
                 self._expire_lease(lease, now, cause="exited")
@@ -434,10 +441,7 @@ class ControlPlane:
         self.sweep()
         with self._lock:
             now = self._clock()
-            drone = self._drones.get(drone_id)
-            if drone is None:
-                drone = DroneState(drone_id=drone_id, first_seen=now, last_seen=now)
-                self._drones[drone_id] = drone
+            drone = self._drone(drone_id, now)
             drone.last_seen = now
             if drone.dead:
                 return {"dead": True}

@@ -474,6 +474,14 @@ def relay(plane: Any, connection: Connection) -> None:
             connection.send(reply)
         except OSError:
             return
+        except Exception:  # an unpicklable reply: fail its lease, answer the worker
+            error = traceback.format_exc()
+            if route == "lease" and reply[0] and reply[1]["lease"]:
+                plane.ingest(reply[1]["lease"]["session"], reply[1]["lease"]["lease"], error=error)
+            try:
+                connection.send((False, error))
+            except OSError:
+                return
 
 
 def run_drone(plane: Any, drone_id: Optional[str] = None, **options: Any) -> int:
@@ -512,6 +520,8 @@ class LocalFleet:
         self._lost: set = set()
 
     def start(self) -> None:
+        for drone_id in self.drone_ids:  # so no sibling looks like the last live drone
+            self.plane.register(drone_id)
         options = {"exit_when_idle": False, "heartbeat_interval": 0.25}
         for index, drone_id in enumerate(self.drone_ids):
             if not self.processes:

@@ -43,6 +43,7 @@ to the workers inside their lease grants).
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import threading
 import time
 from dataclasses import dataclass, field
@@ -164,7 +165,8 @@ class ParallelTester:
 
     ``scenario`` names a registered scenario (the portable way to describe
     the workload — workers rebuild it by name); alternatively pass
-    ``harness_factory`` exactly as for :class:`SystematicTester`.
+    ``harness_factory`` as for :class:`SystematicTester` (picklable, when
+    several workers each receive it over a pipe).
 
     ``track_coverage=True`` makes every worker feed the coverage plane;
     each streamed record carries its execution's coverage delta, and the
@@ -185,10 +187,6 @@ class ParallelTester:
     >>> sorted({region for _, _, region in report.coverage.pairs})
     ['R4:nominal', 'R5:safer']
     """
-
-    #: Wall-clock bound on one session (seconds); ``None`` waits as long
-    #: as a live worker remains.
-    deadline: Optional[float] = None
 
     def __init__(
         self,
@@ -395,6 +393,11 @@ class ParallelTester:
         from ..swarm.controlplane import ControlPlane
         from ..swarm.drone import LocalFleet
 
+        if len(shards) > 1:
+            try:  # each forked worker receives the factory pickled over its pipe
+                pickle.dumps(self.harness_factory)
+            except Exception as error:
+                raise TypeError(f"several workers need a picklable harness_factory: {error}") from error
         plane = ControlPlane()
         finished = threading.Event()
         plane.add_listener(SimpleNamespace(session_finished=lambda _session: finished.set()))
@@ -403,7 +406,7 @@ class ParallelTester:
         # callable) and records travel as objects.
         encoded = [protocol.encode_shard(shard, portable=False) for shard in shards]
         try:
-            self._run_on_plane(plane, encoded, report, finished, fleet=fleet)
+            self._run_on_plane(plane, encoded, report, finished, None, fleet=fleet)
         finally:
             fleet.stop()
 
@@ -413,6 +416,7 @@ class ParallelTester:
         shards: List[Dict[str, Any]],
         report: ParallelReport,
         finished: threading.Event,
+        deadline: Optional[float],
         *,
         fleet: Any = None,
         on_session: Optional[Callable[[str], None]] = None,
@@ -425,7 +429,7 @@ class ParallelTester:
         find work on their first poll).  The wait is event-driven:
         ``finished`` is set by the plane's ``session_finished`` listener.
         Every 0.25 s the wait also sweeps the healing ladder, reports
-        exited workers and checks :attr:`deadline`.
+        exited workers and checks ``deadline`` (seconds, or ``None``).
         """
         session_id = plane.create_session(
             shards,
@@ -436,15 +440,13 @@ class ParallelTester:
             on_session(session_id)
         if fleet is not None:
             fleet.start()
-        deadline = None if self.deadline is None else time.monotonic() + self.deadline
+        give_up = None if deadline is None else time.monotonic() + deadline
         while not finished.wait(timeout=0.25):
             plane.sweep()  # keep the healing ladder ticking on a quiet fleet
             if fleet is not None:
                 fleet.reap()
-            if deadline is not None and time.monotonic() >= deadline:
-                raise RuntimeError(
-                    f"session {session_id} missed its {self.deadline:.0f}s deadline"
-                )
+            if give_up is not None and time.monotonic() >= give_up:
+                raise RuntimeError(f"session {session_id} missed its {deadline:.0f}s deadline")
         summary = plane.session_report(session_id)
         self._ingest_report(summary, report)
         self._raise_if_failed(summary, fleet)

@@ -90,8 +90,40 @@ class TestPipeTransport:
         assert not relay_thread.is_alive()
         parent_end.close()
 
+    def test_an_unpicklable_grant_fails_its_lease_instead_of_hanging(self):
+        plane = ControlPlane()
+        session = plane.create_session([
+            {"kind": "random", "seed": 0, "indices": [0], "max_executions": 1,
+             "factory": lambda: None},
+        ])
+        parent_end, child_end = multiprocessing.Pipe()
+        relay_thread = threading.Thread(target=relay, args=(plane, parent_end), daemon=True)
+        relay_thread.start()
+        transport = PipeTransport(child_end)
+        with pytest.raises(ProtocolError, match="pickle"):
+            transport("lease", {"drone": "worker", "poll": 0.0})
+        assert "pickle" in plane.session_status(session)["failed"]
+        assert transport("status", None)["sessions"]  # the relay carries on
+        child_end.close()
+        relay_thread.join(timeout=5.0)
+        parent_end.close()
+
     def test_a_closed_pipe_is_an_unavailable_plane(self):
         parent_end, child_end = multiprocessing.Pipe()
         parent_end.close()
         with pytest.raises(SwarmUnavailable):
             PipeTransport(child_end)("status", None)
+
+
+def test_a_registered_sibling_keeps_the_session_alive():
+    # A fleet registers every drone up front: one that dies before its
+    # sibling's first poll is not the last live drone.
+    plane = ControlPlane()
+    session = plane.create_session([
+        {"kind": "random", "seed": 0, "indices": [0], "max_executions": 1},
+    ])
+    plane.register("first")
+    plane.register("second")
+    plane.drone_lost("first")
+    assert plane.session_status(session)["failed"] is None
+    assert not plane.status()["drones"]["second"]["dead"]

@@ -12,12 +12,15 @@ tests covers both:
 * a scenario that cannot even build surfaces the builder's own
   traceback, on the fresh-build and the reuse path alike;
 * an early-stopped run's coverage is exactly that of the executions it
-  reports (coverage rides each accepted record).
+  reports (coverage rides each accepted record);
+* an unpicklable pool factory is refused up front, not left to hang the
+  pipe.
 """
 
 import dataclasses
 import os
 import signal
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -91,14 +94,14 @@ def failing_scenarios(monkeypatch):
         ))
 
 
-def _tester(fabric, factory, **options):
-    """The same two-worker run on the pool (pipe) or the swarm (HTTP)."""
+def _tester(fabric, factory, workers=2, **options):
+    """The same run on the pool (pipe) or the swarm (HTTP)."""
     if fabric == "pool":
-        return ParallelTester(harness_factory=factory, workers=2, **options)
+        return ParallelTester(harness_factory=factory, workers=workers, **options)
     return SwarmTester(
         factory.scenario,
         scenario_overrides=dataclasses.asdict(factory),
-        drones=2,
+        drones=workers,
         drone_processes=True,
         **options,
     )
@@ -163,7 +166,7 @@ class TestWorkerFailures:
         # map is exactly the serial coverage of the executions it reports.
         factory = KillWorkerFactory(str(tmp_path), os.getpid(), kill_at_build=0)  # never kills
         report = _tester(
-            fabric, factory, strategy=RandomStrategy(seed=0, max_executions=16),
+            fabric, factory, workers=4, strategy=RandomStrategy(seed=0, max_executions=16),
             track_coverage=True,
         ).explore(stop_at_first_violation=True)
         assert not report.ok
@@ -182,3 +185,25 @@ class TestWorkerFailures:
         report = _tester(fabric, factory, strategy=RandomStrategy(seed=1, max_executions=8)).explore()
         assert report.completed_workers == report.workers == 2
         assert report.duplicates == 0 and report.events == []
+
+
+def test_unpicklable_pool_factory_fails_promptly():
+    tester = ParallelTester(
+        harness_factory=lambda: build_scenario("toy-closed-loop"),
+        strategy=RandomStrategy(seed=0, max_executions=4),
+        workers=2,
+    )
+    started = time.monotonic()
+    with pytest.raises(TypeError, match="picklable harness_factory"):
+        tester.explore()
+    assert time.monotonic() - started < 5.0
+
+
+def test_single_worker_pool_runs_an_unpicklable_factory():
+    # One shard runs on an in-process drone thread: nothing is pickled.
+    report = ParallelTester(
+        harness_factory=lambda: build_scenario("toy-closed-loop", broken_ttf=True),
+        strategy=RandomStrategy(seed=0, max_executions=4),
+        workers=1,
+    ).explore()
+    assert len(report.executions) == 4
