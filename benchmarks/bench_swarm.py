@@ -2,14 +2,16 @@
 
 The swarm runs the exact shard descriptions the in-host
 :class:`~repro.testing.ParallelTester` ships to its process pool, but
-over an HTTP control plane with heartbeats, streamed per-execution
-results and idempotent ingestion.  This benchmark measures what that
+over an HTTP control plane with heartbeats, results streamed in
+windows and idempotent ingestion.  This benchmark measures what that
 buys and costs on one host:
 
 * the same ``drone-surveillance`` random sweep through the pool and
   through a localhost 2-drone swarm — wall time, executions/s, and the
   swarm's protocol overhead factor (expected: same order of magnitude;
-  the swarm pays one HTTP round trip per execution);
+  a drone posts its results in windows of up to 16 executions), and
+  the serial :class:`~repro.testing.SystematicTester` on the same sweep
+  as the single-core reference (reported, not asserted);
 * fidelity on the unsafe variant — the swarm's counterexamples replay
   on the serial engine and its report matches the pool's exactly.
 
@@ -25,7 +27,7 @@ import time
 import pytest
 
 from repro.swarm import SwarmTester
-from repro.testing import ParallelTester, RandomStrategy
+from repro.testing import ParallelTester, RandomStrategy, SystematicTester, scenario_factory
 
 SCENARIO = "drone-surveillance"
 HORIZON = 2.0
@@ -59,27 +61,44 @@ def _swarm_sweep(**extra_overrides):
     return report, time.perf_counter() - started
 
 
+def _serial_sweep():
+    tester = SystematicTester(
+        scenario_factory(SCENARIO, horizon=HORIZON),
+        RandomStrategy(seed=SEED, max_executions=EXECUTIONS),
+        track_coverage=True,
+    )
+    started = time.perf_counter()
+    report = tester.explore()
+    return report, time.perf_counter() - started
+
+
 @pytest.mark.benchmark(group="swarm")
 def test_swarm_throughput_vs_pool(benchmark, table_printer, benchmark_gate):
-    def run_both():
-        return _pool_sweep(), _swarm_sweep()
+    def run_all():
+        return _pool_sweep(), _swarm_sweep(), _serial_sweep()
 
-    (pool, pool_s), (swarm, swarm_s) = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    (pool, pool_s), (swarm, swarm_s), (serial, serial_s) = benchmark.pedantic(
+        run_all, rounds=1, iterations=1
+    )
     benchmark_gate("swarm/pool-2-workers", pool_s)
     benchmark_gate("swarm/localhost-2-drones", swarm_s)
     table_printer(
         f"Swarm vs pool: {EXECUTIONS}-execution random sweep of '{SCENARIO}'",
-        ["configuration", "wall time [s]", "executions/s", "overhead vs pool"],
+        ["configuration", "wall time [s]", "executions/s", "ratio"],
         [
-            ["ParallelTester, 2 workers", f"{pool_s:.2f}", f"{EXECUTIONS / pool_s:.0f}", "1.00x"],
+            ["ParallelTester, 2 workers", f"{pool_s:.2f}", f"{EXECUTIONS / pool_s:.0f}",
+             "1.00x pool"],
             ["SwarmTester, 2 localhost drones", f"{swarm_s:.2f}",
-             f"{EXECUTIONS / swarm_s:.0f}", f"{swarm_s / pool_s:.2f}x"],
+             f"{EXECUTIONS / swarm_s:.0f}", f"{swarm_s / pool_s:.2f}x pool"],
+            ["SystematicTester, serial", f"{serial_s:.2f}", f"{EXECUTIONS / serial_s:.0f}",
+             f"{serial_s / pool_s:.2f}x pool"],
+            ["swarm / serial", "", "", f"{swarm_s / serial_s:.2f}x"],
         ],
     )
     # Fidelity is the point; speed parity is reported, not asserted.
     assert sorted(tuple(r.trail) for r in swarm.executions) == \
         sorted(tuple(r.trail) for r in pool.executions)
-    assert swarm.coverage.counts == pool.coverage.counts
+    assert swarm.coverage.counts == pool.coverage.counts == serial.coverage.counts
     assert swarm.duplicates == 0
 
 

@@ -92,16 +92,18 @@ class _MissionHandler(_Handler):
             batch, done = service.events_after(
                 mission_id, cursor, timeout=_STREAM_POLL
             )
-            for event in batch:
-                self._write_chunk(json.dumps(event, sort_keys=True) + "\n")
-                cursor = event["seq"]
+            if batch:
+                self._write_chunk("".join(
+                    json.dumps(event, sort_keys=True) + "\n" for event in batch
+                ))
+                cursor = batch[-1]["seq"]
             if done and not batch:
                 break
         self.wfile.write(b"0\r\n\r\n")
         self.wfile.flush()
 
-    def _write_chunk(self, line: str) -> None:
-        data = line.encode("utf-8")
+    def _write_chunk(self, text: str) -> None:
+        data = text.encode("utf-8")
         self.wfile.write(f"{len(data):X}\r\n".encode("ascii") + data + b"\r\n")
         self.wfile.flush()
 

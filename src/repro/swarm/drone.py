@@ -4,10 +4,13 @@ A drone is one exploration worker on one host.  It long-polls the
 control plane (:mod:`repro.swarm.controlplane`) for a shard lease,
 rebuilds the workload from the shard description, runs it on the warm
 reset-and-reuse :class:`~repro.testing.SystematicTester` (or the
-population plane), and streams each
-:class:`~repro.testing.explorer.ExecutionRecord` (plus the execution's
-own coverage delta) back as it finishes.  ``Drone._run_lease`` is the
-one shard loop of every sharded tester.  While a shard runs, a
+population plane), and streams the
+:class:`~repro.testing.explorer.ExecutionRecord` items (each with its
+execution's own coverage delta) back in windows: one post carries up to
+:data:`RESULT_WINDOW` items, none held longer than
+:data:`RESULT_WINDOW_S`, and a lease's first record and every violating
+record go out at once.  ``Drone._run_lease`` is the one shard loop of
+every sharded tester.  While a shard runs, a
 background thread posts proof-of-life heartbeats; the responses carry
 the control plane's directives — ``stop`` (a violation ended the
 session: drain and release the lease) and ``keep_prefixes`` (an
@@ -38,11 +41,9 @@ import time
 import traceback
 import urllib.error
 import urllib.request
-from collections import Counter
 from multiprocessing.connection import Connection
 from typing import Any, Callable, Dict, List, Optional, Union
 
-from ..testing.coverage import CoverageMap
 from ..testing.explorer import SystematicTester
 from ..testing.parallel import _RandomShard
 from ..testing.population import PopulationTester
@@ -50,6 +51,13 @@ from ..testing.strategies import ExhaustiveStrategy, RandomStrategy, start_execu
 from . import protocol
 
 _DRONE_IDS = itertools.count(1)
+
+#: Streamed items (record plus coverage delta) a lease buffers before it
+#: posts them in one ``result`` call.
+RESULT_WINDOW = 16
+#: The longest, in seconds, an item waits in a lease's buffer; checked
+#: after each execution.  It also caps what a dead drone forfeits.
+RESULT_WINDOW_S = 0.05
 
 
 # --------------------------------------------------------------------- #
@@ -226,15 +234,18 @@ class Drone:
                 completed = self._run_random(session_id, lease_id, shard, state)
             else:
                 completed = self._run_exhaustive(session_id, lease_id, shard, state)
-            flags: Dict[str, Any] = {"done": completed, "released": not completed}
+            flags: Dict[str, Any] = {
+                "done": completed, "released": not completed, "results": state.take_window(),
+            }
             stats_delta = protocol.population_stats_delta(tester, stats_before)
             if stats_delta is not None:
                 flags["population_stats"] = stats_delta
             self._finish(session_id, lease_id, **flags)
         except SwarmUnavailable:
-            pass  # lease will expire and be re-leased; results so far are ingested
+            pass  # the lease expires and is re-leased; posted windows stay ingested
         except Exception:
-            self._finish(session_id, lease_id, error=traceback.format_exc())
+            self._finish(session_id, lease_id, results=state.take_window(),
+                         error=traceback.format_exc())
         finally:
             state.finished.set()
             heartbeat.join(timeout=2.0 * self.heartbeat_interval + 1.0)
@@ -252,6 +263,9 @@ class Drone:
 
     def _finish(self, session_id: str, lease_id: int, **flags: Any) -> None:
         """Post the lease's final "done"/result flags, retrying transient blips.
+
+        The flags carry the lease's still-open result window; a resent
+        window is harmless, as ingestion drops duplicate executions.
 
         This post is what turns a *finished* shard into a *completed*
         lease — silently dropping it on one ``SwarmUnavailable`` would
@@ -329,34 +343,34 @@ class Drone:
         lease_id: int,
         tester: SystematicTester,
         record: Any,
-        coverage_before: Optional[Counter],
         state: "_LeaseState",
     ) -> bool:
-        """Post one record (+ its coverage delta); True means keep going."""
-        coverage = None
-        if coverage_before is not None:
-            delta = CoverageMap(counts=Counter(tester.coverage.counts))
-            delta.counts.subtract(coverage_before)
-            delta.counts = +delta.counts  # drop zero entries
-            coverage = protocol.encode_coverage(delta)
-        directives = self._post(
-            "/api/v1/result",
-            {
-                "session": session_id,
-                "lease": lease_id,
-                "results": [{
-                    "record": protocol.encode_record(record, portable=self._call is None),
-                    "coverage": coverage,
-                }],
-            },
-        )
-        state.apply(directives)
-        return not state.stop_requested and not self._stop.is_set()
+        """Buffer one record (+ its coverage delta); True means keep going.
 
-    def _snapshot(self, tester: SystematicTester, shard: Any) -> Optional[Counter]:
-        if not shard.track_coverage:
-            return None
-        return Counter(tester.coverage.counts)
+        The window is posted when it is full or its oldest item is
+        :data:`RESULT_WINDOW_S` old, and at once for the lease's first
+        record and for a violating one, so the first result and
+        ``stop_at_first_violation`` keep their latency.
+        """
+        coverage = None
+        if tester.track_coverage:
+            coverage = protocol.encode_coverage(tester.last_execution_coverage)
+        state.buffer({
+            "record": protocol.encode_record(record, portable=self._call is None),
+            "coverage": coverage,
+        })
+        if (
+            record.violations
+            or state.executions_done == 1
+            or len(state.window) >= RESULT_WINDOW
+            or time.monotonic() - state.window_opened >= RESULT_WINDOW_S
+        ):
+            directives = self._post(
+                "/api/v1/result",
+                {"session": session_id, "lease": lease_id, "results": state.take_window()},
+            )
+            state.apply(directives)
+        return not state.stop_requested and not self._stop.is_set()
 
     def _run_random(
         self, session_id: str, lease_id: int, shard: _RandomShard, state: "_LeaseState"
@@ -367,13 +381,12 @@ class Drone:
         for index in shard.indices:
             if state.stop_requested or self._stop.is_set():
                 return False
-            before = self._snapshot(tester, shard)
             strategy.seek(index)
             strategy.begin_execution()
             record = tester.run_single(index)
             record.worker = self.worker_index
             state.executions_done += 1
-            if not self._stream(session_id, lease_id, tester, record, before, state):
+            if not self._stream(session_id, lease_id, tester, record, state):
                 # A violation may legitimately end the session; the shard
                 # is complete iff this was its last index anyway.
                 return index == shard.indices[-1]
@@ -400,12 +413,11 @@ class Drone:
                     return False
                 if not start_execution(strategy):
                     break
-                before = self._snapshot(tester, shard)
                 record = tester.run_single(local_index)
                 record.worker = self.worker_index
                 local_index += 1
                 state.executions_done += 1
-                if not self._stream(session_id, lease_id, tester, record, before, state):
+                if not self._stream(session_id, lease_id, tester, record, state):
                     return False
             position += 1
             state.prefixes_done = position
@@ -424,6 +436,18 @@ class _LeaseState:
         self.executions_done = 0
         self.prefixes_done = 0
         self.keep_prefixes = initial_prefixes if initial_prefixes else 1
+        #: Streamed items not yet posted, and when the oldest was buffered.
+        self.window: List[Dict[str, Any]] = []
+        self.window_opened = 0.0
+
+    def buffer(self, item: Dict[str, Any]) -> None:
+        if not self.window:
+            self.window_opened = time.monotonic()
+        self.window.append(item)
+
+    def take_window(self) -> List[Dict[str, Any]]:
+        window, self.window = self.window, []
+        return window
 
     def apply(self, directives: Dict[str, Any]) -> None:
         if directives.get("stop"):

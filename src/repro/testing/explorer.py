@@ -289,6 +289,9 @@ class SystematicTester:
         #: Cumulative coverage of every execution this tester ran (reset at
         #: the start of each :meth:`explore`); empty unless tracking is on.
         self.coverage = CoverageMap()
+        #: The map :meth:`_credit_coverage` credited last: the coverage of
+        #: the latest execution while tracking is on.
+        self.last_execution_coverage = CoverageMap()
         # Reused across executions on the hot path: the built instance,
         # its engine, the strategy-bound scheduler, and the violation
         # accumulation buffer (cleared, never reallocated).
@@ -461,6 +464,7 @@ class SystematicTester:
 
     def _credit_coverage(self, execution_coverage: CoverageMap) -> None:
         """Fold one execution's coverage into the sweep and the strategy."""
+        self.last_execution_coverage = execution_coverage
         self.coverage.merge(execution_coverage)
         observe = getattr(self.strategy, "observe_coverage", None)
         if observe is not None:
