@@ -23,12 +23,14 @@ Expectations (asserted):
 from __future__ import annotations
 
 import random
+import statistics
 import time
 
 import numpy as np
 import pytest
 
 from repro.geometry import OccupancyGrid, points_as_array
+from repro.apps.scenarios import _shared_world
 from repro.dynamics import BoundedDoubleIntegrator, DoubleIntegratorParams, DroneState
 from repro.geometry.vec import Vec3
 from repro.reachability import WorstCaseReachability, states_as_arrays
@@ -38,6 +40,7 @@ from repro.testing import RandomStrategy, SystematicTester, scenario_factory
 POINTS = 2000
 REPEATS = 5
 SWEEP_EXECUTIONS = 120
+SWEEP_ROUNDS = 3
 HORIZON = 2.0
 SEED = 11
 
@@ -199,26 +202,41 @@ def test_explorer_throughput_improves(benchmark, table_printer, benchmark_gate):
     """The point of the refactor: more explored executions per second."""
 
     def measure():
-        legacy = _sweep(use_query_cache=False, monitor_window=1)  # pre-PR configuration
-        cached = _sweep(use_query_cache=True, monitor_window=1)  # current defaults
-        windowed = _sweep(use_query_cache=True, monitor_window=64)  # opt-in windowing
-        return legacy, cached, windowed
+        # Build (and densify) the shared world up front: that one-off
+        # sweep is per-process setup, and it would otherwise land inside
+        # whichever cached sweep runs first.
+        _shared_world()
+        rounds = []
+        for _ in range(SWEEP_ROUNDS):  # alternate, so drift hits all three alike
+            rounds.append(
+                (
+                    _sweep(use_query_cache=False, monitor_window=1),  # pre-PR configuration
+                    _sweep(use_query_cache=True, monitor_window=1),  # current defaults
+                    _sweep(use_query_cache=True, monitor_window=64),  # opt-in windowing
+                )
+            )
+        return rounds
 
-    legacy, cached, windowed = benchmark.pedantic(measure, rounds=1, iterations=1)
+    rounds = benchmark.pedantic(measure, rounds=1, iterations=1)
+    legacy, cached, windowed = (statistics.median(column) for column in zip(*rounds))
+    ratios = [old / new for old, new, _ in rounds]
+    speedup = statistics.median(ratios)
     table_printer(
-        f"Explorer throughput: {SWEEP_EXECUTIONS}-execution 'drone-surveillance' sweep",
+        f"Explorer throughput: {SWEEP_EXECUTIONS}-execution 'drone-surveillance' sweep "
+        f"(median of {SWEEP_ROUNDS} alternating rounds)",
         ["configuration", "wall time [s]", "executions/s", "speedup"],
         [
             ["scalar plane, per-step monitors (pre-PR)", f"{legacy:.2f}",
              f"{SWEEP_EXECUTIONS / legacy:.0f}", "1.00x"],
             ["cached ClearanceField, per-step monitors (default)", f"{cached:.2f}",
-             f"{SWEEP_EXECUTIONS / cached:.0f}", f"{legacy / cached:.2f}x"],
+             f"{SWEEP_EXECUTIONS / cached:.0f}",
+             f"{speedup:.2f}x (rounds: {', '.join(f'{r:.2f}' for r in ratios)})"],
             ["cached ClearanceField + windowed monitors (window=64)", f"{windowed:.2f}",
              f"{SWEEP_EXECUTIONS / windowed:.0f}", f"{legacy / windowed:.2f}x"],
         ],
     )
     benchmark_gate("reachability-batch/explorer-sweep", cached)
-    assert legacy / cached >= 1.1, (
+    assert speedup >= 1.1, (
         f"expected the cached plane to improve explorer throughput, "
-        f"measured {legacy / cached:.2f}x"
+        f"measured a median of {speedup:.2f}x"
     )

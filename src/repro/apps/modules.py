@@ -27,7 +27,7 @@ from ..core.module import ModuleCertificate, RTAModuleSpec
 from ..core.node import Node
 from ..core.specs import SafetySpec
 from ..dynamics import BatteryModel, BatteryState, DroneState, DynamicsModel
-from ..geometry import Vec3, Workspace
+from ..geometry import Vec3, Workspace, state_memo
 from ..planning import PlanValidator
 from ..planning.faulty import Planner
 from ..reachability import (
@@ -139,28 +139,37 @@ def build_safe_motion_primitive(
     def _positions(states: Sequence[DroneState]):
         return [s.position.as_tuple() for s in states]
 
+    def _verdict(predicate):
+        # On the cached plane each predicate judges a state object once:
+        # the DM, the monitors and the coverage plane then share the verdict.
+        return state_memo(workspace, predicate) if field is not None else predicate
+
     safe_spec: SafetySpec[DroneState] = SafetySpec(
         name="phi_obs",
-        predicate=lambda state: _clearance_exceeds(state.position, config.collision_margin),
+        predicate=_verdict(
+            lambda state: _clearance_exceeds(state.position, config.collision_margin)
+        ),
         description="the drone is outside every obstacle and inside the workspace",
         batch_predicate=lambda states: workspace.clearance_batch(_positions(states))
         > config.collision_margin,
     )
     safer_spec: SafetySpec[DroneState] = SafetySpec(
         name="phi_obs_safer",
-        predicate=lambda state: _clearance_exceeds(state.position, safer_clearance),
+        predicate=_verdict(lambda state: _clearance_exceeds(state.position, safer_clearance)),
         description=f"clearance exceeds the 2Δ worst-case travel distance ({safer_clearance:.2f} m)",
         batch_predicate=lambda states: workspace.clearance_batch(_positions(states))
         > safer_clearance,
     )
 
-    def ttf(state: DroneState) -> bool:
+    def _ttf(state: DroneState) -> bool:
         # Switch while the safe controller can still brake: worst-case travel
         # over 2Δ plus the stopping distance from the speed attainable then
         # (the value-function-style switching surface; see
         # WorstCaseReachability.unavoidable_travel_radius).
         radius = reach.unavoidable_travel_radius(state, two_delta) + config.ttf_margin
         return not _clearance_exceeds(state.position, radius + config.collision_margin)
+
+    ttf = _verdict(_ttf)
 
     safe_tracker = SafeWaypointTracker(
         params=tracker_params,

@@ -39,7 +39,7 @@ from ..dynamics import (
     DoubleIntegratorParams,
     DroneState,
 )
-from ..geometry import Vec3
+from ..geometry import Vec3, state_memo
 from ..planning import FaultyPlanner, GridAStarPlanner, PlannerBug, RRTStarPlanner
 from ..reachability import WorstCaseReachability, states_as_arrays, synthesize_safe_tracker
 from ..runtime.faults import ChoiceFaultInjector, FaultInjector, FaultSite, FaultSpec
@@ -451,6 +451,9 @@ def _vehicle_monitors(
             return field.exceeds(state.position, 0.0)
         return workspace.clearance(state.position) > 0.0
 
+    if field is not None:
+        _phi_obs = state_memo(workspace, _phi_obs)  # one verdict per state object
+
     def _phi_obs_batch(states):
         positions = [s.position.as_tuple() for s in states]
         return workspace.clearance_batch(positions) > 0.0
@@ -473,6 +476,9 @@ def _vehicle_monitors(
             return reach.may_leave_safe(
                 state, workspace, horizon, margin=config.collision_margin, field=field
             )
+
+        if field is not None:
+            _may_leave = state_memo(workspace, _may_leave)
 
         def _may_leave_batch(states, horizon: float):
             positions, speeds = states_as_arrays(states)

@@ -40,8 +40,12 @@ def classify_region(spec: RTAModuleSpec, state: Any) -> Region:
 
     The classification asks the module's own predicates (φ_safe, φ_safer,
     ``ttf_2Δ``) in precedence order, so it costs at most three spec
-    evaluations — all of which route through the cached safety-query
-    plane for the drone modules.  The testing engine's coverage plane
+    evaluations.  For the drone modules on the cached safety-query plane
+    each predicate memoizes its verdict per state object
+    (:func:`~repro.geometry.clearance.state_memo`, keyed on the state by
+    identity, the workspace's obstacle count and any extra arguments), so
+    a verdict the decision module or a monitor already reached on the same
+    state costs nothing here.  The testing engine's coverage plane
     (:mod:`repro.testing.coverage`) samples this at every monitor instant
     to build ``(vehicle, mode, region)`` occupancy maps.
 

@@ -20,7 +20,7 @@ from .shapes import (
     min_distance_to_boxes,
     points_as_array,
 )
-from .clearance import ClearanceField, ClearanceFieldStats
+from .clearance import ClearanceField, ClearanceFieldStats, state_memo
 from .workspace import (
     Workspace,
     corridor_workspace,
@@ -57,6 +57,7 @@ __all__ = [
     "points_as_array",
     "ClearanceField",
     "ClearanceFieldStats",
+    "state_memo",
     "Workspace",
     "corridor_workspace",
     "empty_workspace",

@@ -21,6 +21,14 @@ Cells are filled lazily, so the field warms up with the traffic it
 actually sees; sharing one workspace instance across executions (see
 :func:`repro.apps.scenarios._shared_world`) keeps the cache warm for a
 whole worker process.
+
+:func:`state_memo` sits one level above the field: a one-entry memo of a
+whole safety predicate's verdict, keyed on the state object (by ``is``),
+the workspace's obstacle count (the field's freshness rule) and any extra
+arguments.  The drone modules wrap their φ/``ttf`` predicates with it so
+the decision module, the monitors and the coverage plane share one verdict
+per state.  It lives in each model instance's closures, never on the
+field: the field is shared by every thread of a process, the memo is not.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -39,6 +47,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .workspace import Workspace
 
 Cell = Tuple[int, int, int]
+R = TypeVar("R")
 
 
 @dataclass
@@ -331,3 +340,37 @@ class ClearanceField:
     def prewarm(self, points: np.ndarray) -> None:
         """Fill the cells covering ``points`` ahead of time (one batched query)."""
         self.lower_bound_batch(points)
+
+
+def state_memo(workspace: "Workspace", fn: Callable[..., R]) -> Callable[..., R]:
+    """One-entry memo of a pure safety predicate ``fn(state, *args)``.
+
+    The drone modules judge the same monitored state several times per
+    period: the decision module's ``ttf_2Δ``/φ_safer checks, the φ_obs and
+    φ_Inv monitors, and the coverage plane's :func:`classify_region`.  For a
+    frozen state object the verdict depends on nothing but the state, the
+    extra arguments (e.g. a horizon) and the static workspace, so the memo
+    keys on *the state object* (by ``is``, with a reference held so the
+    object cannot be recycled), the extra arguments, and the workspace's
+    obstacle count — the same freshness rule as :class:`ClearanceField`, so
+    ``Workspace.add_obstacle`` makes the next query recompute.
+
+    The memo is one tuple assigned in a single statement (the
+    :attr:`DronePlant.clearance` idiom), so a concurrent reader sees either
+    the old or the new entry, never a mix.  Build one per predicate per
+    model instance: a memo on the process-shared field would be traded
+    between the drone threads of a mission server and gain nothing.
+    """
+    memo: Optional[Tuple[Any, int, tuple, R]] = None
+
+    def memoized(state: Any, *args: Any) -> R:
+        nonlocal memo
+        count = len(workspace.obstacles)
+        entry = memo
+        if entry is not None and entry[0] is state and entry[1] == count and entry[2] == args:
+            return entry[3]
+        value = fn(state, *args)
+        memo = (state, count, args, value)
+        return value
+
+    return memoized

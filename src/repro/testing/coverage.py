@@ -197,7 +197,8 @@ class CoverageTracker:
     Classification is cheap by construction: ``classify_region`` asks the
     module's φ_safe/φ_safer/``ttf_2Δ`` predicates, which all route
     through the workspace's warm
-    :class:`~repro.geometry.ClearanceField` on the cached query plane.
+    :class:`~repro.geometry.ClearanceField` on the cached query plane and
+    reuse any verdict already reached on the same state object.
 
     ``reset()`` clears only the per-execution map — the *cumulative* map
     lives with whoever owns the tracker (the tester), which is how
