@@ -8,18 +8,17 @@ machine-relative bars (both sides always measured in the same process):
 
 * **snapshot sweep** (``drone-surveillance``, 1 s horizon, no schedule
   permutation, 2048 executions, seed 11) — the delta-snapshot path
-  (copy-on-write dirty tracking, the default) must beat the serial
-  reset-and-reuse sweep by ≥ 8x, and the legacy whole-pickle path by
-  construction still ≥ 5x, with reports and coverage byte-equal to the
-  serial oracle; a fast wrong answer is worthless;
+  (copy-on-write dirty tracking) must beat the serial reset-and-reuse
+  sweep by ≥ 8x, with reports and coverage byte-equal to the serial
+  oracle; a fast wrong answer is worthless;
 * **vectorized sweep** (``plant-surveillance``, 12 vehicles, unsafe
   start) — the row-group matrix plant (one ``apply_window`` per sampling
   window across the fleet) must beat the scalar per-plant loop inside
   the same population tester, again with identical reports.
 
 All wall times feed the benchmark regression gate
-(``population/serial-sweep``, ``population/population-sweep``,
-``population/delta-snapshot``, ``population/vectorized-sweep``).
+(``population/serial-sweep``, ``population/delta-snapshot``,
+``population/vectorized-sweep``).
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ SWEEP_HORIZON = 1.0
 SWEEP_SEED = 11
 SWEEP_MAX_PERMUTED = 1
 SWEEP_REPEATS = 2
-LEGACY_SPEEDUP_BAR = 5.0
 DELTA_SPEEDUP_BAR = 8.0
 
 VEC_DRONES = 12
@@ -85,39 +83,27 @@ def _serial_sweep():
     )
 
 
-def _population_sweep(use_delta_snapshots):
-    tester = PopulationTester(
-        _factory(),
-        _strategy(),
-        max_permuted=SWEEP_MAX_PERMUTED,
-        use_delta_snapshots=use_delta_snapshots,
-    )
+def _population_sweep():
+    tester = PopulationTester(_factory(), _strategy(), max_permuted=SWEEP_MAX_PERMUTED)
     elapsed, keys = _timed(tester, SWEEP_EXECUTIONS)
     return elapsed, keys, tester.stats
 
 
 @pytest.mark.benchmark(group="population")
 def test_population_sweep_throughput(table_printer, benchmark_gate):
-    """Delta snapshots ≥ 8x serial (legacy pickling ≥ 5x), identical reports."""
+    """Delta snapshots ≥ 8x serial, identical reports."""
     _serial_sweep()  # warm the per-process world/clearance memos once
-    serial_keys = legacy_keys = delta_keys = None
-    legacy_stats = delta_stats = None
-    serial = legacy = delta = float("inf")
+    serial_keys = delta_keys = delta_stats = None
+    serial = delta = float("inf")
     for _ in range(SWEEP_REPEATS):
         elapsed, serial_keys = _serial_sweep()
         serial = min(serial, elapsed)
-        elapsed, legacy_keys, legacy_stats = _population_sweep(use_delta_snapshots=False)
-        legacy = min(legacy, elapsed)
-        elapsed, delta_keys, delta_stats = _population_sweep(use_delta_snapshots=True)
+        elapsed, delta_keys, delta_stats = _population_sweep()
         delta = min(delta, elapsed)
-    assert legacy_keys == serial_keys, (
-        "legacy-snapshot population report/coverage diverged from the serial sweep"
-    )
     assert delta_keys == serial_keys, (
         "delta-snapshot population report/coverage diverged from the serial sweep"
     )
-    assert delta_stats.delta_restores > 0 and delta_stats.pickle_fallbacks == 0
-    legacy_speedup = serial / legacy
+    assert delta_stats.restores > 0 and delta_stats.snapshot_fallbacks == 0
     delta_speedup = serial / delta
     table_printer(
         f"Population plane: {SWEEP_EXECUTIONS}-execution 'drone-surveillance' sweep "
@@ -126,25 +112,18 @@ def test_population_sweep_throughput(table_printer, benchmark_gate):
         [
             ["serial reset-and-reuse", f"{serial:.3f}",
              f"{SWEEP_EXECUTIONS / serial:.0f}", "1.00x"],
-            ["population, whole-pickle snapshots", f"{legacy:.3f}",
-             f"{SWEEP_EXECUTIONS / legacy:.0f}", f"{legacy_speedup:.2f}x"],
-            ["population, delta snapshots (default)", f"{delta:.3f}",
+            ["population, delta snapshots", f"{delta:.3f}",
              f"{SWEEP_EXECUTIONS / delta:.0f}", f"{delta_speedup:.2f}x"],
             [f"  compacted {delta_stats.compacted}/{delta_stats.executions} rows, "
-             f"{delta_stats.delta_restores} delta restores, "
-             f"{delta_stats.pickle_fallbacks} pickle fallbacks", "", "", ""],
+             f"{delta_stats.restores} restores, "
+             f"{delta_stats.snapshot_fallbacks} snapshot fallbacks", "", "", ""],
         ],
     )
     benchmark_gate("population/serial-sweep", serial)
-    benchmark_gate("population/population-sweep", legacy)
     benchmark_gate("population/delta-snapshot", delta)
-    # Machine-relative bars: every side was measured in this process, so
-    # the assertions are meaningful on any hardware, including reference
+    # Machine-relative bar: both sides were measured in this process, so
+    # the assertion is meaningful on any hardware, including reference
     # re-recording runs.
-    assert legacy_speedup >= LEGACY_SPEEDUP_BAR, (
-        f"expected >= {LEGACY_SPEEDUP_BAR:.0f}x over the serial reset-reuse sweep, "
-        f"measured {legacy_speedup:.2f}x ({SWEEP_EXECUTIONS / legacy:.0f} exec/s)"
-    )
     assert delta_speedup >= DELTA_SPEEDUP_BAR, (
         f"expected >= {DELTA_SPEEDUP_BAR:.0f}x over the serial reset-reuse sweep, "
         f"measured {delta_speedup:.2f}x ({SWEEP_EXECUTIONS / delta:.0f} exec/s)"

@@ -42,24 +42,22 @@ of re-executing the prefix.  Snapshots are a pure optimisation:
 restoring one lands on exactly the state the replayed prefix would have
 recomputed.
 
-Two snapshot representations exist:
-
-* **delta snapshots** (default): the model is decomposed into
-  *components* — the engine scalars, topic board, calendar, each node's
-  local state, the monitors, and the environment — and a snapshot
-  records only the components whose state changed since the parent
-  snapshot, detected through the dirty-tracking version ids of
-  :mod:`repro.core.resettable` (``TopicBoard``/``Calendar``/environment
-  hooks, the engine's per-node fire clock).  A restore resolves each
-  component against the delta chain up to the deepest full snapshot and
-  rewinds the **live** instance in place, skipping components whose
-  version already matches — no pickling, no object-graph rebuild, and
-  capture cost proportional to what actually changed.
-* **whole-state snapshots** (fallback, and ``use_delta_snapshots=False``):
-  a pickle of the (instance, engine) pair with static geometry pinned
-  out via persistent ids; models whose state graphs resist pickling fall
-  back once more to held deep copies (``PopulationStats.pickle_fallbacks``
-  counts the flip).
+A snapshot is a component *delta*: the model is decomposed into
+*components* — the engine scalars, topic board, calendar, each node's
+local state, the monitors, and the environment — and a snapshot records
+only the components whose state changed since the parent snapshot,
+detected through the dirty-tracking version ids of
+:mod:`repro.core.resettable` (``TopicBoard``/``Calendar``/environment
+hooks, the engine's per-node fire clock).  A restore resolves each
+component against the delta chain up to the deepest full snapshot and
+rewinds the **live** instance in place, skipping components whose
+version already matches — no pickling, no object-graph rebuild, and
+capture cost proportional to what actually changed.  A model some
+component of which resists capture (e.g. un-deepcopyable state) stops
+snapshotting at the first failure and replays prefixes from then on —
+the ``share_prefixes=False`` behaviour, so only the speed changes
+(``PopulationStats.snapshot_fallbacks`` records the switch); snapshots
+captured before the failure keep restoring.
 
 Snapshot *scheduling* is adaptive: ``snapshot_after`` caps how many
 boundary visits a node needs before it earns a snapshot, and the
@@ -76,16 +74,13 @@ snapshots entirely (dedup-only mode).
 
 from __future__ import annotations
 
-import copy
-import io
-import pickle
 import types
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.monitor import Violation
 from ..core.resettable import capture_state, restore_state
-from .coverage import CoverageMap, CoverageTracker
+from .coverage import CoverageMap
 from .explorer import ExecutionRecord, ModelInstance, SystematicTester
 from .scheduler import BoundedAsynchronyScheduler
 from .strategies import ChoiceStrategy, record_trail
@@ -116,24 +111,18 @@ class _Snapshot:
 
     The capture is the model mid-execution with exactly ``position``
     choices consumed — the values on the trie path to the node holding
-    this snapshot.  Preferred representation is an incremental component
-    *delta*: ``vector`` maps component keys to captured states for the
-    components that changed since ``parent`` (a full vector when
-    ``parent`` is None), and ``versions`` records every component's
-    dirty-tracking id at capture time so restores can skip components
-    already in the right state.  The whole-state fallbacks are a pickle
-    byte string with static geometry pinned out via persistent ids, or —
-    for models whose state graphs resist pickling — a held deep copy
-    that each restore re-copies.
+    this snapshot, as an incremental component *delta*: ``vector`` maps
+    component keys to captured states for the components that changed
+    since ``parent`` (a full vector when ``parent`` is None), and
+    ``versions`` records every component's dirty-tracking id at capture
+    time so restores can skip components already in the right state.
     """
 
     steps: int
     violations: Tuple[Violation, ...]
     position: int
-    data: Optional[bytes] = None
-    pair: Optional[Tuple[ModelInstance, Any]] = None
-    vector: Optional[Dict[str, Any]] = None
-    versions: Optional[Dict[str, Optional[int]]] = None
+    vector: Dict[str, Any]
+    versions: Dict[str, Optional[int]]
     parent: Optional["_Snapshot"] = None
     depth: int = 0
 
@@ -222,8 +211,7 @@ class PopulationStats:
     replayed_choices: int = 0  # choices answered from the trie during live runs
     live_choices: int = 0
     delta_snapshots: int = 0  # incremental (non-full) component captures
-    delta_restores: int = 0  # restores applied in place from a delta chain
-    pickle_fallbacks: int = 0  # times the pickle path gave way to deep copies
+    snapshot_fallbacks: int = 0  # 1 once a failed capture switched to replay
 
     @property
     def compaction_rate(self) -> float:
@@ -257,14 +245,12 @@ class PopulationTester(SystematicTester):
         population_size: bound on retained prefix snapshots (the
             materialised row-group working set).
         share_prefixes: capture/restore snapshots on shared trail
-            prefixes.  ``False`` leaves only trail compaction (dedup).
+            prefixes.  ``False`` leaves only trail compaction (dedup) —
+            also what a model falls back to when a capture fails.
         snapshot_after: how many live step-boundary visits a trie node
             must see before it earns a snapshot (the laziness knob:
             1 snapshots eagerly, higher values only snapshot prefixes
             that keep being re-run).
-        use_delta_snapshots: capture incremental component deltas instead
-            of whole-state pickles (automatic fallback to the pickle /
-            deep-copy path if a component resists the delta protocol).
         use_batch_plant: let plant-in-the-loop environments step their
             vehicles through the (K, …) matrix plant
             (:class:`~repro.simulation.plantenv.RowGroupPlant`).
@@ -296,7 +282,6 @@ class PopulationTester(SystematicTester):
         share_prefixes: bool = True,
         snapshot_after: int = 3,
         snapshot_min_steps: int = 6,
-        use_delta_snapshots: bool = True,
         use_batch_plant: bool = True,
         delta_chain_limit: int = 8,
         adaptive_snapshots: bool = True,
@@ -324,28 +309,22 @@ class PopulationTester(SystematicTester):
         self.share_prefixes = share_prefixes
         self.snapshot_after = snapshot_after
         self.snapshot_min_steps = snapshot_min_steps
-        self.use_delta_snapshots = use_delta_snapshots
         self.use_batch_plant = use_batch_plant
         self.delta_chain_limit = delta_chain_limit
         self.adaptive_snapshots = adaptive_snapshots
         self.stats = PopulationStats()
         self._router = _TrailRouter(self)
         self._root = _TrieNode()
-        self._pins: Optional[List[Any]] = None
-        # Pin registry of the pickle-based snapshot path: index <-> object
-        # for every shared (never-serialised) object, grown on demand for
-        # functions/closures discovered while dumping.
-        self._pin_objects: List[Any] = []
-        self._pin_index: Dict[int, int] = {}
-        self._pickle_snapshots = True  # flips off after the first failure
-        # Delta-snapshot bookkeeping: the component decomposition of the
-        # reused instance, the extra pins that keep cross-component
-        # references live, and the version vector of the state point the
-        # live graph last synchronised with (None right after a reset —
-        # the next capture must be a full vector).
-        self._delta_ok = use_delta_snapshots  # flips off after the first failure
+        # The track_coverage setting the trie's leaves and snapshots were
+        # recorded under (None until the first execution).
+        self._trie_tracking: Optional[bool] = None
+        self._snapshots_ok = True  # flips off after the first failed capture
+        # Snapshot bookkeeping: the component decomposition of the reused
+        # instance, the objects every capture/restore memo keeps by
+        # reference, and the version vector of the state point the live
+        # graph last synchronised with (None right after a reset — the
+        # next capture must be a full vector).
         self._components: Optional[List[Tuple[str, Any]]] = None
-        self._components_engine: Optional[Any] = None
         self._component_pins: List[Any] = []
         self._delta_baseline: Optional[Dict[str, Optional[int]]] = None
         self._delta_parent: Optional[_Snapshot] = None
@@ -383,6 +362,9 @@ class PopulationTester(SystematicTester):
     # ------------------------------------------------------------------ #
     def run_single(self, index: int) -> ExecutionRecord:
         self.stats.executions += 1
+        tracking = self.track_coverage
+        if tracking != self._trie_tracking:
+            self._reset_trie(tracking)
         node = self._root
         path_nodes: List[_TrieNode] = []
         values: List[int] = []
@@ -419,7 +401,7 @@ class PopulationTester(SystematicTester):
         coverage come from the recorded first run of the trail.
         """
         self.stats.compacted += 1
-        if self.track_coverage and leaf.coverage is not None:
+        if leaf.coverage is not None:  # recorded iff the trie tracks coverage
             self._credit_coverage(leaf.coverage)
         return ExecutionRecord(
             index=index,
@@ -442,36 +424,21 @@ class PopulationTester(SystematicTester):
             # Deepest snapshotted node on the walked path wins: its state
             # has consumed exactly the values leading to it.
             for j in range(len(path_nodes) - 1, 0, -1):
-                snap = path_nodes[j].snapshot
-                if snap is not None and self._snapshot_usable(snap):
-                    snapshot = snap
+                snapshot = path_nodes[j].snapshot
+                if snapshot is not None:
                     restore_position = j
                     break
-        self._delta_baseline = None
-        self._delta_parent = None
         if snapshot is not None:
             self.stats.restores += 1
-            if snapshot.vector is not None:
-                # Delta restore rewinds the live instance in place — no
-                # new objects, no tracker rebinding.
-                self._restore_delta(snapshot)
-                self.stats.delta_restores += 1
-                instance = self._instance
-                engine = self._engine
-            else:
-                if snapshot.data is not None:
-                    instance, engine = self._unpickle_state(snapshot.data)
-                else:
-                    memo = self._pin_memo()
-                    instance, engine = copy.deepcopy(snapshot.pair, memo)
-                self._instance = instance
-                self._engine = engine
-                self._rebind_tracker(instance)
+            # The restore rewinds the live instance in place — no new
+            # objects, no tracker rebinding.
+            self._restore_delta(snapshot)
+            harness, engine = self._instance, self._engine
             start_steps = snapshot.steps
             base_violations = snapshot.violations
-            harness = instance
         else:
-            restore_position = 0
+            self._delta_baseline = None
+            self._delta_parent = None
             harness, engine = self._acquire()
             self._bind_strategy(harness)
         router.arm(values, path_nodes, restore_position)
@@ -491,7 +458,11 @@ class PopulationTester(SystematicTester):
         violations = self._violation_buffer
         violations.clear()
         violations.extend(base_violations)
-        boundary = self._snapshot_policy(path_nodes) if self.share_prefixes else None
+        boundary = (
+            self._snapshot_policy(path_nodes)
+            if self.share_prefixes and self._snapshots_ok
+            else None
+        )
         steps = self._run_steps(harness, engine, scheduler, start_steps, boundary)
         self.stats.live_choices += len(router.tail)
         leaf_coverage = self._harvest_coverage()
@@ -535,8 +506,17 @@ class PopulationTester(SystematicTester):
                         node.boundary_hits >= snapshot_after
                         and steps >= self.snapshot_min_steps
                         and population.snapshots_retained < self.population_size
+                        and self._snapshots_ok
                     ):
-                        node.snapshot = self._take_snapshot(steps, violations, position)
+                        try:
+                            node.snapshot = self._take_snapshot(steps, violations, position)
+                        except Exception:
+                            # Some component resists capture (e.g.
+                            # un-deepcopyable state): replay prefixes from
+                            # now on, as share_prefixes=False would.
+                            self._snapshots_ok = False
+                            population.snapshot_fallbacks += 1
+                            return
                         population.snapshots_taken += 1
                         population.snapshots_retained += 1
 
@@ -545,6 +525,19 @@ class PopulationTester(SystematicTester):
     # ------------------------------------------------------------------ #
     # trie maintenance
     # ------------------------------------------------------------------ #
+    def _reset_trie(self, tracking: bool) -> None:
+        """Forget every recorded trail and snapshot, and the component list.
+
+        Leaves record coverage only while tracking is on, and switching it
+        on adds a tracker to the monitor roster, so nothing recorded under
+        the other setting describes what an execution would do now.
+        """
+        self._trie_tracking = tracking
+        self._root = _TrieNode()
+        self._components = None
+        self._component_pins = []
+        self.stats.snapshots_retained = 0
+
     def _split_leaf(
         self,
         node: _TrieNode,
@@ -603,55 +596,18 @@ class PopulationTester(SystematicTester):
         node.leaf = leaf
 
     # ------------------------------------------------------------------ #
-    # snapshots
-    # ------------------------------------------------------------------ #
-    def _take_snapshot(
-        self, steps: int, violations: List[Violation], position: int
-    ) -> _Snapshot:
-        if self._delta_ok:
-            try:
-                return self._take_delta_snapshot(steps, violations, position)
-            except Exception:
-                # Some component of this model resists the delta protocol
-                # (e.g. un-deepcopyable state); fall through to the
-                # whole-state representations from now on.
-                self._delta_ok = False
-                self._delta_baseline = None
-                self._delta_parent = None
-        state = (self._instance, self._engine)
-        if self._pickle_snapshots:
-            try:
-                return _Snapshot(
-                    steps=steps,
-                    violations=tuple(violations),
-                    position=position,
-                    data=self._pickle_state(state),
-                )
-            except (pickle.PicklingError, TypeError, AttributeError, NotImplementedError):
-                # Some object in this model's state graph resists pickling;
-                # remember that and hold deep copies instead from now on.
-                self._pickle_snapshots = False
-                self.stats.pickle_fallbacks += 1
-        memo = self._pin_memo()
-        return _Snapshot(
-            steps=steps,
-            violations=tuple(violations),
-            position=position,
-            pair=copy.deepcopy(state, memo),
-        )
-
-    # ------------------------------------------------------------------ #
-    # delta snapshots: component decomposition, capture, restore
+    # snapshots: component decomposition, capture, restore
     # ------------------------------------------------------------------ #
     def _ensure_components(self) -> None:
         """Decompose the reused instance into snapshot components.
 
         Component keys are stable across the sweep (the reuse contract
         fixes the node set and monitor roster after the first acquire).
-        Every component object — plus the system wiring it hangs from —
-        is pinned into capture/restore memos, so a component's captured
-        state holds cross-component *references*, never clones: each
-        component's state always comes from its own snapshot entry.
+        Every component object — plus the system wiring it hangs from, the
+        router and the static geometry — is pinned into capture/restore
+        memos, so a component's captured state holds cross-component
+        *references*, never clones: each component's state always comes
+        from its own snapshot entry.
         """
         engine = self._engine
         instance = self._instance
@@ -670,43 +626,24 @@ class PopulationTester(SystematicTester):
         if instance.environment is not None:
             components.append(("environment", instance.environment))
         pins: List[Any] = [obj for _, obj in components]
-        pins.extend([instance, engine.system])
+        pins.extend([instance, engine.system, self._router])
         for module in getattr(engine.system, "modules", ()):
             pins.extend([module, module.spec])
+        pins.extend(self._collect_pins(instance, engine))
         self._components = components
         self._component_pins = pins
-        self._components_engine = engine
-
-    def _snapshot_usable(self, snapshot: _Snapshot) -> bool:
-        """Whole-state snapshots always restore; a delta snapshot only onto
-        the same live object graph it was captured from (a whole-state
-        restore in mixed mode replaces the graph, stranding older deltas)."""
-        if snapshot.vector is None:
-            return True
-        return (
-            self._components is not None
-            and getattr(self, "_components_engine", None) is self._engine
-        )
 
     def _component_memo(self) -> Dict[int, Any]:
-        """Deepcopy memo for one capture/restore event: geometry pins, the
-        router, and every component (kept by reference, restored via its
-        own entry)."""
-        memo = self._pin_memo()
-        for obj in self._component_pins:
-            memo[id(obj)] = obj
-        return memo
+        """Deepcopy memo for one capture/restore event: every pinned object
+        (kept by reference; components are restored via their own entry)."""
+        return {id(obj): obj for obj in self._component_pins}
 
-    def _take_delta_snapshot(
+    def _take_snapshot(
         self, steps: int, violations: List[Violation], position: int
     ) -> _Snapshot:
-        if (
-            self._components is None
-            or getattr(self, "_components_engine", None) is not self._engine
-        ):
+        """Capture the live instance as a delta against the last state point."""
+        if self._components is None:
             self._ensure_components()
-            self._delta_baseline = None
-            self._delta_parent = None
         engine = self._engine
         node_versions = engine.node_versions
         baseline = self._delta_baseline
@@ -745,7 +682,7 @@ class PopulationTester(SystematicTester):
         return snapshot
 
     def _restore_delta(self, snapshot: _Snapshot) -> None:
-        """Rewind the live instance, in place, to a delta snapshot.
+        """Rewind the live instance, in place, to a snapshot.
 
         Each component's target state is its shallowest occurrence on the
         parent chain (the full root vector covers every component);
@@ -755,9 +692,7 @@ class PopulationTester(SystematicTester):
         resolved: Dict[str, Any] = {}
         chain: Optional[_Snapshot] = snapshot
         while chain is not None:
-            vector = chain.vector
-            assert vector is not None
-            for key, state in vector.items():
+            for key, state in chain.vector.items():
                 if key not in resolved:
                     resolved[key] = state
             chain = chain.parent
@@ -765,7 +700,7 @@ class PopulationTester(SystematicTester):
         engine = self._engine
         node_versions = engine.node_versions
         versions = snapshot.versions
-        assert versions is not None and self._components is not None
+        assert self._components is not None
         for key, obj in self._components:
             target = versions[key]
             if key.startswith("node:"):
@@ -783,65 +718,14 @@ class PopulationTester(SystematicTester):
         self._delta_baseline = versions
         self._delta_parent = snapshot
 
-    def _pickle_state(self, state: Tuple[ModelInstance, Any]) -> bytes:
-        """Serialise (instance, engine) with shared objects pinned out.
-
-        Pinned objects (static geometry, the router, and every function /
-        closure the dump encounters) are replaced by persistent ids, so
-        the byte string holds only per-execution state and unpickling
-        re-links the shared objects by reference.
-        """
-        if self._pins is None:
-            self._pins = self._collect_pins(self._instance, self._engine)
-            for obj in self._pins + [self._router]:
-                self._register_pin(obj)
-        pin_index = self._pin_index
-        register = self._register_pin
-        buffer = io.BytesIO()
-        pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-
-        def persistent_id(obj: Any) -> Optional[int]:
-            index = pin_index.get(id(obj))
-            if index is not None:
-                return index
-            if isinstance(obj, (types.FunctionType, types.BuiltinFunctionType)):
-                return register(obj)
-            return None
-
-        pickler.persistent_id = persistent_id  # type: ignore[method-assign]
-        pickler.dump(state)
-        return buffer.getvalue()
-
-    def _unpickle_state(self, data: bytes) -> Tuple[ModelInstance, Any]:
-        pin_objects = self._pin_objects
-        unpickler = pickle.Unpickler(io.BytesIO(data))
-        unpickler.persistent_load = pin_objects.__getitem__  # type: ignore[method-assign]
-        return unpickler.load()
-
-    def _register_pin(self, obj: Any) -> int:
-        index = self._pin_index.get(id(obj))
-        if index is None:
-            index = len(self._pin_objects)
-            self._pin_objects.append(obj)
-            self._pin_index[id(obj)] = index
-        return index
-
-    def _pin_memo(self) -> Dict[int, Any]:
-        """A deepcopy memo pre-seeding every pinned (shared, uncopied) object."""
-        if self._pins is None:
-            self._pins = self._collect_pins(self._instance, self._engine)
-        memo: Dict[int, Any] = {id(obj): obj for obj in self._pins}
-        memo[id(self._router)] = self._router
-        return memo
-
     def _collect_pins(self, *roots: Any) -> List[Any]:
         """Find the static geometry reachable from the model object graph.
 
         A plain iterative traversal over ``__dict__``/container structure;
         objects of the pinned types are collected and not descended into.
-        The traversal runs once per tester — objects it misses (e.g.
-        geometry reachable only through ``__slots__``) merely get copied
-        into snapshots, which costs memory, not correctness.
+        The traversal runs once per component decomposition — objects it
+        misses (e.g. geometry reachable only through ``__slots__``) merely
+        get copied into snapshots, which costs memory, not correctness.
         """
         pin_types = _pin_types()
         pins: List[Any] = []
@@ -875,13 +759,3 @@ class PopulationTester(SystematicTester):
             if attributes:
                 stack.extend(attributes.values())
         return pins
-
-    def _rebind_tracker(self, instance: ModelInstance) -> None:
-        """Point the tester at the coverage tracker inside a restored copy."""
-        if self._tracker is None:
-            return
-        for monitor in instance.monitors.monitors:
-            if isinstance(monitor, CoverageTracker):
-                self._tracker = monitor
-                return
-        raise RuntimeError("restored instance lost its coverage tracker")

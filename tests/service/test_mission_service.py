@@ -217,11 +217,11 @@ class TestPopulationMissions:
         stats = report["population_stats"]
         assert stats["executions"] == 20
         assert stats["live_runs"] + stats["compacted"] == stats["executions"]
-        assert stats["pickle_fallbacks"] == 0
+        assert stats["snapshot_fallbacks"] == 0
         # The full PopulationStats counter set crosses the wire, so
         # clients can see how the work was elided (or that it wasn't).
         for key in ("snapshots_taken", "restores", "delta_snapshots",
-                    "delta_restores", "replayed_choices", "live_choices"):
+                    "replayed_choices", "live_choices"):
             assert key in stats
 
     def test_plain_missions_report_empty_population_stats(self, client):

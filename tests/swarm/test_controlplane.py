@@ -145,14 +145,14 @@ class TestPopulationStatsIngestion:
         plane.ingest(session, first["lease"], results=[result(wire_record(0))],
                      done=True,
                      population_stats={"executions": 1, "live_runs": 1,
-                                       "delta_restores": 3})
+                                       "restores": 3})
         plane.ingest(session, second["lease"], results=[result(wire_record(1))],
                      done=True,
                      population_stats={"executions": 1, "compacted": 1,
-                                       "delta_restores": 2})
+                                       "restores": 2})
         report = plane.session_report(session)
         assert report["population_stats"] == {
-            "executions": 2, "live_runs": 1, "compacted": 1, "delta_restores": 5,
+            "executions": 2, "live_runs": 1, "compacted": 1, "restores": 5,
         }
 
     def test_sessions_without_population_shards_report_empty_stats(self):

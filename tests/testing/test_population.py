@@ -192,27 +192,70 @@ class _Unpicklable:
         return clone
 
 
-class TestSnapshotFallback:
-    """Pin the snapshot robustness ladder: delta → pickle → deep copies.
+class _CopyBudget:
+    """Shared ledger of a :class:`_CopyLimited` family of objects."""
 
-    A model whose node state holds a pickle-resistant (but deep-copyable)
-    object must still be swept correctly: the whole-state path flips from
-    pickling to held deep copies on the first failure, records the flip in
-    ``PopulationStats.pickle_fallbacks``, and the resulting report stays
+    def __init__(self, limit):
+        self.limit = limit
+        self.captures = 0
+        self.exhausted = False
+        self.restores_after_exhaustion = 0
+
+
+class _CopyLimited:
+    """State whose capture fails from the ``limit + 1``-th copy on.
+
+    Copying a live object is a snapshot capture and spends the budget;
+    copying a stored capture is a restore and always succeeds (it yields
+    a live object again), so snapshots taken before the budget ran out
+    keep restoring.
+    """
+
+    def __init__(self, budget, stored=False):
+        self.budget = budget
+        self.stored = stored
+
+    def __deepcopy__(self, memo):
+        budget = self.budget
+        if self.stored:
+            if budget.exhausted:
+                budget.restores_after_exhaustion += 1
+            return _CopyLimited(budget)
+        if budget.captures >= budget.limit:
+            budget.exhausted = True
+            raise TypeError("capture budget exhausted")
+        budget.captures += 1
+        return _CopyLimited(budget, stored=True)
+
+
+class TestSnapshotFallback:
+    """A model that resists snapshot capture falls back to prefix replay.
+
+    The first failed capture switches the tester to the
+    ``share_prefixes=False`` behaviour (recorded in
+    ``PopulationStats.snapshot_fallbacks``); the report and coverage stay
     byte-equal to the serial sweep.
     """
 
     @staticmethod
-    def _factory():
+    def _factory(payload):
         from repro.testing import build_scenario
 
-        instance = build_scenario("toy-closed-loop", broken_ttf=True)
-        # Plant the opaque object inside a node the snapshots must carry.
-        instance.system.modules[0].decision.opaque_handle = _Unpicklable()
-        return instance
+        def factory():
+            instance = build_scenario("toy-closed-loop", broken_ttf=True)
+            # Plant the object inside a node whose state snapshots capture
+            # generically, by deep copy.
+            node = next(
+                node for node in instance.system.all_nodes()
+                if not hasattr(node, "capture_delta_state")
+            )
+            node.opaque_handle = payload()
+            return instance
 
-    def _sweep(self, **kwargs):
-        factory = self._factory
+        return factory
+
+    def _sweep(self, payload):
+        factory = self._factory(payload)
         serial = SystematicTester(
             factory, RandomStrategy(seed=4, max_executions=40), reuse_instances=True
         )
@@ -221,7 +264,6 @@ class TestSnapshotFallback:
             RandomStrategy(seed=4, max_executions=40),
             snapshot_after=1,
             snapshot_min_steps=1,
-            **kwargs,
         )
         serial_report = serial.explore()
         population_report = population.explore()
@@ -229,19 +271,58 @@ class TestSnapshotFallback:
         assert population.coverage.counts == serial.coverage.counts
         return population
 
-    def test_whole_state_path_falls_back_to_deep_copies(self):
-        population = self._sweep(use_delta_snapshots=False)
+    def test_uncopyable_state_replays_prefixes(self):
+        population = self._sweep(lambda: _CopyLimited(_CopyBudget(limit=0)))
         stats = population.stats
-        assert stats.pickle_fallbacks >= 1
-        assert stats.snapshots_taken > 0
-        assert stats.restores > 0
-        assert stats.delta_snapshots == 0
+        assert stats.snapshots_taken == 0
+        assert stats.restores == 0
+        assert stats.snapshot_fallbacks == 1
 
-    def test_delta_path_shrugs_off_unpicklable_state(self):
-        # Delta capture never pickles, so the opaque object costs nothing.
-        population = self._sweep(use_delta_snapshots=True)
-        assert population.stats.pickle_fallbacks == 0
-        assert population.stats.delta_restores > 0
+    def test_snapshots_before_a_failed_capture_keep_restoring(self):
+        budget = _CopyBudget(limit=3)
+        population = self._sweep(lambda: _CopyLimited(budget))
+        stats = population.stats
+        assert budget.exhausted
+        assert stats.snapshot_fallbacks == 1
+        assert stats.snapshots_taken == 3
+        assert budget.restores_after_exhaustion > 0
+
+    def test_unpicklable_state_costs_nothing(self):
+        # Capture never pickles, so the opaque object costs nothing.
+        population = self._sweep(_Unpicklable)
+        assert population.stats.snapshot_fallbacks == 0
+        assert population.stats.restores > 0
+
+
+class TestCoverageTrackingFlip:
+    """A warm tester whose coverage tracking switches on stays serial-exact.
+
+    ``track_coverage=None`` defers to the strategy, so swapping a
+    coverage-guided strategy in turns tracking on between sweeps; trails
+    recorded with tracking off carry no coverage and were captured before
+    the tracker joined the monitor roster.
+    """
+
+    @staticmethod
+    def _two_sweeps(tester):
+        from repro.testing import CoverageGuidedStrategy
+
+        tester.strategy = RandomStrategy(seed=2, max_executions=30)
+        first = tester.explore()
+        tester.strategy = CoverageGuidedStrategy(seed=5, max_executions=30)
+        second = tester.explore()
+        return _report_keys(first), _report_keys(second), tester.coverage.counts
+
+    @pytest.mark.parametrize("share", [True, False], ids=["shared", "compact-only"])
+    def test_tracking_switch_matches_serial(self, share):
+        factory = scenario_factory("toy-closed-loop")
+        serial = SystematicTester(factory, reuse_instances=True)
+        population = PopulationTester(
+            factory, share_prefixes=share, snapshot_after=1, snapshot_min_steps=1
+        )
+        expected = self._two_sweeps(serial)
+        assert sum(expected[2].values()) > 0
+        assert self._two_sweeps(population) == expected
 
 
 class TestPopulationValidation:

@@ -154,7 +154,6 @@ def test_population_equals_serial_on_synthetic_scenario(seed):
         share_prefixes=bool(seed % 3),  # fuzz compact-only vs shared
         snapshot_after=1,
         snapshot_min_steps=1,
-        use_delta_snapshots=bool(seed % 2),  # fuzz delta vs whole-state
         delta_chain_limit=1 + seed % 4,
         adaptive_snapshots=bool((seed // 2) % 2),
     )
@@ -165,10 +164,9 @@ def test_population_equals_serial_on_synthetic_scenario(seed):
     assert population_keys == serial_keys
     assert population.coverage.counts == serial.coverage.counts
     assert population.stats.executions == len(serial_report.executions)
-    # Delta mode must actually stay on the delta path (no silent fallback
-    # to pickling): the tier-1 gate on the vectorized plane rides on it.
-    if bool(seed % 2):
-        assert population.stats.pickle_fallbacks == 0
+    # Snapshotting must never silently give way to prefix replay: the
+    # tier-1 gate on the vectorized plane rides on the snapshot path.
+    assert population.stats.snapshot_fallbacks == 0
 
 
 def test_generator_produces_violating_and_safe_scenarios():
@@ -197,7 +195,7 @@ def test_generator_exercises_snapshot_and_delta_paths():
         population.explore()
         stats = population.stats
         taken += stats.snapshots_taken
-        restored += stats.delta_restores
+        restored += stats.restores
         chained += stats.delta_snapshots
     assert taken > 0
     assert restored > 0
