@@ -1,12 +1,16 @@
 """Mission service vs. swarm facade — what does streaming cost?
 
-The mission service wraps the same control plane + fleet the
+The mission service wraps the same control plane the
 :class:`~repro.swarm.SwarmTester` drives, but adds the client-facing
 plane: per-mission event logs, cursor reads, a chunked HTTP event
-stream and a final report round trip.  This benchmark runs the same
-200-execution random sweep both ways on one host and asserts the
-service's streaming overhead stays within 1.5x of the facade — the
-streaming path must ride ingestion, not tax it.
+stream and a final report round trip.  The two fleets differ in
+transport: the swarm's drones reach their plane over loopback HTTP,
+while the service's standing fleet calls its plane in-process, so only
+the client's submit, stream and result requests ride HTTP on the
+service side.  This benchmark runs the same 200-execution random sweep
+both ways on one host and asserts the service's streaming overhead
+stays within 1.5x of the facade — the streaming path must ride
+ingestion, not tax it.
 
 Both measurements feed the benchmark regression gate
 (``benchmark_reference.json``), so a change that bloats the event plane

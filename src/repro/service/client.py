@@ -23,6 +23,7 @@ or losing events.
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
 import urllib.request
@@ -97,6 +98,10 @@ class MissionClient:
         ``seq``; the final event has ``type == "finished"``.  The HTTP
         response is chunked JSON lines, decoded incrementally — events
         arrive as the fleet produces them, not when the mission ends.
+
+        A stream that ends before its ``finished`` event (the server
+        dropped the connection) raises :class:`ProtocolError` naming the
+        last ``seq`` read; pass it as ``since`` to resume.
         """
         url = f"{self.base_url}/api/v1/mission/{mission_id}/events?since={int(since)}"
         request = urllib.request.Request(url, method="GET")
@@ -118,26 +123,35 @@ class MissionClient:
                 raise protocol.ProtocolError(
                     f"event stream rejected: HTTP {response.status}"
                 )
+            last_seq, finished = int(since), False
             while True:
-                line = response.readline()
+                try:
+                    line = response.readline()
+                except (http.client.HTTPException, OSError):
+                    break  # a dropped chunked body: the check below reports it
                 if not line:
-                    return
+                    break
                 line = line.strip()
                 if line:
-                    yield json.loads(line)
+                    event = json.loads(line)
+                    last_seq, finished = event["seq"], event["type"] == "finished"
+                    yield event
+        if not finished:
+            raise protocol.ProtocolError(
+                f"event stream of mission {mission_id} ended before its finished "
+                f"event (last seq {last_seq}); resume with since={last_seq}"
+            )
 
     def run(
         self, scenario: str, *, strategy: Any, **options: Any
     ) -> Dict[str, Any]:
         """Submit, drain the stream, and return the final report."""
         mission_id = self.submit(scenario, strategy=strategy, **options)
-        finished: Optional[Dict[str, Any]] = None
-        for event in self.events(mission_id):
-            if event["type"] == "finished":
-                finished = event
-        if finished is None or finished.get("error"):
-            detail = finished.get("error") if finished else "stream ended early"
-            raise RuntimeError(f"mission {mission_id} failed: {detail}")
+        finished: Dict[str, Any] = {}
+        for finished in self.events(mission_id):
+            pass  # the stream ends on its "finished" event, or raises
+        if finished.get("error"):
+            raise RuntimeError(f"mission {mission_id} failed: {finished['error']}")
         return self.result(mission_id)
 
 

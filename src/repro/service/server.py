@@ -16,22 +16,27 @@ the clients' mission front door:
   resume);
 * ``GET /api/v1/mission/<id>/result`` — the final report, once done.
 
-``fleet=N`` optionally hosts a standing fleet of N in-process drone
-threads (``exit_when_idle=False``) so one ``MissionServer`` is a
-complete single-host deployment; leave it 0 when external drones point
-at this plane.
+``fleet=N`` optionally hosts a standing fleet of N drone threads (one
+:class:`~repro.swarm.drone.LocalFleet`) so one ``MissionServer`` is a
+complete single-host deployment.  Its drones call the plane in-process
+(:meth:`~repro.swarm.controlplane.ControlPlane.call`), not over loopback
+HTTP; external drones pointed at this server's URL use the HTTP routes
+above.  Leave ``fleet`` 0 when only external drones serve the plane.
+
+Once a stream's headers are out, a failure closes the connection
+instead of replying with a JSON error, so the client sees a truncated
+stream (no ``finished`` event) and can resume from its last ``seq``.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 import urllib.parse
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..swarm import protocol
 from ..swarm.controlplane import ControlPlaneServer, _Handler
-from ..swarm.drone import Drone
+from ..swarm.drone import LocalFleet
 from .missions import MissionService
 
 #: How long one streaming read waits for fresh events before emitting a
@@ -88,19 +93,25 @@ class _MissionHandler(_Handler):
         self.send_header("Transfer-Encoding", "chunked")
         self.end_headers()
         cursor = since
-        while True:
-            batch, done = service.events_after(
-                mission_id, cursor, timeout=_STREAM_POLL
-            )
-            if batch:
-                self._write_chunk("".join(
-                    json.dumps(event, sort_keys=True) + "\n" for event in batch
-                ))
-                cursor = batch[-1]["seq"]
-            if done and not batch:
-                break
-        self.wfile.write(b"0\r\n\r\n")
-        self.wfile.flush()
+        try:
+            while True:
+                batch, done = service.events_after(
+                    mission_id, cursor, timeout=_STREAM_POLL
+                )
+                if batch:
+                    self._write_chunk("".join(
+                        json.dumps(event, sort_keys=True) + "\n" for event in batch
+                    ))
+                    cursor = batch[-1]["seq"]
+                if done and not batch:
+                    break
+            self.wfile.write(b"0\r\n\r\n")
+            self.wfile.flush()
+        except Exception:
+            # The status line is sent: an error reply would land inside
+            # the chunked body.  Drop the connection without the final
+            # chunk, so the client reads a truncated stream.
+            self.close_connection = True
 
     def _write_chunk(self, text: str) -> None:
         data = text.encode("utf-8")
@@ -126,7 +137,6 @@ class MissionServer(ControlPlaneServer):
         if fleet < 0:
             raise ValueError("fleet must be non-negative")
         super().__init__(host=host, port=port, **plane_options)
-        self.fleet_size = fleet
         if default_shards is None:
             default_shards = fleet if fleet else 2
         self.service = MissionService(
@@ -134,34 +144,16 @@ class MissionServer(ControlPlaneServer):
         )
         # The handler type was built before the service existed; bind now.
         self._server.RequestHandlerClass.service = self.service
-        self._fleet: List[Drone] = []
-        self._fleet_threads: List[threading.Thread] = []
+        self.fleet = LocalFleet(self.plane, fleet, processes=False)
 
     def _handler_attributes(self) -> Dict[str, Any]:
         return {**super()._handler_attributes(), "service": None}
 
     def start(self) -> "MissionServer":
         super().start()
-        for index in range(self.fleet_size):
-            drone = Drone(
-                self.url,
-                drone_id=f"service-drone-{index}",
-                worker_index=index,
-                exit_when_idle=False,
-                heartbeat_interval=0.25,
-                poll_interval=0.05,
-            )
-            thread = threading.Thread(target=drone.run, daemon=True)
-            thread.start()
-            self._fleet.append(drone)
-            self._fleet_threads.append(thread)
+        self.fleet.start()
         return self
 
     def stop(self) -> None:
-        for drone in self._fleet:
-            drone.stop()
-        for thread in self._fleet_threads:
-            thread.join(timeout=10.0)
-        self._fleet.clear()
-        self._fleet_threads.clear()
+        self.fleet.stop()
         super().stop()

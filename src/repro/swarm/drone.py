@@ -111,15 +111,23 @@ class Drone:
     ``plane`` is the control plane to serve: its URL, or a ``(route,
     payload) -> reply`` callable (:meth:`ControlPlane.call` itself, or a
     :class:`PipeTransport`).  A callable plane is in this process or
-    across a pipe, so payloads travel as Python objects and records keep
-    their violation states exactly.
+    across a pipe, so payloads travel as Python objects.
+
+    Record form follows the shard, not the transport: a lease whose
+    shard arrived in wire form (a registry factory description) streams
+    portable, JSON-safe records, whatever carried them; a private plane's
+    shard (the factory object itself) streams records that keep their
+    :class:`~repro.core.monitor.Violation` objects exactly.  So a mission
+    service's event stream stays JSON even when its drones call the
+    plane directly.
 
     ``worker_index`` (optional) stamps streamed records' ``worker`` field
     so swarm reports read like pool reports.  ``exit_when_idle`` makes
     :meth:`run` return once no lease has been granted for
-    ``idle_timeout`` seconds.  A standing fleet drone, and every drone of
-    a :class:`LocalFleet`, runs with ``exit_when_idle=False`` and polls
-    until the control plane buries it or :meth:`stop` is called.
+    ``idle_timeout`` seconds.  Every drone of a :class:`LocalFleet` (the
+    mission server's standing fleet among them) runs with
+    ``exit_when_idle=False`` and polls until the control plane buries it
+    or :meth:`stop` is called.
     """
 
     def __init__(
@@ -219,7 +227,12 @@ class Drone:
         except protocol.ProtocolError:
             self._finish(session_id, lease_id, error=traceback.format_exc())
             return
-        state = _LeaseState(initial_prefixes=len(protocol.shard_prefixes(shard)))
+        state = _LeaseState(
+            initial_prefixes=len(protocol.shard_prefixes(shard)),
+            # Answer in the form asked: a wire-form shard (its factory a
+            # registry description, not the callable) gets JSON-safe records.
+            portable=not callable(grant["shard"]["factory"]),
+        )
         heartbeat = threading.Thread(
             target=self._heartbeat_loop, args=(session_id, lease_id, state), daemon=True
         )
@@ -356,7 +369,7 @@ class Drone:
         if tester.track_coverage:
             coverage = protocol.encode_coverage(tester.last_execution_coverage)
         state.buffer({
-            "record": protocol.encode_record(record, portable=self._call is None),
+            "record": protocol.encode_record(record, portable=state.portable),
             "coverage": coverage,
         })
         if (
@@ -430,7 +443,8 @@ class Drone:
 class _LeaseState:
     """Mutable per-lease state shared between run loop and heartbeats."""
 
-    def __init__(self, initial_prefixes: int) -> None:
+    def __init__(self, initial_prefixes: int, portable: bool) -> None:
+        self.portable = portable
         self.finished = threading.Event()
         self.stop_requested = False
         self.executions_done = 0

@@ -4,10 +4,17 @@ The acceptance bar for the service is *exactness*, not vague liveness:
 two concurrent missions must stream their records incrementally over
 the cursor API and still produce final reports byte-equal to serial
 :class:`~repro.testing.SystematicTester` runs of the same scenario,
-seed and budget — including coverage and replay confirmations.
+seed and budget — including coverage and replay confirmations.  That
+holds for the server's standing fleet (thread drones calling the plane
+in-process) and for external drones on the HTTP routes of the same
+port, and the event stream stays JSON either way.
 """
 
+import json
+import re
+import socket
 import threading
+import time
 
 import pytest
 
@@ -16,7 +23,9 @@ from repro.service.client import (
     decode_report_coverage,
     decode_report_records,
 )
+from repro.swarm import drone as drone_module
 from repro.swarm import protocol
+from repro.swarm.drone import Drone, LocalFleet
 from repro.testing import (
     ExhaustiveStrategy,
     RandomStrategy,
@@ -42,6 +51,20 @@ def _serial(scenario, strategy, *, overrides=None, track_coverage=False):
         strategy=strategy,
         track_coverage=track_coverage,
     ).explore()
+
+
+def _count_http(monkeypatch):
+    """Count the drone module's HTTP round trips (the client has its own)."""
+    calls = []
+    for name in ("post_json", "get_json"):
+        original = getattr(drone_module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(drone_module, name, counted)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +125,60 @@ class TestStreaming:
         assert resumed == full[middle:]
         # Re-reading the whole stream returns the identical event log.
         assert list(client.events(mission_id)) == full
+
+    def test_a_stream_cut_after_its_headers_raises_and_resumes(self):
+        with MissionServer(fleet=1) as private:
+            client = MissionClient(private.url)
+            mission_id = client.submit(
+                "toy-closed-loop", strategy=RandomStrategy(seed=5, max_executions=4)
+            )
+            full = list(client.events(mission_id))
+            assert full[-1]["type"] == "finished"
+
+            service = private.service
+            original = service.events_after
+
+            served = []
+
+            def fails_after_one_batch(mission, since, **options):
+                if served:
+                    # The error class the handler used to answer with a
+                    # JSON reply, which then landed inside the chunked body.
+                    raise TypeError("event log unavailable")
+                batch, _ = original(mission, since, **options)
+                served.append(batch)
+                return batch[:2], False
+
+            service.events_after = fails_after_one_batch
+            seen = []
+            with pytest.raises(protocol.ProtocolError, match="finished") as raised:
+                for event in client.events(mission_id):
+                    seen.append(event)
+            assert seen == full[:2]
+            last_seq = int(re.search(r"last seq (\d+)", str(raised.value)).group(1))
+            assert last_seq == seen[-1]["seq"]
+
+            # On the wire: the server closes the connection, with neither
+            # an error reply nor the final chunk after the first batch.
+            served.clear()
+            host, port = private._server.server_address[:2]
+            with socket.create_connection((host, port), timeout=5.0) as raw:
+                raw.sendall(
+                    f"GET /api/v1/mission/{mission_id}/events?since=0 HTTP/1.1\r\n"
+                    f"Host: {host}\r\n\r\n".encode("ascii")
+                )
+                received = b""
+                while True:
+                    data = raw.recv(65536)  # a socket.timeout here: not closed
+                    if not data:
+                        break
+                    received += data
+            assert received.startswith(b"HTTP/1.1 200")
+            assert b"error" not in received
+            assert not received.endswith(b"0\r\n\r\n")
+
+            service.events_after = original
+            assert seen + list(client.events(mission_id, since=last_seq)) == full
 
     def test_status_tracks_progress(self, client):
         mission_id = client.submit(
@@ -194,6 +271,86 @@ class TestConcurrentMissions:
         assert report["ok"] is True
 
 
+class TestFleets:
+    def test_direct_call_drones_stream_json_records_of_a_violating_mission(self):
+        with MissionServer(fleet=0) as private:
+            fleet = LocalFleet(private.plane, 1, processes=False)
+            fleet.start()
+            try:
+                client = MissionClient(private.url)
+                mission_id = client.submit(
+                    "toy-closed-loop",
+                    strategy=RandomStrategy(seed=0, max_executions=6),
+                    overrides={"broken_ttf": True},
+                )
+                events = list(client.events(mission_id))
+            finally:
+                fleet.stop()
+        records = [event["record"] for event in events if event["type"] == "record"]
+        assert len(records) == 6
+        violations = [v for record in records for v in record["violations"]]
+        assert violations
+        assert all(isinstance(violation, dict) for violation in violations)
+        json.dumps(records)
+
+    def test_the_standing_fleet_makes_no_http_round_trip(self, monkeypatch):
+        calls = _count_http(monkeypatch)
+        with MissionServer(fleet=2) as private:
+            report = MissionClient(private.url).run(
+                "drone-surveillance",
+                strategy=RandomStrategy(seed=3, max_executions=6),
+                overrides={"include_unsafe_position": True},
+                track_coverage=True,
+            )
+        assert len(report["records"]) == 6
+        assert calls == []
+
+    def test_fleet_drones_are_registered_before_the_first_mission(self):
+        with MissionServer(fleet=2) as private:
+            drones = private.plane.status()["drones"]
+            assert sorted(drones) == sorted(private.fleet.drone_ids)
+            assert len(drones) == 2
+            assert not any(state["dead"] for state in drones.values())
+
+    def test_stop_with_an_idle_fleet_does_not_wait_out_a_long_poll(self):
+        private = MissionServer(fleet=2).start()
+        time.sleep(0.2)  # both drones are parked in a 1 s lease long-poll
+        started = time.monotonic()
+        private.stop()
+        assert time.monotonic() - started < 0.5
+        assert all(state["dead"] for state in private.plane.status()["drones"].values())
+
+    def test_external_http_drones_run_missions_on_the_same_port(self, monkeypatch):
+        calls = _count_http(monkeypatch)
+        with MissionServer(fleet=0) as private:
+            external = Drone(private.url, "external-drone", exit_when_idle=False)
+            thread = threading.Thread(target=external.run, daemon=True)
+            thread.start()
+            try:
+                report = MissionClient(private.url).run(
+                    "drone-surveillance",
+                    strategy=RandomStrategy(seed=3, max_executions=6),
+                    overrides={"include_unsafe_position": True},
+                    track_coverage=True,
+                )
+            finally:
+                external.stop()
+                private.plane.drone_lost(external.drone_id)
+                thread.join(timeout=10.0)
+        serial = _serial(
+            "drone-surveillance",
+            RandomStrategy(seed=3, max_executions=6),
+            overrides={"include_unsafe_position": True},
+            track_coverage=True,
+        )
+        assert _record_keys(decode_report_records(report)) == _record_keys(
+            serial.executions
+        )
+        assert decode_report_coverage(report).counts == serial.coverage.counts
+        assert "post_json" in calls
+        assert not thread.is_alive()
+
+
 class TestPopulationMissions:
     def test_population_mission_matches_serial_and_surfaces_stats(self, client):
         report = client.run(
@@ -242,17 +399,24 @@ class TestErrorPaths:
         with pytest.raises(protocol.ProtocolError, match="strategy"):
             client.submit("toy-closed-loop", strategy={"kind": "quantum"})
 
-    def test_result_before_done_is_an_error(self, client):
-        mission_id = client.submit(
-            "toy-closed-loop", strategy=RandomStrategy(seed=9, max_executions=4)
-        )
-        # The mission may legitimately finish fast; only assert when caught mid-run.
-        status = client.status(mission_id)
-        if not status["done"]:
+    def test_result_before_done_is_an_error(self):
+        # No drone serves the plane until the check is made, so the
+        # mission is certainly still running when its result is asked.
+        with MissionServer(fleet=0) as private:
+            client = MissionClient(private.url)
+            mission_id = client.submit(
+                "toy-closed-loop", strategy=RandomStrategy(seed=9, max_executions=4)
+            )
+            assert client.status(mission_id)["done"] is False
             with pytest.raises(protocol.ProtocolError, match="still running"):
                 client.result(mission_id)
-        list(client.events(mission_id))
-        assert client.result(mission_id)["mission"] == mission_id
+            fleet = LocalFleet(private.plane, 1, processes=False)
+            fleet.start()
+            try:
+                list(client.events(mission_id))
+            finally:
+                fleet.stop()
+            assert client.result(mission_id)["mission"] == mission_id
 
     def test_unknown_mission_everywhere(self, client):
         with pytest.raises(protocol.ProtocolError, match="unknown mission"):
@@ -267,9 +431,10 @@ class TestErrorPaths:
 
         status = get_json(server.url, "/api/v1/status")
         assert status["protocol"] == protocol.PROTOCOL_VERSION
-        assert any(
-            drone_id.startswith("service-drone-") for drone_id in status["drones"]
-        )
+        # The standing fleet's drones, registered with the plane this
+        # server fronts, are visible over the drone-facing HTTP route.
+        assert set(server.fleet.drone_ids) <= set(status["drones"])
+        assert len(server.fleet.drone_ids) == 2
 
 
 class TestStrategyCodec:

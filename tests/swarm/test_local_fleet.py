@@ -16,11 +16,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.swarm import ProtocolError, SwarmTester
+from repro.core.monitor import Violation
+from repro.swarm import ProtocolError, SwarmTester, protocol
 from repro.swarm import controlplane as controlplane_module
 from repro.swarm.controlplane import ControlPlane
-from repro.swarm.drone import PipeTransport, SwarmUnavailable, relay
-from repro.testing import ParallelTester, RandomStrategy
+from repro.swarm.drone import LocalFleet, PipeTransport, SwarmUnavailable, relay
+from repro.testing import ParallelTester, RandomStrategy, scenario_factory
+from repro.testing.parallel import _RandomShard
 
 STRATEGY = dict(strategy=RandomStrategy(seed=0, max_executions=4))
 
@@ -127,3 +129,27 @@ def test_a_registered_sibling_keeps_the_session_alive():
     plane.drone_lost("first")
     assert plane.session_status(session)["failed"] is None
     assert not plane.status()["drones"]["second"]["dead"]
+
+
+@pytest.mark.parametrize("portable", [True, False], ids=["wire-shard", "object-shard"])
+def test_record_form_follows_the_shard_not_the_transport(portable):
+    # Both drones call the plane directly; only the shard's form differs.
+    shard = _RandomShard(
+        factory=scenario_factory("toy-closed-loop", broken_ttf=True), seed=0,
+        max_executions=3, indices=(0, 1, 2), max_permuted=6,
+        stop_at_first_violation=False,
+    )
+    plane = ControlPlane()
+    session = plane.create_session([protocol.encode_shard(shard, portable=portable)])
+    fleet = LocalFleet(plane, 1, processes=False)
+    fleet.start()
+    deadline = time.monotonic() + 30.0
+    while not plane.session_status(session)["finished"] and time.monotonic() < deadline:
+        time.sleep(0.02)
+    fleet.stop()
+    records = plane.session_report(session)["records"]
+    assert len(records) == 3
+    violations = [violation for record in records for violation in record["violations"]]
+    assert violations
+    assert all(isinstance(violation, dict if portable else Violation)
+               for violation in violations)
