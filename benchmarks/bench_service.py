@@ -5,8 +5,8 @@ The mission service wraps the same control plane the
 plane: per-mission event logs, cursor reads, a chunked HTTP event
 stream and a final report round trip.  The two fleets differ in
 transport: the swarm's drones reach their plane over loopback HTTP,
-while the service's standing fleet calls its plane in-process, so only
-the client's submit, stream and result requests ride HTTP on the
+while the service's standing fleet is N forked drones over pipes, so
+only the client's submit, stream and result requests ride HTTP on the
 service side.  This benchmark runs the same 200-execution random sweep
 both ways on one host and asserts the service's streaming overhead
 stays within 1.5x of the facade — the streaming path must ride

@@ -32,6 +32,7 @@ serial and the parallel tester construct these workloads by name:
 
 from __future__ import annotations
 
+import os
 import threading
 from dataclasses import replace
 from functools import lru_cache, wraps
@@ -82,19 +83,27 @@ _T = TypeVar("_T")
 def _build_once(factory: Callable[[], _T]) -> Callable[[], _T]:
     """Memoize a zero-argument world factory, building at most once.
 
-    A plain ``lru_cache`` lets concurrent first callers (the mission
-    server's HTTP handler and its drone threads) each build and densify
-    their own copy; the lock makes them wait for the one build and share
-    it.  ``cache_clear()`` drops the memo as ``lru_cache`` does.
+    A plain ``lru_cache`` lets concurrent first callers (a mission
+    server's HTTP handler and mission runners, a thread fleet's drones)
+    each build and densify their own copy; the lock makes them wait for
+    the one build and share it.  ``cache_clear()`` drops the memo as
+    ``lru_cache`` does.  A forked child gets a fresh lock: a worker forked
+    while another thread is mid-build would otherwise inherit the lock
+    held, with no thread left to release it.
     """
     memo = lru_cache(maxsize=None)(factory)
-    lock = threading.Lock()
 
     @wraps(factory)
     def build() -> _T:
-        with lock:
+        with build.lock:  # type: ignore[attr-defined]
             return memo()
 
+    def rearm() -> None:
+        build.lock = threading.Lock()  # type: ignore[attr-defined]
+
+    rearm()
+    if hasattr(os, "register_at_fork"):
+        os.register_at_fork(after_in_child=rearm)
     build.cache_clear = memo.cache_clear  # type: ignore[attr-defined]
     return build
 

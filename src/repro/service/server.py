@@ -16,12 +16,15 @@ the clients' mission front door:
   resume);
 * ``GET /api/v1/mission/<id>/result`` — the final report, once done.
 
-``fleet=N`` optionally hosts a standing fleet of N drone threads (one
-:class:`~repro.swarm.drone.LocalFleet`) so one ``MissionServer`` is a
-complete single-host deployment.  Its drones call the plane in-process
-(:meth:`~repro.swarm.controlplane.ControlPlane.call`), not over loopback
-HTTP; external drones pointed at this server's URL use the HTTP routes
-above.  Leave ``fleet`` 0 when only external drones serve the plane.
+``fleet=N`` optionally hosts a standing fleet of N forked drones over
+pipes (one process :class:`~repro.swarm.drone.LocalFleet`) so one
+``MissionServer`` is a complete single-host deployment.  Each drone runs
+in its own process, off the server's GIL, and reaches the plane through
+a pipe that a relay thread here answers with
+:meth:`~repro.swarm.controlplane.ControlPlane.call`, not over loopback
+HTTP; a drone whose process dies is buried as soon as its pipe closes.
+External drones pointed at this server's URL use the HTTP routes above.
+Leave ``fleet`` 0 when only external drones serve the plane.
 
 Once a stream's headers are out, a failure closes the connection
 instead of replying with a JSON error, so the client sees a truncated
@@ -144,14 +147,16 @@ class MissionServer(ControlPlaneServer):
         )
         # The handler type was built before the service existed; bind now.
         self._server.RequestHandlerClass.service = self.service
-        self.fleet = LocalFleet(self.plane, fleet, processes=False)
+        self.fleet = LocalFleet(self.plane, fleet, processes=True)
 
     def _handler_attributes(self) -> Dict[str, Any]:
         return {**super()._handler_attributes(), "service": None}
 
     def start(self) -> "MissionServer":
-        super().start()
+        # Fork the drones before the serve thread exists, so no worker is
+        # forked while a server thread holds a lock.
         self.fleet.start()
+        super().start()
         return self
 
     def stop(self) -> None:

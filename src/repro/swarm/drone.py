@@ -538,9 +538,10 @@ class LocalFleet:
     With a ``url`` the drones use HTTP.  Without one, thread drones call
     ``plane.call`` directly and process drones each get a pipe, answered
     by a :func:`relay` thread here.  The fleet owns its drones: it reports
-    each exited process to ``plane.drone_lost`` (:meth:`reap`) and
-    retires every drone the same way (:meth:`stop`), so idle drones exit
-    as soon as their session ends.
+    each exited process to ``plane.drone_lost`` (a pipe worker as soon as
+    its relay reads EOF, an HTTP one on :meth:`reap`) and retires every
+    drone the same way (:meth:`stop`), so idle drones exit as soon as
+    their session ends.
     """
 
     def __init__(self, plane: Any, count: int, *, processes: bool,
@@ -556,6 +557,7 @@ class LocalFleet:
         self._threads: List[threading.Thread] = []  # drone or relay threads
         self._pipes: List[Connection] = []
         self._lost: set = set()
+        self._lost_lock = threading.Lock()  # relay threads bury drones too
 
     def start(self) -> None:
         for drone_id in self.drone_ids:  # so no sibling looks like the last live drone
@@ -581,8 +583,19 @@ class LocalFleet:
                 target.close()  # before the next fork, so the relay sees this worker's EOF
         # Relays start once every worker is forked, so no worker is forked
         # while a relay thread holds a lock.
-        for parent_end in self._pipes:
-            self._spawn(relay, self.plane, parent_end)
+        for drone_id, parent_end in zip(self.drone_ids, self._pipes):
+            self._spawn(self._relay, drone_id, parent_end)
+
+    def _relay(self, drone_id: str, connection: Connection) -> None:
+        relay(self.plane, connection)
+        self._bury(drone_id)  # EOF: the worker is gone, requeue its lease now
+
+    def _bury(self, drone_id: str) -> None:
+        with self._lost_lock:
+            if drone_id in self._lost:
+                return
+            self._lost.add(drone_id)
+        self.plane.drone_lost(drone_id)
 
     def _spawn(self, target: Callable[..., Any], *args: Any) -> None:
         thread = threading.Thread(target=target, args=args, daemon=True)
@@ -594,12 +607,16 @@ class LocalFleet:
         """The worker processes' exit codes (``None`` while one runs)."""
         return [process.exitcode for process in self._procs]
 
+    @property
+    def pids(self) -> List[Optional[int]]:
+        """The worker processes' pids, in :attr:`drone_ids` order."""
+        return [process.pid for process in self._procs]
+
     def reap(self) -> None:
         """Report every newly exited worker process to the plane."""
         for drone_id, process in zip(self.drone_ids, self._procs):
-            if drone_id not in self._lost and process.exitcode is not None:
-                self._lost.add(drone_id)
-                self.plane.drone_lost(drone_id)
+            if process.exitcode is not None:
+                self._bury(drone_id)
 
     def stop(self) -> None:
         """Retire every drone, then wait for threads and processes to end."""
@@ -608,7 +625,7 @@ class LocalFleet:
         for drone in self._drones:
             drone.stop()
         for drone_id in self.drone_ids:
-            self.plane.drone_lost(drone_id)
+            self._bury(drone_id)
         for process in self._procs:
             process.join(timeout=10.0)
             if process.is_alive():  # pragma: no cover - stuck-drone safety net

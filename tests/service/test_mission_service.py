@@ -5,13 +5,17 @@ two concurrent missions must stream their records incrementally over
 the cursor API and still produce final reports byte-equal to serial
 :class:`~repro.testing.SystematicTester` runs of the same scenario,
 seed and budget — including coverage and replay confirmations.  That
-holds for the server's standing fleet (thread drones calling the plane
-in-process) and for external drones on the HTTP routes of the same
-port, and the event stream stays JSON either way.
+holds for the server's standing fleet (N forked drones over pipes,
+answered by relay threads in the server) and for external drones on
+the HTTP routes of the same port, and the event stream stays JSON
+either way.  A standing drone killed mid-mission is buried as soon as
+its pipe closes, and its lease re-runs on the survivor.
 """
 
 import json
+import os
 import re
+import signal
 import socket
 import threading
 import time
@@ -25,6 +29,7 @@ from repro.service.client import (
 )
 from repro.swarm import drone as drone_module
 from repro.swarm import protocol
+from repro.swarm.controlplane import _Handler
 from repro.swarm.drone import Drone, LocalFleet
 from repro.testing import (
     ExhaustiveStrategy,
@@ -294,16 +299,38 @@ class TestFleets:
         json.dumps(records)
 
     def test_the_standing_fleet_makes_no_http_round_trip(self, monkeypatch):
-        calls = _count_http(monkeypatch)
-        with MissionServer(fleet=2) as private:
+        # The drones run in forked children, so what they call cannot be
+        # counted there; count what reaches the plane here instead.
+        served = []
+        original_serve = _Handler._serve
+
+        def serve(handler, *, post):
+            served.append(handler.path)
+            return original_serve(handler, post=post)
+
+        monkeypatch.setattr(_Handler, "_serve", serve)
+        private = MissionServer(fleet=2)
+        relayed = []
+        original_call = private.plane.call
+
+        def call(route, payload=None):
+            relayed.append(route)
+            return original_call(route, payload)
+
+        private.plane.call = call  # before start(): the relays call this
+        with private:
             report = MissionClient(private.url).run(
                 "drone-surveillance",
                 strategy=RandomStrategy(seed=3, max_executions=6),
                 overrides={"include_unsafe_position": True},
                 track_coverage=True,
             )
+            pids = private.fleet.pids
         assert len(report["records"]) == 6
-        assert calls == []
+        assert served == []  # no drone route went over HTTP...
+        assert "lease" in relayed and "result" in relayed  # ...all came by pipe
+        assert len(pids) == len(private.fleet.drone_ids) == 2
+        assert all(pid is not None and pid != os.getpid() for pid in pids)
 
     def test_fleet_drones_are_registered_before_the_first_mission(self):
         with MissionServer(fleet=2) as private:
@@ -319,6 +346,44 @@ class TestFleets:
         private.stop()
         assert time.monotonic() - started < 0.5
         assert all(state["dead"] for state in private.plane.status()["drones"].values())
+        assert len(private.fleet.exit_codes) == 2
+        assert all(code is not None for code in private.fleet.exit_codes)
+
+    def test_a_killed_standing_drone_is_buried_at_once(self):
+        # A heartbeat timeout far beyond the bar below: only the burial
+        # on pipe EOF can requeue the dead drone's lease in time.
+        strategy = dict(seed=5, max_executions=300)
+        overrides = {"include_unsafe_position": True}
+        with MissionServer(fleet=2, heartbeat_timeout=30.0) as private:
+            client = MissionClient(private.url)
+            mission_id = client.submit(
+                "drone-surveillance", strategy=RandomStrategy(**strategy),
+                overrides=overrides, track_coverage=True,
+            )
+            events = client.events(mission_id)
+            for event in events:
+                if event["type"] == "record":
+                    break
+            leases = private.plane.status()["active_leases"]
+            assert leases  # a 300-execution mission is still running
+            victim = leases[0]["drone"]
+            os.kill(private.fleet.pids[private.fleet.drone_ids.index(victim)], signal.SIGKILL)
+            killed = time.monotonic()
+            rest = list(events)
+            finished = time.monotonic() - killed
+            report = client.result(mission_id)
+            status = private.plane.status()
+        assert rest[-1]["type"] == "finished"
+        assert finished < 5.0
+        assert status["drones"][victim]["dead"]
+        serial = _serial(
+            "drone-surveillance", RandomStrategy(**strategy),
+            overrides=overrides, track_coverage=True,
+        )
+        assert _record_keys(decode_report_records(report)) == _record_keys(
+            serial.executions
+        )
+        assert decode_report_coverage(report).counts == serial.coverage.counts
 
     def test_external_http_drones_run_missions_on_the_same_port(self, monkeypatch):
         calls = _count_http(monkeypatch)
