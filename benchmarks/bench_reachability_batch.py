@@ -180,14 +180,13 @@ def test_occupancy_grid_vectorisation_speedup(benchmark, table_printer, benchmar
     assert dijkstra / chamfer >= 5.0
 
 
-def _sweep(use_query_cache: bool, monitor_window: int) -> float:
+def _sweep(use_query_cache: bool) -> float:
     factory = scenario_factory(
         "drone-surveillance", horizon=HORIZON, use_query_cache=use_query_cache
     )
     tester = SystematicTester(
         factory,
         strategy=RandomStrategy(seed=SEED, max_executions=SWEEP_EXECUTIONS),
-        monitor_window=monitor_window,
     )
     started = time.perf_counter()
     report = tester.explore()
@@ -207,19 +206,18 @@ def test_explorer_throughput_improves(benchmark, table_printer, benchmark_gate):
         # whichever cached sweep runs first.
         _shared_world()
         rounds = []
-        for _ in range(SWEEP_ROUNDS):  # alternate, so drift hits all three alike
+        for _ in range(SWEEP_ROUNDS):  # alternate, so drift hits both alike
             rounds.append(
                 (
-                    _sweep(use_query_cache=False, monitor_window=1),  # pre-PR configuration
-                    _sweep(use_query_cache=True, monitor_window=1),  # current defaults
-                    _sweep(use_query_cache=True, monitor_window=64),  # opt-in windowing
+                    _sweep(use_query_cache=False),  # pre-PR configuration
+                    _sweep(use_query_cache=True),  # current defaults
                 )
             )
         return rounds
 
     rounds = benchmark.pedantic(measure, rounds=1, iterations=1)
-    legacy, cached, windowed = (statistics.median(column) for column in zip(*rounds))
-    ratios = [old / new for old, new, _ in rounds]
+    legacy, cached = (statistics.median(column) for column in zip(*rounds))
+    ratios = [old / new for old, new in rounds]
     speedup = statistics.median(ratios)
     table_printer(
         f"Explorer throughput: {SWEEP_EXECUTIONS}-execution 'drone-surveillance' sweep "
@@ -231,8 +229,6 @@ def test_explorer_throughput_improves(benchmark, table_printer, benchmark_gate):
             ["cached ClearanceField, per-step monitors (default)", f"{cached:.2f}",
              f"{SWEEP_EXECUTIONS / cached:.0f}",
              f"{speedup:.2f}x (rounds: {', '.join(f'{r:.2f}' for r in ratios)})"],
-            ["cached ClearanceField + windowed monitors (window=64)", f"{windowed:.2f}",
-             f"{SWEEP_EXECUTIONS / windowed:.0f}", f"{legacy / windowed:.2f}x"],
         ],
     )
     benchmark_gate("reachability-batch/explorer-sweep", cached)

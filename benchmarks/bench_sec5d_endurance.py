@@ -8,8 +8,7 @@ controller not being scheduled in time after a switch (an OS-scheduling
 effect, expected to disappear on an RTOS).
 
 The benchmark runs a scaled-down randomized campaign (a handful of missions
-instead of 104 hours — the scaling is recorded in EXPERIMENTS.md) in three
-scheduler configurations:
+instead of 104 hours) in three scheduler configurations:
 
 * an idealised real-time scheduler (no crashes expected),
 * a jittery best-effort OS scheduler (still safe at realistic jitter), and

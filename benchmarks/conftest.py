@@ -3,8 +3,7 @@
 Every benchmark regenerates one table or figure of the SOTER paper's
 evaluation (Section V) on a scaled-down workload and prints the rows it
 measured next to the values the paper reports, so the qualitative shape
-can be compared at a glance.  EXPERIMENTS.md records one full set of
-measured numbers.
+can be compared at a glance.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import pytest
 import pathlib
 
 #: Every table a benchmark prints is also appended here, so the regenerated
-#: rows survive pytest's output capturing and can be pasted into EXPERIMENTS.md.
+#: rows survive pytest's output capturing.
 TABLE_LOG = pathlib.Path(__file__).resolve().parent.parent / "benchmark_tables.txt"
 
 #: Per-benchmark reference wall times (seconds), stored next to the table

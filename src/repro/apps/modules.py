@@ -127,8 +127,8 @@ def build_safe_motion_primitive(
 
     # The module's clearance threshold checks all go through the shared
     # safety-query plane: the cached ClearanceField answers the common
-    # far-from-obstacle case from its memo, the batch predicates let the
-    # monitors evaluate whole sample windows in one vectorised call.
+    # far-from-obstacle case from its memo, and the batch predicates let
+    # the well-formedness falsifier judge many sampled states at once.
     field = workspace.clearance_field() if config.use_query_cache else None
 
     def _clearance_exceeds(position: Vec3, threshold: float) -> bool:

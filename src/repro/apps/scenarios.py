@@ -347,7 +347,6 @@ def build_multi_obstacle_geofence(
                 spec=SafetySpec(
                     "free with margin",
                     lambda point: workspace.is_free(point, margin=margin),
-                    batch_predicate=lambda pts: workspace.is_free_batch(pts, margin=margin),
                 ),
             )
         ]
@@ -643,7 +642,6 @@ def build_multi_drone_surveillance(
     seed: int = 0,
     use_query_cache: bool = True,
     min_separation: float = 2.0,
-    use_batch_separation: bool = True,
 ) -> ModelInstance:
     if drones < 1:
         raise ValueError("the fleet needs at least one drone")
@@ -653,7 +651,6 @@ def build_multi_drone_surveillance(
         vehicles=fleet_configs(drones, base),
         name="multi-drone-surveillance",
         min_separation=min_separation,
-        use_batch_separation=use_batch_separation,
     )
     model = build_fleet_discrete_model(fleet)
     points = world.surveillance_points
@@ -701,7 +698,6 @@ def build_multi_drone_crossing(
     environment_period: float = 0.25,
     seed: int = 0,
     min_separation: float = 2.0,
-    use_batch_separation: bool = True,
 ) -> ModelInstance:
     world = _shared_world()
     altitude = world.cruise_altitude
@@ -723,7 +719,6 @@ def build_multi_drone_crossing(
         vehicles=vehicles,
         name="multi-drone-crossing",
         min_separation=min_separation,
-        use_batch_separation=use_batch_separation,
     )
     model = build_fleet_discrete_model(fleet)
     menus = {

@@ -41,7 +41,7 @@ from ..dynamics import (
 )
 from ..geometry import Vec3, state_memo
 from ..planning import FaultyPlanner, GridAStarPlanner, PlannerBug, RRTStarPlanner
-from ..reachability import WorstCaseReachability, states_as_arrays, synthesize_safe_tracker
+from ..reachability import WorstCaseReachability, synthesize_safe_tracker
 from ..runtime.faults import ChoiceFaultInjector, FaultInjector, FaultSite, FaultSpec
 from ..simulation import (
     BatterySensor,
@@ -434,12 +434,10 @@ def _vehicle_monitors(
 ) -> list:
     """One vehicle's monitors: the φ_obs topic monitor plus (optionally) φ_Inv.
 
-    Both monitors are wired to the batched safety-query plane: their scalar
-    checks hit the workspace's cached :class:`ClearanceField` and their
-    batch hooks evaluate whole monitor windows with one vectorised
-    clearance/reachability query.  Names and topics come from the
-    vehicle's namespace, so fleet compositions get one independent monitor
-    set per vehicle.
+    Both monitors' checks hit the workspace's cached
+    :class:`ClearanceField` (when ``use_query_cache`` is on).  Names and
+    topics come from the vehicle's namespace, so fleet compositions get
+    one independent monitor set per vehicle.
     """
     workspace = config.world.workspace
     ns = config.namespace
@@ -454,19 +452,11 @@ def _vehicle_monitors(
     if field is not None:
         _phi_obs = state_memo(workspace, _phi_obs)  # one verdict per state object
 
-    def _phi_obs_batch(states):
-        positions = [s.position.as_tuple() for s in states]
-        return workspace.clearance_batch(positions) > 0.0
-
     monitors.append(
         TopicSafetyMonitor(
             name=ns.scoped("phi_obs(estimated)"),
             topic=ns.position,
-            spec=SafetySpec(
-                name="phi_obs",
-                predicate=_phi_obs,
-                batch_predicate=_phi_obs_batch,
-            ),
+            spec=SafetySpec(name="phi_obs", predicate=_phi_obs),
         )
     )
     if config.with_invariant_monitor and mp_module is not None:
@@ -480,17 +470,10 @@ def _vehicle_monitors(
         if field is not None:
             _may_leave = state_memo(workspace, _may_leave)
 
-        def _may_leave_batch(states, horizon: float):
-            positions, speeds = states_as_arrays(states)
-            return reach.may_leave_safe_batch(
-                positions, speeds, workspace, horizon, margin=config.collision_margin
-            )
-
         monitors.append(
             InvariantMonitor(
                 module=system.module_named(mp_module.spec.name),
                 may_leave_within=_may_leave,
-                may_leave_within_batch=_may_leave_batch,
             )
         )
     return monitors
@@ -648,7 +631,6 @@ class FleetConfig:
     name: str = "drone-fleet"
     min_separation: float = 2.0
     with_separation_monitor: bool = True
-    use_batch_separation: bool = True
 
     def __post_init__(self) -> None:
         if not self.vehicles:
@@ -778,7 +760,6 @@ def _fleet_monitors(
         separation = SeparationMonitor(
             topics=[vehicle.namespace.position for vehicle in config.vehicles],
             min_separation=config.min_separation,
-            use_batch=config.use_batch_separation,
         )
         monitors.add(separation)
     return monitors, separation

@@ -8,20 +8,9 @@ and record violations.  They serve two purposes in the reproduction:
 * measuring how often the *unprotected* stack violates φ_safe (Figure 5)
   versus the RTA-protected stack (Figures 12a–c, Section V-D).
 
-Batched evaluation
-------------------
-Besides the immediate :meth:`MonitorSuite.check_all`, the suite offers a
-windowed path: :meth:`MonitorSuite.capture_all` snapshots each monitor's
-observations (topic value, module mode, time) without evaluating any
-predicate, and :meth:`MonitorSuite.flush` evaluates a whole window of
-samples in one batched call per monitor.  Verdicts, violation times and
-the violation *order* are identical to running ``check_all`` at every
-sample — batch predicates are required to agree with their scalar
-counterparts (see :class:`~repro.core.specs.SafetySpec`) and flushed
-violations are re-sorted into sample-major, monitor-minor order, exactly
-the order the scalar loop produces.  Executors and the systematic tester
-use this to amortise Python dispatch over many samples while preserving
-first-violation times.
+Every monitor has one entry point, ``check(engine)``, which evaluates its
+property on the running system at the current sampling instant, and
+:meth:`MonitorSuite.check_all` runs them all in roster order.
 """
 
 from __future__ import annotations
@@ -29,9 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..geometry import min_pairwise_separation, pairwise_index_pairs, pairwise_separations
+from ..geometry import min_pairwise_separation
 from .decision import Mode
 from .module import RTAModuleInstance
 from .semantics import SemanticsEngine
@@ -91,21 +78,17 @@ class TopicSafetyMonitor:
         self.spec = spec
         self.ignore_missing = ignore_missing
         self.result = MonitorResult(name=name)
-        self._pending: List[Tuple[int, float, Any]] = []
 
     def reset(self) -> None:
-        """Forget recorded violations and pending samples (Resettable)."""
+        """Forget recorded violations (Resettable)."""
         self.result.clear()
-        self._pending.clear()
 
     # -- delta-snapshot hooks (see repro.core.resettable) --------------- #
     def capture_delta_state(self) -> tuple:
-        return (tuple(self.result.violations), tuple(self._pending))
+        return tuple(self.result.violations)
 
     def restore_delta_state(self, state: tuple) -> None:
-        violations, pending = state
-        self.result.violations[:] = violations
-        self._pending[:] = pending
+        self.result.violations[:] = state
 
     def check(self, engine: SemanticsEngine) -> Optional[Violation]:
         """Evaluate the property on the current topic value; record any violation."""
@@ -123,36 +106,6 @@ class TopicSafetyMonitor:
         self.result.violations.append(violation)
         return violation
 
-    # -- windowed evaluation -------------------------------------------- #
-    def capture(self, engine: SemanticsEngine, serial: int) -> None:
-        """Snapshot the topic value; predicates are deferred to :meth:`flush`."""
-        self._pending.append((serial, engine.current_time, engine.read_topic(self.topic)))
-
-    def flush(self) -> List[Tuple[int, Violation]]:
-        """Evaluate all captured samples in one batched call.
-
-        Returns ``(serial, violation)`` pairs so the suite can restore the
-        exact order the scalar loop would have produced.
-        """
-        if not self._pending:
-            return []
-        pending, self._pending = self._pending, []
-        values = [value for _, _, value in pending]
-        verdicts = self.spec.contains_batch(values)
-        flushed: List[Tuple[int, Violation]] = []
-        for (serial, time, value), ok in zip(pending, verdicts):
-            if ok or (value is None and self.ignore_missing):
-                continue
-            violation = Violation(
-                time=time,
-                monitor=self.name,
-                message=f"topic {self.topic!r} violates {self.spec.name}",
-                state=value,
-            )
-            self.result.violations.append(violation)
-            flushed.append((serial, violation))
-        return flushed
-
 
 class DeadlineMonitor:
     """Checks that a topic never stays outside a :class:`SafetySpec` too long.
@@ -166,12 +119,6 @@ class DeadlineMonitor:
     stamped at the first sample past the deadline.  Missing values
     (``None``) end a streak when ``ignore_missing`` is set, mirroring
     :class:`TopicSafetyMonitor`.
-
-    The windowed :meth:`capture`/:meth:`flush` path replays the same
-    state machine over the captured samples in order (streaks legally
-    span window boundaries — the streak state lives on the monitor), so
-    verdicts, times and messages are identical to calling :meth:`check`
-    at every sample.
     """
 
     def __init__(
@@ -192,28 +139,20 @@ class DeadlineMonitor:
         self.result = MonitorResult(name=name)
         self._bad_since: Optional[float] = None
         self._reported = False
-        self._pending: List[Tuple[int, float, Any]] = []
 
     def reset(self) -> None:
-        """Forget violations, pending samples, and the current streak (Resettable)."""
+        """Forget violations and the current streak (Resettable)."""
         self.result.clear()
-        self._pending.clear()
         self._bad_since = None
         self._reported = False
 
     # -- delta-snapshot hooks (see repro.core.resettable) --------------- #
     def capture_delta_state(self) -> tuple:
-        return (
-            tuple(self.result.violations),
-            tuple(self._pending),
-            self._bad_since,
-            self._reported,
-        )
+        return (tuple(self.result.violations), self._bad_since, self._reported)
 
     def restore_delta_state(self, state: tuple) -> None:
-        violations, pending, bad_since, reported = state
+        violations, bad_since, reported = state
         self.result.violations[:] = violations
-        self._pending[:] = pending
         self._bad_since = bad_since
         self._reported = reported
 
@@ -249,23 +188,6 @@ class DeadlineMonitor:
         """Evaluate the deadline property on the current topic value."""
         return self._observe(engine.current_time, engine.read_topic(self.topic))
 
-    # -- windowed evaluation -------------------------------------------- #
-    def capture(self, engine: SemanticsEngine, serial: int) -> None:
-        """Snapshot the topic value; the streak machine runs at :meth:`flush`."""
-        self._pending.append((serial, engine.current_time, engine.read_topic(self.topic)))
-
-    def flush(self) -> List[Tuple[int, Violation]]:
-        """Replay the streak state machine over the captured window in order."""
-        if not self._pending:
-            return []
-        pending, self._pending = self._pending, []
-        flushed: List[Tuple[int, Violation]] = []
-        for serial, time, value in pending:
-            violation = self._observe(time, value)
-            if violation is not None:
-                flushed.append((serial, violation))
-        return flushed
-
 
 class SeparationMonitor:
     """Checks pairwise minimum separation between N vehicles' position topics.
@@ -277,15 +199,8 @@ class SeparationMonitor:
     is still unset are skipped (nothing to separate yet), mirroring
     :class:`TopicSafetyMonitor`'s ``ignore_missing`` behaviour.
 
-    The scalar :meth:`check` walks the ``N*(N-1)/2`` pairs with
-    :func:`~repro.geometry.min_pairwise_separation` — the oracle.  The
-    windowed :meth:`capture`/:meth:`flush` path answers a whole window of
-    samples with **one** batched N² query
-    (:func:`~repro.geometry.pairwise_separations` over an ``(S, N, 3)``
-    array); both planes evaluate the same floating-point expressions in
-    the same order, so verdicts, offending pairs, times and messages are
-    bit-for-bit identical (``use_batch=False`` keeps the scalar loop in
-    ``flush`` for the equivalence tests).
+    :meth:`check` walks the ``N*(N-1)/2`` pairs with
+    :func:`~repro.geometry.min_pairwise_separation`.
     """
 
     def __init__(
@@ -294,7 +209,6 @@ class SeparationMonitor:
         min_separation: float,
         name: str = "phi_separation",
         position_of: Optional[Callable[[Any], Any]] = None,
-        use_batch: bool = True,
     ) -> None:
         if len(topics) < 2:
             raise ValueError("a separation monitor needs at least two vehicle topics")
@@ -308,103 +222,38 @@ class SeparationMonitor:
         # Default extractor handles both DroneState-like payloads (with a
         # ``.position``) and raw Vec3 positions.
         self.position_of = position_of or (lambda value: getattr(value, "position", value))
-        self.use_batch = use_batch
         self.result = MonitorResult(name=name)
-        self._pairs = pairwise_index_pairs(len(self.topics))
-        self._pending: List[Tuple[int, float, Tuple[Any, ...]]] = []
 
     def reset(self) -> None:
-        """Forget recorded violations and pending samples (Resettable)."""
+        """Forget recorded violations (Resettable)."""
         self.result.clear()
-        self._pending.clear()
 
     # -- delta-snapshot hooks (see repro.core.resettable) --------------- #
     def capture_delta_state(self) -> tuple:
-        return (tuple(self.result.violations), tuple(self._pending))
+        return tuple(self.result.violations)
 
     def restore_delta_state(self, state: tuple) -> None:
-        violations, pending = state
-        self.result.violations[:] = violations
-        self._pending[:] = pending
+        self.result.violations[:] = state
 
-    # -- shared scalar/batch pieces -------------------------------------- #
-    def _read_all(self, engine: SemanticsEngine) -> Tuple[Any, ...]:
-        return tuple(engine.read_topic(topic) for topic in self.topics)
-
-    def _positions(self, values: Sequence[Any]) -> Optional[List[Any]]:
-        """The per-vehicle positions, or ``None`` if any topic is unset."""
-        positions = []
-        for value in values:
-            if value is None:
-                return None
-            positions.append(self.position_of(value))
-        return positions
-
-    def _violation(
-        self, time: float, distance: float, pair: Tuple[int, int], values: Sequence[Any]
-    ) -> Violation:
-        i, j = pair
+    def check(self, engine: SemanticsEngine) -> Optional[Violation]:
+        """Evaluate pairwise separation now; record the closest offending pair."""
+        values = tuple(engine.read_topic(topic) for topic in self.topics)
+        if any(value is None for value in values):
+            return None
+        distance, (i, j) = min_pairwise_separation([self.position_of(value) for value in values])
+        if distance >= self.min_separation:
+            return None
         violation = Violation(
-            time=time,
+            time=engine.current_time,
             monitor=self.name,
             message=(
                 f"separation {self.topics[i]!r}<->{self.topics[j]!r} is "
-                f"{distance:.3f} m < {self.min_separation:.3f} m"
+                f"{float(distance):.3f} m < {self.min_separation:.3f} m"
             ),
             state=(values[i], values[j]),
         )
         self.result.violations.append(violation)
         return violation
-
-    # -- immediate evaluation (the scalar oracle) ------------------------- #
-    def check(self, engine: SemanticsEngine) -> Optional[Violation]:
-        """Evaluate pairwise separation now; record the closest offending pair."""
-        values = self._read_all(engine)
-        positions = self._positions(values)
-        if positions is None:
-            return None
-        distance, pair = min_pairwise_separation(positions)
-        if distance >= self.min_separation:
-            return None
-        return self._violation(engine.current_time, float(distance), pair, values)
-
-    # -- windowed evaluation -------------------------------------------- #
-    def capture(self, engine: SemanticsEngine, serial: int) -> None:
-        """Snapshot every vehicle topic; separations are deferred to :meth:`flush`."""
-        self._pending.append((serial, engine.current_time, self._read_all(engine)))
-
-    def flush(self) -> List[Tuple[int, Violation]]:
-        """Evaluate all captured samples — one batched N² query per window."""
-        if not self._pending:
-            return []
-        pending, self._pending = self._pending, []
-        rows = [(entry, self._positions(entry[2])) for entry in pending]
-        complete = [(entry, positions) for entry, positions in rows if positions is not None]
-        if not complete:
-            return []
-        flushed: List[Tuple[int, Violation]] = []
-        if self.use_batch:
-            stacked = np.array(
-                [[tuple(position) for position in positions] for _, positions in complete],
-                dtype=float,
-            )
-            separations = pairwise_separations(stacked)  # (S, P)
-            worst = separations.argmin(axis=1)  # first minimal pair, like the scalar scan
-            for row, ((serial, time, values), _) in enumerate(complete):
-                pair_index = int(worst[row])
-                distance = float(separations[row, pair_index])
-                if distance >= self.min_separation:
-                    continue
-                flushed.append(
-                    (serial, self._violation(time, distance, self._pairs[pair_index], values))
-                )
-            return flushed
-        for (serial, time, values), positions in complete:
-            distance, pair = min_pairwise_separation(positions)
-            if distance >= self.min_separation:
-                continue
-            flushed.append((serial, self._violation(time, float(distance), pair, values)))
-        return flushed
 
 
 class InvariantMonitor:
@@ -423,31 +272,26 @@ class InvariantMonitor:
         module: RTAModuleInstance,
         may_leave_within: Callable[[Any, float], bool],
         state_topic: Optional[str] = None,
-        may_leave_within_batch: Optional[Callable[[Sequence[Any], float], Sequence[bool]]] = None,
     ) -> None:
         self.module = module
         self.may_leave_within = may_leave_within
-        self.may_leave_within_batch = may_leave_within_batch
         self.state_topic = state_topic or module.spec.state_topics[0]
         self.name = f"phi_inv[{module.name}]"
         self.result = MonitorResult(name=self.name)
         self.samples = 0
-        self._pending: List[Tuple[int, float, Mode, Any]] = []
 
     def reset(self) -> None:
-        """Forget recorded violations, samples, and pending windows (Resettable)."""
+        """Forget recorded violations and samples (Resettable)."""
         self.result.clear()
         self.samples = 0
-        self._pending.clear()
 
     # -- delta-snapshot hooks (see repro.core.resettable) --------------- #
     def capture_delta_state(self) -> tuple:
-        return (tuple(self.result.violations), tuple(self._pending), self.samples)
+        return (tuple(self.result.violations), self.samples)
 
     def restore_delta_state(self, state: tuple) -> None:
-        violations, pending, samples = state
+        violations, samples = state
         self.result.violations[:] = violations
-        self._pending[:] = pending
         self.samples = samples
 
     def holds(self, mode: Mode, state: Any) -> bool:
@@ -474,62 +318,12 @@ class InvariantMonitor:
         self.result.violations.append(violation)
         return violation
 
-    # -- windowed evaluation -------------------------------------------- #
-    def capture(self, engine: SemanticsEngine, serial: int) -> None:
-        """Snapshot (time, mode, state); the mode must be read *now*, not at flush."""
-        self.samples += 1
-        self._pending.append(
-            (serial, engine.current_time, self.module.decision.mode, engine.read_topic(self.state_topic))
-        )
-
-    def flush(self) -> List[Tuple[int, Violation]]:
-        """Evaluate all captured (mode, state) samples, batching the AC-mode reach checks."""
-        if not self._pending:
-            return []
-        pending, self._pending = self._pending, []
-        holds = [True] * len(pending)
-        safe_spec = self.module.spec.safe_spec
-        sc_indices = [
-            i for i, (_, _, mode, state) in enumerate(pending) if state is not None and mode is Mode.SC
-        ]
-        ac_indices = [
-            i for i, (_, _, mode, state) in enumerate(pending) if state is not None and mode is not Mode.SC
-        ]
-        if sc_indices:
-            verdicts = safe_spec.contains_batch([pending[i][3] for i in sc_indices])
-            for i, ok in zip(sc_indices, verdicts):
-                holds[i] = bool(ok)
-        if ac_indices:
-            delta = self.module.spec.delta
-            states = [pending[i][3] for i in ac_indices]
-            if self.may_leave_within_batch is not None:
-                escapes = self.may_leave_within_batch(states, delta)
-            else:
-                escapes = [self.may_leave_within(state, delta) for state in states]
-            for i, escapes_safe in zip(ac_indices, escapes):
-                holds[i] = not bool(escapes_safe)
-        flushed: List[Tuple[int, Violation]] = []
-        for (serial, time, mode, state), ok in zip(pending, holds):
-            if ok:
-                continue
-            violation = Violation(
-                time=time,
-                monitor=self.name,
-                message=f"φ_Inv violated in mode {mode.value}",
-                state=state,
-            )
-            self.result.violations.append(violation)
-            flushed.append((serial, violation))
-        return flushed
-
 
 class MonitorSuite:
     """A collection of monitors evaluated together after every sampling instant."""
 
     def __init__(self, monitors: Optional[List[Any]] = None) -> None:
         self.monitors: List[Any] = list(monitors or [])
-        self._serial = 0
-        self._immediate: List[Tuple[int, int, Violation]] = []
 
     def add(self, monitor: Any) -> None:
         self.monitors.append(monitor)
@@ -544,8 +338,6 @@ class MonitorSuite:
         their ``result`` so recorded violations never leak across
         executions.
         """
-        self._serial = 0
-        self._immediate.clear()
         for monitor in self.monitors:
             reset = getattr(monitor, "reset", None)
             if callable(reset):
@@ -555,17 +347,6 @@ class MonitorSuite:
             if result is not None:
                 result.violations.clear()
 
-    # -- delta-snapshot hooks (see repro.core.resettable) --------------- #
-    # The suite's own state is just the sample serial and the immediate
-    # queue; the monitors are separate snapshot components.
-    def capture_delta_state(self) -> tuple:
-        return (self._serial, tuple(self._immediate))
-
-    def restore_delta_state(self, state: tuple) -> None:
-        serial, immediate = state
-        self._serial = serial
-        self._immediate[:] = immediate
-
     def check_all(self, engine: SemanticsEngine) -> List[Violation]:
         """Run every monitor once; returns the new violations."""
         new: List[Violation] = []
@@ -574,47 +355,6 @@ class MonitorSuite:
             if violation is not None:
                 new.append(violation)
         return new
-
-    # -- windowed evaluation -------------------------------------------- #
-    def capture_all(self, engine: SemanticsEngine) -> None:
-        """Snapshot one sample on every monitor without evaluating predicates.
-
-        Monitors lacking a ``capture`` method are checked immediately (the
-        scalar path); their violations are delivered by the next
-        :meth:`flush` in the correct position.
-        """
-        self._serial += 1
-        for position, monitor in enumerate(self.monitors):
-            capture = getattr(monitor, "capture", None)
-            if capture is not None:
-                capture(engine, self._serial)
-            else:
-                violation = monitor.check(engine)
-                if violation is not None:
-                    self._immediate.append((self._serial, position, violation))
-
-    @property
-    def pending_samples(self) -> int:
-        """Number of samples captured since the last :meth:`flush`."""
-        return self._serial
-
-    def flush(self) -> List[Violation]:
-        """Evaluate every captured sample, batched per monitor.
-
-        Returns the new violations in exactly the order a per-sample
-        :meth:`check_all` loop would have produced them (sample-major,
-        monitor-minor), with identical times, messages and states.
-        """
-        entries: List[Tuple[int, int, Violation]] = list(self._immediate)
-        self._immediate = []
-        self._serial = 0
-        for position, monitor in enumerate(self.monitors):
-            flush = getattr(monitor, "flush", None)
-            if flush is None:
-                continue
-            entries.extend((serial, position, violation) for serial, violation in flush())
-        entries.sort(key=lambda entry: (entry[0], entry[1]))
-        return [violation for _, _, violation in entries]
 
     @property
     def violations(self) -> List[Violation]:
@@ -642,23 +382,17 @@ class MonitorCadence:
     This is the executors' and the plant co-simulation's cadence: call
     :meth:`advance` right before each discrete step, and every sampling
     instant at or before the step's time that has not been taken yet is
-    taken now, against the state the step is about to read.  ``batch`` 1
-    checks every monitor at once; larger values capture samples and flush
-    them in windows of that many (:meth:`MonitorSuite.flush`), which yields
-    the same violations, and :meth:`finish` flushes the last window.
+    taken now, against the state the step is about to read.
 
     The systematic testers use the other cadence — every monitor after
     every step — which is part of their own step loop.
     """
 
-    def __init__(self, suite: MonitorSuite, period: float, batch: int = 1) -> None:
+    def __init__(self, suite: MonitorSuite, period: float) -> None:
         if period <= 0.0:
             raise ValueError("monitor_period must be positive")
-        if batch < 1:
-            raise ValueError("monitor_batch must be at least 1")
         self.suite = suite
         self.period = period
-        self.batch = batch
         self.next_time = 0.0
 
     def reset(self) -> None:
@@ -670,15 +404,5 @@ class MonitorCadence:
         """Take every sample due at or before ``upcoming``."""
         suite = self.suite
         while self.next_time <= upcoming + 1e-12:
-            if self.batch > 1:
-                suite.capture_all(engine)
-                if suite.pending_samples >= self.batch:
-                    suite.flush()
-            else:
-                suite.check_all(engine)
+            suite.check_all(engine)
             self.next_time += self.period
-
-    def finish(self) -> None:
-        """Evaluate any samples still pending in the last window."""
-        if self.batch > 1:
-            self.suite.flush()

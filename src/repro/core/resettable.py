@@ -18,7 +18,7 @@ the execution semantics reads) from a freshly constructed twin:
   plans, RNGs re-seeded from the construction seed);
 * the calendar returns to every node's offset;
 * the topic board returns to the declared defaults;
-* monitors forget recorded violations and pending windows;
+* monitors forget recorded violations;
 * decision modules return to their initial mode with empty switch logs.
 
 Reset must **not** rebuild derived immutable structure (workspace

@@ -28,7 +28,7 @@ Re-entrancy
 Every executor's :meth:`run` resets its monitor suite before driving the
 engine, so one executor (and one shared suite) can serve many missions
 back to back without the second run inheriting the first run's recorded
-violations or pending batched samples.  Note that the suite object is
+violations.  Note that the suite object is
 shared across runs: a previously returned :class:`ExecutionResult` reads
 whatever the suite currently holds, so snapshot violations before
 re-running if you need the old run's verdicts.
@@ -78,12 +78,11 @@ class _Executor:
         scheduler: Optional[SchedulingPolicy] = None,
         monitors: Optional[MonitorSuite] = None,
         monitor_period: float = 0.05,
-        monitor_batch: int = 1,
     ) -> None:
         self.system = system
         self.scheduler = scheduler
         self.monitors = monitors or MonitorSuite()
-        self.cadence = MonitorCadence(self.monitors, monitor_period, monitor_batch)
+        self.cadence = MonitorCadence(self.monitors, monitor_period)
 
     def _start(self) -> Tuple[SemanticsEngine, ExecutionTrace]:
         """Reset the monitors (re-entrancy) and build a traced engine."""
@@ -94,7 +93,6 @@ class _Executor:
     def _result(
         self, engine: SemanticsEngine, trace: ExecutionTrace, started: float
     ) -> ExecutionResult:
-        self.cadence.finish()
         return ExecutionResult(
             engine=engine,
             trace=trace,
@@ -105,17 +103,7 @@ class _Executor:
 
 
 class SimulatedTimeExecutor(_Executor):
-    """Runs an RTA system in virtual time with optional monitors and environment.
-
-    ``monitor_batch`` selects the monitor-evaluation path: ``1`` (the
-    default) checks every monitor immediately at each sampling instant;
-    larger values snapshot the monitored values and evaluate them in
-    batched windows of that many samples (see
-    :meth:`~repro.core.monitor.MonitorSuite.flush`), which produces the
-    same violations — identical times, messages, order — while amortising
-    predicate dispatch.  A final flush runs before :meth:`run` returns, so
-    the result always reflects every sample.
-    """
+    """Runs an RTA system in virtual time with optional monitors and environment."""
 
     def run(
         self,
@@ -126,8 +114,8 @@ class SimulatedTimeExecutor(_Executor):
         """Execute for ``duration`` seconds of virtual time.
 
         The monitor suite is reset first, so repeated ``run()`` calls on
-        one executor produce independent verdicts (no violations or
-        pending batched samples inherited from an earlier mission).
+        one executor produce independent verdicts (no violations
+        inherited from an earlier mission).
         """
         engine, trace = self._start()
         started = _time.perf_counter()
@@ -146,7 +134,7 @@ class AsyncSimulatedTimeExecutor(_Executor):
     """The asyncio twin of :class:`SimulatedTimeExecutor`.
 
     Drives the identical virtual-time semantics — same step order, same
-    monitor cadence, same batched-window behaviour — but the environment
+    monitor cadence — but the environment
     hook may be a coroutine function (or return an awaitable), so hooks
     that perform IO or co-simulate a remote fleet suspend the mission at
     well-defined points and let other missions of the same event loop
@@ -166,10 +154,9 @@ class AsyncSimulatedTimeExecutor(_Executor):
         scheduler: Optional[SchedulingPolicy] = None,
         monitors: Optional[MonitorSuite] = None,
         monitor_period: float = 0.05,
-        monitor_batch: int = 1,
         yield_every: int = 0,
     ) -> None:
-        super().__init__(system, scheduler, monitors, monitor_period, monitor_batch)
+        super().__init__(system, scheduler, monitors, monitor_period)
         if yield_every < 0:
             raise ValueError("yield_every must be non-negative")
         self.yield_every = yield_every
@@ -183,11 +170,11 @@ class AsyncSimulatedTimeExecutor(_Executor):
         """Execute for ``duration`` seconds of virtual time (awaitable).
 
         Mirrors :meth:`SimulatedTimeExecutor.run` exactly: monitors are
-        reset first (re-entrancy), the environment hook and the monitor
-        cadence run before each discrete step, and a final flush delivers
-        any pending batched samples.  Awaitables returned by the hook are
-        awaited in place — the only points where the mission can suspend
-        besides the optional ``yield_every`` heartbeat.  This loop is the
+        reset first (re-entrancy), then the environment hook and the
+        monitor cadence run before each discrete step.  Awaitables returned
+        by the hook are awaited in place — the only points where the
+        mission can suspend besides the optional ``yield_every``
+        heartbeat.  This loop is the
         awaiting copy of :meth:`SemanticsEngine.run_until
         <repro.core.semantics.SemanticsEngine.run_until>`.
         """

@@ -153,6 +153,12 @@ class MissionServer(ControlPlaneServer):
         return {**super()._handler_attributes(), "service": None}
 
     def start(self) -> "MissionServer":
+        if self.fleet.drone_ids:
+            # Build and densify the surveillance world once, here, so every
+            # forked drone inherits it instead of building its own.
+            from ..apps.scenarios import _shared_world
+
+            _shared_world()
         # Fork the drones before the serve thread exists, so no worker is
         # forked while a server thread holds a lock.
         self.fleet.start()

@@ -328,7 +328,6 @@ class Drone:
         key = (
             shard.factory,
             shard.max_permuted,
-            shard.monitor_window,
             shard.reuse_instances,
             shard.track_coverage,
             shard.population_size,
@@ -337,7 +336,6 @@ class Drone:
         if tester is None:
             options = dict(
                 max_permuted=shard.max_permuted,
-                monitor_window=shard.monitor_window,
                 reuse_instances=shard.reuse_instances,
                 track_coverage=shard.track_coverage,
             )

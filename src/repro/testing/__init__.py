@@ -12,7 +12,6 @@ from .explorer import (
     ExecutionRecord,
     ModelInstance,
     SystematicTester,
-    TestHarness,
     TestReport,
 )
 from .parallel import ParallelReport, ParallelTester, ReplayConfirmation
@@ -50,7 +49,6 @@ __all__ = [
     "ExecutionRecord",
     "ModelInstance",
     "SystematicTester",
-    "TestHarness",
     "TestReport",
     "ParallelReport",
     "ParallelTester",

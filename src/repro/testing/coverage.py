@@ -185,14 +185,12 @@ class _TrackedModule:
 class CoverageTracker:
     """Feeds a per-execution :class:`CoverageMap` from monitor samples.
 
-    The tracker implements the monitor protocol
-    (``check``/``capture``/``flush``/``reset``, plus an always-empty
-    ``result``) so the systematic tester can drop it into the model
-    instance's existing :class:`~repro.core.monitor.MonitorSuite`: it is
-    sampled at exactly the instants the safety monitors are — the
-    per-step path calls :meth:`check`, the windowed path
-    :meth:`capture` — but it never reports a violation, so attaching it
-    cannot change any exploration verdict.
+    The tracker implements the monitor protocol (``check``/``reset``,
+    plus an always-empty ``result``) so the systematic tester can drop it
+    into the model instance's existing
+    :class:`~repro.core.monitor.MonitorSuite`: it is sampled at exactly
+    the instants the safety monitors are, but it never reports a
+    violation, so attaching it cannot change any exploration verdict.
 
     Classification is cheap by construction: ``classify_region`` asks the
     module's φ_safe/φ_safer/``ttf_2Δ`` predicates, which all route
@@ -235,24 +233,6 @@ class CoverageTracker:
     # -- the monitor protocol -------------------------------------------- #
     def check(self, engine: SemanticsEngine) -> None:
         """Record one sample per tracked module; never returns a violation."""
-        self._sample(engine)
-        return None
-
-    def capture(self, engine: SemanticsEngine, serial: int) -> None:
-        """Windowed-path hook: coverage samples need the mode *now*, so the
-        tracker records immediately instead of deferring to :meth:`flush`."""
-        self._sample(engine)
-
-    def flush(self) -> List[Tuple[int, Any]]:
-        """Nothing deferred, nothing flushed (samples are recorded eagerly)."""
-        return []
-
-    def reset(self) -> None:
-        """Start the next execution's map (the cumulative one is the owner's)."""
-        self._execution = CoverageMap()
-
-    # -- sampling ---------------------------------------------------------- #
-    def _sample(self, engine: SemanticsEngine) -> None:
         for tracked in self._modules:
             state = engine.read_topic(tracked.state_topic)
             if state is None:
@@ -268,6 +248,10 @@ class CoverageTracker:
                 key = site.coverage_sample(now)
                 if key is not None:
                     self._execution.record(*key)
+
+    def reset(self) -> None:
+        """Start the next execution's map (the cumulative one is the owner's)."""
+        self._execution = CoverageMap()
 
     @property
     def tracks_anything(self) -> bool:

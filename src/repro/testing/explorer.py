@@ -94,11 +94,6 @@ class ModelInstance:
         return None
 
 
-#: Deprecated alias — the class was renamed to :class:`ModelInstance` so that
-#: pytest stops trying to collect it as a test class.
-TestHarness = ModelInstance
-
-
 @dataclass
 class ExecutionRecord:
     """Outcome of a single explored execution.
@@ -235,17 +230,6 @@ class SystematicTester:
     factory per execution (the original behaviour; kept as an escape hatch
     and as the oracle for the equivalence tests).
 
-    ``monitor_window`` batches monitor evaluation: instead of evaluating
-    every monitor after each discrete step, the tester snapshots the
-    monitored values and flushes them through the monitors' vectorised
-    path every ``monitor_window`` steps (and at the end of the execution).
-    The recorded violations — times, messages, order — are identical to
-    the per-step path (``monitor_window=1``, the default); see
-    :meth:`repro.core.monitor.MonitorSuite.flush`.  Windowing pays off
-    when the scalar monitor checks are expensive (many obstacles, no
-    warm :class:`~repro.geometry.ClearanceField`); with a warm cache the
-    per-step path is already cheap, so the default stays scalar.
-
     ``track_coverage`` attaches a
     :class:`~repro.testing.coverage.CoverageTracker` to the model
     instance's monitor suite: every execution's ``(vehicle, mode,
@@ -274,16 +258,12 @@ class SystematicTester:
         harness_factory: Callable[[], ModelInstance],
         strategy: Optional[ChoiceStrategy] = None,
         max_permuted: int = 6,
-        monitor_window: int = 1,
         reuse_instances: bool = True,
         track_coverage: Optional[bool] = None,
     ) -> None:
-        if monitor_window < 1:
-            raise ValueError("monitor_window must be at least 1")
         self.harness_factory = harness_factory
         self.strategy: ChoiceStrategy = strategy or RandomStrategy()
         self.max_permuted = max_permuted
-        self.monitor_window = monitor_window
         self.reuse_instances = reuse_instances
         self._track_coverage_option = track_coverage
         #: Cumulative coverage of every execution this tester ran (reset at
@@ -347,7 +327,7 @@ class SystematicTester:
     def _attach_tracker(self, harness: ModelInstance) -> None:
         """Wire the coverage tracker into the instance's monitor suite.
 
-        The tracker rides the suite's existing per-step/windowed sampling
+        The tracker rides the suite's existing per-step sampling
         (it implements the monitor protocol but never reports a
         violation), so coverage costs nothing when tracking is off and
         no extra engine hooks when it is on.  The callers decide the
@@ -404,14 +384,11 @@ class SystematicTester:
         """Drive one execution from ``steps`` steps in to its horizon.
 
         Each step is the Fig. 11 order: environment input, time progress,
-        the due nodes fired in the scheduler's order, then every monitor
-        (immediately, or captured and flushed every ``monitor_window``
-        steps).  New violations go to the violation buffer; the step count
-        at the horizon is returned.  ``boundary`` is called with the step
+        the due nodes fired in the scheduler's order, then every monitor.
+        New violations go to the violation buffer; the step count at the
+        horizon is returned.  ``boundary`` is called with the step
         count at every step boundary, including the last.
         """
-        window = self.monitor_window
-        windowed = window > 1
         violations = self._violation_buffer
         # Hoisted loop invariants: this is the innermost exploration loop.
         environment = harness.environment
@@ -436,15 +413,8 @@ class SystematicTester:
             # The scheduler's order is a permutation of ``due`` by
             # construction, so the validation-free engine path applies.
             engine._fire_ordered(scheduler.order(due))
-            if windowed:
-                monitors.capture_all(engine)
-                if monitors.pending_samples >= window:
-                    violations.extend(monitors.flush())
-            else:
-                violations.extend(monitors.check_all(engine))
+            violations.extend(monitors.check_all(engine))
             steps += 1
-        if windowed:
-            violations.extend(monitors.flush())
         return steps
 
     def _harvest_coverage(self) -> Optional[CoverageMap]:

@@ -73,7 +73,6 @@ class _RandomShard:
     indices: Tuple[int, ...]
     max_permuted: int
     stop_at_first_violation: bool
-    monitor_window: int = 1
     reuse_instances: bool = True
     track_coverage: bool = False
     #: When set, workers run the population execution plane
@@ -93,7 +92,6 @@ class _ExhaustiveShard:
     max_executions: int
     max_permuted: int
     stop_at_first_violation: bool
-    monitor_window: int = 1
     reuse_instances: bool = True
     track_coverage: bool = False
     population_size: Optional[int] = None
@@ -198,15 +196,12 @@ class ParallelTester:
         max_permuted: int = 6,
         start_method: Optional[str] = None,
         scenario_overrides: Optional[dict] = None,
-        monitor_window: int = 1,
         reuse_instances: bool = True,
         track_coverage: bool = False,
         population_size: Optional[int] = None,
     ) -> None:
         if (scenario is None) == (harness_factory is None):
             raise ValueError("pass exactly one of scenario= or harness_factory=")
-        if monitor_window < 1:
-            raise ValueError("monitor_window must be at least 1")
         if population_size is not None and not reuse_instances:
             raise ValueError(
                 "population_size requires reuse_instances=True (the population "
@@ -217,7 +212,6 @@ class ParallelTester:
         elif scenario_overrides:
             raise ValueError("scenario_overrides only applies with scenario=")
         self.harness_factory: HarnessFactory = harness_factory  # type: ignore[assignment]
-        self.monitor_window = monitor_window
         self.reuse_instances = reuse_instances
         self.track_coverage = track_coverage
         self.population_size = population_size
@@ -257,7 +251,6 @@ class ParallelTester:
                     indices=tuple(range(start, start + size)),
                     max_permuted=self.max_permuted,
                     stop_at_first_violation=stop_at_first_violation,
-                    monitor_window=self.monitor_window,
                     reuse_instances=self.reuse_instances,
                     track_coverage=self.track_coverage,
                     population_size=self.population_size,
@@ -279,7 +272,6 @@ class ParallelTester:
                 self.harness_factory,
                 strategy,
                 max_permuted=self.max_permuted,
-                monitor_window=self.monitor_window,
                 reuse_instances=self.reuse_instances,
                 # Probe records are discarded and re-enumerated by the
                 # workers; counting their coverage would double-count.
@@ -333,7 +325,6 @@ class ParallelTester:
                 max_executions=self.strategy.max_executions,
                 max_permuted=self.max_permuted,
                 stop_at_first_violation=stop_at_first_violation,
-                monitor_window=self.monitor_window,
                 reuse_instances=self.reuse_instances,
                 track_coverage=self.track_coverage,
                 population_size=self.population_size,
@@ -515,7 +506,6 @@ class ParallelTester:
         serial = SystematicTester(
             self.harness_factory,
             max_permuted=self.max_permuted,
-            monitor_window=self.monitor_window,
             reuse_instances=self.reuse_instances,
             track_coverage=False,  # confirmation replays must not add coverage
         )

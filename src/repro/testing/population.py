@@ -275,7 +275,6 @@ class PopulationTester(SystematicTester):
         harness_factory: Callable[[], ModelInstance],
         strategy: Optional[ChoiceStrategy] = None,
         max_permuted: int = 6,
-        monitor_window: int = 1,
         reuse_instances: bool = True,
         track_coverage: Optional[bool] = None,
         population_size: int = 256,
@@ -299,7 +298,6 @@ class PopulationTester(SystematicTester):
             harness_factory,
             strategy,
             max_permuted=max_permuted,
-            monitor_window=monitor_window,
             reuse_instances=True,
             track_coverage=track_coverage,
         )
@@ -619,14 +617,13 @@ class PopulationTester(SystematicTester):
         ]
         for name, node in engine._nodes.items():
             components.append(("node:" + name, node))
-        suite = instance.monitors
-        components.append(("monitors", suite))
-        for index, monitor in enumerate(suite.monitors):
+        # The suite itself holds no per-execution state, only its roster.
+        for index, monitor in enumerate(instance.monitors.monitors):
             components.append((f"monitor:{index}", monitor))
         if instance.environment is not None:
             components.append(("environment", instance.environment))
         pins: List[Any] = [obj for _, obj in components]
-        pins.extend([instance, engine.system, self._router])
+        pins.extend([instance, instance.monitors, engine.system, self._router])
         for module in getattr(engine.system, "modules", ()):
             pins.extend([module, module.spec])
         pins.extend(self._collect_pins(instance, engine))

@@ -81,16 +81,10 @@ def _exhaustive_sweep(
     max_depth: int,
     max_executions: int,
     max_permuted: int,
-    monitor_window: int,
     what: str,
 ) -> tuple[SystematicTester, TestReport]:
     strategy = ExhaustiveStrategy(max_depth=max_depth, max_executions=max_executions)
-    tester = SystematicTester(
-        factory,
-        strategy,
-        max_permuted=max_permuted,
-        monitor_window=monitor_window,
-    )
+    tester = SystematicTester(factory, strategy, max_permuted=max_permuted)
     report = tester.explore()
     # The explore loop stops either because the odometer ran dry (every
     # combination enumerated — strictly fewer executions than the budget,
@@ -113,7 +107,6 @@ def assert_rta_resilient(
     max_depth: int = 64,
     max_executions: int = 4096,
     max_permuted: int = 1,
-    monitor_window: int = 1,
 ) -> ResilienceReport:
     """Sweep the fault space; assert the protected stack never violates.
 
@@ -132,7 +125,6 @@ def assert_rta_resilient(
             of 1 pins firing order so the sweep enumerates *fault*
             choices only; raise it to cross faults with schedules (the
             space multiplies accordingly).
-        monitor_window: monitor batching window (1 = per-step checks).
 
     Returns:
         The :class:`ResilienceReport` of both legs (also useful for its
@@ -145,7 +137,7 @@ def assert_rta_resilient(
             replay identically.
     """
     _, protected_report = _exhaustive_sweep(
-        protected_factory, max_depth, max_executions, max_permuted, monitor_window, "protected"
+        protected_factory, max_depth, max_executions, max_permuted, "protected"
     )
     if not protected_report.ok:
         first = protected_report.first_counterexample()
@@ -160,7 +152,7 @@ def assert_rta_resilient(
         return report
 
     unprotected_tester, unprotected_report = _exhaustive_sweep(
-        unprotected_factory, max_depth, max_executions, max_permuted, monitor_window, "unprotected"
+        unprotected_factory, max_depth, max_executions, max_permuted, "unprotected"
     )
     report.unprotected = unprotected_report
     counterexample = unprotected_report.first_counterexample()

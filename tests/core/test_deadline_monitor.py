@@ -2,9 +2,7 @@
 
 φ_plan_deadline-style properties tolerate transients shorter than the RTA
 recovery bound Δ; these tests pin the streak state machine — one
-violation per streak, stamped at the first sample past the deadline, with
-the windowed capture/flush path byte-identical to per-step checks even
-when a streak spans window boundaries.
+violation per streak, stamped at the first sample past the deadline.
 """
 
 import pytest
@@ -90,29 +88,21 @@ class TestDeadlineSemantics:
         assert _feed(monitor, [(1.0, -1.0)]) == []  # fresh streak
 
 
-class TestWindowedEquivalence:
-    def _samples(self):
-        # Two streaks, one spanning what will be a window boundary.
-        values = [1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0]
-        return [(i * 0.25, v) for i, v in enumerate(values)]
+    def test_check_reads_the_engine_time_and_topic(self):
+        monitor = _monitor(grace=0.2)
+        assert monitor.check(FakeEngine(0.0, -1.0)) is None
+        violation = monitor.check(FakeEngine(0.3, -2.0))
+        assert violation is not None
+        assert (violation.time, violation.state) == (0.3, -2.0)
+        assert violation.monitor == "deadline"
+        assert monitor.result.violations == [violation]
 
-    def test_capture_flush_matches_per_step_checks(self):
-        samples = self._samples()
-        scalar = _monitor(grace=0.4)
-        expected = [(v.time, v.message) for v in _feed(scalar, samples)]
-        assert expected  # the fixture actually violates
-
-        windowed = _monitor(grace=0.4)
-        flushed = []
-        for serial, (time, value) in enumerate(samples):
-            windowed.capture(FakeEngine(time, value), serial)
-            if serial % 3 == 2:  # flush every 3 samples: streaks span windows
-                flushed.extend(windowed.flush())
-        flushed.extend(windowed.flush())
-        assert [(v.time, v.message) for _, v in flushed] == expected
-        # Serials point at the triggering sample.
-        assert all(samples[serial][0] == v.time for serial, v in flushed)
-
-    def test_flush_on_empty_window_is_cheap_noop(self):
-        monitor = _monitor()
-        assert monitor.flush() == []
+    def test_delta_state_round_trip_resumes_the_streak(self):
+        monitor = _monitor(grace=0.4)
+        _feed(monitor, [(0.0, 1.0), (0.1, -1.0)])  # a streak opened at 0.1
+        mark = monitor.capture_delta_state()
+        assert len(_feed(monitor, [(0.6, -1.0)])) == 1
+        monitor.restore_delta_state(mark)
+        assert monitor.result.ok
+        # The restored streak still dates from 0.1, not from the next sample.
+        assert [v.time for v in _feed(monitor, [(0.3, -1.0), (0.7, -1.0)])] == [0.7]

@@ -1,9 +1,10 @@
-"""SeparationMonitor: batched window verdicts == the scalar pairwise oracle.
+"""SeparationMonitor and its pairwise-separation kernels.
 
 Mirrors the style of ``tests/geometry/test_batch_equivalence.py``: every
 comparison between the scalar pair loop and the batched N² query is an
 exact ``==`` — the two planes evaluate the same floating-point
-expressions in the same order, so there is nothing to approximate.
+expressions in the same order, so there is nothing to approximate.  The
+monitor's per-sample check is held against the batched kernel.
 """
 
 import random
@@ -11,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core import MonitorSuite, SeparationMonitor
+from repro.core import SeparationMonitor
 from repro.dynamics import DroneState
 from repro.geometry import (
     Vec3,
@@ -82,10 +83,6 @@ class TestPairwiseGeometry:
             min_pairwise_separation([Vec3(0.0, 0.0, 0.0)])
 
 
-def _violation_key(violation):
-    return (violation.time, violation.monitor, violation.message)
-
-
 def _run_scalar(monitor, samples):
     engine = FakeEngine()
     violations = []
@@ -97,13 +94,19 @@ def _run_scalar(monitor, samples):
     return violations
 
 
-def _run_windowed(monitor, samples):
-    engine = FakeEngine()
-    suite = MonitorSuite([monitor])
-    for time, values in samples:
-        engine.set(time, values)
-        suite.capture_all(engine)
-    return suite.flush()
+def _kernel_violations(topics, samples, min_separation):
+    """(time, offending pair, distance) per violating sample, via the batched kernel."""
+    stacked = np.array(
+        [[values[topic].position.as_tuple() for topic in topics] for _, values in samples]
+    )
+    separations = pairwise_separations(stacked)  # (S, P)
+    worst = separations.argmin(axis=1)
+    pairs = pairwise_index_pairs(len(topics))
+    return [
+        (time, pairs[int(k)], float(separations[row, k]))
+        for row, ((time, _), k) in enumerate(zip(samples, worst))
+        if separations[row, k] < min_separation
+    ]
 
 
 def _random_fleet_samples(rng, topics, steps, conflict_probability=0.4):
@@ -130,25 +133,17 @@ def _random_fleet_samples(rng, topics, steps, conflict_probability=0.4):
 class TestSeparationMonitorEquivalence:
     @pytest.mark.parametrize("fleet_size", [2, 3, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_batched_window_equals_scalar_oracle(self, fleet_size, seed):
+    def test_per_sample_checks_match_the_batched_kernel(self, fleet_size, seed):
         topics = [f"drone{i}/localPosition" for i in range(fleet_size)]
         rng = random.Random(1000 * fleet_size + seed)
         samples = _random_fleet_samples(rng, topics, steps=40)
-        scalar = _run_scalar(
-            SeparationMonitor(topics, min_separation=2.0, use_batch=False), samples
-        )
-        batched = _run_windowed(
-            SeparationMonitor(topics, min_separation=2.0, use_batch=True), samples
-        )
-        windowed_scalar = _run_windowed(
-            SeparationMonitor(topics, min_separation=2.0, use_batch=False), samples
-        )
-        assert [_violation_key(v) for v in batched] == [_violation_key(v) for v in scalar]
-        assert [_violation_key(v) for v in windowed_scalar] == [
-            _violation_key(v) for v in scalar
-        ]
+        checked = _run_scalar(SeparationMonitor(topics, min_separation=2.0), samples)
+        expected = _kernel_violations(topics, samples, 2.0)
+        assert [v.time for v in checked] == [time for time, _, _ in expected]
+        for violation, (_, (i, j), distance) in zip(checked, expected):
+            assert f"{topics[i]!r}<->{topics[j]!r} is {distance:.3f} m" in violation.message
         # The randomized fleets must actually produce violations to compare.
-        assert scalar
+        assert checked
 
     def test_offending_pair_and_states_match(self):
         topics = ["a/pos", "b/pos", "c/pos"]
@@ -156,13 +151,9 @@ class TestSeparationMonitorEquivalence:
         close_c = DroneState(position=Vec3(10.5, 10.0, 2.0))
         far_a = DroneState(position=Vec3(0.0, 0.0, 2.0))
         samples = [(0.5, {"a/pos": far_a, "b/pos": close_b, "c/pos": close_c})]
-        scalar_monitor = SeparationMonitor(topics, min_separation=2.0, use_batch=False)
-        batch_monitor = SeparationMonitor(topics, min_separation=2.0, use_batch=True)
-        (scalar_violation,) = _run_scalar(scalar_monitor, samples)
-        (batch_violation,) = _run_windowed(batch_monitor, samples)
-        assert "'b/pos'<->'c/pos'" in scalar_violation.message
-        assert scalar_violation.message == batch_violation.message
-        assert scalar_violation.state == (close_b, close_c) == batch_violation.state
+        (violation,) = _run_scalar(SeparationMonitor(topics, min_separation=2.0), samples)
+        assert "'b/pos'<->'c/pos'" in violation.message
+        assert violation.state == (close_b, close_c)
 
     def test_missing_topics_skip_the_sample(self):
         topics = ["a/pos", "b/pos"]
@@ -171,23 +162,19 @@ class TestSeparationMonitorEquivalence:
             (0.0, {"a/pos": on_top}),  # b missing: skipped even though a is set
             (0.5, {"a/pos": on_top, "b/pos": on_top}),  # both present: violation
         ]
-        scalar = _run_scalar(SeparationMonitor(topics, 2.0, use_batch=False), samples)
-        batched = _run_windowed(SeparationMonitor(topics, 2.0, use_batch=True), samples)
-        assert len(scalar) == len(batched) == 1
-        assert scalar[0].time == batched[0].time == 0.5
+        (violation,) = _run_scalar(SeparationMonitor(topics, 2.0), samples)
+        assert violation.time == 0.5
 
-    def test_reset_forgets_violations_and_pending(self):
+    def test_reset_forgets_violations(self):
         topics = ["a/pos", "b/pos"]
         on_top = DroneState(position=Vec3(5.0, 5.0, 2.0))
         monitor = SeparationMonitor(topics, 2.0)
         engine = FakeEngine()
         engine.set(1.0, {"a/pos": on_top, "b/pos": on_top})
         monitor.check(engine)
-        monitor.capture(engine, serial=1)
-        assert monitor.result.count == 1 and monitor._pending
+        assert monitor.result.count == 1
         monitor.reset()
-        assert monitor.result.ok and not monitor._pending
-        assert monitor.flush() == []
+        assert monitor.result.ok
 
     def test_raw_vec3_payloads_are_supported(self):
         monitor = SeparationMonitor(["a", "b"], 2.0)

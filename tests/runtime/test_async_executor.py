@@ -94,12 +94,10 @@ def test_parity_under_a_bound_random_strategy(name, seed):
     assert _fingerprint(async_result) == _fingerprint(sync_result)
 
 
-def test_parity_with_batched_monitors_and_yield_every():
+def test_parity_with_yield_every():
     name = "drone-surveillance"
-    sync_result = _run_sync(scenario_factory(name)(), monitor_batch=16)
-    async_result = _run_async(
-        scenario_factory(name)(), monitor_batch=16, yield_every=7
-    )
+    sync_result = _run_sync(scenario_factory(name)())
+    async_result = _run_async(scenario_factory(name)(), yield_every=7)
     assert _fingerprint(async_result) == _fingerprint(sync_result)
 
 
@@ -194,7 +192,6 @@ def test_run_is_reentrant():
     "kwargs",
     [
         {"monitor_period": 0.0},
-        {"monitor_batch": 0},
         {"yield_every": -1},
     ],
 )

@@ -1,4 +1,4 @@
-"""Executor monitor paths: WallClock monitors and windowed SimulatedTime."""
+"""Executor monitor paths: WallClock monitors and its parity with SimulatedTime."""
 
 import pytest
 
@@ -47,27 +47,23 @@ class TestWallClockExecutorMonitors:
             WallClockExecutor(_bad_tick_system(), monitor_period=0.0)
 
 
-class TestSimulatedTimeExecutorBatching:
-    def _violations(self, monitor_batch):
+class TestSimulatedTimeExecutorMonitors:
+    @pytest.mark.parametrize("period", [0.05, 0.1, 0.2])
+    def test_one_check_per_monitor_period(self, period):
         monitors = _suite()
-        executor = SimulatedTimeExecutor(
-            _bad_tick_system(),
-            monitors=monitors,
-            monitor_period=0.05,
-            monitor_batch=monitor_batch,
-        )
-        executor.run(1.0)
-        return [(v.time, v.monitor, v.message) for v in monitors.violations]
+        SimulatedTimeExecutor(
+            _bad_tick_system(), monitors=monitors, monitor_period=period
+        ).run(1.0)
+        # The sample due at k*period is taken right before the step at that
+        # instant, so it is stamped with the previous step's time (steps are
+        # 0.05 s apart); the sample at 0.0 sees no published value yet.
+        count = round(1.0 / period)
+        expected = [k * period - 0.05 for k in range(1, count + 1)]
+        assert [v.time for v in monitors.violations] == pytest.approx(expected)
 
-    def test_batched_monitors_match_scalar(self):
-        scalar = self._violations(monitor_batch=1)
-        assert scalar  # the spec must actually fire
-        for window in (4, 64):
-            assert self._violations(monitor_batch=window) == scalar
-
-    def test_monitor_batch_validated(self):
+    def test_monitor_period_validated(self):
         with pytest.raises(ValueError):
-            SimulatedTimeExecutor(_bad_tick_system(), monitor_batch=0)
+            SimulatedTimeExecutor(_bad_tick_system(), monitor_period=0.0)
 
 
 class TestWallClockParity:

@@ -2,8 +2,7 @@
 
 Regression pin for the service work: both executors used to reuse
 ``self.monitors`` across calls without resetting it, so a second ``run()``
-started with the first run's recorded violations (and, after an aborted
-batched run, its pending captured samples).  One long-running service
+started with the first run's recorded violations.  One long-running service
 process re-running missions on a warm executor would double-count every
 verdict.
 """
@@ -59,12 +58,13 @@ class TestSimulatedTimeReentrancy:
             fresh_result.monitors.violations
         )
 
-    def test_aborted_batched_run_leaves_no_pending_samples(self):
-        # An environment hook that blows up mid-run strands captured-but-
-        # unflushed samples on the suite; the next run must start clean.
+
+    def test_aborted_run_does_not_leak_into_the_next(self):
+        # An environment hook that blows up mid-run leaves violations and a
+        # half-advanced cadence behind; the next run must start clean.
         monitors = _suite()
         executor = SimulatedTimeExecutor(
-            _bad_tick_system(), monitors=monitors, monitor_period=0.05, monitor_batch=64
+            _bad_tick_system(), monitors=monitors, monitor_period=0.05
         )
 
         def exploding(engine, upcoming):
@@ -73,13 +73,17 @@ class TestSimulatedTimeReentrancy:
 
         with pytest.raises(RuntimeError):
             executor.run(1.0, environment=exploding)
-        assert monitors.pending_samples > 0  # the stranded state the fix clears
-        executor.run(1.0)
+        assert monitors.violations  # the stale state the reset clears
+        assert executor.cadence.next_time > 0.2
+        # A mission shorter than the aborted one: stale verdicts, or a
+        # cadence still waiting for its next instant past 0.2, would show.
+        executor.run(0.1)
         clean = SimulatedTimeExecutor(
-            _bad_tick_system(), monitors=_suite(), monitor_period=0.05, monitor_batch=64
+            _bad_tick_system(), monitors=_suite(), monitor_period=0.05
         )
-        clean.run(1.0)
+        clean.run(0.1)
         assert _keys(monitors.violations) == _keys(clean.monitors.violations)
+        assert len(clean.monitors.violations) == 2
 
 
 class TestWallClockReentrancy:

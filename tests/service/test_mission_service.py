@@ -339,6 +339,22 @@ class TestFleets:
             assert len(drones) == 2
             assert not any(state["dead"] for state in drones.values())
 
+    def test_start_builds_the_shared_world_before_forking_the_drones(self, monkeypatch):
+        from repro.apps import scenarios
+
+        scenarios._shared_world.cache_clear()
+        builds = []
+        build_city = scenarios.surveillance_city
+        monkeypatch.setattr(
+            scenarios, "surveillance_city", lambda: builds.append(1) or build_city()
+        )
+        with MissionServer(fleet=0):
+            assert builds == []  # no standing drones: nothing to share
+        with MissionServer(fleet=2):
+            assert builds == [1]  # built here, in the parent, before the fork
+            scenarios._shared_world()
+        assert builds == [1]  # and memoized: the next caller reuses it
+
     def test_stop_with_an_idle_fleet_does_not_wait_out_a_long_poll(self):
         private = MissionServer(fleet=2).start()
         time.sleep(0.2)  # both drones are parked in a 1 s lease long-poll

@@ -346,7 +346,7 @@ class TestHttpLayer:
     def test_version_mismatch_rejected_with_400(self):
         with ControlPlaneServer(heartbeat_timeout=5.0) as server:
             body = protocol.dumps("lease", {"drone": "d0"}).replace(
-                b'"v": 1', b'"v": 99')
+                f'"v": {protocol.PROTOCOL_VERSION}'.encode(), b'"v": 99')
             request = urllib.request.Request(
                 server.url + "/api/v1/lease", data=body, method="POST",
                 headers={"Content-Type": "application/json"})

@@ -19,7 +19,6 @@ def random_shard(**overrides):
         indices=(3, 4, 5),
         max_permuted=6,
         stop_at_first_violation=True,
-        monitor_window=2,
         reuse_instances=False,
         track_coverage=True,
     )
@@ -48,6 +47,13 @@ class TestEnvelope:
     def test_version_mismatch_rejected(self):
         message = protocol.envelope("status", {})
         message["v"] = protocol.PROTOCOL_VERSION + 1
+        with pytest.raises(protocol.ProtocolError, match="version mismatch"):
+            protocol.open_envelope(message)
+
+    def test_version_one_envelope_rejected(self):
+        # Version 1 shards carried a field version 2 dropped.
+        message = protocol.envelope("lease", {})
+        message["v"] = 1
         with pytest.raises(protocol.ProtocolError, match="version mismatch"):
             protocol.open_envelope(message)
 
@@ -96,7 +102,7 @@ class TestShards:
     @pytest.mark.parametrize("shard", [random_shard(), exhaustive_shard()],
                              ids=["random", "exhaustive"])
     def test_legacy_peer_without_population_size_decodes(self, shard):
-        # Older peers never send the key: decoding must default to the
+        # The key is optional: decoding without it must default to the
         # serial (non-population) tester, not crash.
         wire = protocol.encode_shard(shard)
         del wire["population_size"]
@@ -105,6 +111,16 @@ class TestShards:
     def test_malformed_shard_rejected(self):
         with pytest.raises(protocol.ProtocolError, match="malformed shard"):
             protocol.decode_shard({"kind": "random"})
+        common = ("kind", "factory", "max_executions", "max_permuted",
+                  "stop_at_first_violation", "reuse_instances", "track_coverage")
+        for shard, own in ((random_shard(), ("seed", "indices")),
+                           (exhaustive_shard(), ("max_depth", "prefixes"))):
+            for missing in common + own:
+                wire = protocol.encode_shard(shard)
+                del wire[missing]
+                # A ProtocolError, never a bare KeyError or TypeError.
+                with pytest.raises(protocol.ProtocolError, match="malformed shard"):
+                    protocol.decode_shard(wire)
         complete_but_unknown = dict(protocol.encode_shard(random_shard()), kind="mystery")
         with pytest.raises(protocol.ProtocolError, match="unknown shard kind"):
             protocol.decode_shard(complete_but_unknown)

@@ -20,7 +20,6 @@ from repro.testing import (
     RandomStrategy,
     ReplayStrategy,
     SystematicTester,
-    TestHarness,
     record_trail,
     scenario_factory,
 )
@@ -285,6 +284,5 @@ class TestParallelTesterAPI:
         assert report.execution_count == 3
         assert report.workers == 1
 
-    def test_model_instance_rename_keeps_alias(self):
-        assert TestHarness is ModelInstance
+    def test_model_instance_is_not_collected_as_a_test(self):
         assert ModelInstance.__test__ is False

@@ -1,13 +1,9 @@
 """End-to-end equivalence of the batched/cached safety-query plane.
 
-The tentpole guarantee of the query-plane refactor: routing the stack's
-clearance checks through the ClearanceField memo and evaluating monitors
-in vectorised windows changes *nothing* about what the systematic tester
-observes — same violations, same times, same trails.
+Routing the stack's clearance checks through the ClearanceField memo
+changes *nothing* about what the systematic tester observes — same
+violations, same times, same trails.
 """
-
-import numpy as np
-import pytest
 
 from repro.apps.scenarios import _shared_world
 from repro.testing import RandomStrategy, SystematicTester, scenario_factory
@@ -25,7 +21,7 @@ def _report_key(report):
     ]
 
 
-def _sweep(executions=40, *, use_query_cache=True, monitor_window=64, unsafe=True, seed=11):
+def _sweep(executions=40, *, use_query_cache=True, unsafe=True, seed=11):
     factory = scenario_factory(
         "drone-surveillance",
         horizon=2.0,
@@ -35,7 +31,6 @@ def _sweep(executions=40, *, use_query_cache=True, monitor_window=64, unsafe=Tru
     tester = SystematicTester(
         factory,
         strategy=RandomStrategy(seed=seed, max_executions=executions),
-        monitor_window=monitor_window,
     )
     return tester.explore()
 
@@ -47,27 +42,12 @@ class TestQueryPlaneEquivalence:
         assert _report_key(cached) == _report_key(uncached)
         assert not cached.ok  # the unsafe variant must produce violations
 
-    def test_windowed_monitors_reproduce_per_step_reports(self):
-        windowed = _sweep(monitor_window=64)
-        per_step = _sweep(monitor_window=1)
-        assert _report_key(windowed) == _report_key(per_step)
-
-    def test_geofence_scenario_unaffected(self):
+    def test_geofence_breach_is_found(self):
         factory = scenario_factory("multi-obstacle-geofence", include_breach=True)
-        reports = [
-            SystematicTester(
-                factory,
-                strategy=RandomStrategy(seed=5, max_executions=24),
-                monitor_window=window,
-            ).explore()
-            for window in (1, 64)
-        ]
-        assert _report_key(reports[0]) == _report_key(reports[1])
-        assert not reports[0].ok
-
-    def test_monitor_window_validated(self):
-        with pytest.raises(ValueError):
-            SystematicTester(lambda: None, monitor_window=0)
+        report = SystematicTester(
+            factory, strategy=RandomStrategy(seed=5, max_executions=24)
+        ).explore()
+        assert not report.ok
 
 
 class TestWarmOracle:

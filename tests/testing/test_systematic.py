@@ -8,11 +8,11 @@ from repro.testing import (
     AbstractEnvironment,
     BoundedAsynchronyScheduler,
     ExhaustiveStrategy,
+    ModelInstance,
     NondeterministicNode,
     RandomStrategy,
     ReplayStrategy,
     SystematicTester,
-    TestHarness,
     constant_environment,
 )
 
@@ -139,7 +139,7 @@ class TestSystematicTester:
             [TopicSafetyMonitor("phi_safe", "state", SafetySpec("x<9", lambda x: x < 9.0))]
         )
         environment = AbstractEnvironment(menus={"state": [0.0, 4.0, 8.0]}, period=0.1)
-        return TestHarness(system=system, monitors=monitors, environment=environment, horizon=1.0)
+        return ModelInstance(system=system, monitors=monitors, environment=environment, horizon=1.0)
 
     def test_random_exploration_finds_no_violation_in_safe_model(self):
         tester = SystematicTester(self._toy_harness, strategy=RandomStrategy(seed=0, max_executions=10))
