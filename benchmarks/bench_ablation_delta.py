@@ -10,8 +10,6 @@ mission and reports mission time, disengagements, and SC usage.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.apps import StackConfig, build_stack
 from repro.simulation import waypoint_range
 
@@ -35,9 +33,8 @@ def _run_with_delta(delta: float):
     return metrics
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_decision_period(benchmark, table_printer):
-    results = benchmark.pedantic(lambda: {delta: _run_with_delta(delta) for delta in DELTAS}, rounds=1, iterations=1)
+def test_ablation_decision_period(table_printer):
+    results = {delta: _run_with_delta(delta) for delta in DELTAS}
     rows = []
     for delta, metrics in results.items():
         rows.append(

@@ -9,8 +9,6 @@ added to φ_safer and reports switching counts and safe-controller usage.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.apps import StackConfig, build_stack
 from repro.simulation import waypoint_range
 
@@ -33,9 +31,8 @@ def _run_with_margin(margin: float):
     return metrics
 
 
-@pytest.mark.benchmark(group="ablation")
-def test_ablation_safer_margin(benchmark, table_printer):
-    results = benchmark.pedantic(lambda: {margin: _run_with_margin(margin) for margin in MARGINS}, rounds=1, iterations=1)
+def test_ablation_safer_margin(table_printer):
+    results = {margin: _run_with_margin(margin) for margin in MARGINS}
     rows = []
     for margin, metrics in results.items():
         switches = metrics.total_disengagements + metrics.total_reengagements

@@ -23,15 +23,9 @@ Quantifies the coverage plane (PR 5) on the two workloads built for it:
   :meth:`~repro.testing.explorer.SystematicTester.replay` must reproduce
   the execution bit-identically (same steps, violation times, messages),
   which is what makes guided-found bugs actionable.
-
-Both sweep wall times feed the benchmark regression gate.
 """
 
 from __future__ import annotations
-
-import time
-
-import pytest
 
 from repro.testing import (
     CoverageGuidedStrategy,
@@ -59,27 +53,23 @@ def _strategies(seed: int, budget: int):
 
 
 def _distinct_pairs(scenario: str, seed: int, budget: int) -> dict:
-    """Distinct pairs per strategy after ``budget`` executions (plus walls)."""
+    """Distinct pairs per strategy after ``budget`` executions."""
     results = {}
     for label, strategy in _strategies(seed, budget).items():
         tester = SystematicTester(scenario_factory(scenario), strategy, track_coverage=True)
-        started = time.perf_counter()
         report = tester.explore()
-        elapsed = time.perf_counter() - started
         assert report.execution_count == budget
         assert report.ok, f"{scenario} must be violation-free by default"
-        results[label] = (len(report.coverage), elapsed)
+        results[label] = len(report.coverage)
     return results
 
 
-@pytest.mark.benchmark(group="coverage-guided")
-def test_distinct_pairs_per_budget(table_printer, benchmark_gate):
+def test_distinct_pairs_per_budget(table_printer):
     """Guided reaches strictly more distinct pairs than random, equal budget."""
     for scenario in SCENARIOS:
         per_seed = {seed: _distinct_pairs(scenario, seed, PAIR_BUDGET) for seed in SEEDS}
-        random_pairs = [per_seed[seed]["random"][0] for seed in SEEDS]
-        guided_pairs = [per_seed[seed]["guided"][0] for seed in SEEDS]
-        guided_wall = min(per_seed[seed]["guided"][1] for seed in SEEDS)
+        random_pairs = [per_seed[seed]["random"] for seed in SEEDS]
+        guided_pairs = [per_seed[seed]["guided"] for seed in SEEDS]
         table_printer(
             f"Distinct (vehicle, mode, region) pairs after {PAIR_BUDGET} executions — {scenario}",
             ["seed", "random", "coverage-guided"],
@@ -91,7 +81,6 @@ def test_distinct_pairs_per_budget(table_printer, benchmark_gate):
             f"across seeds {SEEDS} vs RandomStrategy's {sum(random_pairs)} at an equal "
             f"budget of {PAIR_BUDGET} executions — the coverage plane lost its edge"
         )
-        benchmark_gate(f"coverage-guided/{scenario}-sweep", guided_wall)
 
 
 def _ttfc(scenario: str, overrides: dict, seed: int) -> dict:
@@ -109,7 +98,6 @@ def _ttfc(scenario: str, overrides: dict, seed: int) -> dict:
     return results
 
 
-@pytest.mark.benchmark(group="coverage-guided")
 def test_time_to_first_counterexample(table_printer):
     """Executions to the first violation on the breach variants."""
     totals = {}
@@ -131,7 +119,6 @@ def test_time_to_first_counterexample(table_printer):
     )
 
 
-@pytest.mark.benchmark(group="coverage-guided")
 def test_guided_counterexample_replays_bit_identically():
     """A guided-found trail replays to the identical execution."""
     tester = SystematicTester(

@@ -1,6 +1,6 @@
 """Benchmark: the fault plane's cost — dormant overhead and the full differential.
 
-Two measurements, both feeding the benchmark regression gate:
+Two measurements:
 
 * **Dormant overhead.**  ``fault-injected-surveillance`` is byte-for-byte
   the ``drone-surveillance`` stack plus the fault plane (the tracker
@@ -9,20 +9,18 @@ Two measurements, both feeding the benchmark regression gate:
   no choice is ever drawn and no fault fires — the sweep measures pure
   plumbing: one wrapper step per tracker firing and one gate lookup per
   publish.  The bar: ≤ 1.5x the plain stack, measured in-process, so
-  "faults cost ~nothing until they fire" stays a gated property rather
-  than a hope.
+  "faults cost ~nothing until they fire" stays an asserted property
+  rather than a hope.
 * **Resilience differential.**  Wall time of the full
   ``assert_rta_resilient`` protected/unprotected exhaustive sweep on
   ``fault-injected-planner`` (2 x 9 executions plus the replay
-  confirmation) — the CI smoke job's workload, gated so the harness
-  itself stays cheap enough to run on every push.
+  confirmation) — the CI smoke job's workload, reported so the cost of
+  running the harness on every push stays in view.
 """
 
 from __future__ import annotations
 
 import time
-
-import pytest
 
 from repro.testing import (
     RandomStrategy,
@@ -56,8 +54,7 @@ def _sweep(factory):
     return elapsed, report
 
 
-@pytest.mark.benchmark(group="faults")
-def test_dormant_fault_plan_overhead(table_printer, benchmark_gate):
+def test_dormant_fault_plan_overhead(table_printer):
     """A wired-but-dormant fault plan costs <= 1.5x the plain stack."""
     plain_factory = scenario_factory("drone-surveillance", horizon=SWEEP_HORIZON)
     dormant_factory = scenario_factory(
@@ -91,16 +88,13 @@ def test_dormant_fault_plan_overhead(table_printer, benchmark_gate):
              f"{SWEEP_EXECUTIONS / dormant:.0f}", f"{overhead:.2f}x"],
         ],
     )
-    benchmark_gate("faults/plain-sweep", plain)
-    benchmark_gate("faults/dormant-sweep", dormant)
     assert overhead <= OVERHEAD_BAR, (
         f"dormant fault plan costs {overhead:.2f}x the plain stack "
         f"(bar: {OVERHEAD_BAR:.1f}x) — the no-fault path regressed"
     )
 
 
-@pytest.mark.benchmark(group="faults")
-def test_resilience_differential_wall_time(table_printer, benchmark_gate):
+def test_resilience_differential_wall_time(table_printer):
     """The full protected/unprotected exhaustive differential stays cheap."""
     protected = scenario_factory("fault-injected-planner", protected=True)
     unprotected = scenario_factory("fault-injected-planner", protected=False)
@@ -121,4 +115,3 @@ def test_resilience_differential_wall_time(table_printer, benchmark_gate):
              f"({executions / elapsed:.0f} exec/s, replay-confirmed)", "", ""],
         ],
     )
-    benchmark_gate("faults/resilience-differential", elapsed)

@@ -11,8 +11,6 @@ and the rough ratios must hold.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.apps import StackConfig, build_stack
 from repro.simulation import waypoint_range
 
@@ -35,16 +33,10 @@ def _run_variant(protect: bool, sc_only: bool = False, seed: int = 3):
     return metrics
 
 
-@pytest.mark.benchmark(group="fig12a")
-def test_fig12a_mission_time_comparison(benchmark, table_printer):
-    def run_all():
-        return (
-            _run_variant(protect=False),
-            _run_variant(protect=True),
-            _run_variant(protect=False, sc_only=True),
-        )
-
-    ac_only, rta, sc_only = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_fig12a_mission_time_comparison(table_printer):
+    ac_only = _run_variant(protect=False)
+    rta = _run_variant(protect=True)
+    sc_only = _run_variant(protect=False, sc_only=True)
     table_printer(
         "Figure 12a: g1..g4 mission — AC-only vs RTA-protected vs SC-only",
         ["configuration", "mission time [s]", "paper [s]", "collided", "disengagements", "AC fraction"],

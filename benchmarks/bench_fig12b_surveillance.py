@@ -11,8 +11,6 @@ stack and reports disengagements, AC-in-control fraction, and safety.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.apps import CampaignMetrics, StackConfig, build_stack
 from repro.simulation import surveillance_city
 
@@ -38,15 +36,10 @@ def _mission(seed: int, tracker: str = "learned"):
     return metrics
 
 
-@pytest.mark.benchmark(group="fig12b")
-def test_fig12b_rta_protected_surveillance(benchmark, table_printer):
-    def campaign():
-        missions = CampaignMetrics()
-        for seed in SEEDS:
-            missions.add(_mission(seed))
-        return missions
-
-    campaign_metrics = benchmark.pedantic(campaign, rounds=1, iterations=1)
+def test_fig12b_rta_protected_surveillance(table_printer):
+    campaign_metrics = CampaignMetrics()
+    for seed in SEEDS:
+        campaign_metrics.add(_mission(seed))
     rows = []
     for index, mission in enumerate(campaign_metrics.missions):
         rows.append(

@@ -10,8 +10,6 @@ battery RTA module.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.apps import StackConfig, build_stack
 from repro.dynamics import BatteryParams
 from repro.simulation import waypoint_range
@@ -39,12 +37,9 @@ def _mission(protect_battery: bool, seed: int = 2):
     return metrics, battery_switches
 
 
-@pytest.mark.benchmark(group="fig12c")
-def test_fig12c_battery_safety(benchmark, table_printer):
-    def run_both():
-        return _mission(protect_battery=True), _mission(protect_battery=False)
-
-    (protected, protected_switches), (unprotected, _) = benchmark.pedantic(run_both, rounds=1, iterations=1)
+def test_fig12c_battery_safety(table_printer):
+    protected, protected_switches = _mission(protect_battery=True)
+    unprotected, _ = _mission(protect_battery=False)
     table_printer(
         "Figure 12c: battery safety (fast-draining battery, looping mission)",
         ["configuration", "battery aborts", "depleted in air", "landed safely", "final charge", "flight time [s]"],

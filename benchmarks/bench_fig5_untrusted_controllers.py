@@ -10,8 +10,6 @@ must eliminate the violations.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.apps import StackConfig, build_stack
 from repro.simulation import waypoint_range
 
@@ -46,10 +44,9 @@ def _campaign(protected: bool, tracker: str):
     return {"collisions": collisions, "completions": completions, "min_clearance": min_clearance}
 
 
-@pytest.mark.benchmark(group="fig5")
-def test_fig5_untrusted_third_party_controller(benchmark, table_printer):
+def test_fig5_untrusted_third_party_controller(table_printer):
     """Aggressive (PX4-like) tracker: unsafe alone, safe under the RTA module."""
-    unprotected = benchmark.pedantic(lambda: _campaign(protected=False, tracker="aggressive"), rounds=1, iterations=1)
+    unprotected = _campaign(protected=False, tracker="aggressive")
     protected = _campaign(protected=True, tracker="aggressive")
     table_printer(
         "Figure 5 (right): PX4-like controller on the g1..g4 square",
@@ -67,17 +64,10 @@ def test_fig5_untrusted_third_party_controller(benchmark, table_printer):
     assert protected["completions"] == len(list(SEEDS))
 
 
-@pytest.mark.benchmark(group="fig5")
-def test_fig5_learned_controller(benchmark, table_printer):
+def test_fig5_learned_controller(table_printer):
     """Learned (data-driven) tracker: occasional dangerous deviations, caught by the RTA."""
-
-    def learned_campaigns():
-        return (
-            _campaign(protected=False, tracker="learned"),
-            _campaign(protected=True, tracker="learned"),
-        )
-
-    unprotected, protected = benchmark.pedantic(learned_campaigns, rounds=1, iterations=1)
+    unprotected = _campaign(protected=False, tracker="learned")
+    protected = _campaign(protected=True, tracker="learned")
     table_printer(
         "Figure 5 (left): learned controller on the waypoint loop",
         ["configuration", "collisions", "min clearance [m]"],

@@ -5,16 +5,12 @@ composed protected stacks under the reset-and-reuse explorer.  The N=1
 row doubles as a sanity anchor: a fleet of one is bit-identical to
 ``drone-surveillance`` (proven in
 ``tests/testing/test_multi_drone_differential.py``), so its throughput
-tracks the single-drone sweep.  The wall time feeds the benchmark
-regression gate.
+tracks the single-drone sweep.
 """
 
 from __future__ import annotations
 
-import os
 import time
-
-import pytest
 
 from repro.testing import RandomStrategy, SystematicTester, scenario_factory
 
@@ -44,8 +40,7 @@ def _fleet_sweep(drones: int) -> float:
     return elapsed
 
 
-@pytest.mark.benchmark(group="multi-drone")
-def test_fleet_exploration_scaling(table_printer, benchmark_gate):
+def test_fleet_exploration_scaling(table_printer):
     """Executions/s as the shared airspace grows from 1 to 3 protected stacks."""
     _fleet_sweep(FLEET_SIZES[0])  # warm the per-process world/clearance memos
     walls = {
@@ -67,15 +62,11 @@ def test_fleet_exploration_scaling(table_printer, benchmark_gate):
             for drones, wall in walls.items()
         ],
     )
-    benchmark_gate("multi-drone/explorer-2-drones", walls[2])
-    if os.environ.get("BENCH_UPDATE_REFERENCE") != "1":
-        # Composition overhead must stay roughly linear: a 3-stack airspace
-        # may not cost more than ~6x the single stack per execution
-        # (generous slack over the ~3x node count).  The ~40 ms 1-drone
-        # baseline is too easily perturbed on loaded shared runners, so —
-        # like bench_reset_reuse's machine-relative bar — the assertion is
-        # skipped when references are being re-recorded (the CI smoke run).
-        assert walls[3] <= 6.0 * baseline, (
-            f"3-drone sweep {walls[3]:.3f}s vs 1-drone {baseline:.3f}s — "
-            "fleet composition overhead is no longer near-linear"
-        )
+    # Composition overhead must stay roughly linear: a 3-stack airspace
+    # may not cost more than ~6x the single stack per execution (generous
+    # slack over the ~3x node count).  The ~40 ms 1-drone baseline is
+    # easily perturbed on a loaded host: rerun a failure alone first.
+    assert walls[3] <= 6.0 * baseline, (
+        f"3-drone sweep {walls[3]:.3f}s vs 1-drone {baseline:.3f}s — "
+        "fleet composition overhead is no longer near-linear"
+    )

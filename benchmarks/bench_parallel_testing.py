@@ -23,8 +23,6 @@ from __future__ import annotations
 import os
 import time
 
-import pytest
-
 from repro.testing import ParallelTester, RandomStrategy, SystematicTester, scenario_factory
 
 SCENARIO = "drone-surveillance"
@@ -64,16 +62,9 @@ def _parallel_sweep(workers: int) -> float:
     return report.wall_time
 
 
-@pytest.mark.benchmark(group="parallel-testing")
-def test_parallel_random_sweep_speedup(benchmark, table_printer, benchmark_gate):
-    def run_all():
-        serial = _serial_sweep()
-        scaled = {workers: _parallel_sweep(workers) for workers in (1, 2, 4)}
-        return serial, scaled
-
-    serial, scaled = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    benchmark_gate("parallel-testing/serial-sweep", serial)
-    benchmark_gate("parallel-testing/4-workers", scaled[4])
+def test_parallel_random_sweep_speedup(table_printer):
+    serial = _serial_sweep()
+    scaled = {workers: _parallel_sweep(workers) for workers in (1, 2, 4)}
     table_printer(
         f"Parallel systematic testing: {EXECUTIONS}-execution random sweep of '{SCENARIO}'",
         ["configuration", "wall time [s]", "speedup", "executions/s"],
@@ -100,18 +91,14 @@ def test_parallel_random_sweep_speedup(benchmark, table_printer, benchmark_gate)
         )
 
 
-@pytest.mark.benchmark(group="parallel-testing")
-def test_parallel_counterexamples_replay_serially(benchmark, table_printer):
-    def hunt():
-        tester = ParallelTester(
-            SCENARIO,
-            scenario_overrides={"horizon": HORIZON, "include_unsafe_position": True},
-            strategy=RandomStrategy(seed=SEED, max_executions=64),
-            workers=4,
-        )
-        return tester.explore(confirm_counterexamples=True)
-
-    report = benchmark.pedantic(hunt, rounds=1, iterations=1)
+def test_parallel_counterexamples_replay_serially(table_printer):
+    tester = ParallelTester(
+        SCENARIO,
+        scenario_overrides={"horizon": HORIZON, "include_unsafe_position": True},
+        strategy=RandomStrategy(seed=SEED, max_executions=64),
+        workers=4,
+    )
+    report = tester.explore(confirm_counterexamples=True)
     confirmed = sum(1 for confirmation in report.confirmations if confirmation.confirmed)
     table_printer(
         "Counterexample fidelity: parallel-found trails replayed on the serial engine",

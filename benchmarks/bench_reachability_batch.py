@@ -27,7 +27,6 @@ import statistics
 import time
 
 import numpy as np
-import pytest
 
 from repro.geometry import OccupancyGrid, points_as_array
 from repro.apps.scenarios import _shared_world
@@ -65,8 +64,7 @@ def _random_states(workspace, count: int) -> list:
     ]
 
 
-@pytest.mark.benchmark(group="reachability-batch")
-def test_batched_point_queries_speedup(benchmark, table_printer, benchmark_gate):
+def test_batched_point_queries_speedup(table_printer):
     workspace = surveillance_city().workspace
     states = _random_states(workspace, POINTS)
     points = points_as_array([state.position for state in states])
@@ -113,7 +111,7 @@ def test_batched_point_queries_speedup(benchmark, table_printer, benchmark_gate)
         rows.append(("must_switch (ttf)", scalar_switch, batch_switch))
         return rows
 
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
+    rows = measure()
     table_printer(
         f"Batched safety queries: scalar loop vs numpy batch over {POINTS} states",
         ["query", "scalar [ms]", "batch [ms]", "speedup", "queries/s (batch)"],
@@ -129,15 +127,13 @@ def test_batched_point_queries_speedup(benchmark, table_printer, benchmark_gate)
         ],
     )
     for name, scalar, batch in rows:
-        benchmark_gate(f"reachability-batch/{name}", batch)
         assert scalar / batch >= 5.0, (
             f"{name}: expected >=5x batch speedup at {POINTS} points, "
             f"measured {scalar / batch:.1f}x"
         )
 
 
-@pytest.mark.benchmark(group="reachability-batch")
-def test_occupancy_grid_vectorisation_speedup(benchmark, table_printer, benchmark_gate):
+def test_occupancy_grid_vectorisation_speedup(table_printer):
     workspace = surveillance_city().workspace
     resolution = 0.25
 
@@ -161,9 +157,7 @@ def test_occupancy_grid_vectorisation_speedup(benchmark, table_printer, benchmar
         ), "chamfer transform must match the Dijkstra brushfire"
         return scalar_build, batch_build, dijkstra, chamfer, grid.shape
 
-    scalar_build, batch_build, dijkstra, chamfer, shape = benchmark.pedantic(
-        measure, rounds=1, iterations=1
-    )
+    scalar_build, batch_build, dijkstra, chamfer, shape = measure()
     table_printer(
         f"Occupancy grid ({shape[0]}x{shape[1]} cells at {resolution} m): loops vs vectorised",
         ["stage", "scalar [ms]", "vectorised [ms]", "speedup"],
@@ -174,8 +168,6 @@ def test_occupancy_grid_vectorisation_speedup(benchmark, table_printer, benchmar
              f"{dijkstra / chamfer:.1f}x"],
         ],
     )
-    benchmark_gate("reachability-batch/grid-rasterise", batch_build)
-    benchmark_gate("reachability-batch/distance-transform", chamfer)
     assert scalar_build / batch_build >= 5.0
     assert dijkstra / chamfer >= 5.0
 
@@ -196,8 +188,7 @@ def _sweep(use_query_cache: bool) -> float:
     return elapsed
 
 
-@pytest.mark.benchmark(group="reachability-batch")
-def test_explorer_throughput_improves(benchmark, table_printer, benchmark_gate):
+def test_explorer_throughput_improves(table_printer):
     """The point of the refactor: more explored executions per second."""
 
     def measure():
@@ -215,7 +206,7 @@ def test_explorer_throughput_improves(benchmark, table_printer, benchmark_gate):
             )
         return rounds
 
-    rounds = benchmark.pedantic(measure, rounds=1, iterations=1)
+    rounds = measure()
     legacy, cached = (statistics.median(column) for column in zip(*rounds))
     ratios = [old / new for old, new in rounds]
     speedup = statistics.median(ratios)
@@ -231,7 +222,6 @@ def test_explorer_throughput_improves(benchmark, table_printer, benchmark_gate):
              f"{speedup:.2f}x (rounds: {', '.join(f'{r:.2f}' for r in ratios)})"],
         ],
     )
-    benchmark_gate("reachability-batch/explorer-sweep", cached)
     assert speedup >= 1.1, (
         f"expected the cached plane to improve explorer throughput, "
         f"measured a median of {speedup:.2f}x"

@@ -7,24 +7,18 @@ Quantifies the two halves of the reset-and-reuse PR:
   executions, 2 s horizon, seed 11) under fresh-build-per-execution
   (``reuse_instances=False``) versus the default reset-and-reuse path.
   The acceptance bar is ≥ 2x executions/s over the PR 2 fresh-build
-  baseline recorded in ``benchmark_reference.json`` at PR 2 time.
+  baseline, a wall time pinned when PR 2 landed (``PR2_SWEEP_SECONDS``).
 
 * **Well-formedness falsification** — P2a/P2b/P3 of the motion-primitive
   module validated by sampling, scalar loops versus the batched plane
   (structure-of-arrays SC rollouts through ``command_batch``/
   ``step_batch``, one-shot ``may_leave_safe_batch``).  The acceptance bar
   is ≥ 10x with check verdicts identical to the scalar loops.
-
-Both wall times feed the benchmark regression gate, so future slowdowns
-of either hot path fail the benchmark run.
 """
 
 from __future__ import annotations
 
-import os
 import time
-
-import pytest
 
 from repro.apps.modules import DroneClosedLoopModel, build_safe_motion_primitive
 from repro.control import AggressiveTracker
@@ -33,10 +27,9 @@ from repro.dynamics import BoundedDoubleIntegrator, DoubleIntegratorParams
 from repro.simulation import surveillance_city
 from repro.testing import RandomStrategy, SystematicTester, scenario_factory
 
-#: The PR 2 fresh-build baseline: the "reachability-batch/explorer-sweep"
-#: reference wall time recorded in benchmark_reference.json when PR 2
-#: landed (120 executions at 371 exec/s → 0.3347 s), measured on the same
-#: reference machine this file's gate references were recorded on.
+#: The PR 2 fresh-build baseline: the explorer-sweep wall time recorded
+#: when PR 2 landed (120 executions at 371 exec/s → 0.3347 s) on the
+#: project's reference machine.  It is not measured in this process.
 PR2_SWEEP_SECONDS = 0.3347
 
 SWEEP_EXECUTIONS = 120
@@ -64,8 +57,7 @@ def _sweep(reuse_instances: bool) -> float:
     return elapsed
 
 
-@pytest.mark.benchmark(group="reset-reuse")
-def test_explorer_reset_reuse_throughput(table_printer, benchmark_gate):
+def test_explorer_reset_reuse_throughput(table_printer):
     """Reset-and-reuse ≥ 2x the PR 2 fresh-build explorer baseline."""
     _sweep(True)  # warm the per-process world/clearance memos once
     fresh = min(_sweep(False) for _ in range(SWEEP_REPEATS))
@@ -82,16 +74,13 @@ def test_explorer_reset_reuse_throughput(table_printer, benchmark_gate):
              f"{SWEEP_EXECUTIONS / reset:.0f}", f"{PR2_SWEEP_SECONDS / reset:.2f}x"],
         ],
     )
-    benchmark_gate("reset-reuse/explorer-fresh", fresh)
-    benchmark_gate("reset-reuse/explorer-reset", reset)
-    if os.environ.get("BENCH_UPDATE_REFERENCE") != "1":
-        # The pinned PR 2 wall time was recorded on the reference machine;
-        # when references are being re-recorded elsewhere, only the
-        # machine-relative assertions below are meaningful.
-        assert PR2_SWEEP_SECONDS / reset >= 2.0, (
-            f"expected >= 2x over the PR 2 fresh-build baseline, measured "
-            f"{PR2_SWEEP_SECONDS / reset:.2f}x ({SWEEP_EXECUTIONS / reset:.0f} exec/s)"
-        )
+    # The pinned PR 2 wall time was recorded on the reference machine, so
+    # this bar also fails on hardware slower than that machine; the
+    # same-process bar below holds anywhere.
+    assert PR2_SWEEP_SECONDS / reset >= 2.0, (
+        f"expected >= 2x over the PR 2 fresh-build baseline, measured "
+        f"{PR2_SWEEP_SECONDS / reset:.2f}x ({SWEEP_EXECUTIONS / reset:.0f} exec/s)"
+    )
     assert reset <= fresh * 1.05, "reset-and-reuse should never lose to fresh builds"
 
 
@@ -127,8 +116,7 @@ def _falsification_pass(use_batch: bool):
     return results, timings
 
 
-@pytest.mark.benchmark(group="reset-reuse")
-def test_wellformed_batched_falsification(table_printer, benchmark_gate):
+def test_wellformed_batched_falsification(table_printer):
     """Batched P2a/P2b/P3 ≥ 10x the scalar loops, identical verdicts."""
     scalar_results, scalar_times = _falsification_pass(use_batch=False)
     batch_results, batch_times = _falsification_pass(use_batch=True)
@@ -159,7 +147,6 @@ def test_wellformed_batched_falsification(table_printer, benchmark_gate):
         ["check", "scalar [ms]", "batched [ms]", "speedup", "verdict"],
         rows,
     )
-    benchmark_gate("reset-reuse/wellformed-batched", batch_total)
     assert scalar_total / batch_total >= 10.0, (
         f"expected >= 10x on batched P2a/P2b/P3, measured {scalar_total / batch_total:.1f}x"
     )

@@ -10,8 +10,6 @@ stack against the planner-protected stack on the same faulty planner.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.apps import StackConfig, build_stack
 from repro.planning import PlannerBug
 from repro.simulation import surveillance_city
@@ -44,14 +42,9 @@ def _mission(protect: bool, seed: int):
     return metrics, rejected
 
 
-@pytest.mark.benchmark(group="sec5c")
-def test_sec5c_faulty_planner_protection(benchmark, table_printer):
-    def campaign():
-        protected_runs = [_mission(True, seed) for seed in SEEDS]
-        unprotected_runs = [_mission(False, seed) for seed in SEEDS]
-        return protected_runs, unprotected_runs
-
-    protected_runs, unprotected_runs = benchmark.pedantic(campaign, rounds=1, iterations=1)
+def test_sec5c_faulty_planner_protection(table_printer):
+    protected_runs = [_mission(True, seed) for seed in SEEDS]
+    unprotected_runs = [_mission(False, seed) for seed in SEEDS]
     protected_collisions = sum(int(metrics.collided) for metrics, _ in protected_runs)
     unprotected_collisions = sum(int(metrics.collided) for metrics, _ in unprotected_runs)
     plans_rejected = sum(rejected for _, rejected in protected_runs)

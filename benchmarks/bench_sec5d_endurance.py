@@ -18,8 +18,6 @@ instead of 104 hours) in three scheduler configurations:
 
 from __future__ import annotations
 
-import pytest
-
 from repro.apps import CampaignMetrics, StackConfig, build_stack
 from repro.runtime import JitteryOSScheduler, OverloadScheduler, PerfectScheduler
 from repro.simulation import surveillance_city, waypoint_range
@@ -73,17 +71,12 @@ def _starved_sc_missions():
     return crashes
 
 
-@pytest.mark.benchmark(group="sec5d")
-def test_sec5d_endurance_campaign(benchmark, table_printer):
-    def run_campaigns():
-        perfect = _city_campaign(lambda seed: PerfectScheduler())
-        jittery = _city_campaign(
-            lambda seed: JitteryOSScheduler(max_jitter=0.03, drop_rate=0.01, seed=seed)
-        )
-        starved_crashes = _starved_sc_missions()
-        return perfect, jittery, starved_crashes
-
-    perfect, jittery, starved_crashes = benchmark.pedantic(run_campaigns, rounds=1, iterations=1)
+def test_sec5d_endurance_campaign(table_printer):
+    perfect = _city_campaign(lambda seed: PerfectScheduler())
+    jittery = _city_campaign(
+        lambda seed: JitteryOSScheduler(max_jitter=0.03, drop_rate=0.01, seed=seed)
+    )
+    starved_crashes = _starved_sc_missions()
     table_printer(
         "Section V-D: endurance campaign (scaled; paper: 104 h, 1505 km, 109 disengagements, "
         "34 crashes, AC > 96 %)",

@@ -11,17 +11,11 @@ service side.  This benchmark runs the same 200-execution random sweep
 both ways on one host and asserts the service's streaming overhead
 stays within 1.5x of the facade — the streaming path must ride
 ingestion, not tax it.
-
-Both measurements feed the benchmark regression gate
-(``benchmark_reference.json``), so a change that bloats the event plane
-turns this suite red.
 """
 
 from __future__ import annotations
 
 import time
-
-import pytest
 
 from repro.service import MissionClient, MissionServer
 from repro.service.client import decode_report_records
@@ -70,16 +64,9 @@ def _service_sweep():
     return report, streamed, elapsed
 
 
-@pytest.mark.benchmark(group="service")
-def test_mission_streaming_overhead(benchmark, table_printer, benchmark_gate):
-    def run_both():
-        return _swarm_sweep(), _service_sweep()
-
-    (swarm, swarm_s), (report, streamed, service_s) = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
-    benchmark_gate("service/swarm-2-drones", swarm_s)
-    benchmark_gate("service/mission-streamed", service_s)
+def test_mission_streaming_overhead(table_printer):
+    swarm, swarm_s = _swarm_sweep()
+    report, streamed, service_s = _service_sweep()
     overhead = service_s / swarm_s
     table_printer(
         f"Mission service vs swarm facade: {EXECUTIONS}-execution sweep of '{SCENARIO}'",

@@ -14,17 +14,11 @@ buys and costs on one host:
   as the single-core reference (reported, not asserted);
 * fidelity on the unsafe variant — the swarm's counterexamples replay
   on the serial engine and its report matches the pool's exactly.
-
-Both measurements feed the benchmark regression gate
-(``benchmark_reference.json``), so a change that silently bloats the
-wire path or breaks streaming turns this suite red.
 """
 
 from __future__ import annotations
 
 import time
-
-import pytest
 
 from repro.swarm import SwarmTester
 from repro.testing import ParallelTester, RandomStrategy, SystematicTester, scenario_factory
@@ -72,16 +66,10 @@ def _serial_sweep():
     return report, time.perf_counter() - started
 
 
-@pytest.mark.benchmark(group="swarm")
-def test_swarm_throughput_vs_pool(benchmark, table_printer, benchmark_gate):
-    def run_all():
-        return _pool_sweep(), _swarm_sweep(), _serial_sweep()
-
-    (pool, pool_s), (swarm, swarm_s), (serial, serial_s) = benchmark.pedantic(
-        run_all, rounds=1, iterations=1
-    )
-    benchmark_gate("swarm/pool-2-workers", pool_s)
-    benchmark_gate("swarm/localhost-2-drones", swarm_s)
+def test_swarm_throughput_vs_pool(table_printer):
+    pool, pool_s = _pool_sweep()
+    swarm, swarm_s = _swarm_sweep()
+    serial, serial_s = _serial_sweep()
     table_printer(
         f"Swarm vs pool: {EXECUTIONS}-execution random sweep of '{SCENARIO}'",
         ["configuration", "wall time [s]", "executions/s", "ratio"],
@@ -102,21 +90,14 @@ def test_swarm_throughput_vs_pool(benchmark, table_printer, benchmark_gate):
     assert swarm.duplicates == 0
 
 
-@pytest.mark.benchmark(group="swarm")
-def test_swarm_counterexample_fidelity(benchmark, table_printer, benchmark_gate):
-    def hunt():
-        tester = SwarmTester(
-            SCENARIO,
-            scenario_overrides={"horizon": HORIZON, "include_unsafe_position": True},
-            strategy=RandomStrategy(seed=SEED, max_executions=64),
-            drones=2,
-        )
-        started = time.perf_counter()
-        report = tester.explore(confirm_counterexamples=True)
-        return report, time.perf_counter() - started
-
-    report, elapsed = benchmark.pedantic(hunt, rounds=1, iterations=1)
-    benchmark_gate("swarm/unsafe-hunt", elapsed)
+def test_swarm_counterexample_fidelity(table_printer):
+    tester = SwarmTester(
+        SCENARIO,
+        scenario_overrides={"horizon": HORIZON, "include_unsafe_position": True},
+        strategy=RandomStrategy(seed=SEED, max_executions=64),
+        drones=2,
+    )
+    report = tester.explore(confirm_counterexamples=True)
     confirmed = sum(1 for confirmation in report.confirmations if confirmation.confirmed)
     table_printer(
         "Swarm counterexample fidelity: drone-found trails replayed serially",

@@ -129,27 +129,32 @@ class FaultInjector(Node):
             return {}
         if self.spec.kind is FaultKind.STUCK:
             return dict(self._last_outputs)
-        corrupted = {name: self._corrupt(value) for name, value in outputs.items()}
+        spec = self.spec
+        corrupted = {
+            name: _corrupt(spec.kind, value, spec.magnitude, self._rng)
+            for name, value in outputs.items()
+        }
         self._last_outputs = dict(corrupted)
         return corrupted
 
-    def _corrupt(self, value: Any) -> Any:
-        """Apply the value-level fault; only control commands are perturbed."""
-        if not isinstance(value, ControlCommand):
-            return value
-        if self.spec.kind is FaultKind.BIAS:
-            offset = Vec3(self.spec.magnitude, 0.0, 0.0)
-            return ControlCommand(acceleration=value.acceleration + offset, yaw_rate=value.yaw_rate)
-        if self.spec.kind is FaultKind.NOISE:
-            noise = Vec3(
-                self._rng.uniform(-self.spec.magnitude, self.spec.magnitude),
-                self._rng.uniform(-self.spec.magnitude, self.spec.magnitude),
-                self._rng.uniform(-self.spec.magnitude, self.spec.magnitude) * 0.2,
-            )
-            return ControlCommand(acceleration=value.acceleration + noise, yaw_rate=value.yaw_rate)
-        if self.spec.kind is FaultKind.INVERT:
-            return ControlCommand(acceleration=-value.acceleration, yaw_rate=value.yaw_rate)
-        raise NodeError(f"unsupported fault kind {self.spec.kind}")
+
+def _corrupt(kind: FaultKind, value: Any, magnitude: float, rng: random.Random) -> Any:
+    """Apply a value-level fault; only control commands are perturbed."""
+    if not isinstance(value, ControlCommand):
+        return value
+    if kind is FaultKind.BIAS:
+        offset = Vec3(magnitude, 0.0, 0.0)
+        return ControlCommand(acceleration=value.acceleration + offset, yaw_rate=value.yaw_rate)
+    if kind is FaultKind.NOISE:
+        noise = Vec3(
+            rng.uniform(-magnitude, magnitude),
+            rng.uniform(-magnitude, magnitude),
+            rng.uniform(-magnitude, magnitude) * 0.2,
+        )
+        return ControlCommand(acceleration=value.acceleration + noise, yaw_rate=value.yaw_rate)
+    if kind is FaultKind.INVERT:
+        return ControlCommand(acceleration=-value.acceleration, yaw_rate=value.yaw_rate)
+    raise NodeError(f"unsupported value fault kind {kind}")
 
 
 # --------------------------------------------------------------------- #
@@ -470,27 +475,12 @@ class ChoiceFaultInjector(Node):
                 substituted = dict(self.substitutes)
             self._last_outputs = dict(substituted)
             return substituted
-        corrupted = {topic: self._corrupt(kind, value) for topic, value in outputs.items()}
+        corrupted = {
+            topic: _corrupt(kind, value, self.site.magnitude, self._rng)
+            for topic, value in outputs.items()
+        }
         self._last_outputs = dict(corrupted)
         return corrupted
-
-    def _corrupt(self, kind: FaultKind, value: Any) -> Any:
-        if not isinstance(value, ControlCommand):
-            return value
-        magnitude = self.site.magnitude
-        if kind is FaultKind.BIAS:
-            offset = Vec3(magnitude, 0.0, 0.0)
-            return ControlCommand(acceleration=value.acceleration + offset, yaw_rate=value.yaw_rate)
-        if kind is FaultKind.NOISE:
-            noise = Vec3(
-                self._rng.uniform(-magnitude, magnitude),
-                self._rng.uniform(-magnitude, magnitude),
-                self._rng.uniform(-magnitude, magnitude) * 0.2,
-            )
-            return ControlCommand(acceleration=value.acceleration + noise, yaw_rate=value.yaw_rate)
-        if kind is FaultKind.INVERT:
-            return ControlCommand(acceleration=-value.acceleration, yaw_rate=value.yaw_rate)
-        raise NodeError(f"unsupported node fault kind {kind}")
 
 
 class TopicFaultGate:

@@ -124,8 +124,14 @@ class MissionService:
         except Exception as error:
             raise protocol.ProtocolError(f"bad mission workload: {error}") from None
         shards = spec.get("shards")
-        if shards is not None and int(shards) < 1:
-            raise protocol.ProtocolError("shards must be at least 1")
+        if shards is not None:
+            try:
+                shards = int(shards)
+            except (TypeError, ValueError):
+                raise protocol.ProtocolError(
+                    f"shards must be an integer, got {shards!r}") from None
+            if shards < 1:
+                raise protocol.ProtocolError("shards must be at least 1")
         with self._lock:
             mission_id = f"m{next(self._ids)}"
             mission = Mission(mission_id, dict(spec))

@@ -62,7 +62,7 @@ class _MissionHandler(_Handler):
             self._reply({"mission": mission_id})
         except protocol.ProtocolError as error:
             self._error(str(error))
-        except (KeyError, TypeError) as error:
+        except (KeyError, TypeError, ValueError) as error:
             self._error(f"malformed request: {error!r}")
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler API)

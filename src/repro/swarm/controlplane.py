@@ -410,14 +410,19 @@ class ControlPlane:
                     return self.session_status(session_id)
                 if view == "report":
                     return self.session_report(session_id)
-        except (KeyError, TypeError, AttributeError) as error:
+        except protocol.ProtocolError:
+            raise
+        except (KeyError, TypeError, AttributeError, ValueError) as error:
             raise protocol.ProtocolError(f"malformed request: {error!r}") from None
         raise UnknownRoute(f"unknown route {route!r}")
 
     def _long_poll_lease(self, payload: Any) -> Dict[str, Any]:
-        deadline = time.monotonic() + min(
-            float(payload.get("poll", LEASE_POLL_TIMEOUT)), LEASE_POLL_TIMEOUT
-        )
+        poll = payload.get("poll", LEASE_POLL_TIMEOUT)
+        try:
+            poll = float(poll)
+        except (TypeError, ValueError):
+            raise ValueError(f"poll must be a number, got {poll!r}") from None
+        deadline = time.monotonic() + min(poll, LEASE_POLL_TIMEOUT)
         while True:
             grant = self.request_lease(payload["drone"])
             if grant is not None or time.monotonic() >= deadline:
@@ -593,7 +598,10 @@ class ControlPlane:
         drain); ``error`` fails the session with the drone's traceback —
         executions are deterministic, so the error would reproduce on any
         drone.  ``population_stats`` is the lease's PopulationTester
-        counter delta, summed into the session's running totals.
+        counter delta, summed into the session's running totals.  A
+        malformed window raises :class:`~repro.swarm.protocol.ProtocolError`
+        before anything is folded in, so the session is left as it was and
+        a corrected resend is not counted as a duplicate.
         """
         self.sweep()
         with self._lock:
@@ -602,39 +610,30 @@ class ControlPlane:
             shard = self._shard(lease) if lease is not None else None
             if shard is None and lease_id is not None:
                 shard = self._find_shard_of_lease(session, lease_id)
+            # A zombie whose shard was re-leased resolves no shard; a
+            # session's shards are homogeneous, so its kind still gives
+            # the right execution identity (trail vs global index).
+            kind = (shard.kind if shard is not None
+                    else session.shards[0].kind if session.shards else "random")
+            window = [_window_item(kind, item) for item in results or []]
+            stats = protocol.decode_population_stats(population_stats) if population_stats else {}
             if lease is not None:
                 lease.last_heartbeat = self._clock()
                 lease.warned = False
-            for item in results or []:
-                record = item["record"]
-                # A zombie whose shard was re-leased resolves no shard; a
-                # session's shards are homogeneous, so its kind still gives
-                # the right execution identity (trail vs global index).
-                kind = (shard.kind if shard is not None
-                        else session.shards[0].kind if session.shards else "random")
-                key = protocol.execution_key(kind, record)
+            for key, record, coverage in window:
                 if key in session.record_keys:
                     session.duplicates += 1
                     continue
                 session.record_keys.add(key)
                 session.records.append(record)
-                coverage = item.get("coverage")
-                if coverage:
-                    for vehicle, mode, region, count in coverage:
-                        triple = (vehicle, mode, region)
-                        session.coverage_rows[triple] = (
-                            session.coverage_rows.get(triple, 0) + int(count)
-                        )
+                for vehicle, mode, region, count in coverage or ():
+                    triple = (vehicle, mode, region)
+                    session.coverage_rows[triple] = session.coverage_rows.get(triple, 0) + count
                 self._notify_record(session_id, record, coverage)
                 if record.get("violations") and session.stop_at_first_violation:
                     self._begin_stop(session)
-            if population_stats:
-                for key, value in protocol.decode_population_stats(
-                    population_stats
-                ).items():
-                    session.population_stats[key] = (
-                        session.population_stats.get(key, 0) + value
-                    )
+            for key, value in stats.items():
+                session.population_stats[key] = session.population_stats.get(key, 0) + value
             if error is not None:
                 self._fail(session, error)
                 self._release(lease, shard, completed=False)
@@ -785,6 +784,26 @@ class ControlPlane:
                     for lease in self._leases.values()
                 ],
             }
+
+
+def _window_item(kind: str, item: Any) -> Tuple[Tuple[Any, ...], Dict[str, Any], Any]:
+    """Check one result-window item; returns ``(key, record, coverage)``.
+
+    The record must yield an execution key and every coverage row must be
+    ``[vehicle, mode, region, count]`` typed ``(str, str, str, int)``.
+    """
+    try:
+        record = item["record"]
+        key = protocol.execution_key(kind, record)
+        coverage = item.get("coverage")
+        for row in coverage or ():
+            vehicle, mode, region, count = row
+            if not (isinstance(vehicle, str) and isinstance(mode, str)
+                    and isinstance(region, str) and isinstance(count, int)):
+                raise ValueError(f"coverage row {row!r} is not (str, str, str, int)")
+    except (KeyError, TypeError, ValueError, AttributeError) as error:
+        raise protocol.ProtocolError(f"malformed result window: {error!r}") from None
+    return key, record, coverage
 
 
 def _options(payload: Dict[str, Any], *names: str) -> Dict[str, Any]:

@@ -19,6 +19,8 @@ import signal
 import socket
 import threading
 import time
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -479,6 +481,22 @@ class TestErrorPaths:
     def test_malformed_strategy_fails_at_submission(self, client):
         with pytest.raises(protocol.ProtocolError, match="strategy"):
             client.submit("toy-closed-loop", strategy={"kind": "quantum"})
+
+    def test_a_malformed_shard_count_is_a_400_naming_the_field(self, server):
+        spec = {
+            "scenario": "toy-closed-loop",
+            "strategy": protocol.encode_strategy(RandomStrategy(max_executions=1)),
+            "shards": "abc",
+        }
+        request = urllib.request.Request(
+            server.url + "/api/v1/mission", method="POST",
+            data=protocol.dumps("request", spec),
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5.0)
+        assert excinfo.value.code == 400
+        detail = protocol.loads(excinfo.value.read(), expect="response")
+        assert "shards" in detail["error"]
 
     def test_result_before_done_is_an_error(self):
         # No drone serves the plane until the check is made, so the

@@ -135,6 +135,56 @@ class TestIdempotentIngestion:
         assert len(report["records"]) == 1
 
 
+class TestAtomicResultWindows:
+    """A result window is folded in whole or not at all."""
+
+    class Listener:
+        def __init__(self):
+            self.seen = []
+
+        def record_accepted(self, session_id, record, coverage):
+            self.seen.append((record["index"], coverage))
+
+    @pytest.mark.parametrize("bad_row", [
+        ["v", "AC", "R1", "x"],  # a count that is not an int
+        ["v", "AC", "R1"],  # too few fields
+        ["v", "AC", 7, 1],  # a region that is not a str
+    ])
+    def test_a_malformed_window_leaves_the_session_unchanged(self, bad_row):
+        clock = FakeClock()
+        plane = make_plane(clock)
+        listener = self.Listener()
+        plane.add_listener(listener)
+        session = plane.create_session([random_shard_wire((0, 1))])
+        grant = plane.request_lease("d0")
+        before = plane.session_report(session)
+        window = [result(wire_record(0), [["v", "SC", "R0", 1]]),
+                  result(wire_record(1), [["v", "AC", "R1", 2], bad_row])]
+        with pytest.raises(protocol.ProtocolError, match="malformed result window"):
+            plane.ingest(session, grant["lease"], results=window,
+                         population_stats={"executions": 2})
+        assert plane.session_report(session) == before
+        assert listener.seen == []
+        # The corrected resend is accepted once, counted and streamed.
+        window[1] = result(wire_record(1), [["v", "AC", "R1", 2]])
+        plane.ingest(session, grant["lease"], results=window, done=True)
+        report = plane.session_report(session)
+        assert [record["index"] for record in report["records"]] == [0, 1]
+        assert report["duplicates"] == 0
+        assert report["coverage"] == [["v", "AC", "R1", 2], ["v", "SC", "R0", 1]]
+        assert report["finished"]
+        assert listener.seen == [(0, [["v", "SC", "R0", 1]]), (1, [["v", "AC", "R1", 2]])]
+
+    def test_a_record_without_an_identity_is_rejected_over_call(self):
+        plane = make_plane(FakeClock())
+        session = plane.create_session([random_shard_wire((0,))])
+        grant = plane.request_lease("d0")
+        with pytest.raises(protocol.ProtocolError, match="malformed result window"):
+            plane.call("result", {"session": session, "lease": grant["lease"],
+                                  "results": [{"record": {"index": "x"}}]})
+        assert plane.session_report(session)["records"] == []
+
+
 class TestPopulationStatsIngestion:
     def test_per_lease_deltas_sum_into_the_session(self):
         clock = FakeClock()
@@ -364,6 +414,18 @@ class TestHttpLayer:
             assert status["protocol"] == protocol.PROTOCOL_VERSION
             assert status["sessions"] == {}
 
+    def test_a_malformed_number_is_a_400_naming_the_field(self):
+        with ControlPlaneServer(heartbeat_timeout=5.0) as server:
+            request = urllib.request.Request(
+                server.url + "/api/v1/lease", method="POST",
+                data=protocol.dumps("request", {"drone": "d", "poll": "abc"}),
+                headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=5.0)
+            assert excinfo.value.code == 400
+            detail = protocol.loads(excinfo.value.read(), expect="response")
+            assert "poll" in detail["error"] and "malformed request" in detail["error"]
+
     def test_unknown_endpoint_is_404(self):
         with ControlPlaneServer(heartbeat_timeout=5.0) as server:
             for path in ("/api/v1/nope", "/elsewhere"):
@@ -401,3 +463,13 @@ class TestRouteTable:
             plane.call("result", {"session": "s1"})
         with pytest.raises(UnknownRoute):
             plane.call("session/s1/nope")
+
+    def test_value_errors_become_protocol_errors_and_protocol_errors_pass(self):
+        plane = make_plane(FakeClock())
+        with pytest.raises(protocol.ProtocolError, match="malformed request.*poll"):
+            plane.call("lease", {"drone": "d0", "poll": "abc"})
+        session = plane.call("session", {"shards": [random_shard_wire((0,))]})["session"]
+        lease = plane.call("lease", {"drone": "d0", "poll": 0.0})["lease"]["lease"]
+        with pytest.raises(protocol.ProtocolError, match="^population stats must be"):
+            plane.call("result", {"session": session, "lease": lease,
+                                  "population_stats": ["not", "a", "dict"]})
