@@ -7,7 +7,10 @@ Quantifies the two halves of the reset-and-reuse PR:
   executions, 2 s horizon, seed 11) under fresh-build-per-execution
   (``reuse_instances=False``) versus the default reset-and-reuse path.
   The acceptance bar is ≥ 2x executions/s over the PR 2 fresh-build
-  baseline, a wall time pinned when PR 2 landed (``PR2_SWEEP_SECONDS``).
+  baseline, a wall time pinned when PR 2 landed (``PR2_SWEEP_SECONDS``);
+  beside it, the median of per-pair ``fresh / reset`` ratios over
+  alternating same-process pairs must show reset-and-reuse no more than
+  5% slower than fresh builds.
 
 * **Well-formedness falsification** — P2a/P2b/P3 of the motion-primitive
   module validated by sampling, scalar loops versus the batched plane
@@ -18,6 +21,7 @@ Quantifies the two halves of the reset-and-reuse PR:
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro.apps.modules import DroneClosedLoopModel, build_safe_motion_primitive
@@ -36,6 +40,7 @@ SWEEP_EXECUTIONS = 120
 SWEEP_HORIZON = 2.0
 SWEEP_SEED = 11
 SWEEP_REPEATS = 3
+SWEEP_PAIRS = 7
 
 FALSIFICATION_SAMPLES = 256
 FALSIFICATION_HORIZON = 6.0
@@ -60,8 +65,11 @@ def _sweep(reuse_instances: bool) -> float:
 def test_explorer_reset_reuse_throughput(table_printer):
     """Reset-and-reuse ≥ 2x the PR 2 fresh-build explorer baseline."""
     _sweep(True)  # warm the per-process world/clearance memos once
-    fresh = min(_sweep(False) for _ in range(SWEEP_REPEATS))
-    reset = min(_sweep(True) for _ in range(SWEEP_REPEATS))
+    pairs = [(_sweep(False), _sweep(True)) for _ in range(SWEEP_PAIRS)]  # alternate
+    # The pinned bar keeps its statistic: the best of SWEEP_REPEATS sweeps.
+    fresh = min(f for f, _ in pairs[:SWEEP_REPEATS])
+    reset = min(r for _, r in pairs[:SWEEP_REPEATS])
+    ratio = statistics.median(f / r for f, r in pairs)
     table_printer(
         f"Explorer throughput: {SWEEP_EXECUTIONS}-execution 'drone-surveillance' sweep",
         ["configuration", "wall time [s]", "executions/s", "vs PR 2 baseline"],
@@ -72,6 +80,8 @@ def test_explorer_reset_reuse_throughput(table_printer):
              f"{SWEEP_EXECUTIONS / fresh:.0f}", f"{PR2_SWEEP_SECONDS / fresh:.2f}x"],
             ["reset-and-reuse (default)", f"{reset:.3f}",
              f"{SWEEP_EXECUTIONS / reset:.0f}", f"{PR2_SWEEP_SECONDS / reset:.2f}x"],
+            [f"fresh / reset, median of {SWEEP_PAIRS} alternating pairs", "", "",
+             f"{ratio:.2f}x"],
         ],
     )
     # The pinned PR 2 wall time was recorded on the reference machine, so
@@ -81,7 +91,10 @@ def test_explorer_reset_reuse_throughput(table_printer):
         f"expected >= 2x over the PR 2 fresh-build baseline, measured "
         f"{PR2_SWEEP_SECONDS / reset:.2f}x ({SWEEP_EXECUTIONS / reset:.0f} exec/s)"
     )
-    assert reset <= fresh * 1.05, "reset-and-reuse should never lose to fresh builds"
+    assert ratio * 1.05 >= 1.0, (
+        f"reset-and-reuse should never lose to fresh builds: the median fresh/reset "
+        f"ratio over {SWEEP_PAIRS} pairs is {ratio:.2f}x"
+    )
 
 
 def _falsification_pass(use_batch: bool):

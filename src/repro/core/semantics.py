@@ -48,8 +48,12 @@ class SchedulingPolicy(Protocol):
         """True if this firing is skipped entirely (overrun / missed activation)."""
 
 
-class _PerfectPolicy:
-    """Default policy: no jitter, no drops."""
+class PerfectScheduler:
+    """Idealised real-time scheduling: no jitter, no dropped activations.
+
+    The default policy.  Under it the engine fires from the calendar's
+    firing plan; ``repro.runtime.PerfectScheduler`` is this class.
+    """
 
     def release_jitter(self, node: Node, nominal_time: float) -> float:
         return 0.0
@@ -94,12 +98,18 @@ class SemanticsEngine:
         start_time: float = 0.0,
     ) -> None:
         self.system = system
-        self.scheduler: SchedulingPolicy = scheduler or _PerfectPolicy()
+        self.scheduler: SchedulingPolicy = scheduler or PerfectScheduler()
         self.listeners: List[EngineListener] = list(listeners)
         self._start_time = start_time
         self.board = TopicBoard(registry=system.topics)
         self.calendar: Calendar = system.build_calendar()
         self._nodes: Dict[str, Node] = {node.name: node for node in system.all_nodes()}
+        # Per-node firing records, resolved once: the node, what it reads,
+        # what it may publish, and whether it is a decision module.
+        self._records: Dict[str, Tuple[Node, Tuple[str, ...], frozenset, bool]] = {
+            name: (node, node.subscribes, node.publishes_set, isinstance(node, DecisionModule))
+            for name, node in self._nodes.items()
+        }
         self._dm_for: Dict[str, DecisionModule] = {
             module.decision.name: module.decision for module in system.modules
         }
@@ -175,23 +185,27 @@ class SemanticsEngine:
         insertion order restricted to the due set) unless a systematic
         testing scheduler permutes it via :meth:`fire_due_nodes`.
         """
-        next_time = self.calendar.next_time()
-        if next_time is None:
+        pending = self.calendar.next_due()
+        if pending is None:
             raise SimulationError("the system has no scheduled nodes")
+        next_time, due = pending
         if next_time < self.current_time - 1e-9:
             raise SimulationError(
                 f"calendar time {next_time} went backwards from {self.current_time}"
             )
         self.current_time = max(self.current_time, next_time)
         self.stats.time_progress_steps += 1
-        due = self.calendar.due_nodes(next_time)
-        fired = self.fire_due_nodes(due)
+        fired = self._fire_ordered(due)
         return self.current_time, fired
 
     def fire_due_nodes(self, due: Sequence[str], order: Optional[Sequence[str]] = None) -> List[str]:
-        """Fire the due nodes (DM-STEP / AC-OR-SC-STEP) in the given order."""
+        """Fire the due nodes (DM-STEP / AC-OR-SC-STEP) in the given order.
+
+        ``order`` must name every due node exactly once: a repeated or a
+        missing name raises :class:`SimulationError`.
+        """
         ordering = list(order) if order is not None else list(due)
-        if ordering != list(due) and set(ordering) != set(due):
+        if sorted(ordering) != sorted(due):
             raise SimulationError("firing order must be a permutation of the due nodes")
         return self._fire_ordered(ordering)
 
@@ -201,15 +215,18 @@ class SemanticsEngine:
         Callers must guarantee ``ordering`` is a permutation of the due
         set — the systematic tester's scheduler produces one by
         construction, which lets the per-step permutation check be skipped.
-        Behaviour is identical to :meth:`fire_due_nodes`; the body hoists
-        the per-firing attribute lookups because this loop executes once
-        per node firing across millions of explored executions.
+        Behaviour is identical to :meth:`fire_due_nodes`; the body reads
+        each node's firing record and hoists the per-firing attribute
+        lookups because this loop executes once per node firing across
+        millions of explored executions.  Under the perfect policy the
+        calendar is told once per instant which nodes fired, which on its
+        firing plan is one cursor move.
         """
-        nodes = self._nodes
+        records = self._records
         board = self.board
         calendar = self.calendar
         scheduler = self.scheduler
-        perfect = type(scheduler) is _PerfectPolicy
+        perfect = type(scheduler) is PerfectScheduler
         stats = self.stats
         listeners = self.listeners
         output_enabled = self.output_enabled
@@ -219,7 +236,7 @@ class SemanticsEngine:
         clock = self._delta_clock
         fired: List[str] = []
         for name in ordering:
-            node = nodes[name]
+            node, subscribes, publishes, is_decision = records[name]
             if not perfect:
                 nominal = calendar.nominal_time_of(name)
                 if scheduler.drops_execution(node, nominal):
@@ -229,14 +246,13 @@ class SemanticsEngine:
             # -- read → step → publish ------------------------------------ #
             clock += 1
             node_versions[name] = clock
-            inputs = {topic: board_values.get(topic) for topic in node.subscribes}
-            outputs = node.step(now, inputs)
+            outputs = node.step(now, {topic: board_values.get(topic) for topic in subscribes})
             if outputs:
-                validate_outputs(node, outputs)
+                if not publishes.issuperset(outputs):
+                    validate_outputs(node, outputs)
             else:
                 outputs = {}
-            stats.node_firings += 1
-            if isinstance(node, DecisionModule):
+            if is_decision:
                 self._apply_decision(node)
                 enabled = True
             else:
@@ -250,11 +266,12 @@ class SemanticsEngine:
                 for listener in listeners:
                     listener.on_node_fired(now, node, outputs, enabled)
             fired.append(name)
-            if perfect:
-                calendar.reschedule(name, jitter=0.0, not_before=now)
-            else:
+            if not perfect:
                 self._reschedule(node)
         self._delta_clock = clock
+        stats.node_firings += len(fired)
+        if perfect:
+            calendar.advance(fired, now)
         return fired
 
     def _reschedule(self, node: Node) -> None:

@@ -8,7 +8,8 @@ that running on a real-time OS would remove them.  These policies let the
 reproduction span that spectrum:
 
 * :class:`PerfectScheduler` — an idealised real-time OS: every firing is
-  released exactly on time;
+  released exactly on time (the engine's default policy, defined in
+  :mod:`repro.core.semantics`);
 * :class:`JitteryOSScheduler` — OS timers under load: release jitter and
   occasional dropped activations;
 * :class:`OverloadScheduler` — a pathological policy that starves selected
@@ -23,16 +24,7 @@ from typing import Optional, Sequence
 
 from ..core.errors import SchedulingError
 from ..core.node import Node
-
-
-class PerfectScheduler:
-    """Idealised real-time scheduling: no jitter, no dropped activations."""
-
-    def release_jitter(self, node: Node, nominal_time: float) -> float:
-        return 0.0
-
-    def drops_execution(self, node: Node, nominal_time: float) -> bool:
-        return False
+from ..core.semantics import PerfectScheduler  # noqa: F401  (the engine's default, re-exported)
 
 
 @dataclass
