@@ -18,7 +18,7 @@ and the mission-metric extraction used by every benchmark.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..control import (
     AggressiveTracker,
@@ -42,11 +42,9 @@ from ..dynamics import (
 from ..geometry import Vec3, state_memo
 from ..planning import FaultyPlanner, GridAStarPlanner, PlannerBug, RRTStarPlanner
 from ..reachability import WorstCaseReachability, synthesize_safe_tracker
-from ..runtime.faults import ChoiceFaultInjector, FaultInjector, FaultSite, FaultSpec
+from ..runtime.faults import ChoiceFaultInjector, FaultSite
 from ..simulation import (
     BatterySensor,
-    FaultyBatterySensor,
-    FaultyStateEstimator,
     DronePlant,
     DroneSimulation,
     MissionWorld,
@@ -95,12 +93,10 @@ class StackConfig:
     cruise_speed: float = 3.5
     max_speed: float = 4.0
     max_acceleration: float = 6.0
-    tracker_fault: Optional[FaultSpec] = None
-    # Strategy-driven twin of tracker_fault: a node-targeting FaultSite (or
-    # its encoded tuple form) wrapping the tracker in a ChoiceFaultInjector,
-    # so fault timing/kind become labeled choice points in the trail.  The
-    # injector takes the site's node name, keeping trail labels and system
-    # node names consistent.
+    # A node-targeting FaultSite (or its encoded tuple form) wrapping the
+    # tracker in a ChoiceFaultInjector, so fault timing/kind become labeled
+    # choice points in the trail.  The injector takes the site's node name,
+    # keeping trail labels and system node names consistent.
     tracker_fault_site: Optional[FaultSite] = None
 
     # planner -------------------------------------------------------------- #
@@ -133,10 +129,6 @@ class StackConfig:
     # (bit-identical decisions; off only for equivalence tests/benchmarks).
     use_query_cache: bool = True
     seed: int = 0
-    # Sensor fault windows, sample-count based: ("stuck"|"stale"|"dropout",
-    # first faulty sample, one-past-last faulty sample).  None = healthy.
-    estimator_fault: Optional[Tuple[str, int, int]] = None
-    battery_fault: Optional[Tuple[str, int, int]] = None
 
     # Per-vehicle namespace over every topic, node, module and monitor name.
     # The default (empty-prefix) namespace reproduces the original
@@ -356,6 +348,7 @@ def _assemble_program(config: StackConfig) -> AssembledProgram:
     # ----------------------------------------------------------------- #
     mp_module: Optional[MotionPrimitiveModule] = None
     advanced_tracker: WaypointTracker = _make_tracker(config)
+    tracker_site = FaultSite.coerce(config.tracker_fault_site)
     if config.protect_motion_primitive:
         mp_module = build_safe_motion_primitive(
             workspace=workspace,
@@ -374,17 +367,10 @@ def _assemble_program(config: StackConfig) -> AssembledProgram:
             ),
             name=ns.scoped("SafeMotionPrimitive"),
         )
-        if config.tracker_fault is not None:
-            faulty_ac = FaultInjector(
-                mp_module.advanced_node, config.tracker_fault, rename=f"{mp_module.spec.name}.ac.faulty"
+        if tracker_site is not None:
+            faultable_ac = ChoiceFaultInjector(
+                mp_module.advanced_node, tracker_site, rename=tracker_site.node
             )
-            mp_module.spec.advanced = faulty_ac
-            mp_module.advanced_node = faulty_ac  # type: ignore[assignment]
-        if config.tracker_fault_site is not None:
-            site = FaultSite.decode(config.tracker_fault_site) if not isinstance(
-                config.tracker_fault_site, FaultSite
-            ) else config.tracker_fault_site
-            faultable_ac = ChoiceFaultInjector(mp_module.advanced_node, site, rename=site.node)
             mp_module.spec.advanced = faultable_ac
             mp_module.advanced_node = faultable_ac  # type: ignore[assignment]
         program.add_module(mp_module.spec)
@@ -404,15 +390,8 @@ def _assemble_program(config: StackConfig) -> AssembledProgram:
             command_topic=ns.command,
             period=config.mp_period,
         )
-        if config.tracker_fault is not None:
-            primitive = FaultInjector(
-                primitive, config.tracker_fault, rename=ns.scoped("motionPrimitive.faulty")
-            )
-        if config.tracker_fault_site is not None:
-            site = FaultSite.decode(config.tracker_fault_site) if not isinstance(
-                config.tracker_fault_site, FaultSite
-            ) else config.tracker_fault_site
-            primitive = ChoiceFaultInjector(primitive, site, rename=site.node)
+        if tracker_site is not None:
+            primitive = ChoiceFaultInjector(primitive, tracker_site, rename=tracker_site.node)
         program.add_node(primitive)
 
     return AssembledProgram(
@@ -576,26 +555,14 @@ def build_plant_channel(
         initial_charge=config.initial_charge,
         collision_margin=0.0,
     )
-    estimator: Any = StateEstimator(
-        position_noise=config.estimator_noise,
-        velocity_noise=config.estimator_noise,
-        seed=config.seed,
-    )
-    if config.estimator_fault is not None:
-        mode, start, stop = config.estimator_fault
-        estimator = FaultyStateEstimator(
-            inner=estimator, mode=mode, fault_from=start, fault_until=stop
-        )
-    battery_sensor: Any = BatterySensor(seed=config.seed + 1)
-    if config.battery_fault is not None:
-        mode, start, stop = config.battery_fault
-        battery_sensor = FaultyBatterySensor(
-            inner=battery_sensor, mode=mode, fault_from=start, fault_until=stop
-        )
     return PlantChannel(
         plant=plant,
-        estimator=estimator,
-        battery_sensor=battery_sensor,
+        estimator=StateEstimator(
+            position_noise=config.estimator_noise,
+            velocity_noise=config.estimator_noise,
+            seed=config.seed,
+        ),
+        battery_sensor=BatterySensor(seed=config.seed + 1),
         command_topic=ns.command,
         position_topic=ns.position,
         battery_topic=ns.battery,

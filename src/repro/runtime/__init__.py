@@ -1,21 +1,14 @@
 """Runtime: executors, scheduling policies, tracing, and fault injection."""
 
-from .executor import (
-    AsyncSimulatedTimeExecutor,
-    ExecutionResult,
-    SimulatedTimeExecutor,
-    WallClockExecutor,
-)
+from .executor import ExecutionResult, SimulatedTimeExecutor, WallClockExecutor
 from .faults import (
     NODE_FAULT_KINDS,
     TOPIC_FAULT_KINDS,
     ChoiceFaultInjector,
-    FaultInjector,
     FaultKind,
     FaultPlan,
     FaultPlane,
     FaultSite,
-    FaultSpec,
     FaultWindow,
     TopicFaultGate,
 )
@@ -23,19 +16,16 @@ from .scheduler import JitteryOSScheduler, OverloadScheduler, PerfectScheduler
 from .tracing import ExecutionTrace, FiringEvent, ModeSwitchEvent, SampleEvent
 
 __all__ = [
-    "AsyncSimulatedTimeExecutor",
     "ExecutionResult",
     "SimulatedTimeExecutor",
     "WallClockExecutor",
     "NODE_FAULT_KINDS",
     "TOPIC_FAULT_KINDS",
     "ChoiceFaultInjector",
-    "FaultInjector",
     "FaultKind",
     "FaultPlan",
     "FaultPlane",
     "FaultSite",
-    "FaultSpec",
     "FaultWindow",
     "TopicFaultGate",
     "JitteryOSScheduler",

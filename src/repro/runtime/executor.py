@@ -2,26 +2,20 @@
 
 The generated C runtime in the paper executes the program "according to
 the program's operational semantics" with OS timers providing the periodic
-behaviour.  The Python runtime offers three equivalents:
+behaviour.  The Python runtime offers two equivalents:
 
 * :class:`SimulatedTimeExecutor` — runs the discrete-event semantics as
   fast as possible in virtual time (used by all tests and benchmarks);
-* :class:`AsyncSimulatedTimeExecutor` — the asyncio twin: the same
-  virtual-time semantics, but the environment hook may be a coroutine so
-  wall-clock-bound work (sensor IO, fleet co-simulation) of many missions
-  can overlap in one event loop;
 * :class:`WallClockExecutor` — the simulated-time executor with a pacing
   hook that delays each discrete step until its virtual time has elapsed
   on the wall clock (a thin demonstration of on-line execution; not used
   by the benchmarks).
 
-All three sample their monitors on one cadence,
+Both drive :meth:`SemanticsEngine.run_until
+<repro.core.semantics.SemanticsEngine.run_until>`, the one engine loop,
+and sample their monitors on one cadence,
 :class:`~repro.core.monitor.MonitorCadence`: every ``monitor_period``
 seconds of virtual time, right before the discrete step that follows.
-The synchronous two drive :meth:`SemanticsEngine.run_until
-<repro.core.semantics.SemanticsEngine.run_until>`; the asyncio twin keeps
-its own copy of that loop because it must ``await`` inside it, and its
-parity tests prove the copy equal.
 
 Re-entrancy
 -----------
@@ -36,11 +30,9 @@ re-running if you need the old run's verdicts.
 
 from __future__ import annotations
 
-import asyncio
-import inspect
 import time as _time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from ..core.monitor import MonitorCadence, MonitorSuite
 from ..core.semantics import SchedulingPolicy, SemanticsEngine
@@ -48,8 +40,6 @@ from ..core.system import RTASystem
 from .tracing import ExecutionTrace
 
 EnvironmentHook = Callable[[SemanticsEngine, float], None]
-#: An async-capable hook: may return ``None`` (plain call) or an awaitable.
-AsyncEnvironmentHook = Callable[[SemanticsEngine, float], Any]
 StopCondition = Callable[[SemanticsEngine], bool]
 
 
@@ -69,8 +59,8 @@ class ExecutionResult:
         return self.monitors.ok
 
 
-class _Executor:
-    """What every executor shares: the system, the policy, the monitor cadence."""
+class SimulatedTimeExecutor:
+    """Runs an RTA system in virtual time with optional monitors and environment."""
 
     def __init__(
         self,
@@ -84,27 +74,6 @@ class _Executor:
         self.monitors = monitors or MonitorSuite()
         self.cadence = MonitorCadence(self.monitors, monitor_period)
 
-    def _start(self) -> Tuple[SemanticsEngine, ExecutionTrace]:
-        """Reset the monitors (re-entrancy) and build a traced engine."""
-        self.cadence.reset()
-        trace = ExecutionTrace()
-        return SemanticsEngine(self.system, scheduler=self.scheduler, listeners=[trace]), trace
-
-    def _result(
-        self, engine: SemanticsEngine, trace: ExecutionTrace, started: float
-    ) -> ExecutionResult:
-        return ExecutionResult(
-            engine=engine,
-            trace=trace,
-            monitors=self.monitors,
-            wall_time=_time.perf_counter() - started,
-            end_time=engine.current_time,
-        )
-
-
-class SimulatedTimeExecutor(_Executor):
-    """Runs an RTA system in virtual time with optional monitors and environment."""
-
     def run(
         self,
         duration: float,
@@ -117,9 +86,11 @@ class SimulatedTimeExecutor(_Executor):
         one executor produce independent verdicts (no violations
         inherited from an earlier mission).
         """
-        engine, trace = self._start()
-        started = _time.perf_counter()
         cadence = self.cadence
+        cadence.reset()
+        trace = ExecutionTrace()
+        engine = SemanticsEngine(self.system, scheduler=self.scheduler, listeners=[trace])
+        started = _time.perf_counter()
 
         def hook(inner_engine: SemanticsEngine, upcoming: float) -> None:
             if environment is not None:
@@ -127,77 +98,13 @@ class SimulatedTimeExecutor(_Executor):
             cadence.advance(inner_engine, upcoming)
 
         engine.run_until(duration, environment=hook, stop_when=stop_when)
-        return self._result(engine, trace, started)
-
-
-class AsyncSimulatedTimeExecutor(_Executor):
-    """The asyncio twin of :class:`SimulatedTimeExecutor`.
-
-    Drives the identical virtual-time semantics — same step order, same
-    monitor cadence — but the environment
-    hook may be a coroutine function (or return an awaitable), so hooks
-    that perform IO or co-simulate a remote fleet suspend the mission at
-    well-defined points and let other missions of the same event loop
-    make progress.  With a plain synchronous hook (or none) the execution
-    is step-for-step identical to the synchronous executor: the engine
-    never observes the event loop.
-
-    ``yield_every`` optionally inserts an ``await asyncio.sleep(0)``
-    every that many discrete steps, so a long hook-free mission still
-    cooperates with its loop neighbours; ``0`` (the default) never yields
-    and relies on the hook's own awaits.
-    """
-
-    def __init__(
-        self,
-        system: RTASystem,
-        scheduler: Optional[SchedulingPolicy] = None,
-        monitors: Optional[MonitorSuite] = None,
-        monitor_period: float = 0.05,
-        yield_every: int = 0,
-    ) -> None:
-        super().__init__(system, scheduler, monitors, monitor_period)
-        if yield_every < 0:
-            raise ValueError("yield_every must be non-negative")
-        self.yield_every = yield_every
-
-    async def run(
-        self,
-        duration: float,
-        environment: Optional[AsyncEnvironmentHook] = None,
-        stop_when: Optional[StopCondition] = None,
-    ) -> ExecutionResult:
-        """Execute for ``duration`` seconds of virtual time (awaitable).
-
-        Mirrors :meth:`SimulatedTimeExecutor.run` exactly: monitors are
-        reset first (re-entrancy), then the environment hook and the
-        monitor cadence run before each discrete step.  Awaitables returned
-        by the hook are awaited in place — the only points where the
-        mission can suspend besides the optional ``yield_every``
-        heartbeat.  This loop is the
-        awaiting copy of :meth:`SemanticsEngine.run_until
-        <repro.core.semantics.SemanticsEngine.run_until>`.
-        """
-        engine, trace = self._start()
-        started = _time.perf_counter()
-        cadence = self.cadence
-        steps = 0
-        while True:
-            next_time = engine.peek_next_time()
-            if next_time is None or next_time > duration + 1e-12:
-                break
-            if environment is not None:
-                pending = environment(engine, next_time)
-                if inspect.isawaitable(pending):
-                    await pending
-            cadence.advance(engine, next_time)
-            engine.step()
-            steps += 1
-            if self.yield_every and steps % self.yield_every == 0:
-                await asyncio.sleep(0)
-            if stop_when is not None and stop_when(engine):
-                break
-        return self._result(engine, trace, started)
+        return ExecutionResult(
+            engine=engine,
+            trace=trace,
+            monitors=self.monitors,
+            wall_time=_time.perf_counter() - started,
+            end_time=engine.current_time,
+        )
 
 
 class WallClockExecutor(SimulatedTimeExecutor):

@@ -2,32 +2,27 @@
 
 Section V of the paper evaluates SOTER "in the presence of bugs introduced
 using fault injection in the advanced controller" and with bugs injected
-into the third-party RRT* planner.  Two fault planes live here:
-
-* the **probabilistic** plane — :class:`FaultInjector` wraps any node and
-  perturbs its outputs according to a :class:`FaultSpec`, drawing fault
-  timing from a private seeded RNG.  Good for simulation campaigns, but
-  invisible to the systematic testing engine: the RNG is not a choice
-  point, so the testers cannot enumerate, target, or replay fault timings.
-* the **strategy-driven** plane — a :class:`FaultPlan` declares *fault
-  sites* (a wrapped node or a topic) with activation *windows* and
-  candidate *kinds*; each ``(site, window)`` pair becomes one labeled
-  choice in the execution's trail (option 0 = no fault), resolved by the
-  same :class:`~repro.testing.strategies.ChoiceStrategy` that drives every
-  other nondeterministic choice.  Exhaustive enumeration sweeps the fault
-  space, trails replay bit-identically, the population trie compacts
-  shared fault prefixes, and coverage gains a fault axis.
-  :class:`ChoiceFaultInjector` is the node-site wrapper,
-  :class:`TopicFaultGate` intercepts topic publishes at the
-  :class:`~repro.core.topics.TopicBoard`, and :class:`FaultPlane` ties
-  both to the tester's environment hook.
+into the third-party RRT* planner.  One fault plane lives here: a
+:class:`FaultPlan` declares *fault sites* (a wrapped node or a topic) with
+activation *windows* and candidate *kinds*; each ``(site, window)`` pair
+becomes one labeled choice in the execution's trail (option 0 = no
+fault), resolved by the same
+:class:`~repro.testing.strategies.ChoiceStrategy` that drives every other
+nondeterministic choice.  Exhaustive enumeration sweeps the fault space,
+a :class:`~repro.testing.strategies.RandomStrategy` samples it
+(Monte-Carlo campaigns), trails replay bit-identically, the population
+trie compacts shared fault prefixes, and coverage gains a fault axis.
+:class:`ChoiceFaultInjector` is the node-site wrapper,
+:class:`TopicFaultGate` intercepts topic publishes (sensor readings
+included) at the :class:`~repro.core.topics.TopicBoard`, and
+:class:`FaultPlane` ties both to the tester's environment hook.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import NodeError
@@ -66,78 +61,6 @@ NODE_FAULT_KINDS = frozenset(
 TOPIC_FAULT_KINDS = frozenset({FaultKind.DROP, FaultKind.STUCK, FaultKind.DELAY})
 
 
-@dataclass
-class FaultSpec:
-    """When and how a fault manifests."""
-
-    kind: FaultKind
-    probability: float = 1.0
-    magnitude: float = 1.0
-    start_time: float = 0.0
-    end_time: float = float("inf")
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError("fault probability must be in [0, 1]")
-        if self.end_time < self.start_time:
-            raise ValueError("fault window must have end_time >= start_time")
-
-
-class FaultInjector(Node):
-    """Wraps a node and injects faults into its published outputs.
-
-    The injector preserves the wrapped node's interface (same name is NOT
-    reused — the injector gets ``<name>.faulty`` so traces can tell them
-    apart; subscriptions, publications, and period are identical, which
-    keeps well-formedness property P1 intact when the injector replaces
-    the AC inside an RTA module).
-    """
-
-    def __init__(self, inner: Node, spec: FaultSpec, rename: Optional[str] = None) -> None:
-        super().__init__(
-            name=rename or f"{inner.name}.faulty",
-            subscribes=inner.subscribes,
-            publishes=inner.publishes,
-            period=inner.period,
-            offset=inner.offset,
-        )
-        self.inner = inner
-        self.spec = spec
-        self._rng = random.Random(spec.seed)
-        self._last_outputs: dict[str, Any] = {}
-        self.injected_faults = 0
-
-    def reset(self) -> None:
-        self.inner.reset()
-        self._rng = random.Random(self.spec.seed)
-        self._last_outputs = {}
-        self.injected_faults = 0
-
-    def _active(self, now: float) -> bool:
-        if not self.spec.start_time <= now <= self.spec.end_time:
-            return False
-        return self._rng.random() < self.spec.probability
-
-    def step(self, now: float, inputs: Mapping[str, Any]) -> Mapping[str, Any]:
-        outputs = dict(self.inner.step(now, inputs) or {})
-        if not self._active(now):
-            self._last_outputs = dict(outputs)
-            return outputs
-        self.injected_faults += 1
-        if self.spec.kind is FaultKind.DROP:
-            return {}
-        if self.spec.kind is FaultKind.STUCK:
-            return dict(self._last_outputs)
-        spec = self.spec
-        corrupted = {
-            name: _corrupt(spec.kind, value, spec.magnitude, self._rng)
-            for name, value in outputs.items()
-        }
-        self._last_outputs = dict(corrupted)
-        return corrupted
-
-
 def _corrupt(kind: FaultKind, value: Any, magnitude: float, rng: random.Random) -> Any:
     """Apply a value-level fault; only control commands are perturbed."""
     if not isinstance(value, ControlCommand):
@@ -155,11 +78,6 @@ def _corrupt(kind: FaultKind, value: Any, magnitude: float, rng: random.Random) 
     if kind is FaultKind.INVERT:
         return ControlCommand(acceleration=-value.acceleration, yaw_rate=value.yaw_rate)
     raise NodeError(f"unsupported value fault kind {kind}")
-
-
-# --------------------------------------------------------------------- #
-# the strategy-driven fault plane: plans, sites, windows
-# --------------------------------------------------------------------- #
 
 
 def _coerce_kind(value: Any) -> FaultKind:
@@ -263,18 +181,30 @@ class FaultSite:
 
     @classmethod
     def decode(cls, data: Sequence[Any]) -> "FaultSite":
-        surface, target, kinds, windows, magnitude, delay, seed = data
-        if surface not in ("node", "topic"):
-            raise ValueError(f"unknown fault surface {surface!r}")
-        return cls(
-            kinds=tuple(_coerce_kind(kind) for kind in kinds),
-            windows=tuple(FaultWindow(float(start), float(end)) for start, end in windows),
-            node=str(target) if surface == "node" else None,
-            topic=str(target) if surface == "topic" else None,
-            magnitude=float(magnitude),
-            delay=float(delay),
-            seed=int(seed),
-        )
+        """Rebuild a site from :meth:`encode`'s form; any malformed shape
+        raises one ``ValueError("malformed fault site ...")``."""
+        try:
+            surface, target, kinds, windows, magnitude, delay, seed = data
+            if surface not in ("node", "topic"):
+                raise ValueError(f"unknown fault surface {surface!r}")
+            return cls(
+                kinds=tuple(_coerce_kind(kind) for kind in kinds),
+                windows=tuple(FaultWindow(float(start), float(end)) for start, end in windows),
+                node=str(target) if surface == "node" else None,
+                topic=str(target) if surface == "topic" else None,
+                magnitude=float(magnitude),
+                delay=float(delay),
+                seed=int(seed),
+            )
+        except (TypeError, ValueError) as error:
+            raise ValueError(f"malformed fault site {data!r}: {error}") from None
+
+    @classmethod
+    def coerce(cls, value: Any) -> Optional["FaultSite"]:
+        """Accept a site, its encoded form, or ``None`` (stack configs)."""
+        if value is None or isinstance(value, FaultSite):
+            return value
+        return cls.decode(value)
 
 
 @dataclass(frozen=True)
@@ -318,7 +248,11 @@ class FaultPlan:
 
     @classmethod
     def decode(cls, data: Sequence[Sequence[Any]]) -> "FaultPlan":
-        return cls(sites=tuple(FaultSite.decode(site) for site in data))
+        try:
+            encoded = tuple(data)
+        except TypeError:
+            raise ValueError(f"malformed fault plan {data!r}: not a sequence of sites") from None
+        return cls(sites=tuple(FaultSite.decode(site) for site in encoded))
 
     @classmethod
     def coerce(cls, value: Any) -> Optional["FaultPlan"]:
@@ -387,11 +321,13 @@ class _WindowedSite:
 class ChoiceFaultInjector(Node):
     """A node-site injector whose fault timing lives in the choice trail.
 
-    Same interface-preservation guarantees as :class:`FaultInjector`
-    (identical subscriptions, publications and period, renamed to
-    ``<name>.faultable`` by default), but *when* and *which* fault
-    manifests is decided by the execution's strategy through the site's
-    per-window choice points — never by a hidden RNG.  The only RNG left
+    The injector preserves the wrapped node's interface: identical
+    subscriptions, publications and period (so well-formedness property
+    P1 holds when it replaces the AC inside an RTA module), renamed to
+    ``<name>.faultable`` by default so traces can tell them apart.
+    *When* and *which* fault manifests is decided by the execution's
+    strategy through the site's per-window choice points — never by a
+    hidden RNG.  The only RNG left
     is the NOISE perturbation's value stream, which is seeded from the
     site and re-seeded on reset, so a replayed trail reproduces the noisy
     outputs bit-identically.

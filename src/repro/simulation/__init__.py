@@ -4,14 +4,7 @@ from .drone import BatteryStatus, DronePlant, PlantStatus
 from .environment import ConstantWind, GustyWind, NoWind
 from .plantenv import PlantChannel, PlantEnvironment, RowGroupPlant
 from .population import PopulationSimulation, PopulationStatus
-from .sensors import (
-    SENSOR_FAULT_MODES,
-    BatterySensor,
-    FaultyBatterySensor,
-    FaultyStateEstimator,
-    PerfectEstimator,
-    StateEstimator,
-)
+from .sensors import BatterySensor, PerfectEstimator, StateEstimator
 from .sim import DroneSimulation, SimulationConfig, SimulationResult
 from .world import MissionWorld, figure_eight_range, surveillance_city, waypoint_range
 
@@ -27,10 +20,7 @@ __all__ = [
     "RowGroupPlant",
     "PopulationSimulation",
     "PopulationStatus",
-    "SENSOR_FAULT_MODES",
     "BatterySensor",
-    "FaultyBatterySensor",
-    "FaultyStateEstimator",
     "PerfectEstimator",
     "StateEstimator",
     "DroneSimulation",

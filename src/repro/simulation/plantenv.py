@@ -299,7 +299,7 @@ class PlantEnvironment:
 
         Plant fields are immutable value objects (``Vec3``/``DroneState``/
         ``BatteryState``/floats), so a tuple of references is already a
-        snapshot; estimators and sensors (RNG streams, fault windows) are
+        snapshot; estimators and sensors (RNG streams) are
         deep-copied.
         """
         plants = tuple(

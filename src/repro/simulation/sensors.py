@@ -3,15 +3,15 @@
 The paper assumes the state estimators are trusted and "accurately provide
 the system state within bounds"; the estimators here add bounded, seeded
 noise so that assumption is represented (and the decision-module margins
-can absorb it) without undermining it.
+can absorb it) without undermining it.  Violations of that trust (a
+frozen, lagging or dead sensor) are topic sites of the fault plane on the
+position or battery topic (:mod:`repro.runtime.faults`).
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Optional, Tuple
 
 from ..dynamics import DroneState
 from ..geometry import Vec3
@@ -84,101 +84,3 @@ class PerfectEstimator:
 
     def reset(self) -> None:
         """Stateless; present for Resettable-protocol uniformity."""
-
-
-#: Sensor fault modes (sample-count windowed — estimators are called once
-#: per sensor-publish instant, so sample indices are a deterministic clock).
-SENSOR_FAULT_MODES: Tuple[str, ...] = ("stuck", "stale", "dropout")
-
-
-@dataclass
-class _SampleWindowedFault:
-    """Shared machinery of the sensor fault wrappers.
-
-    ``estimate``/``measure`` receive no timestamp, but the simulation
-    samples each sensor exactly once per publish instant, so the *sample
-    index* is a deterministic clock: the fault is active for samples in
-    the half-open window ``[fault_from, fault_until)``.  Determinism
-    across resets follows from resetting the counter, the history and the
-    wrapped sensor's own RNG — two resets produce identical reading
-    streams, which the fault exploration plane relies on for replay.
-
-    Modes:
-
-    * ``stuck`` — the last healthy reading is repeated for the whole
-      window (a frozen sensor);
-    * ``stale`` — readings lag ``lag`` samples behind (a congested
-      sensor bus); before ``lag`` healthy samples exist the oldest
-      available reading is served;
-    * ``dropout`` — readings are replaced by ``None`` (a dead sensor);
-      the downstream nodes and monitors already tolerate missing values.
-    """
-
-    mode: str = "stuck"
-    fault_from: int = 0
-    fault_until: int = 1 << 30
-    lag: int = 5
-
-    def __post_init__(self) -> None:
-        if self.mode not in SENSOR_FAULT_MODES:
-            raise ValueError(f"unknown sensor fault mode {self.mode!r}")
-        if self.fault_until < self.fault_from:
-            raise ValueError("the fault window must have fault_until >= fault_from")
-        if self.lag < 1:
-            raise ValueError("the stale lag must be at least 1")
-        self._samples = 0
-        self._last: Any = None
-        self._history: Deque[Any] = deque(maxlen=self.lag + 1)
-
-    def _reset_fault_state(self) -> None:
-        self._samples = 0
-        self._last = None
-        self._history.clear()
-
-    def _filter(self, reading: Any) -> Optional[Any]:
-        """Apply the windowed fault to one healthy reading."""
-        index = self._samples
-        self._samples = index + 1
-        self._history.append(reading)
-        if not self.fault_from <= index < self.fault_until:
-            self._last = reading
-            return reading
-        if self.mode == "dropout":
-            return None
-        if self.mode == "stale":
-            return self._history[0]
-        # stuck: hold the last pre-window reading; a fault active from the
-        # very first sample pins that first reading.
-        if self._last is None:
-            self._last = reading
-        return self._last
-
-
-@dataclass
-class FaultyStateEstimator(_SampleWindowedFault):
-    """A :class:`StateEstimator` whose readings freeze, lag, or drop out."""
-
-    inner: Any = field(default_factory=StateEstimator)
-
-    def estimate(self, state: DroneState) -> Optional[DroneState]:
-        return self._filter(self.inner.estimate(state))
-
-    def reset(self) -> None:
-        """Rewind the wrapped estimator and the fault window clock (Resettable)."""
-        self.inner.reset()
-        self._reset_fault_state()
-
-
-@dataclass
-class FaultyBatterySensor(_SampleWindowedFault):
-    """A :class:`BatterySensor` whose readings freeze, lag, or drop out."""
-
-    inner: Any = field(default_factory=BatterySensor)
-
-    def measure(self, plant: DronePlant) -> Optional[BatteryStatus]:
-        return self._filter(self.inner.measure(plant))
-
-    def reset(self) -> None:
-        """Rewind the wrapped sensor and the fault window clock (Resettable)."""
-        self.inner.reset()
-        self._reset_fault_state()

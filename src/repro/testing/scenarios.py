@@ -19,6 +19,7 @@ geofence) are registered by :mod:`repro.apps.scenarios`.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Tuple
 
@@ -139,13 +140,21 @@ class ScenarioFactory:
 def scenario_factory(name: str, **overrides: Any) -> ScenarioFactory:
     """A picklable zero-argument factory for a registered scenario.
 
-    Unknown names fail eagerly (here, not in a worker process).
+    Unknown names and overrides the builder does not accept fail eagerly
+    (here, not in a worker process or a mission's runner thread).
 
     >>> factory = scenario_factory("toy-closed-loop", broken_ttf=True)
     >>> factory().horizon
     2.0
+    >>> scenario_factory("toy-closed-loop", bogus=1)
+    Traceback (most recent call last):
+    ...
+    TypeError: scenario 'toy-closed-loop': got an unexpected keyword argument 'bogus'
     """
-    scenario(name)  # fail fast on unknown names
+    try:
+        inspect.signature(scenario(name).builder).bind(**overrides)
+    except TypeError as error:
+        raise TypeError(f"scenario {name!r}: {error}") from None
     return ScenarioFactory(name=name, overrides=tuple(sorted(overrides.items())))
 
 

@@ -9,7 +9,7 @@ from repro.apps import (
     build_stack,
 )
 from repro.planning import PlannerBug
-from repro.runtime import FaultKind, FaultSpec
+from repro.runtime import ChoiceFaultInjector, FaultSite
 
 
 class TestStackBuilder:
@@ -62,14 +62,36 @@ class TestStackBuilder:
         with pytest.raises(ValueError):
             build_stack(StackConfig(world=city_world, goals=[city_world.home], planner="mystery"))
 
-    def test_tracker_fault_wraps_the_advanced_node(self, city_world):
-        config = StackConfig(
-            world=city_world,
-            goals=city_world.surveillance_points[:1],
-            tracker_fault=FaultSpec(kind=FaultKind.INVERT, probability=0.5),
-        )
-        stack = build_stack(config)
-        assert stack.motion_primitive.spec.advanced.name.endswith(".faulty")
+    @pytest.mark.parametrize("protected", [True, False])
+    def test_tracker_fault_site_wraps_the_tracker(self, city_world, protected):
+        site = FaultSite(kinds=("invert", "crash"), windows=((0.0, 1.0),), node="tracker.faultable")
+
+        def build(tracker_fault_site):
+            return build_stack(
+                StackConfig(
+                    world=city_world,
+                    goals=city_world.surveillance_points[:1],
+                    protect_motion_primitive=protected,
+                    tracker_fault_site=tracker_fault_site,
+                )
+            )
+
+        stack = build(site)
+        injector = stack.system.node_named(site.node)
+        assert isinstance(injector, ChoiceFaultInjector)
+        assert injector.site == site
+        if protected:
+            assert stack.motion_primitive.spec.advanced is injector
+            assert stack.motion_primitive.advanced_node is injector
+        else:
+            assert stack.motion_primitive is None
+            assert injector.inner.name == "motionPrimitive"
+        # The encoded tuple form builds the same stack as the object.
+        encoded = build(site.encode())
+        assert [node.name for node in encoded.system.all_nodes()] == [
+            node.name for node in stack.system.all_nodes()
+        ]
+        assert encoded.system.node_named(site.node).site == site
 
     def test_planner_bug_wraps_the_planner(self, city_world):
         config = StackConfig(

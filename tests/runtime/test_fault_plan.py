@@ -8,8 +8,8 @@ Covers the contracts the exploration stack relies on:
 * :class:`ChoiceFaultInjector` step semantics per kind — option 0 is
   always "no fault", CRASH is crash-and-*restart* (the inner node is
   ``reset()`` on revival), SUBSTITUTE swaps builder-supplied payloads,
-  and the DROP→STUCK ``_last_outputs`` interplay matches the
-  probabilistic injector's;
+  DROP does not refresh the value a later STUCK window replays, and the
+  value faults (BIAS/NOISE/INVERT) perturb control commands only;
 * :class:`TopicFaultGate` admit/advance semantics (DROP blacks out,
   STUCK swallows, DELAY buffers until due);
 * :class:`FaultPlane` adoption, strategy binding and reset determinism.
@@ -17,7 +17,7 @@ Covers the contracts the exploration stack relies on:
 
 import pytest
 
-from repro.core import ConstantNode, Program, SoterCompiler, Topic
+from repro.core import ConstantNode, FunctionNode, Program, SoterCompiler, Topic
 from repro.core.topics import TopicBoard, TopicRegistry
 from repro.dynamics import ControlCommand
 from repro.geometry import Vec3
@@ -32,6 +32,7 @@ from repro.runtime import (
     FaultWindow,
     TopicFaultGate,
 )
+from repro.testing import ReplayStrategy
 
 
 class ScriptedStrategy:
@@ -122,6 +123,35 @@ class TestFaultPlanModel:
         assert FaultPlan.coerce(listified) == plan
         assert hash(FaultPlan.coerce(listified)) == hash(plan)
 
+    @pytest.mark.parametrize(
+        "bad_site",
+        [
+            None,
+            5,
+            ("node", "n", ("drop",), ((0.0, 1.0),), 1.0, 0.2),  # 6 fields
+            ("node", "n", ("drop",), ((0.0, 1.0),), "big", 0.2, 0),  # magnitude
+            ("node", "n", ("zap",), ((0.0, 1.0),), 1.0, 0.2, 0),  # unknown kind
+            ("wire", "n", ("drop",), ((0.0, 1.0),), 1.0, 0.2, 0),  # unknown surface
+            ("node", "n", ("drop",), ((0.0,),), 1.0, 0.2, 0),  # half a window
+        ],
+    )
+    def test_malformed_wire_forms_raise_one_clear_error(self, bad_site):
+        with pytest.raises(ValueError, match="malformed fault site"):
+            FaultSite.decode(bad_site)
+        with pytest.raises(ValueError, match="malformed fault site"):
+            FaultPlan.coerce([bad_site])
+
+    @pytest.mark.parametrize("bad_plan", [5, 2.5, True])
+    def test_a_plan_that_is_not_a_sequence_is_malformed(self, bad_plan):
+        with pytest.raises(ValueError, match="malformed fault plan"):
+            FaultPlan.coerce(bad_plan)
+
+    def test_site_coerce_accepts_a_site_its_wire_form_or_none(self):
+        site = _node_site()
+        assert FaultSite.coerce(site) is site
+        assert FaultSite.coerce(site.encode()) == site
+        assert FaultSite.coerce(None) is None
+
     def test_plan_site_partitions(self):
         node_site = _node_site()
         topic_site = FaultSite(kinds=("drop",), windows=((0.0, 1.0),), topic="pos")
@@ -159,8 +189,7 @@ class TestChoiceFaultInjector:
 
     def test_drop_then_stuck_interplay(self):
         # DROP must not refresh _last_outputs, so a later STUCK window
-        # replays the last *delivered* output — same contract as the
-        # probabilistic FaultInjector.
+        # replays the last *delivered* output.
         site = _node_site(windows=((0.5, 1.0), (1.0, 1.5)))
         injector = ChoiceFaultInjector(_command_node(), site)
         injector.bind_strategy(ScriptedStrategy([1, 2]))  # w0 DROP, w1 STUCK
@@ -227,6 +256,87 @@ class TestChoiceFaultInjector:
 
         first, second = run(), run()
         assert all(a.almost_equal(b) for a, b in zip(first, second))
+
+
+def _faulting(kind, inner=None, windows=((0.0, 1.0),), **site_kw):
+    """An injector over ``inner`` whose first window fires ``kind``,
+    decided by replaying option 1 of the site's menu."""
+    site = _node_site(kinds=(kind,), windows=windows, **site_kw)
+    injector = ChoiceFaultInjector(inner or _command_node(), site)
+    injector.bind_strategy(ReplayStrategy(trail=[1]))
+    return injector
+
+
+class TestValueFaults:
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [("bias", Vec3(3.0, 0.0, 0.0)), ("invert", Vec3(-1.0, 0.0, 0.0))],
+    )
+    def test_bias_adds_magnitude_and_invert_negates(self, kind, expected):
+        injector = _faulting(kind, magnitude=2.0)
+        command = injector.step(0.0, {})["cmd"]
+        assert command.acceleration.almost_equal(expected)
+        assert injector.injected_faults == 1
+
+    def test_noise_is_bounded_by_the_magnitude(self):
+        injector = _faulting("noise", magnitude=0.5, seed=7)
+        for tick in range(10):
+            acceleration = injector.step(tick / 10.0, {})["cmd"].acceleration
+            assert abs(acceleration.x - 1.0) <= 0.5
+            assert abs(acceleration.y) <= 0.5
+            assert abs(acceleration.z) <= 0.5 * 0.2
+        assert injector.injected_faults == 10
+
+    @pytest.mark.parametrize("kind", ["bias", "noise", "invert"])
+    def test_value_faults_leave_non_commands_untouched(self, kind):
+        injector = _faulting(kind, inner=ConstantNode("n", {"data": 42}, period=0.1))
+        assert injector.step(0.0, {})["data"] == 42
+        assert injector.injected_faults == 1  # counted, value untouched
+
+    @pytest.mark.parametrize("kind", ["drop", "bias"])
+    def test_only_the_decided_window_faults(self, kind):
+        injector = _faulting(kind, windows=((0.5, 1.0),), magnitude=2.0)
+        healthy = injector.step(0.0, {})
+        assert healthy["cmd"].acceleration.x == pytest.approx(1.0)
+        assert injector.step(0.5, {}) != healthy
+        assert injector.step(1.0, {}) == healthy  # [start, end): over at 1.0
+        assert injector.injected_faults == 1
+
+        declined = _node_site(kinds=(kind,), windows=((0.5, 1.0),))
+        injector = ChoiceFaultInjector(_command_node(), declined)
+        injector.bind_strategy(ReplayStrategy(trail=[0]))  # option 0: no fault
+        assert injector.step(0.5, {}) == healthy
+        assert injector.injected_faults == 0
+
+    @pytest.mark.parametrize(
+        "rename, expected", [(None, "controller.faultable"), ("controller.bad", "controller.bad")]
+    )
+    def test_injector_keeps_the_node_interface_and_honours_rename(self, rename, expected):
+        inner = FunctionNode(
+            "controller",
+            lambda now, inputs: {"cmd": inputs.get("pos")},
+            subscribes=("pos",),
+            publishes=("cmd",),
+            period=0.2,
+            offset=0.05,
+        )
+        injector = ChoiceFaultInjector(inner, _node_site(), rename=rename)
+        assert injector.name == expected
+        assert injector.subscribes == inner.subscribes
+        assert injector.publishes == inner.publishes
+        assert injector.period == inner.period
+        assert injector.offset == inner.offset
+
+    def test_reset_clears_stuck_memory_and_counters(self):
+        injector = _faulting("stuck", windows=((0.5, 2.0),))
+        injector.step(0.0, {})
+        injector.step(1.0, {})
+        assert injector.injected_faults == 1
+        injector.reset()
+        injector.bind_strategy(ReplayStrategy(trail=[1]))
+        assert injector.injected_faults == 0
+        # With no pre-fault output recorded, STUCK replays an empty map.
+        assert injector.step(1.0, {}) == {}
 
 
 class TestTopicFaultGate:

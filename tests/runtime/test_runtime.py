@@ -1,17 +1,12 @@
-"""Tests for schedulers, tracing, executors, and fault injection."""
+"""Tests for schedulers, tracing and executors."""
 
 import pytest
 
 from repro.core import ConstantNode, FunctionNode, Program, SafetySpec, SoterCompiler, Topic
 from repro.core.monitor import MonitorSuite, TopicSafetyMonitor
 from repro.core.semantics import SemanticsEngine
-from repro.dynamics import ControlCommand
-from repro.geometry import Vec3
 from repro.runtime import (
     ExecutionTrace,
-    FaultInjector,
-    FaultKind,
-    FaultSpec,
     JitteryOSScheduler,
     OverloadScheduler,
     PerfectScheduler,
@@ -133,6 +128,12 @@ class TestExecutors:
         result = executor.run(duration=0.5, environment=lambda eng, t: eng.set_input("signal", t))
         assert result.engine.read_topic("echoed") is not None
 
+    def test_stop_when_is_checked_after_each_step(self):
+        executor = SimulatedTimeExecutor(_counting_system(period=0.1))
+        result = executor.run(10.0, stop_when=lambda engine: engine.current_time >= 0.3)
+        assert result.end_time == pytest.approx(0.3)
+        assert len(result.trace.firings) == 4  # t = 0, 0.1, 0.2, 0.3
+
     def test_invalid_monitor_period(self):
         with pytest.raises(ValueError):
             SimulatedTimeExecutor(_counting_system(), monitor_period=0.0)
@@ -143,75 +144,3 @@ class TestExecutors:
         assert result.end_time >= 0.45
         with pytest.raises(ValueError):
             WallClockExecutor(_counting_system(), time_scale=0.0)
-
-
-class TestFaultInjection:
-    def _command_node(self):
-        return ConstantNode(
-            "controller", {"cmd": ControlCommand(acceleration=Vec3(1.0, 0.0, 0.0))}, period=0.1
-        )
-
-    def test_drop_fault_suppresses_outputs(self):
-        injector = FaultInjector(self._command_node(), FaultSpec(kind=FaultKind.DROP, probability=1.0))
-        assert injector.step(0.0, {}) == {}
-        assert injector.injected_faults == 1
-
-    def test_stuck_fault_repeats_last_output(self):
-        node = self._command_node()
-        injector = FaultInjector(node, FaultSpec(kind=FaultKind.STUCK, probability=1.0, start_time=0.5))
-        first = injector.step(0.0, {})  # before the fault window: passes through
-        stuck = injector.step(1.0, {})
-        assert stuck == first
-
-    def test_bias_and_invert_faults_change_command(self):
-        bias = FaultInjector(self._command_node(), FaultSpec(kind=FaultKind.BIAS, probability=1.0, magnitude=2.0))
-        biased = bias.step(0.0, {})["cmd"]
-        assert biased.acceleration.x == pytest.approx(3.0)
-        invert = FaultInjector(self._command_node(), FaultSpec(kind=FaultKind.INVERT, probability=1.0))
-        inverted = invert.step(0.0, {})["cmd"]
-        assert inverted.acceleration.x == pytest.approx(-1.0)
-
-    def test_noise_fault_is_bounded_and_seeded(self):
-        def run():
-            injector = FaultInjector(
-                self._command_node(), FaultSpec(kind=FaultKind.NOISE, probability=1.0, magnitude=0.5, seed=7)
-            )
-            return injector.step(0.0, {})["cmd"].acceleration
-
-        assert run().almost_equal(run())
-        assert abs(run().x - 1.0) <= 0.5 + 1e-9
-
-    def test_fault_window_and_probability(self):
-        spec = FaultSpec(kind=FaultKind.DROP, probability=1.0, start_time=10.0, end_time=20.0)
-        injector = FaultInjector(self._command_node(), spec)
-        assert injector.step(0.0, {}) != {}
-        assert injector.step(15.0, {}) == {}
-        assert injector.step(25.0, {}) != {}
-
-    def test_injector_preserves_node_signature(self):
-        node = self._command_node()
-        injector = FaultInjector(node, FaultSpec(kind=FaultKind.DROP), rename="controller.bad")
-        assert injector.name == "controller.bad"
-        assert injector.subscribes == node.subscribes
-        assert injector.publishes == node.publishes
-        assert injector.period == node.period
-
-    def test_non_command_values_pass_through_value_faults(self):
-        node = ConstantNode("n", {"data": 42}, period=0.1)
-        injector = FaultInjector(node, FaultSpec(kind=FaultKind.NOISE, probability=1.0))
-        assert injector.step(0.0, {})["data"] == 42
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            FaultSpec(kind=FaultKind.DROP, probability=2.0)
-        with pytest.raises(ValueError):
-            FaultSpec(kind=FaultKind.DROP, start_time=5.0, end_time=1.0)
-
-    def test_reset_restores_seed_and_counters(self):
-        injector = FaultInjector(
-            self._command_node(), FaultSpec(kind=FaultKind.DROP, probability=0.5, seed=9)
-        )
-        outcomes_first = [injector.step(t * 0.1, {}) == {} for t in range(20)]
-        injector.reset()
-        outcomes_second = [injector.step(t * 0.1, {}) == {} for t in range(20)]
-        assert outcomes_first == outcomes_second

@@ -498,6 +498,23 @@ class TestErrorPaths:
         detail = protocol.loads(excinfo.value.read(), expect="response")
         assert "shards" in detail["error"]
 
+    def test_an_unknown_override_is_a_400_naming_it(self, server):
+        spec = {
+            "scenario": "toy-closed-loop",
+            "strategy": protocol.encode_strategy(RandomStrategy(max_executions=1)),
+            "overrides": {"bogus": 1},
+        }
+        request = urllib.request.Request(
+            server.url + "/api/v1/mission", method="POST",
+            data=protocol.dumps("request", spec),
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5.0)
+        assert excinfo.value.code == 400
+        detail = protocol.loads(excinfo.value.read(), expect="response")
+        assert "bad mission workload" in detail["error"]
+        assert "bogus" in detail["error"]
+
     def test_result_before_done_is_an_error(self):
         # No drone serves the plane until the check is made, so the
         # mission is certainly still running when its result is asked.

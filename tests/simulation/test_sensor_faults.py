@@ -1,142 +1,137 @@
-"""Sensor-plane faults: stuck, stale and dropped estimator/battery readings.
+"""Sensor faults as topic sites of the fault plane.
 
-The paper trusts the state estimators; the faulty wrappers model exactly
-the violations of that trust assumption (frozen sensors, congested buses,
-dead sensors) on a deterministic sample-index clock, so two resets
-produce bit-identical reading streams — the property the fault
-exploration plane's replay contract needs.
+The paper trusts the state estimators; a frozen, lagging or dead sensor
+violates that trust.  Each is a topic site on the position or battery
+topic of ``plant-surveillance``, gated at the topic board where the plant
+channel publishes its readings: ``STUCK`` freezes, ``DELAY`` lags, ``DROP``
+blacks out.  The window's activation is a labeled choice in the trail,
+so two runs of one trail see identical reading streams.
+
+Windows are written in samples: the scenario publishes one reading per
+``environment_period`` (0.25 s), and a site active for samples
+``[first, last)`` spans the half-period-shifted times around them.
 """
 
 import pytest
 
-from repro.apps import StackConfig, build_stack
-from repro.dynamics import DroneState, default_drone_model
-from repro.dynamics.battery import BatteryState
-from repro.geometry import Vec3, empty_workspace
-from repro.simulation import (
-    SENSOR_FAULT_MODES,
-    DronePlant,
-    FaultyBatterySensor,
-    FaultyStateEstimator,
-    PerfectEstimator,
-)
+from repro.apps.topics import BATTERY_TOPIC, POSITION_TOPIC
+from repro.core.semantics import SemanticsEngine
+from repro.runtime import ExecutionTrace, FaultPlan, FaultPlane, FaultSite
+from repro.testing import ReplayStrategy, SystematicTester, build_scenario
+
+PERIOD = 0.25  # plant-surveillance's environment_period
+HORIZON = 3.0
+SAMPLES = 13  # readings at t = 0, 0.25, ..., 3.0
 
 
-def _states(count):
-    return [DroneState(position=Vec3(float(i), 0.0, 2.0)) for i in range(count)]
+class FaultWindowsOn(ReplayStrategy):
+    """Picks option 1 (the site's one kind) at every fault window and the
+    calm-wind option 0 at every gust choice."""
+
+    def choose(self, options, label=""):
+        return 1 if label.startswith("fault:") else 0
 
 
-def _plant(charge=0.9):
-    return DronePlant(
-        model=default_drone_model(),
-        workspace=empty_workspace(side=20.0, ceiling=10.0),
-        initial_state=DroneState(position=Vec3(2.0, 2.0, 2.0)),
-        initial_charge=charge,
+class Readings(ExecutionTrace):
+    """Logs each sensor reading the plant sends and what the board then holds."""
+
+    def __init__(self):
+        super().__init__()
+        self.board = None
+        self.sent = {POSITION_TOPIC: [], BATTERY_TOPIC: []}
+        self.seen = {POSITION_TOPIC: [], BATTERY_TOPIC: []}
+
+    def on_environment_input(self, time, topic, value):
+        super().on_environment_input(time, topic, value)
+        self.sent[topic].append(value)
+        self.seen[topic].append(self.board.read(topic))
+
+
+def _site(topic, kind, first, last, **kwargs):
+    window = ((first - 0.5) * PERIOD, (last - 0.5) * PERIOD)
+    return FaultSite(kinds=(kind,), windows=(window,), topic=topic, **kwargs)
+
+
+def _faulted(*sites):
+    """plant-surveillance with its PlantEnvironment behind a FaultPlane."""
+    instance = build_scenario("plant-surveillance", horizon=HORIZON)
+    instance.environment = FaultPlane(FaultPlan(sites=sites), environment=instance.environment)
+    return instance
+
+
+def _streams(instance, engine=None):
+    """Drive one execution with every fault window on; return the readings."""
+    readings = Readings()
+    if engine is None:
+        engine = SemanticsEngine(instance.system)
+    else:
+        instance.reset()
+        engine.reset()
+    engine.listeners[:] = [readings]
+    readings.board = engine.board
+    instance.environment.bind_strategy(FaultWindowsOn(trail=[]))
+    engine.run_until(HORIZON, environment=instance.environment.apply)
+    assert len(readings.sent[POSITION_TOPIC]) == SAMPLES
+    return readings
+
+
+def test_drop_window_publishes_none_and_the_stack_stays_safe():
+    sites = (
+        _site(POSITION_TOPIC, "drop", 3, 6),
+        _site(BATTERY_TOPIC, "drop", 2, 4),
     )
-
-
-class TestValidation:
-    def test_mode_window_and_lag_are_validated(self):
-        with pytest.raises(ValueError):
-            FaultyStateEstimator(mode="explode")
-        with pytest.raises(ValueError):
-            FaultyStateEstimator(fault_from=5, fault_until=2)
-        with pytest.raises(ValueError):
-            FaultyStateEstimator(mode="stale", lag=0)
-        assert set(SENSOR_FAULT_MODES) == {"stuck", "stale", "dropout"}
-
-
-class TestFaultyStateEstimator:
-    def test_stuck_freezes_the_last_healthy_reading(self):
-        estimator = FaultyStateEstimator(
-            inner=PerfectEstimator(), mode="stuck", fault_from=2, fault_until=4
+    readings = _streams(_faulted(*sites))
+    for topic, (first, last) in ((POSITION_TOPIC, (3, 6)), (BATTERY_TOPIC, (2, 4))):
+        seen = readings.seen[topic]
+        assert all(value is not None for value in readings.sent[topic])
+        assert [index for index, value in enumerate(seen) if value is None] == list(
+            range(first, last)
         )
-        readings = [estimator.estimate(s) for s in _states(5)]
-        assert readings[0].position.x == pytest.approx(0.0)
-        assert readings[1].position.x == pytest.approx(1.0)
-        assert readings[2].position.x == pytest.approx(1.0)  # frozen
-        assert readings[3].position.x == pytest.approx(1.0)  # still frozen
-        assert readings[4].position.x == pytest.approx(4.0)  # window over
 
-    def test_stuck_from_the_first_sample_pins_that_reading(self):
-        estimator = FaultyStateEstimator(inner=PerfectEstimator(), mode="stuck", fault_until=3)
-        readings = [estimator.estimate(s) for s in _states(3)]
-        assert [r.position.x for r in readings] == [0.0, 0.0, 0.0]
-
-    def test_stale_serves_lagged_readings(self):
-        estimator = FaultyStateEstimator(
-            inner=PerfectEstimator(), mode="stale", lag=2, fault_from=3, fault_until=6
-        )
-        readings = [estimator.estimate(s) for s in _states(6)]
-        assert [r.position.x for r in readings[:3]] == [0.0, 1.0, 2.0]
-        # In the window: the reading lags two samples behind.
-        assert [r.position.x for r in readings[3:]] == [1.0, 2.0, 3.0]
-
-    def test_dropout_returns_none(self):
-        estimator = FaultyStateEstimator(
-            inner=PerfectEstimator(), mode="dropout", fault_from=1, fault_until=2
-        )
-        readings = [estimator.estimate(s) for s in _states(3)]
-        assert readings[0] is not None
-        assert readings[1] is None
-        assert readings[2] is not None
-
-    def test_two_resets_give_bit_identical_streams(self):
-        estimator = FaultyStateEstimator(mode="stuck", fault_from=2, fault_until=5)
-
-        def stream():
-            estimator.reset()
-            return [estimator.estimate(s).position for s in _states(6)]
-
-        first, second = stream(), stream()
-        assert all(a.almost_equal(b) for a, b in zip(first, second))
+    tester = SystematicTester(
+        lambda: _faulted(*sites), FaultWindowsOn(trail=[]), max_permuted=1
+    )
+    report = tester.explore()
+    assert report.execution_count == 1
+    assert report.ok  # the protected stack rides out the blackout
 
 
-class TestFaultyBatterySensor:
-    def test_stuck_battery_hides_the_drain(self):
-        sensor = FaultyBatterySensor(mode="stuck", fault_from=1, fault_until=10)
-        plant = _plant(charge=0.9)
-        first = sensor.measure(plant)
-        plant.battery = BatteryState(charge=0.2)  # the drain the frozen sensor hides
-        stuck = sensor.measure(plant)
-        assert stuck.charge == pytest.approx(first.charge)
-
-    def test_dropout_battery_reads_none(self):
-        sensor = FaultyBatterySensor(mode="dropout", fault_from=0, fault_until=1)
-        plant = _plant()
-        assert sensor.measure(plant) is None
-        assert sensor.measure(plant) is not None
-
-    def test_reset_rewinds_the_sample_clock(self):
-        sensor = FaultyBatterySensor(mode="dropout", fault_from=0, fault_until=1)
-        plant = _plant()
-        assert sensor.measure(plant) is None
-        sensor.reset()
-        assert sensor.measure(plant) is None  # sample 0 again
+@pytest.mark.parametrize("topic", [POSITION_TOPIC, BATTERY_TOPIC])
+def test_stuck_window_holds_the_last_pre_window_reading(topic):
+    readings = _streams(_faulted(_site(topic, "stuck", 3, 7)))
+    sent, seen = readings.sent[topic], readings.seen[topic]
+    assert seen[:3] == sent[:3]
+    assert seen[3:7] == [sent[2]] * 4  # frozen
+    assert seen[7:] == sent[7:]  # the window is over
+    assert len(set(map(repr, sent[2:7]))) == 5  # the plant really moved on
 
 
-class TestStackWiring:
-    def test_estimator_and_battery_faults_reach_the_simulation(self):
-        stack = build_stack(
-            StackConfig(
-                planner="straight",
-                estimator_fault=("stuck", 2, 8),
-                battery_fault=("dropout", 1, 4),
-            )
-        )
-        assert isinstance(stack.simulation.channels[0].estimator, FaultyStateEstimator)
-        assert stack.simulation.channels[0].estimator.mode == "stuck"
-        assert isinstance(stack.simulation.channels[0].battery_sensor, FaultyBatterySensor)
-        assert stack.simulation.channels[0].battery_sensor.mode == "dropout"
+@pytest.mark.parametrize("lag", [1, 2, 3])
+def test_delay_of_lag_periods_serves_readings_lag_samples_late(lag):
+    # The old sample-counted "stale" lag equals a DELAY of lag x period.
+    first, last = 4, 9
+    readings = _streams(
+        _faulted(_site(POSITION_TOPIC, "delay", first, last, delay=lag * PERIOD))
+    )
+    sent, seen = readings.sent[POSITION_TOPIC], readings.seen[POSITION_TOPIC]
+    assert seen[:first] == sent[:first]
+    # Each reading sent in the window reaches the board exactly lag
+    # samples later; until the first one lands, the last pre-window
+    # reading stays on the board.
+    for index in range(first, last):
+        expected = sent[index - lag] if index - lag >= first else sent[first - 1]
+        assert seen[index] == expected
+    assert seen[last:] == sent[last:]
 
-    def test_faulted_stack_still_runs_and_stays_safe(self):
-        stack = build_stack(
-            StackConfig(planner="straight", estimator_fault=("dropout", 2, 4))
-        )
-        result = stack.simulation.run(duration=1.0)
-        assert result.monitors.ok
 
-    def test_default_stack_keeps_plain_sensors(self):
-        stack = build_stack(StackConfig(planner="straight"))
-        assert not isinstance(stack.simulation.channels[0].estimator, FaultyStateEstimator)
-        assert not isinstance(stack.simulation.channels[0].battery_sensor, FaultyBatterySensor)
+def test_two_resets_give_identical_reading_streams():
+    instance = _faulted(
+        _site(POSITION_TOPIC, "delay", 2, 6, delay=2 * PERIOD),
+        _site(BATTERY_TOPIC, "stuck", 3, 8),
+    )
+    engine = SemanticsEngine(instance.system)
+    first = _streams(instance, engine)
+    second = _streams(instance, engine)
+    for topic in (POSITION_TOPIC, BATTERY_TOPIC):
+        assert first.sent[topic] == second.sent[topic]
+        assert first.seen[topic] == second.seen[topic]

@@ -6,6 +6,7 @@ import pytest
 
 from repro.testing import (
     ModelInstance,
+    ParallelTester,
     RandomStrategy,
     SystematicTester,
     build_scenario,
@@ -59,6 +60,12 @@ class TestRegistry:
     def test_factory_rejects_unknown_name_eagerly(self):
         with pytest.raises(KeyError):
             scenario_factory("no-such-scenario")
+
+    def test_factory_rejects_unknown_override_eagerly(self):
+        with pytest.raises(TypeError, match="'toy-closed-loop'.*'bogus'"):
+            scenario_factory("toy-closed-loop", bogus=1)
+        with pytest.raises(TypeError, match="'bogus'"):
+            ParallelTester(scenario="toy-closed-loop", scenario_overrides={"bogus": 1})
 
 
 class TestRegisteredScenarioBehaviour:
