@@ -13,16 +13,19 @@ Quantifies the two halves of the reset-and-reuse PR:
   5% slower than fresh builds.
 
 * **Well-formedness falsification** — P2a/P2b/P3 of the motion-primitive
-  module validated by sampling, scalar loops versus the batched plane
-  (structure-of-arrays SC rollouts through ``command_batch``/
-  ``step_batch``, one-shot ``may_leave_safe_batch``).  The acceptance bar
-  is ≥ 10x with check verdicts identical to the scalar loops.
+  module validated by sampling, the scalar oracle versus the batched
+  plane (structure-of-arrays SC rollouts through ``command_batch``/
+  ``step_batch``, one-shot ``may_leave_safe_batch``).  The checker picks
+  the plane from the hooks the model provides, so the scalar side runs on
+  a view exposing only the four scalar hooks.  The acceptance bar is
+  ≥ 10x with check verdicts identical to the scalar loops.
 """
 
 from __future__ import annotations
 
 import statistics
 import time
+from types import SimpleNamespace
 
 from repro.apps.modules import DroneClosedLoopModel, build_safe_motion_primitive
 from repro.control import AggressiveTracker
@@ -97,7 +100,17 @@ def test_explorer_reset_reuse_throughput(table_printer):
     )
 
 
-def _falsification_pass(use_batch: bool):
+def _scalar_view(model):
+    """Only the four scalar ``ClosedLoopModel`` hooks: the checker's scalar oracle."""
+    return SimpleNamespace(
+        sample_safe_state=model.sample_safe_state,
+        sample_safer_state=model.sample_safer_state,
+        rollout_under_safe_controller=model.rollout_under_safe_controller,
+        worst_case_stays_safe=model.worst_case_stays_safe,
+    )
+
+
+def _falsification_pass(scalar: bool):
     world = surveillance_city()
     model = BoundedDoubleIntegrator(
         DoubleIntegratorParams(max_speed=4.0, max_acceleration=6.0)
@@ -107,13 +120,12 @@ def _falsification_pass(use_batch: bool):
         module, model, world.workspace, seed=FALSIFICATION_SEED
     )
     checker = WellFormednessChecker(
-        closed_loop,
+        _scalar_view(closed_loop) if scalar else closed_loop,
         CheckerOptions(
             samples=FALSIFICATION_SAMPLES,
             p2a_horizon=FALSIFICATION_HORIZON,
             p2b_max_time=FALSIFICATION_HORIZON,
             trust_certificates=False,
-            use_batch=use_batch,
         ),
     )
     timings = {}
@@ -131,8 +143,8 @@ def _falsification_pass(use_batch: bool):
 
 def test_wellformed_batched_falsification(table_printer):
     """Batched P2a/P2b/P3 ≥ 10x the scalar loops, identical verdicts."""
-    scalar_results, scalar_times = _falsification_pass(use_batch=False)
-    batch_results, batch_times = _falsification_pass(use_batch=True)
+    scalar_results, scalar_times = _falsification_pass(scalar=True)
+    batch_results, batch_times = _falsification_pass(scalar=False)
     for name in ("P2a", "P2b", "P3"):
         scalar, batch = scalar_results[name], batch_results[name]
         assert (scalar.passed, scalar.evidence, scalar.detail) == (

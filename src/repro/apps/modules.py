@@ -16,9 +16,8 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -127,17 +126,13 @@ def build_safe_motion_primitive(
 
     # The module's clearance threshold checks all go through the shared
     # safety-query plane: the cached ClearanceField answers the common
-    # far-from-obstacle case from its memo, and the batch predicates let
-    # the well-formedness falsifier judge many sampled states at once.
+    # far-from-obstacle case from its memo.
     field = workspace.clearance_field() if config.use_query_cache else None
 
     def _clearance_exceeds(position: Vec3, threshold: float) -> bool:
         if field is not None:
             return field.exceeds(position, threshold)
         return workspace.clearance(position) > threshold
-
-    def _positions(states: Sequence[DroneState]):
-        return [s.position.as_tuple() for s in states]
 
     def _verdict(predicate):
         # On the cached plane each predicate judges a state object once:
@@ -150,15 +145,11 @@ def build_safe_motion_primitive(
             lambda state: _clearance_exceeds(state.position, config.collision_margin)
         ),
         description="the drone is outside every obstacle and inside the workspace",
-        batch_predicate=lambda states: workspace.clearance_batch(_positions(states))
-        > config.collision_margin,
     )
     safer_spec: SafetySpec[DroneState] = SafetySpec(
         name="phi_obs_safer",
         predicate=_verdict(lambda state: _clearance_exceeds(state.position, safer_clearance)),
         description=f"clearance exceeds the 2Δ worst-case travel distance ({safer_clearance:.2f} m)",
-        batch_predicate=lambda states: workspace.clearance_batch(_positions(states))
-        > safer_clearance,
     )
 
     def _ttf(state: DroneState) -> bool:
@@ -297,43 +288,17 @@ class DroneClosedLoopModel:
 
         return self.rollouts.rollout(state, controller, duration)
 
-    def rollout_under_safe_controller_batch(
-        self, states: Sequence[DroneState], duration: float
-    ) -> List[List[DroneState]]:
-        """All N SC rollouts at once through the vectorised query plane.
-
-        Integrates one ``(N, 6)`` structure-of-arrays state matrix through
-        :meth:`SafeWaypointTracker.command_batch` and the dynamics model's
-        ``step_batch`` — both bit-identical to their scalar laws — so the
-        returned per-sample trajectories equal the scalar
-        :meth:`rollout_under_safe_controller` state for state.
-        """
-        tracker = self.module.safe_tracker
-        targets = np.array([s.position.as_tuple() for s in states], dtype=float).reshape(-1, 3)
-
-        def controller_batch(positions: np.ndarray, velocities: np.ndarray, now: float) -> np.ndarray:
-            return tracker.command_batch(positions, velocities, targets, now)
-
-        position_history, velocity_history = self.rollouts.rollout_batch(
-            states, controller_batch, duration
-        )
-        # One C-level conversion to Python floats, then plain constructor
-        # calls — materialising N×T states this way is ~3x cheaper than
-        # indexing numpy scalars row by row.
-        positions = position_history.transpose(1, 0, 2).tolist()  # (N, T+1, 3)
-        velocities = velocity_history.transpose(1, 0, 2).tolist()
-        return [
-            [
-                DroneState(position=Vec3(px, py, pz), velocity=Vec3(vx, vy, vz))
-                for (px, py, pz), (vx, vy, vz) in zip(sample_positions, sample_velocities)
-            ]
-            for sample_positions, sample_velocities in zip(positions, velocities)
-        ]
-
     def _rollout_positions_batch(
         self, states: Sequence[DroneState], duration: float
     ) -> np.ndarray:
-        """Roll all N samples out and return the raw ``(T+1, N, 3)`` positions."""
+        """Roll all N samples out and return the raw ``(T+1, N, 3)`` positions.
+
+        One ``(N, 6)`` state matrix integrates through
+        :meth:`SafeWaypointTracker.command_batch` and the dynamics model's
+        ``step_batch``, both bit-identical to their scalar laws, so row
+        ``i`` equals the positions of :meth:`rollout_under_safe_controller`
+        from ``states[i]``.
+        """
         tracker = self.module.safe_tracker
         targets = np.array([s.position.as_tuple() for s in states], dtype=float).reshape(-1, 3)
 

@@ -11,10 +11,8 @@ profile the RTA module is designed to exploit safely.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..dynamics import ControlCommand, DroneState
-from ..geometry import Vec3, clamp_norm_rows, row_norms, unit_rows
+from ..geometry import Vec3
 from .base import WaypointTracker
 
 
@@ -79,42 +77,3 @@ class AggressiveTracker(WaypointTracker):
             desired_velocity = to_target.unit() * speed
         acceleration = (desired_velocity - state.velocity) * self.velocity_gain
         return ControlCommand(acceleration=acceleration.clamp_norm(self.max_acceleration))
-
-    def command_batch(
-        self,
-        positions: np.ndarray,
-        velocities: np.ndarray,
-        targets: np.ndarray,
-        now: float,
-    ) -> np.ndarray:
-        """Vectorised control law over ``(N, 3)`` state/target arrays.
-
-        Evaluates the same floating-point expressions in the same order as
-        :meth:`_compute_command` (distance, optional slow-radius taper,
-        unit direction times speed, velocity-error gain, clamp), so row
-        *i* is bit-for-bit identical to ``command(state_i, target_i,
-        now)`` — the oracle asserted in ``tests/control``.  The scalar
-        memo is bypassed: the law is a pure function of (state, target),
-        and the batch is the hot path precisely when inputs rarely repeat.
-        """
-        positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-        velocities = np.asarray(velocities, dtype=float).reshape(-1, 3)
-        targets = np.asarray(targets, dtype=float).reshape(-1, 3)
-        to_target = targets - positions
-        distance = row_norms(to_target)
-        slow_radius = self.corner_anticipation * (
-            self.cruise_speed * self.cruise_speed / (2.0 * self.max_acceleration)
-        )
-        if slow_radius > 0.0:
-            speed = np.where(
-                distance < slow_radius,
-                self.cruise_speed * (distance / slow_radius),
-                self.cruise_speed,
-            )
-        else:
-            speed = np.full(distance.shape, self.cruise_speed)
-        desired_velocity = np.where(
-            (distance < 1e-6)[:, None], 0.0, unit_rows(to_target) * speed[:, None]
-        )
-        acceleration = (desired_velocity - velocities) * self.velocity_gain
-        return clamp_norm_rows(acceleration, self.max_acceleration)

@@ -17,7 +17,7 @@ pipeline in-process:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from .codegen import generate_c_source
 from .decision import DecisionModule
@@ -27,7 +27,6 @@ from .node import Node
 from .system import RTASystem
 from .topics import Topic, TopicRegistry
 from .wellformed import (
-    CheckerOptions,
     WellFormednessChecker,
     WellFormednessReport,
     structural_report,

@@ -10,43 +10,24 @@ controller.  Here both are represented as named predicates over the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, List, Optional, Sequence, TypeVar
+from typing import Any, Callable, Generic, TypeVar
 
 StateT = TypeVar("StateT")
 
 
 @dataclass(frozen=True)
 class SafetySpec(Generic[StateT]):
-    """A named predicate over monitored states.
-
-    ``batch_predicate``, when provided, evaluates the predicate over a
-    *sequence* of (non-``None``) states in one call, returning a boolean
-    per state.  It must agree with ``predicate`` on every state — the
-    batched monitor path relies on that to reproduce the scalar monitors'
-    verdicts bit-for-bit.  Specs without a batch predicate still work
-    everywhere; batched callers fall back to mapping ``predicate``.
-    """
+    """A named predicate over monitored states."""
 
     name: str
     predicate: Callable[[StateT], bool]
     description: str = ""
-    batch_predicate: Optional[Callable[[Sequence[StateT]], Sequence[bool]]] = None
 
     def contains(self, state: StateT) -> bool:
         """True if ``state`` satisfies the specification."""
         if state is None:
             return False
         return bool(self.predicate(state))
-
-    def contains_batch(self, states: Sequence[StateT]) -> List[bool]:
-        """Vectorised :meth:`contains`: one boolean per state, ``None`` ⇒ ``False``."""
-        if self.batch_predicate is None:
-            return [self.contains(state) for state in states]
-        present = [state for state in states if state is not None]
-        if not present:
-            return [False] * len(states)
-        verdicts = iter(self.batch_predicate(present))
-        return [bool(next(verdicts)) if state is not None else False for state in states]
 
     def __call__(self, state: StateT) -> bool:
         return self.contains(state)

@@ -24,7 +24,7 @@ records which kind of evidence each check used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional, Protocol, Sequence
+from typing import Any, List, Optional, Protocol, Sequence
 
 from .decision import DecisionModule
 from .errors import WellFormednessError
@@ -37,24 +37,25 @@ class ClosedLoopModel(Protocol):
     The monitored state type is opaque to the checker; only the module's
     predicates and these hooks interpret it.
 
-    Models may additionally provide the ``*_batch`` variants below; when
-    every hook a check needs is present (and
-    :attr:`CheckerOptions.use_batch` is on), the checker routes the whole
-    falsification pass through them — N samples × T rollout steps collapse
-    into a handful of vectorised calls.  Batch hooks must agree with their
-    scalar counterparts sample for sample: ``sample_*_batch(n)`` draws the
-    same states as *n* scalar calls (same RNG stream), and batched
-    rollouts/reachability produce the same trajectories/verdicts, so
-    every check, run from the same sampler state, returns the same
+    These four scalar hooks are the protocol minimum, and a model that
+    provides only them runs the scalar oracle.  A model may additionally
+    provide the vectorised hooks below; the checker routes a check
+    through them whenever the model has every hook the check needs, so N
+    samples × T rollout steps collapse into a handful of array calls.
+    Vectorised hooks must agree with their scalar counterparts sample for
+    sample: ``sample_*_batch(n)`` draws the same states as *n* scalar
+    calls (same RNG stream), and the flags and reachability verdicts
+    equal the scalar predicates on the same (bit-identical) trajectories,
+    so every check, run from the same sampler state, returns the same
     verdict and detail on either plane.
 
     One caveat on *sequences* of checks sharing a sampler: when a check
     **fails**, the scalar loop stops drawing at the failing sample while
-    the batched plane has already drawn its whole chunk
-    (:attr:`CheckerOptions.batch_chunk`), so a later check continues the
-    shared RNG stream from a different position than it would under the
-    scalar plane.  Passing checks consume exactly ``samples`` draws on
-    both planes.
+    the vectorised plane has already drawn its whole chunk (up to
+    :data:`BATCH_CHUNK` samples), so a later check continues the shared
+    RNG stream from a different position than it would under the scalar
+    oracle.  Passing checks consume exactly ``samples`` draws on both
+    planes.
     """
 
     def sample_safe_state(self) -> Any:
@@ -69,23 +70,29 @@ class ClosedLoopModel(Protocol):
     def worst_case_stays_safe(self, state: Any, horizon: float) -> bool:
         """True if Reach(state, *, horizon) ⊆ φ_safe (sound over-approximation).
 
-        Optional batch hooks (all, when present, must agree sample for
-        sample with the scalar paths above):
+        Optional vectorised hooks (all, when present, must agree sample
+        for sample with the scalar paths above):
 
-        * ``sample_safe_state_batch(count)`` / ``sample_safer_state_batch(count)``
-          — ``count`` states from the same RNG stream as ``count`` scalar draws;
-        * ``rollout_under_safe_controller_batch(states, duration)``
-          — one trajectory (sequence of states) per start state;
         * ``rollout_safe_flags_batch(count, duration)`` /
-          ``rollout_safer_flags_batch(count, duration)``
+          ``rollout_safer_flags_batch(count, duration)`` (P2a / P2b)
           — draw ``count`` φ_safe starts, roll all of them out, and return
           ``(starts, flags)`` where ``flags[i][t]`` is the module's
           φ_safe / φ_safer verdict on visited state ``t`` of sample ``i``.
-          These keep the entire pass in structure-of-arrays form (no
-          per-state objects), which is the fastest plane the checker uses;
-        * ``worst_case_stays_safe_batch(states, horizon)`` — one verdict
-          per state.
+          The whole pass stays in structure-of-arrays form (no per-state
+          objects);
+        * ``sample_safer_state_batch(count)`` and
+          ``worst_case_stays_safe_batch(states, horizon)`` (P3) —
+          ``count`` φ_safer states from the same RNG stream as ``count``
+          scalar draws, and one verdict per state.
         """
+
+
+#: The vectorised P2a/P2b checks process samples in chunks of this size:
+#: a check that fails on an early sample stops after its chunk instead of
+#: paying for every remaining rollout (the analogue of the scalar loop's
+#: early exit), while passing checks still amortise the whole pass over
+#: ``samples / BATCH_CHUNK`` vectorised calls.
+BATCH_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -139,39 +146,18 @@ class WellFormednessReport:
 
 @dataclass
 class CheckerOptions:
-    """Tunables for the sampling-based checks.
-
-    ``use_batch`` routes P2a/P2b/P3 through the closed-loop model's
-    ``*_batch`` hooks when it provides them (see :class:`ClosedLoopModel`);
-    each check's verdict and detail are identical to the scalar loop run
-    from the same sampler state (a *failing* check consumes more sampler
-    draws on the batch plane — see the :class:`ClosedLoopModel` caveat).
-    The flag exists so the equivalence tests and benchmarks can compare
-    both planes.
-    """
+    """Tunables for the sampling-based checks."""
 
     samples: int = 20
     p2a_horizon: float = 20.0
     p2b_max_time: float = 30.0
     trust_certificates: bool = True
-    use_batch: bool = True
-    #: The flags-plane checks process samples in chunks of this size: a
-    #: check that fails on an early sample stops after its chunk instead
-    #: of paying for every remaining rollout (the batched analogue of the
-    #: scalar loop's early exit), while passing checks still amortise the
-    #: whole pass over ``samples / batch_chunk`` vectorised calls.  The
-    #: per-step vectorisation overhead is (nearly) independent of the
-    #: chunk width, so wider chunks favour passing checks and narrower
-    #: ones favour fast falsification.
-    batch_chunk: int = 128
 
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError("at least one sample is required")
         if self.p2a_horizon <= 0.0 or self.p2b_max_time <= 0.0:
             raise ValueError("check horizons must be positive")
-        if self.batch_chunk < 1:
-            raise ValueError("batch_chunk must be at least 1")
 
 
 class WellFormednessChecker:
@@ -185,10 +171,8 @@ class WellFormednessChecker:
         self.closed_loop = closed_loop
         self.options = options or CheckerOptions()
 
-    def _can_batch(self, *hooks: str) -> bool:
-        """True when batching is enabled and the model provides every hook."""
-        if not self.options.use_batch or self.closed_loop is None:
-            return False
+    def _provides(self, *hooks: str) -> bool:
+        """True when the closed-loop model provides every vectorised hook."""
         return all(callable(getattr(self.closed_loop, hook, None)) for hook in hooks)
 
     # ------------------------------------------------------------------ #
@@ -242,10 +226,8 @@ class WellFormednessChecker:
                 name="P2a", passed=False, evidence="missing",
                 detail="no certificate and no closed-loop model supplied",
             )
-        if self._can_batch("rollout_safe_flags_batch"):
+        if self._provides("rollout_safe_flags_batch"):
             return self._check_p2a_flags(spec)
-        if self._can_batch("sample_safe_state_batch", "rollout_under_safe_controller_batch"):
-            return self._check_p2a_batch(spec)
         for index in range(self.options.samples):
             start = self.closed_loop.sample_safe_state()
             visited = self.closed_loop.rollout_under_safe_controller(
@@ -265,10 +247,9 @@ class WellFormednessChecker:
     def _chunk_sizes(self) -> List[int]:
         """The sample counts of each flags-plane chunk (sums to ``samples``)."""
         remaining = self.options.samples
-        chunk = self.options.batch_chunk
         sizes = []
         while remaining > 0:
-            sizes.append(min(chunk, remaining))
+            sizes.append(min(BATCH_CHUNK, remaining))
             remaining -= sizes[-1]
         return sizes
 
@@ -302,37 +283,6 @@ class WellFormednessChecker:
             detail=f"{samples} rollouts of {self.options.p2a_horizon}s stayed in φ_safe",
         )
 
-    def _check_p2a_batch(self, spec: RTAModuleSpec) -> CheckResult:
-        """P2a with all rollouts integrated and checked through the batch plane.
-
-        The sampler draws all N start states in one call (same RNG stream
-        as N scalar draws), the SC rollouts integrate one structure-of-
-        arrays state matrix, and φ_safe is evaluated over every visited
-        state with one batched predicate call — verdict and failing-sample
-        detail are identical to the scalar loop.
-        """
-        assert self.closed_loop is not None
-        samples = self.options.samples
-        starts = list(self.closed_loop.sample_safe_state_batch(samples))
-        trajectories = self.closed_loop.rollout_under_safe_controller_batch(
-            starts, self.options.p2a_horizon
-        )
-        flat = [state for visited in trajectories for state in visited]
-        verdicts = spec.safe_spec.contains_batch(flat)
-        offset = 0
-        for index, visited in enumerate(trajectories):
-            count = len(visited)
-            if not all(verdicts[offset : offset + count]):
-                return CheckResult(
-                    name="P2a", passed=False, evidence="falsification",
-                    detail=f"sample {index}: SC left φ_safe from {starts[index]!r}",
-                )
-            offset += count
-        return CheckResult(
-            name="P2a", passed=True, evidence="falsification",
-            detail=f"{samples} rollouts of {self.options.p2a_horizon}s stayed in φ_safe",
-        )
-
     def check_p2b(self, spec: RTAModuleSpec) -> CheckResult:
         """P2b: from φ_safe the SC eventually keeps the system in φ_safer for ≥ Δ."""
         if self.options.trust_certificates and spec.certificate and spec.certificate.proves_p2b:
@@ -345,21 +295,18 @@ class WellFormednessChecker:
                 name="P2b", passed=False, evidence="missing",
                 detail="no certificate and no closed-loop model supplied",
             )
-        if self._can_batch("rollout_safer_flags_batch"):
+        if self._provides("rollout_safer_flags_batch"):
             return self._check_p2b_flags(spec)
-        if self._can_batch("sample_safe_state_batch", "rollout_under_safe_controller_batch"):
-            return self._check_p2b_batch(spec)
         for index in range(self.options.samples):
             start = self.closed_loop.sample_safe_state()
-            visited = list(
-                self.closed_loop.rollout_under_safe_controller(start, self.options.p2b_max_time)
-            )
-            if not visited:
+            visited = self.closed_loop.rollout_under_safe_controller(start, self.options.p2b_max_time)
+            flags = [spec.safer_spec.contains(state) for state in visited]
+            if not flags:
                 return CheckResult(
                     name="P2b", passed=False, evidence="falsification",
                     detail=f"sample {index}: empty rollout",
                 )
-            if not self._eventually_stays_in_safer(spec, visited):
+            if not self._flags_reach_safer_window(spec, flags):
                 return CheckResult(
                     name="P2b", passed=False, evidence="falsification",
                     detail=(
@@ -402,54 +349,12 @@ class WellFormednessChecker:
             detail=f"{samples} rollouts reached φ_safer and stayed ≥ Δ",
         )
 
-    def _check_p2b_batch(self, spec: RTAModuleSpec) -> CheckResult:
-        """P2b over batched rollouts; verdicts identical to the scalar loop."""
-        assert self.closed_loop is not None
-        samples = self.options.samples
-        starts = list(self.closed_loop.sample_safe_state_batch(samples))
-        trajectories = self.closed_loop.rollout_under_safe_controller_batch(
-            starts, self.options.p2b_max_time
-        )
-        for index, visited in enumerate(trajectories):
-            visited = list(visited)
-            if not visited:
-                return CheckResult(
-                    name="P2b", passed=False, evidence="falsification",
-                    detail=f"sample {index}: empty rollout",
-                )
-            flags = [bool(ok) for ok in spec.safer_spec.contains_batch(visited)]
-            if not self._flags_reach_safer_window(spec, flags):
-                return CheckResult(
-                    name="P2b", passed=False, evidence="falsification",
-                    detail=(
-                        f"sample {index}: SC did not reach a φ_safer-invariant window "
-                        f"within {self.options.p2b_max_time}s from {starts[index]!r}"
-                    ),
-                )
-        return CheckResult(
-            name="P2b", passed=True, evidence="falsification",
-            detail=f"{samples} rollouts reached φ_safer and stayed ≥ Δ",
-        )
-
-    def _eventually_stays_in_safer(self, spec: RTAModuleSpec, visited: Sequence[Any]) -> bool:
-        """True if some suffix window of length ≥ Δ lies entirely in φ_safer."""
-        if len(visited) < 2:
-            return spec.safer_spec.contains(visited[0])
-        total = self.options.p2b_max_time
-        dt = total / (len(visited) - 1)
-        window = max(1, int(round(spec.delta / dt)))
-        run = 0
-        for state in visited:
-            if spec.safer_spec.contains(state):
-                run += 1
-                if run >= window:
-                    return True
-            else:
-                run = 0
-        return False
-
     def _flags_reach_safer_window(self, spec: RTAModuleSpec, flags: Sequence[bool]) -> bool:
-        """:meth:`_eventually_stays_in_safer` over precomputed φ_safer verdicts."""
+        """True if some window of length ≥ Δ has every φ_safer verdict true.
+
+        ``flags`` are the φ_safer verdicts of one rollout's visited states,
+        evenly spaced over ``p2b_max_time``.
+        """
         if len(flags) < 2:
             return bool(flags[0])
         total = self.options.p2b_max_time
@@ -478,7 +383,7 @@ class WellFormednessChecker:
                 detail="no certificate and no closed-loop model supplied",
             )
         horizon = 2.0 * spec.delta
-        if self._can_batch("sample_safer_state_batch", "worst_case_stays_safe_batch"):
+        if self._provides("sample_safer_state_batch", "worst_case_stays_safe_batch"):
             states = list(self.closed_loop.sample_safer_state_batch(self.options.samples))
             verdicts = self.closed_loop.worst_case_stays_safe_batch(states, horizon)
             for index, stays_safe in enumerate(verdicts):

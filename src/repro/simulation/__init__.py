@@ -3,7 +3,6 @@
 from .drone import BatteryStatus, DronePlant, PlantStatus
 from .environment import ConstantWind, GustyWind, NoWind
 from .plantenv import PlantChannel, PlantEnvironment, RowGroupPlant
-from .population import PopulationSimulation, PopulationStatus
 from .sensors import BatterySensor, PerfectEstimator, StateEstimator
 from .sim import DroneSimulation, SimulationConfig, SimulationResult
 from .world import MissionWorld, figure_eight_range, surveillance_city, waypoint_range
@@ -18,8 +17,6 @@ __all__ = [
     "PlantChannel",
     "PlantEnvironment",
     "RowGroupPlant",
-    "PopulationSimulation",
-    "PopulationStatus",
     "BatterySensor",
     "PerfectEstimator",
     "StateEstimator",

@@ -66,9 +66,9 @@ replaying long prefixes (measured re-run depth), back toward lazy when
 restores land exactly on the divergence point.
 
 ``population_size`` bounds the number of retained snapshots — the
-working set of materialised row-group states (the (K, …) matrices of the
-population plane live in :mod:`repro.simulation.population`; here K
-bounds state, not concurrency).  ``share_prefixes=False`` disables
+working set of materialised row-group states (the (K, …) plant matrices
+live in :class:`~repro.simulation.plantenv.RowGroupPlant`; here K bounds
+state, not concurrency).  ``share_prefixes=False`` disables
 snapshots entirely (dedup-only mode).
 """
 
@@ -251,9 +251,6 @@ class PopulationTester(SystematicTester):
             must see before it earns a snapshot (the laziness knob:
             1 snapshots eagerly, higher values only snapshot prefixes
             that keep being re-run).
-        use_batch_plant: let plant-in-the-loop environments step their
-            vehicles through the (K, …) matrix plant
-            (:class:`~repro.simulation.plantenv.RowGroupPlant`).
         delta_chain_limit: force a full component vector every this many
             chained deltas (bounds restore-time chain walks).
         adaptive_snapshots: anneal the effective ``snapshot_after`` from
@@ -281,7 +278,6 @@ class PopulationTester(SystematicTester):
         share_prefixes: bool = True,
         snapshot_after: int = 3,
         snapshot_min_steps: int = 6,
-        use_batch_plant: bool = True,
         delta_chain_limit: int = 8,
         adaptive_snapshots: bool = True,
     ) -> None:
@@ -307,7 +303,6 @@ class PopulationTester(SystematicTester):
         self.share_prefixes = share_prefixes
         self.snapshot_after = snapshot_after
         self.snapshot_min_steps = snapshot_min_steps
-        self.use_batch_plant = use_batch_plant
         self.delta_chain_limit = delta_chain_limit
         self.adaptive_snapshots = adaptive_snapshots
         self.stats = PopulationStats()
@@ -336,11 +331,12 @@ class PopulationTester(SystematicTester):
             harness.environment.reset()
             harness.environment.bind_strategy(self._router)
             # Plant-in-the-loop environments can step their vehicles as one
-            # (K, …) matrix plant (see repro.simulation.plantenv) — enable
-            # the bit-identical batch path when the environment offers it.
+            # (K, …) matrix plant (see repro.simulation.plantenv) — ask for
+            # the bit-identical batch path when the environment offers it;
+            # the environment engages it from BATCH_PLANT_MIN_ROWS vehicles.
             enable_batch = getattr(harness.environment, "set_batch_plant", None)
             if enable_batch is not None:
-                enable_batch(self.use_batch_plant)
+                enable_batch(True)
         # Duck-typed like the serial tester: NondeterministicNode and the
         # fault plane's ChoiceFaultInjector both expose bind_strategy.
         for node in harness.system.all_nodes():

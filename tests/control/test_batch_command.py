@@ -161,6 +161,7 @@ class TestCommandBatch:
 
     @pytest.mark.parametrize("corner_anticipation", [0.0, 0.6])
     def test_aggressive_tracker_batch_bit_identical(self, corner_anticipation):
+        """The base-class scalar loop (no vectorised override) matches the scalar law."""
         tracker = AggressiveTracker(corner_anticipation=corner_anticipation)
         states, targets, P, V, T = _random_batch(17, 300)
         # Degenerate row: already at the target (the distance < 1e-6 branch).
@@ -171,22 +172,6 @@ class TestCommandBatch:
             [tracker.command(s, t, 0.0).acceleration.as_tuple() for s, t in zip(states, targets)]
         )
         assert (batch == scalar).all()
-
-    def test_generic_command_batch_fallback(self):
-        """The base-class scalar loop still matches for any tracker."""
-
-        class PlainTracker(AggressiveTracker):
-            command_batch = AggressiveTracker.__mro__[1].command_batch
-
-        tracker = PlainTracker()
-        states, targets, P, V, T = _random_batch(37, 50)
-        batch = tracker.command_batch(P, V, T, 0.0)
-        scalar = np.array(
-            [tracker.command(s, t, 0.0).acceleration.as_tuple() for s, t in zip(states, targets)]
-        )
-        assert (batch == scalar).all()
-        # …and the vectorised override agrees with the fallback exactly.
-        assert (AggressiveTracker().command_batch(P, V, T, 0.0) == batch).all()
 
     def test_memos_invalidate_when_workspace_grows_an_obstacle(self):
         from repro.geometry import AABB, empty_workspace

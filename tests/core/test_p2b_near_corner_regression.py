@@ -1,10 +1,10 @@
 """Regression pin for the P2b near-corner finding (ROADMAP, PR 3).
 
-The batched falsification plane surfaced that the PD-repulsion safe
+The vectorised falsification plane surfaced that the PD-repulsion safe
 tracker fails P2b from some sampled starts in the 9-building city: near
 walls/corners it equilibrates *just below* the φ_safer clearance instead
-of recovering past it, and both the scalar and the batched planes agree
-on the verdict.  This test pins that exact finding — the failing sample
+of recovering past it, and both the scalar oracle and the vectorised
+plane agree on the verdict.  This test pins that exact finding — the failing sample
 index, the agreement between planes, and the φ_safer threshold the
 recovery stalls under — so that any change to the SC recovery law or to
 the φ_safer margin shows up as an explicit, intentional test update
@@ -20,8 +20,11 @@ import pytest
 from repro.apps.modules import DroneClosedLoopModel, build_safe_motion_primitive
 from repro.control import AggressiveTracker
 from repro.core import CheckerOptions, WellFormednessChecker
+from repro.core import wellformed
 from repro.dynamics import BoundedDoubleIntegrator, DoubleIntegratorParams
 from repro.simulation import surveillance_city
+
+from .test_wellformed_batch import scalar_view
 
 #: The exact falsification configuration the benchmark/ROADMAP finding used
 #: (seed 5, 6 s rollouts); 8 samples suffice because the failing start is
@@ -42,16 +45,15 @@ def harness():
     return world, model, module
 
 
-def _check_p2b(world, model, module, use_batch):
+def _check_p2b(world, model, module, scalar):
     closed_loop = DroneClosedLoopModel(module, model, world.workspace, seed=SEED)
     checker = WellFormednessChecker(
-        closed_loop,
+        scalar_view(closed_loop) if scalar else closed_loop,
         CheckerOptions(
             samples=SAMPLES,
             p2a_horizon=HORIZON,
             p2b_max_time=HORIZON,
             trust_certificates=False,
-            use_batch=use_batch,
         ),
     )
     return checker, closed_loop, checker.check_p2b(module.spec)
@@ -65,10 +67,10 @@ class TestP2bNearCornerRegression:
         _, _, module = harness
         assert module.safer_clearance == pytest.approx(2.8333333333333333, abs=1e-12)
 
-    @pytest.mark.parametrize("use_batch", [False, True], ids=["scalar", "batched"])
-    def test_p2b_falsified_at_the_known_sample(self, harness, use_batch):
+    @pytest.mark.parametrize("scalar", [True, False], ids=["scalar", "batched"])
+    def test_p2b_falsified_at_the_known_sample(self, harness, scalar):
         world, model, module = harness
-        _, _, result = _check_p2b(world, model, module, use_batch)
+        _, _, result = _check_p2b(world, model, module, scalar)
         assert not result.passed
         assert result.evidence == "falsification"
         assert f"sample {FAILING_SAMPLE}:" in result.detail
@@ -76,12 +78,27 @@ class TestP2bNearCornerRegression:
 
     def test_both_planes_agree_verbatim(self, harness):
         world, model, module = harness
-        _, _, scalar = _check_p2b(world, model, module, use_batch=False)
-        _, _, batched = _check_p2b(world, model, module, use_batch=True)
+        _, _, scalar = _check_p2b(world, model, module, scalar=True)
+        _, _, batched = _check_p2b(world, model, module, scalar=False)
         assert (scalar.passed, scalar.evidence, scalar.detail) == (
             batched.passed,
             batched.evidence,
             batched.detail,
+        )
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_pin_holds_across_several_chunks(self, harness, chunk, monkeypatch):
+        # Sample 2 lies in the third chunk of size 1 and the first of size
+        # 3; the failing sample index must count across chunk boundaries.
+        world, model, module = harness
+        _, _, scalar = _check_p2b(world, model, module, scalar=True)
+        monkeypatch.setattr(wellformed, "BATCH_CHUNK", chunk)
+        _, _, batched = _check_p2b(world, model, module, scalar=False)
+        assert f"sample {FAILING_SAMPLE}:" in batched.detail
+        assert (batched.passed, batched.evidence, batched.detail) == (
+            scalar.passed,
+            scalar.evidence,
+            scalar.detail,
         )
 
     def test_recovery_equilibrates_just_below_phi_safer(self, harness):
@@ -89,7 +106,7 @@ class TestP2bNearCornerRegression:
         # rollout ends with positive clearance (it is safe — P2a holds) but
         # below the φ_safer threshold (it never recovers past it).
         world, model, module = harness
-        checker, closed_loop, result = _check_p2b(world, model, module, use_batch=False)
+        checker, closed_loop, result = _check_p2b(world, model, module, scalar=True)
         # Re-draw the same sampler stream to recover the failing start.
         fresh = DroneClosedLoopModel(module, model, world.workspace, seed=SEED)
         starts = fresh.sample_safe_state_batch(FAILING_SAMPLE + 1)

@@ -1,10 +1,14 @@
-"""Batched well-formedness falsification: identical to the scalar checks.
+"""Vectorised well-formedness falsification: identical to the scalar oracle.
 
-The checker's batch plane (structure-of-arrays rollouts, one-shot
+The checker's vectorised plane (structure-of-arrays rollouts, one-shot
 reachability, flag-level φ verdicts) must reproduce the scalar loops
 exactly: the same sampled states, bit-identical rollout trajectories, and
-the same check verdicts and failure details.
+the same check verdicts and failure details.  The checker picks the plane
+from the hooks the model provides, so the scalar oracle runs on
+:func:`scalar_view` of the same model.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,10 +16,21 @@ import pytest
 from repro.apps.modules import DroneClosedLoopModel, build_safe_motion_primitive
 from repro.control import AggressiveTracker
 from repro.core import CheckerOptions, WellFormednessChecker
+from repro.core import wellformed
 from repro.dynamics import BoundedDoubleIntegrator, DoubleIntegratorParams
 from repro.simulation import surveillance_city
 
 SEED = 5
+
+
+def scalar_view(model):
+    """Only the four scalar ``ClosedLoopModel`` hooks: the checker's scalar oracle."""
+    return SimpleNamespace(
+        sample_safe_state=model.sample_safe_state,
+        sample_safer_state=model.sample_safer_state,
+        rollout_under_safe_controller=model.rollout_under_safe_controller,
+        worst_case_stays_safe=model.worst_case_stays_safe,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -33,15 +48,19 @@ def _fresh_model(drone_setup):
     return DroneClosedLoopModel(module, model, world.workspace, seed=SEED)
 
 
-def _checker(drone_setup, use_batch, samples=6, horizon=3.0):
+def _checker(drone_setup, scalar, samples=6, horizon=3.0):
     options = CheckerOptions(
         samples=samples,
         p2a_horizon=horizon,
         p2b_max_time=horizon,
         trust_certificates=False,
-        use_batch=use_batch,
     )
-    return WellFormednessChecker(_fresh_model(drone_setup), options)
+    model = _fresh_model(drone_setup)
+    return WellFormednessChecker(scalar_view(model) if scalar else model, options)
+
+
+def _verdict(result):
+    return (result.name, result.passed, result.evidence, result.detail)
 
 
 class TestSamplerStreamEquivalence:
@@ -57,16 +76,15 @@ class TestSamplerStreamEquivalence:
 
 
 class TestRolloutEquivalence:
-    def test_batched_rollouts_are_bit_identical(self, drone_setup):
+    def test_batched_rollout_positions_are_bit_identical(self, drone_setup):
         model = _fresh_model(drone_setup)
         starts = model.sample_safe_state_batch(5)
         scalar = [model.rollout_under_safe_controller(s, 2.0) for s in starts]
-        batch = model.rollout_under_safe_controller_batch(starts, 2.0)
-        assert len(scalar) == len(batch)
-        for scalar_traj, batch_traj in zip(scalar, batch):
-            assert len(scalar_traj) == len(batch_traj)
-            for a, b in zip(scalar_traj, batch_traj):
-                assert a.as_tuple() == b.as_tuple()
+        batch = model._rollout_positions_batch(starts, 2.0)  # (T+1, N, 3)
+        assert batch.shape[:2] == (len(scalar[0]), len(starts))
+        for index, scalar_traj in enumerate(scalar):
+            positions = [state.position.as_tuple() for state in scalar_traj]
+            assert positions == [tuple(row) for row in batch[:, index].tolist()]
 
     def test_flag_rollouts_match_scalar_predicates(self, drone_setup):
         world, model, module = drone_setup
@@ -92,92 +110,40 @@ class TestCheckerEquivalence:
     @pytest.mark.parametrize("check", ["check_p2a", "check_p2b", "check_p3"])
     def test_batch_and_scalar_checks_agree(self, drone_setup, check):
         _, _, module = drone_setup
-        scalar = getattr(_checker(drone_setup, use_batch=False), check)(module.spec)
-        batch = getattr(_checker(drone_setup, use_batch=True), check)(module.spec)
-        assert (scalar.name, scalar.passed, scalar.evidence, scalar.detail) == (
-            batch.name,
-            batch.passed,
-            batch.evidence,
-            batch.detail,
-        )
+        scalar = getattr(_checker(drone_setup, scalar=True), check)(module.spec)
+        batch = getattr(_checker(drone_setup, scalar=False), check)(module.spec)
+        assert _verdict(scalar) == _verdict(batch)
 
     def test_p3_verdict_and_failure_detail_identical(self, drone_setup):
         """Force a P3 failure: a 2Δ horizon long enough to escape φ_safe."""
-        world, model, module = drone_setup
-        spec = module.spec
-        results = {}
-        for use_batch in (False, True):
-            checker = WellFormednessChecker(
-                _fresh_model(drone_setup),
-                CheckerOptions(
-                    samples=40,
-                    trust_certificates=False,
-                    use_batch=use_batch,
-                ),
-            )
-            # A spec twin with a huge Δ makes Reach(s, *, 2Δ) escape for
-            # some sample, exercising the failing branch of both planes.
-            import dataclasses
+        import dataclasses
 
-            wide = dataclasses.replace(spec, delta=3.0)
-            results[use_batch] = checker.check_p3(wide)
-        scalar, batch = results[False], results[True]
-        assert not scalar.passed
-        assert (scalar.passed, scalar.evidence, scalar.detail) == (
-            batch.passed,
-            batch.evidence,
-            batch.detail,
-        )
-
-    @pytest.mark.parametrize("check", ["check_p2a", "check_p2b"])
-    def test_trajectory_level_batch_plane_agrees(self, drone_setup, check):
-        """Models with trajectory hooks but no flag hooks hit the middle plane."""
         _, _, module = drone_setup
-        inner = _fresh_model(drone_setup)
-
-        class TrajectoryOnly:
-            """Exposes sample/rollout batch hooks, hides the flags hooks."""
-
-            sample_safe_state = inner.sample_safe_state
-            sample_safer_state = inner.sample_safer_state
-            sample_safe_state_batch = staticmethod(inner.sample_safe_state_batch)
-            sample_safer_state_batch = staticmethod(inner.sample_safer_state_batch)
-            rollout_under_safe_controller = staticmethod(inner.rollout_under_safe_controller)
-            rollout_under_safe_controller_batch = staticmethod(
-                inner.rollout_under_safe_controller_batch
+        # A spec twin with a huge Δ makes Reach(s, *, 2Δ) escape for some
+        # sample, exercising the failing branch of both planes.
+        wide = dataclasses.replace(module.spec, delta=3.0)
+        results = {}
+        for scalar in (True, False):
+            model = _fresh_model(drone_setup)
+            checker = WellFormednessChecker(
+                scalar_view(model) if scalar else model,
+                CheckerOptions(samples=40, trust_certificates=False),
             )
-            worst_case_stays_safe = staticmethod(inner.worst_case_stays_safe)
-
-        options = CheckerOptions(
-            samples=6, p2a_horizon=3.0, p2b_max_time=3.0, trust_certificates=False
-        )
-        scalar = getattr(_checker(drone_setup, use_batch=False), check)(module.spec)
-        batch = getattr(WellFormednessChecker(TrajectoryOnly(), options), check)(module.spec)
-        assert (scalar.passed, scalar.evidence, scalar.detail) == (
-            batch.passed,
-            batch.evidence,
-            batch.detail,
-        )
+            results[scalar] = checker.check_p3(wide)
+        assert not results[True].passed
+        assert _verdict(results[True]) == _verdict(results[False])
 
     def test_scalar_fallback_without_batch_hooks(self, drone_setup):
         """Models without batch hooks (the protocol minimum) still work."""
         _, _, module = drone_setup
-        inner = _fresh_model(drone_setup)
-
-        class ScalarOnly:
-            sample_safe_state = inner.sample_safe_state
-            sample_safer_state = inner.sample_safer_state
-            rollout_under_safe_controller = staticmethod(inner.rollout_under_safe_controller)
-            worst_case_stays_safe = staticmethod(inner.worst_case_stays_safe)
-
         checker = WellFormednessChecker(
-            ScalarOnly(),
+            scalar_view(_fresh_model(drone_setup)),
             CheckerOptions(samples=3, p2a_horizon=1.0, p2b_max_time=1.0, trust_certificates=False),
         )
         result = checker.check_p2a(module.spec)
         assert result.evidence == "falsification"
 
-    def test_use_batch_false_bypasses_hooks(self, drone_setup):
+    def test_plane_follows_the_hooks_the_model_provides(self, drone_setup):
         _, _, module = drone_setup
         model = _fresh_model(drone_setup)
         calls = {"batch": 0}
@@ -188,12 +154,36 @@ class TestCheckerEquivalence:
             return original(count, duration)
 
         model.rollout_safe_flags_batch = counting
-        checker = WellFormednessChecker(
-            model,
-            CheckerOptions(
-                samples=2, p2a_horizon=0.5, p2b_max_time=0.5,
-                trust_certificates=False, use_batch=False,
-            ),
+        options = CheckerOptions(
+            samples=2, p2a_horizon=0.5, p2b_max_time=0.5, trust_certificates=False
         )
-        checker.check_p2a(module.spec)
+        WellFormednessChecker(scalar_view(model), options).check_p2a(module.spec)
         assert calls["batch"] == 0
+        WellFormednessChecker(model, options).check_p2a(module.spec)
+        assert calls["batch"] == 1
+
+
+class TestChunkedFlagsPlane:
+    """Samples split over several flags-plane chunks keep the sample offsets."""
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_passing_p2a_over_many_chunks_matches_scalar(self, drone_setup, chunk, monkeypatch):
+        _, _, module = drone_setup
+        scalar = _checker(drone_setup, scalar=True, samples=40).check_p2a(module.spec)
+        model = _fresh_model(drone_setup)
+        chunks = []
+        original = model.rollout_safe_flags_batch
+
+        def recording(count, duration):
+            chunks.append(count)
+            return original(count, duration)
+
+        model.rollout_safe_flags_batch = recording
+        monkeypatch.setattr(wellformed, "BATCH_CHUNK", chunk)
+        options = CheckerOptions(
+            samples=40, p2a_horizon=3.0, p2b_max_time=3.0, trust_certificates=False
+        )
+        batch = WellFormednessChecker(model, options).check_p2a(module.spec)
+        assert scalar.passed
+        assert _verdict(batch) == _verdict(scalar)
+        assert sum(chunks) == 40 and max(chunks) == chunk
