@@ -2,7 +2,7 @@
 
 The SOTER paper treats the plant (the drone) as a continuous-time system
 sampled by the periodic SOTER nodes; the controllers exchange a simple
-acceleration-style command with the plant.  These dataclasses define that
+acceleration-style command with the plant.  These value types define that
 interface so the controllers, the reachability analysis, and the simulator
 all speak the same types.
 """
@@ -10,28 +10,20 @@ all speak the same types.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field, replace
+import math
 from typing import Tuple
 
 import numpy as np
 
 from ..geometry import Vec3
+from ..geometry.values import Value
 
 
-@dataclass(frozen=True)
-class DroneState:
+class DroneState(Value):
     """Kinematic state of the drone: position and velocity in world frame."""
 
-    position: Vec3 = field(default_factory=Vec3)
-    velocity: Vec3 = field(default_factory=Vec3)
-
-    # Immutable value: copying returns the object itself, which keeps the
-    # snapshot paths of the testing engine cheap.
-    def __copy__(self) -> "DroneState":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "DroneState":
-        return self
+    position: Vec3 = Vec3.zero()
+    velocity: Vec3 = Vec3.zero()
 
     @property
     def speed(self) -> float:
@@ -44,10 +36,10 @@ class DroneState:
         return self.position.z
 
     def with_position(self, position: Vec3) -> "DroneState":
-        return replace(self, position=position)
+        return DroneState(position, self.velocity)
 
     def with_velocity(self, velocity: Vec3) -> "DroneState":
-        return replace(self, velocity=velocity)
+        return DroneState(self.position, velocity)
 
     def as_tuple(self) -> Tuple[float, ...]:
         """Flat tuple representation (px, py, pz, vx, vy, vz)."""
@@ -67,8 +59,7 @@ class DroneState:
         return self.position.is_finite() and self.velocity.is_finite()
 
 
-@dataclass(frozen=True)
-class ControlCommand:
+class ControlCommand(Value):
     """A commanded acceleration (plus optional yaw rate) for the drone.
 
     All controllers in the case study — the untrusted PX4-like tracker, the
@@ -78,20 +69,13 @@ class ControlCommand:
     publish on the same output topics).
     """
 
-    acceleration: Vec3 = field(default_factory=Vec3)
+    acceleration: Vec3 = Vec3.zero()
     yaw_rate: float = 0.0
-
-    # Immutable value: copying returns the object itself (cheap snapshots).
-    def __copy__(self) -> "ControlCommand":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "ControlCommand":
-        return self
 
     @staticmethod
     def hover() -> "ControlCommand":
         """A command that requests zero acceleration."""
-        return ControlCommand(acceleration=Vec3.zero(), yaw_rate=0.0)
+        return _HOVER
 
     def clamped(self, max_acceleration: float) -> "ControlCommand":
         """Copy with the acceleration magnitude clamped to ``max_acceleration``."""
@@ -102,9 +86,10 @@ class ControlCommand:
 
     def is_finite(self) -> bool:
         """True if the command contains no NaNs/infinities."""
-        import math
-
         return self.acceleration.is_finite() and math.isfinite(self.yaw_rate)
+
+
+_HOVER = ControlCommand(acceleration=Vec3.zero(), yaw_rate=0.0)
 
 
 class DynamicsModel(abc.ABC):

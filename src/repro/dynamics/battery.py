@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..geometry.values import Value
 from ..geometry.vec import row_norms
 from .base import ControlCommand, DroneState
 
@@ -46,8 +47,7 @@ class BatteryParams:
             raise ValueError("max_altitude must be positive")
 
 
-@dataclass(frozen=True)
-class BatteryState:
+class BatteryState(Value):
     """State of charge in [0, 1]."""
 
     charge: float = 1.0
@@ -55,13 +55,6 @@ class BatteryState:
     def __post_init__(self) -> None:
         if not 0.0 <= self.charge <= 1.0:
             raise ValueError("battery charge must lie in [0, 1]")
-
-    # Immutable value: copying returns the object itself (cheap snapshots).
-    def __copy__(self) -> "BatteryState":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "BatteryState":
-        return self
 
     @property
     def depleted(self) -> bool:

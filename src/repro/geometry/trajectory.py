@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
+from .values import Value
 from .vec import Vec3, closest_point_on_segment, distance_point_to_polyline
 from .workspace import Workspace
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(Value):
     """A single timestamped sample of the drone's state along a trajectory."""
 
     time: float
@@ -98,6 +98,12 @@ class ReferenceTrajectory:
     def __post_init__(self) -> None:
         if len(self.waypoints) < 1:
             raise ValueError("a reference trajectory needs at least one waypoint")
+        # The path is immutable, so its length is summed once here rather
+        # than twice per carrot query (``advance_from``).
+        total = 0.0
+        for a, b in zip(self.waypoints[:-1], self.waypoints[1:]):
+            total += a.distance_to(b)
+        object.__setattr__(self, "_length", total)
 
     @staticmethod
     def from_waypoints(waypoints: Sequence[Vec3]) -> "ReferenceTrajectory":
@@ -105,10 +111,7 @@ class ReferenceTrajectory:
 
     def length(self) -> float:
         """Total polyline length."""
-        total = 0.0
-        for a, b in zip(self.waypoints[:-1], self.waypoints[1:]):
-            total += a.distance_to(b)
-        return total
+        return self._length
 
     def distance_to(self, point: Vec3) -> float:
         """Distance from ``point`` to the reference polyline."""

@@ -9,28 +9,19 @@ numeric kernels where they pay off).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from .values import Value
 
-@dataclass(frozen=True)
-class Vec3:
+
+class Vec3(Value):
     """An immutable 3-D vector with the usual arithmetic operations."""
 
     x: float = 0.0
     y: float = 0.0
     z: float = 0.0
-
-    # Immutable value: copying returns the object itself, which keeps the
-    # snapshot/deepcopy paths of the testing engine from churning through
-    # millions of pointless three-field reconstructions.
-    def __copy__(self) -> "Vec3":
-        return self
-
-    def __deepcopy__(self, memo: dict) -> "Vec3":
-        return self
 
     # ------------------------------------------------------------------ #
     # constructors
@@ -38,7 +29,7 @@ class Vec3:
     @staticmethod
     def zero() -> "Vec3":
         """Return the zero vector."""
-        return Vec3(0.0, 0.0, 0.0)
+        return _ZERO
 
     @staticmethod
     def from_iterable(values: Iterable[float]) -> "Vec3":
@@ -51,14 +42,28 @@ class Vec3:
     # ------------------------------------------------------------------ #
     # arithmetic
     # ------------------------------------------------------------------ #
+    # The three hottest constructors skip ``type.__call__`` and write the
+    # slots directly (the helpers are bound below the class).
     def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
+        vec = _new(Vec3)
+        _set_x(vec, self.x + other.x)
+        _set_y(vec, self.y + other.y)
+        _set_z(vec, self.z + other.z)
+        return vec
 
     def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
+        vec = _new(Vec3)
+        _set_x(vec, self.x - other.x)
+        _set_y(vec, self.y - other.y)
+        _set_z(vec, self.z - other.z)
+        return vec
 
     def __mul__(self, scalar: float) -> "Vec3":
-        return Vec3(self.x * scalar, self.y * scalar, self.z * scalar)
+        vec = _new(Vec3)
+        _set_x(vec, self.x * scalar)
+        _set_y(vec, self.y * scalar)
+        _set_z(vec, self.z * scalar)
+        return vec
 
     __rmul__ = __mul__
 
@@ -150,6 +155,13 @@ class Vec3:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Vec3({self.x:.3f}, {self.y:.3f}, {self.z:.3f})"
+
+
+_new = object.__new__
+_set_x = Vec3.x.__set__
+_set_y = Vec3.y.__set__
+_set_z = Vec3.z.__set__
+_ZERO = Vec3(0.0, 0.0, 0.0)
 
 
 # --------------------------------------------------------------------- #

@@ -13,13 +13,13 @@ models.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..dynamics import ControlCommand, DroneState, DynamicsModel
 from ..geometry import AABB, ClearanceField, Vec3, Workspace
+from ..geometry.values import Value
 
 
 def states_as_arrays(states: Sequence[DroneState]) -> Tuple[np.ndarray, np.ndarray]:
@@ -29,8 +29,7 @@ def states_as_arrays(states: Sequence[DroneState]) -> Tuple[np.ndarray, np.ndarr
     return positions, speeds
 
 
-@dataclass(frozen=True)
-class ReachBall:
+class ReachBall(Value):
     """A ball over-approximating the positions reachable within a horizon."""
 
     center: Vec3

@@ -16,10 +16,10 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.decision import Mode
 from ..core.node import Node
+from ..geometry.values import Value
 
 
-@dataclass(frozen=True)
-class FiringEvent:
+class FiringEvent(Value):
     """A node firing at a point in time."""
 
     time: float
@@ -43,8 +43,7 @@ class ModeSwitchEvent:
         return self.previous == Mode.AC.value and self.new == Mode.SC.value
 
 
-@dataclass(frozen=True)
-class SampleEvent:
+class SampleEvent(Value):
     """A periodic sample of a scalar signal added by the simulator (e.g. clearance)."""
 
     time: float

@@ -33,6 +33,7 @@ race.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -117,6 +118,13 @@ class MissionService:
         overrides = spec.get("overrides") or {}
         if not isinstance(overrides, dict):
             raise protocol.ProtocolError("mission overrides must be an object")
+        for name, value in overrides.items():
+            # JSON ``NaN``/``Infinity`` pass the wire, and the factory
+            # below only binds names: the build that would reject them
+            # runs later, in the mission's runner thread.
+            if isinstance(value, float) and not math.isfinite(value):
+                raise protocol.ProtocolError(
+                    f"override {name!r} must be finite, got {value!r}")
         try:
             # Eager build failure (unknown scenario, bad override) belongs
             # to the submitter, not to a runner thread's error event.

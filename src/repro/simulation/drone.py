@@ -18,7 +18,7 @@ field is bit-identical to running them on every substep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..dynamics import (
@@ -29,6 +29,7 @@ from ..dynamics import (
     DynamicsModel,
 )
 from ..geometry import Vec3, Workspace
+from ..geometry.values import Value
 
 #: Absolute headroom the obstacle and crossing gates demand of the cell
 #: bound on top of their geometric threshold.  It covers the rounding of
@@ -42,8 +43,7 @@ _GATE_HEADROOM = 1e-9
 _CORNER_FACTOR = math.sqrt(3.0)
 
 
-@dataclass(frozen=True)
-class BatteryStatus:
+class BatteryStatus(Value):
     """The battery sensor reading published to the battery-safety RTA module."""
 
     charge: float

@@ -1,5 +1,9 @@
 """Tests for trajectories, reference trajectories, and tubes."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +72,21 @@ class TestReferenceTrajectory:
     def test_length(self):
         reference = ReferenceTrajectory((Vec3(0, 0, 0), Vec3(3, 0, 0), Vec3(3, 4, 0)))
         assert reference.length() == pytest.approx(7.0)
+
+    def test_cached_length_is_the_polyline_sum_bit_for_bit(self):
+        waypoints = tuple(figure_eight(Vec3(5, 5, 0), 3.7, 2.0, points=11))
+        reference = ReferenceTrajectory(waypoints)
+        total = 0.0
+        for a, b in zip(waypoints[:-1], waypoints[1:]):
+            total += a.distance_to(b)
+        assert reference.length() == total
+        # The cache rides along with copies and never enters equality.
+        assert pickle.loads(pickle.dumps(reference)).length() == total
+        assert copy.deepcopy(reference).length() == total
+        assert reference == ReferenceTrajectory(waypoints)
+        assert "_length" not in repr(reference)
+        shorter = dataclasses.replace(reference, waypoints=waypoints[:2])
+        assert shorter.length() == waypoints[0].distance_to(waypoints[1])
 
     def test_distance_and_closest_point(self):
         reference = ReferenceTrajectory((Vec3(0, 0, 0), Vec3(10, 0, 0)))

@@ -515,6 +515,26 @@ class TestErrorPaths:
         assert "bad mission workload" in detail["error"]
         assert "bogus" in detail["error"]
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_a_non_finite_override_is_a_400_naming_it(self, server, value):
+        spec = {
+            "scenario": "plant-surveillance",
+            "strategy": protocol.encode_strategy(RandomStrategy(max_executions=1)),
+            "overrides": {"environment_period": value},
+        }
+        # JSON NaN/Infinity literals: the wire format lets them through.
+        data = protocol.dumps("request", spec)
+        assert b"NaN" in data or b"Infinity" in data
+        request = urllib.request.Request(
+            server.url + "/api/v1/mission", method="POST", data=data,
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5.0)
+        assert excinfo.value.code == 400
+        detail = protocol.loads(excinfo.value.read(), expect="response")
+        assert "environment_period" in detail["error"]
+        assert "finite" in detail["error"]
+
     def test_result_before_done_is_an_error(self):
         # No drone serves the plane until the check is made, so the
         # mission is certainly still running when its result is asked.
