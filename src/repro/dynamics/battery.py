@@ -14,6 +14,7 @@ This module provides all three.  Charge is normalised to the interval
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,13 +73,20 @@ class BatteryModel:
     # charge dynamics
     # ------------------------------------------------------------------ #
     def discharge_rate(self, command: ControlCommand) -> float:
-        """Instantaneous discharge rate (fraction/second) under ``command``."""
-        accel = min(command.acceleration.norm(), self.params.max_acceleration)
-        return self.params.idle_rate + self.params.accel_rate * accel
+        """Instantaneous discharge rate (fraction/second) under ``command``.
+
+        The commanded acceleration's norm is written out on floats as
+        :meth:`Vec3.norm` evaluates it, ``sqrt((x*x + y*y) + z*z)``.
+        """
+        acceleration = command.acceleration
+        x, y, z = acceleration.x, acceleration.y, acceleration.z
+        params = self.params
+        accel = min(math.sqrt((x * x + y * y) + z * z), params.max_acceleration)
+        return params.idle_rate + params.accel_rate * accel
 
     def step(self, battery: BatteryState, command: ControlCommand, dt: float) -> BatteryState:
         """Advance the state of charge by ``dt`` seconds."""
-        if dt < 0.0:
+        if not dt >= 0.0:
             raise ValueError("dt must be non-negative")
         charge = battery.charge - self.discharge_rate(command) * dt
         return BatteryState(charge=max(0.0, min(1.0, charge)))
@@ -95,7 +103,7 @@ class BatteryModel:
         the property the population execution plane relies on when it
         carries whole charge vectors through one call.
         """
-        if dt < 0.0:
+        if not dt >= 0.0:
             raise ValueError("dt must be non-negative")
         charges = np.asarray(charges, dtype=float).reshape(-1)
         accelerations = np.asarray(accelerations, dtype=float).reshape(-1, 3)

@@ -10,6 +10,7 @@ the primary plant model of this reproduction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,19 +58,48 @@ class BoundedDoubleIntegrator(DynamicsModel):
         velocity, which is exact for constant acceleration; this keeps the
         discrete plant inside the continuous-time worst-case displacement
         bound the reachability analysis relies on.
+
+        The arithmetic is written on floats, but every operation keeps the
+        operands and the order of the ``Vec3`` formulation (``clamp_norm``
+        of the command, ``velocity * -drag``, ``velocity + (accel + drag)
+        * dt``, ``clamp_norm`` of the speed, ``position + (v0 + v1) *
+        (0.5 * dt)``), so the result is bit-for-bit that formulation's.
         """
-        if dt < 0.0:
+        if not dt >= 0.0:
             raise ValueError("dt must be non-negative")
-        if not command.is_finite():
+        if command.is_finite():
+            acceleration = command.acceleration
+            ax, ay, az = acceleration.x, acceleration.y, acceleration.z
+        else:
             # A malformed command from an untrusted controller must not
             # corrupt the plant state; treat it as "no thrust".
-            command = ControlCommand.hover()
-        accel = command.acceleration.clamp_norm(self.params.max_acceleration)
-        drag_accel = state.velocity * (-self.params.drag)
-        velocity = state.velocity + (accel + drag_accel) * dt
-        velocity = velocity.clamp_norm(self.params.max_speed)
-        position = state.position + (state.velocity + velocity) * (0.5 * dt)
-        return DroneState(position=position, velocity=velocity)
+            ax = ay = az = 0.0
+        params = self.params
+        limit = params.max_acceleration
+        n = math.sqrt((ax * ax + ay * ay) + az * az)
+        if not (n <= limit or n == 0.0):
+            scale = limit / n
+            ax, ay, az = ax * scale, ay * scale, az * scale
+        velocity, position = state.velocity, state.position
+        vx, vy, vz = velocity.x, velocity.y, velocity.z
+        drag = -params.drag
+        wx = vx + (ax + vx * drag) * dt
+        wy = vy + (ay + vy * drag) * dt
+        wz = vz + (az + vz * drag) * dt
+        limit = params.max_speed
+        n = math.sqrt((wx * wx + wy * wy) + wz * wz)
+        if not (n <= limit or n == 0.0):
+            scale = limit / n
+            wx, wy, wz = wx * scale, wy * scale, wz * scale
+        half = 0.5 * dt
+        return DroneState(
+            Vec3(
+                position.x + (vx + wx) * half,
+                position.y + (vy + wy) * half,
+                position.z + (vz + wz) * half,
+            ),
+            Vec3(wx, wy, wz),
+        )
 
     def step_batch(
         self,
@@ -88,7 +118,7 @@ class BoundedDoubleIntegrator(DynamicsModel):
         rely on.  Non-finite command rows are treated as "no thrust",
         mirroring the malformed-command guard of the scalar path.
         """
-        if dt < 0.0:
+        if not dt >= 0.0:
             raise ValueError("dt must be non-negative")
         positions = np.asarray(positions, dtype=float).reshape(-1, 3)
         velocities = np.asarray(velocities, dtype=float).reshape(-1, 3)

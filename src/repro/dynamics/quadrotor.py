@@ -74,7 +74,7 @@ class LaggedQuadrotor(DynamicsModel):
 
     def step(self, state: DroneState, command: ControlCommand, dt: float) -> DroneState:
         """Advance position/velocity with a first-order lag on acceleration."""
-        if dt < 0.0:
+        if not dt >= 0.0:
             raise ValueError("dt must be non-negative")
         if not command.is_finite():
             command = ControlCommand.hover()
@@ -128,7 +128,7 @@ class LaggedQuadrotor(DynamicsModel):
         Non-finite command rows are treated as "no thrust", mirroring the
         malformed-command guard of the scalar path.
         """
-        if dt < 0.0:
+        if not dt >= 0.0:
             raise ValueError("dt must be non-negative")
         positions = np.asarray(positions, dtype=float).reshape(-1, 3)
         velocities = np.asarray(velocities, dtype=float).reshape(-1, 3)

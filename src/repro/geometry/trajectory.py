@@ -98,12 +98,21 @@ class ReferenceTrajectory:
     def __post_init__(self) -> None:
         if len(self.waypoints) < 1:
             raise ValueError("a reference trajectory needs at least one waypoint")
-        # The path is immutable, so its length is summed once here rather
-        # than twice per carrot query (``advance_from``).
+        # The path is immutable, so its length and one float row per
+        # segment -- start, direction ``b - a``, squared length and length
+        # -- are computed once here rather than on every carrot query
+        # (``advance_from``).
         total = 0.0
+        rows = []
         for a, b in zip(self.waypoints[:-1], self.waypoints[1:]):
-            total += a.distance_to(b)
+            direction = b - a
+            length = a.distance_to(b)
+            rows.append(
+                (a.x, a.y, a.z, direction.x, direction.y, direction.z, direction.norm_sq(), length)
+            )
+            total += length
         object.__setattr__(self, "_length", total)
+        object.__setattr__(self, "_segments", tuple(rows))
 
     @staticmethod
     def from_waypoints(waypoints: Sequence[Vec3]) -> "ReferenceTrajectory":
@@ -132,19 +141,35 @@ class ReferenceTrajectory:
         return best_point
 
     def arc_length_of_closest_point(self, point: Vec3) -> float:
-        """Arc length along the polyline of the point closest to ``point``."""
+        """Arc length along the polyline of the point closest to ``point``.
+
+        Per segment ``[a, b]`` this is ``closest_point_on_segment(point, a,
+        b)``, its ``distance_to(point)`` and ``a.distance_to(candidate)``,
+        written out on the cached float rows with the same operations in
+        the same order, so the answer is bit-for-bit the ``Vec3`` one.
+        """
         if len(self.waypoints) == 1:
             return 0.0
+        px, py, pz = point.x, point.y, point.z
         best_len = 0.0
         best_dist = math.inf
         travelled = 0.0
-        for a, b in zip(self.waypoints[:-1], self.waypoints[1:]):
-            candidate = closest_point_on_segment(point, a, b)
-            dist = candidate.distance_to(point)
+        for ax, ay, az, dx, dy, dz, length_sq, length in self._segments:
+            if length_sq == 0.0:
+                cx, cy, cz = ax, ay, az
+            else:
+                t = ((px - ax) * dx + (py - ay) * dy + (pz - az) * dz) / length_sq
+                # ``max(0.0, min(1.0, t))``, NaN and signed zeros included.
+                t = t if t < 1.0 else 1.0
+                t = t if t > 0.0 else 0.0
+                cx, cy, cz = ax + dx * t, ay + dy * t, az + dz * t
+            ex, ey, ez = cx - px, cy - py, cz - pz
+            dist = math.sqrt((ex * ex + ey * ey) + ez * ez)
             if dist < best_dist:
                 best_dist = dist
-                best_len = travelled + a.distance_to(candidate)
-            travelled += a.distance_to(b)
+                ex, ey, ez = ax - cx, ay - cy, az - cz
+                best_len = travelled + math.sqrt((ex * ex + ey * ey) + ez * ez)
+            travelled += length
         return best_len
 
     def point_at_arc_length(self, arc_length: float) -> Vec3:
@@ -167,18 +192,21 @@ class ReferenceTrajectory:
         return self.point_at_arc_length(start + lookahead)
 
     def point_at_fraction(self, fraction: float) -> Vec3:
-        """Point at a given arc-length fraction in [0, 1] along the polyline."""
+        """Point at a given arc-length fraction in [0, 1] along the polyline.
+
+        Walks the cached segment rows; the point is ``a.lerp(b, alpha)``
+        written out on floats, bit-for-bit the ``Vec3`` expression.
+        """
         fraction = max(0.0, min(1.0, fraction))
         total = self.length()
         if total == 0.0 or len(self.waypoints) == 1:
             return self.waypoints[0]
         target = fraction * total
         travelled = 0.0
-        for a, b in zip(self.waypoints[:-1], self.waypoints[1:]):
-            seg = a.distance_to(b)
+        for ax, ay, az, dx, dy, dz, _, seg in self._segments:
             if travelled + seg >= target:
                 alpha = 0.0 if seg == 0.0 else (target - travelled) / seg
-                return a.lerp(b, alpha)
+                return Vec3(ax + dx * alpha, ay + dy * alpha, az + dz * alpha)
             travelled += seg
         return self.waypoints[-1]
 

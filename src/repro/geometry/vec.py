@@ -139,7 +139,7 @@ class Vec3(Value):
 
     def is_finite(self) -> bool:
         """True if all components are finite numbers."""
-        return all(math.isfinite(c) for c in self)
+        return math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)
 
     def almost_equal(self, other: "Vec3", tol: float = 1e-9) -> bool:
         """Component-wise comparison within ``tol``."""

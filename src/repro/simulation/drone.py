@@ -92,6 +92,10 @@ class DronePlant:
         # query, keyed on the position object rather than invalidated in
         # ``apply``: snapshot restores assign ``state`` directly.
         self._clearance_memo: Optional[Tuple[Vec3, int, float]] = None
+        # (position, obstacle count, cell bound) of the last substep's end,
+        # which the next substep's crossing gate reuses for its start.
+        # Keyed on the position object for the same reason.
+        self._bound_memo: Optional[Tuple[Vec3, int, float]] = None
         self.reset()
 
     def reset(self) -> None:
@@ -116,7 +120,7 @@ class DronePlant:
     # ------------------------------------------------------------------ #
     def apply(self, command: Optional[ControlCommand], dt: float, disturbance: Vec3 = Vec3()) -> None:
         """Advance the plant by ``dt`` seconds under ``command`` (None = no thrust)."""
-        if dt < 0.0:
+        if not dt >= 0.0:
             raise ValueError("dt must be non-negative")
         self.time += dt
         if self.collided:
@@ -138,7 +142,12 @@ class DronePlant:
                 position=self.state.position.with_z(0.0),
                 velocity=Vec3(self.state.velocity.x, self.state.velocity.y, 0.0),
             )
-        step = previous_position.distance_to(self.state.position)
+        position = self.state.position
+        # ``previous_position.distance_to(position)`` on floats.
+        dx = previous_position.x - position.x
+        dy = previous_position.y - position.y
+        dz = previous_position.z - position.z
+        step = math.sqrt((dx * dx + dy * dy) + dz * dz)
         self.distance_flown += step
         self.battery = self.battery_model.step(self.battery, command, dt)
         if self.battery.depleted and self.airborne:
@@ -146,8 +155,9 @@ class DronePlant:
             # (φ_bat violation) even though the drone subsequently falls to
             # the ground.
             self.battery_failed = True
-        bound = self._field.lower_bound(self.state.position)
+        bound = self._field.lower_bound(position)
         self._update_collision(previous_position, step, bound)
+        self._bound_memo = (position, len(self.workspace.obstacles), bound)
         # clearance >= bound >= min_clearance: the minimum cannot move.
         if not bound >= self.min_clearance:
             self.min_clearance = min(self.min_clearance, self.clearance)
@@ -164,9 +174,18 @@ class DronePlant:
         near_box = bound <= _CORNER_FACTOR * margin + _GATE_HEADROOM
         hit_obstacle = near_box and workspace.in_obstacle(position, margin=margin)
         out_of_bounds = not workspace.in_bounds(position)
+        memo = self._bound_memo
+        if (
+            memo is not None
+            and memo[0] is previous_position
+            and memo[1] == len(workspace.obstacles)
+        ):
+            previous_bound = memo[2]
+        else:
+            previous_bound = self._field.lower_bound(previous_position)
         # The step stays inside the ball of radius ``step`` around its
         # start, which no box reaches when the start's bound exceeds it.
-        if self._field.lower_bound(previous_position) > step + _GATE_HEADROOM:
+        if previous_bound > step + _GATE_HEADROOM:
             crossed = not workspace.in_bounds(previous_position)
         else:
             crossed = not workspace.segment_is_free(previous_position, position)
