@@ -76,8 +76,12 @@ class BatteryModel:
         """Instantaneous discharge rate (fraction/second) under ``command``.
 
         The commanded acceleration's norm is written out on floats as
-        :meth:`Vec3.norm` evaluates it, ``sqrt((x*x + y*y) + z*z)``.
+        :meth:`Vec3.norm` evaluates it, ``sqrt((x*x + y*y) + z*z)``.  A
+        non-finite command discharges as a hover, which is how the
+        dynamics fly it.
         """
+        if not command.is_finite():
+            command = ControlCommand.hover()
         acceleration = command.acceleration
         x, y, z = acceleration.x, acceleration.y, acceleration.z
         params = self.params
@@ -97,8 +101,9 @@ class BatteryModel:
         """Vectorised :meth:`step` over ``(N,)`` charges and ``(N, 3)`` commands.
 
         Evaluates the same floating-point expressions in the same order as
-        the scalar path (saturate the commanded acceleration norm, linear
-        discharge, clamp into [0, 1]), so the returned charges are
+        the scalar path (a non-finite row discharges as a hover, saturate
+        the commanded acceleration norm, linear discharge, clamp into
+        [0, 1]), so the returned charges are
         bit-for-bit identical to stepping each row through :meth:`step` —
         the property the population execution plane relies on when it
         carries whole charge vectors through one call.
@@ -108,6 +113,7 @@ class BatteryModel:
         charges = np.asarray(charges, dtype=float).reshape(-1)
         accelerations = np.asarray(accelerations, dtype=float).reshape(-1, 3)
         accel = np.minimum(row_norms(accelerations), self.params.max_acceleration)
+        accel = np.where(np.isfinite(accelerations).all(axis=1), accel, 0.0)
         rates = self.params.idle_rate + self.params.accel_rate * accel
         return np.maximum(0.0, np.minimum(1.0, charges - rates * dt))
 

@@ -102,9 +102,10 @@ class MissionService:
 
         Spec fields: ``scenario`` (registry name, required), ``strategy``
         (wire form, see :func:`~repro.swarm.protocol.encode_strategy`,
-        required), ``overrides`` (builder kwargs), ``shards``,
-        ``population_size``, ``track_coverage``,
-        ``stop_at_first_violation``, ``confirm`` (default True).
+        required), ``overrides`` (builder kwargs), ``shards`` and
+        ``population_size`` (null or an integer >= 1), and the JSON
+        booleans ``track_coverage``, ``stop_at_first_violation`` and
+        ``confirm`` (default True).
         """
         if not isinstance(spec, dict):
             raise protocol.ProtocolError("mission spec must be an object")
@@ -131,15 +132,19 @@ class MissionService:
             protocol.scenario_factory(scenario, **overrides)
         except Exception as error:
             raise protocol.ProtocolError(f"bad mission workload: {error}") from None
-        shards = spec.get("shards")
-        if shards is not None:
-            try:
-                shards = int(shards)
-            except (TypeError, ValueError):
+        # Checked here, not left to the runner thread or a drone: ``int``
+        # would truncate 2.5 and ``bool`` would read "false" as True.
+        for count in ("shards", "population_size"):
+            value = spec.get(count)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, int) or value < 1
+            ):
                 raise protocol.ProtocolError(
-                    f"shards must be an integer, got {shards!r}") from None
-            if shards < 1:
-                raise protocol.ProtocolError("shards must be at least 1")
+                    f"{count} must be null or an integer >= 1, got {value!r}")
+        for flag in ("track_coverage", "stop_at_first_violation", "confirm"):
+            if flag in spec and not isinstance(spec[flag], bool):
+                raise protocol.ProtocolError(
+                    f"{flag} must be a JSON boolean, got {spec[flag]!r}")
         with self._lock:
             mission_id = f"m{next(self._ids)}"
             mission = Mission(mission_id, dict(spec))
@@ -263,8 +268,8 @@ class MissionService:
         try:
             run = _MissionRun(self, mission)
             report = run.explore(
-                stop_at_first_violation=bool(spec.get("stop_at_first_violation")),
-                confirm_counterexamples=bool(spec.get("confirm", True)),
+                stop_at_first_violation=spec.get("stop_at_first_violation", False),
+                confirm_counterexamples=spec.get("confirm", True),
             )
             wire = self._encode_report(mission, report)
         except Exception as error:  # the client's problem to read, not ours to die on
@@ -334,9 +339,9 @@ class _MissionRun(ParallelTester):
         super().__init__(
             spec["scenario"],
             strategy=protocol.decode_strategy(spec["strategy"]),
-            workers=int(spec.get("shards") or service.default_shards),
+            workers=spec.get("shards") or service.default_shards,
             scenario_overrides=spec.get("overrides") or None,
-            track_coverage=bool(spec.get("track_coverage", False)),
+            track_coverage=spec.get("track_coverage", False),
             population_size=spec.get("population_size"),
         )
         self.service = service

@@ -328,7 +328,6 @@ class Drone:
         key = (
             shard.factory,
             shard.max_permuted,
-            shard.reuse_instances,
             shard.track_coverage,
             shard.population_size,
         )
@@ -336,7 +335,6 @@ class Drone:
         if tester is None:
             options = dict(
                 max_permuted=shard.max_permuted,
-                reuse_instances=shard.reuse_instances,
                 track_coverage=shard.track_coverage,
             )
             if shard.population_size is None:
@@ -545,9 +543,12 @@ class LocalFleet:
     def __init__(self, plane: Any, count: int, *, processes: bool,
                  url: Optional[str] = None, context: Any = None) -> None:
         self.plane, self.processes, self.url = plane, processes, url
-        self._context = context or multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        )
+        if context is None:
+            try:
+                context = multiprocessing.get_context("fork")
+            except ValueError:  # a platform without fork
+                context = multiprocessing.get_context("spawn")
+        self._context = context
         kind = "proc" if processes else "thread"
         self.drone_ids = [f"{kind}-drone-{index}" for index in range(count)]
         self._drones: List[Drone] = []

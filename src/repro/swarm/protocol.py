@@ -49,7 +49,7 @@ from ..testing.strategies import ExhaustiveStrategy, RandomStrategy
 
 #: Version of the wire format.  Bumped on any incompatible change; both
 #: ends reject mismatched envelopes eagerly.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 #: The HTTP path prefix of every control-plane route (``/api/v1/lease``
 #: is route ``lease``).
@@ -80,7 +80,7 @@ def open_envelope(message: Any, expect: Optional[str] = None) -> Any:
     >>> open_envelope({"v": 99, "type": "status", "payload": {}})
     Traceback (most recent call last):
         ...
-    repro.swarm.protocol.ProtocolError: protocol version mismatch: got 99, speak 2
+    repro.swarm.protocol.ProtocolError: protocol version mismatch: got 99, speak 3
     """
     if not isinstance(message, dict) or "v" not in message:
         raise ProtocolError(f"not a protocol envelope: {message!r}")
@@ -185,7 +185,6 @@ def encode_shard(shard: Any, *, portable: bool = True) -> Dict[str, Any]:
         "max_executions": shard.max_executions,
         "max_permuted": shard.max_permuted,
         "stop_at_first_violation": shard.stop_at_first_violation,
-        "reuse_instances": shard.reuse_instances,
         "track_coverage": shard.track_coverage,
         "population_size": shard.population_size,
     }
@@ -207,7 +206,6 @@ def decode_shard(data: Dict[str, Any]) -> Any:
             max_executions=int(data["max_executions"]),
             max_permuted=int(data["max_permuted"]),
             stop_at_first_violation=bool(data["stop_at_first_violation"]),
-            reuse_instances=bool(data["reuse_instances"]),
             track_coverage=bool(data["track_coverage"]),
             # Optional: an absent or null size runs the serial tester.
             population_size=(
@@ -216,6 +214,8 @@ def decode_shard(data: Dict[str, Any]) -> Any:
                 else int(data["population_size"])
             ),
         )
+        if common["population_size"] is not None and common["population_size"] < 1:
+            raise ValueError("population_size must be at least 1")
         if kind == "random":
             return _RandomShard(
                 seed=int(data["seed"]),

@@ -89,7 +89,6 @@ class SwarmTester(ParallelTester):
         deadline: float = 120.0,
         scenario_overrides: Optional[dict] = None,
         max_permuted: int = 6,
-        reuse_instances: bool = True,
         track_coverage: bool = False,
         population_size: Optional[int] = None,
     ) -> None:
@@ -101,7 +100,6 @@ class SwarmTester(ParallelTester):
             workers=drones,
             max_permuted=max_permuted,
             scenario_overrides=scenario_overrides,
-            reuse_instances=reuse_instances,
             track_coverage=track_coverage,
             population_size=population_size,
         )

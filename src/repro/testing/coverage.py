@@ -199,8 +199,8 @@ class CoverageTracker:
     reuse any verdict already reached on the same state object.
 
     ``reset()`` clears only the per-execution map — the *cumulative* map
-    lives with whoever owns the tracker (the tester), which is how
-    ``reuse_instances`` keeps cumulative coverage warm across in-place
+    lives with whoever owns the tracker (the tester), which is how the
+    reset-and-reuse path keeps cumulative coverage warm across in-place
     instance resets.
     """
 

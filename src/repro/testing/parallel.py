@@ -73,7 +73,6 @@ class _RandomShard:
     indices: Tuple[int, ...]
     max_permuted: int
     stop_at_first_violation: bool
-    reuse_instances: bool = True
     track_coverage: bool = False
     #: When set, workers run the population execution plane
     #: (:class:`~repro.testing.population.PopulationTester`) with this
@@ -92,7 +91,6 @@ class _ExhaustiveShard:
     max_executions: int
     max_permuted: int
     stop_at_first_violation: bool
-    reuse_instances: bool = True
     track_coverage: bool = False
     population_size: Optional[int] = None
 
@@ -164,7 +162,9 @@ class ParallelTester:
     ``scenario`` names a registered scenario (the portable way to describe
     the workload — workers rebuild it by name); alternatively pass
     ``harness_factory`` as for :class:`SystematicTester` (picklable, when
-    several workers each receive it over a pipe).
+    several workers each receive it over a pipe).  Workers, probes and
+    :meth:`confirm` all build their model once and reset it between
+    executions.
 
     ``track_coverage=True`` makes every worker feed the coverage plane;
     each streamed record carries its execution's coverage delta, and the
@@ -194,25 +194,19 @@ class ParallelTester:
         strategy: Optional[ChoiceStrategy] = None,
         workers: Optional[int] = None,
         max_permuted: int = 6,
-        start_method: Optional[str] = None,
         scenario_overrides: Optional[dict] = None,
-        reuse_instances: bool = True,
         track_coverage: bool = False,
         population_size: Optional[int] = None,
     ) -> None:
         if (scenario is None) == (harness_factory is None):
             raise ValueError("pass exactly one of scenario= or harness_factory=")
-        if population_size is not None and not reuse_instances:
-            raise ValueError(
-                "population_size requires reuse_instances=True (the population "
-                "plane shares one reused instance per worker)"
-            )
+        if population_size is not None and population_size < 1:
+            raise ValueError("population_size must be at least 1")
         if scenario is not None:
             harness_factory = scenario_factory(scenario, **(scenario_overrides or {}))
         elif scenario_overrides:
             raise ValueError("scenario_overrides only applies with scenario=")
         self.harness_factory: HarnessFactory = harness_factory  # type: ignore[assignment]
-        self.reuse_instances = reuse_instances
         self.track_coverage = track_coverage
         self.population_size = population_size
         self._probe_tester: Optional[SystematicTester] = None
@@ -224,11 +218,6 @@ class ParallelTester:
             )
         self.workers = max(1, workers if workers is not None else (multiprocessing.cpu_count() or 1))
         self.max_permuted = max_permuted
-        if start_method is None:
-            start_method = (
-                "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-            )
-        self._context = multiprocessing.get_context(start_method)
 
     # ------------------------------------------------------------------ #
     # sharding
@@ -251,7 +240,6 @@ class ParallelTester:
                     indices=tuple(range(start, start + size)),
                     max_permuted=self.max_permuted,
                     stop_at_first_violation=stop_at_first_violation,
-                    reuse_instances=self.reuse_instances,
                     track_coverage=self.track_coverage,
                     population_size=self.population_size,
                 )
@@ -272,7 +260,6 @@ class ParallelTester:
                 self.harness_factory,
                 strategy,
                 max_permuted=self.max_permuted,
-                reuse_instances=self.reuse_instances,
                 # Probe records are discarded and re-enumerated by the
                 # workers; counting their coverage would double-count.
                 track_coverage=False,
@@ -325,7 +312,6 @@ class ParallelTester:
                 max_executions=self.strategy.max_executions,
                 max_permuted=self.max_permuted,
                 stop_at_first_violation=stop_at_first_violation,
-                reuse_instances=self.reuse_instances,
                 track_coverage=self.track_coverage,
                 population_size=self.population_size,
             )
@@ -392,7 +378,7 @@ class ParallelTester:
         plane = ControlPlane()
         finished = threading.Event()
         plane.add_listener(SimpleNamespace(session_finished=lambda _session: finished.set()))
-        fleet = LocalFleet(plane, len(shards), processes=len(shards) > 1, context=self._context)
+        fleet = LocalFleet(plane, len(shards), processes=len(shards) > 1)
         # The private plane never reaches JSON: factories (any picklable
         # callable) and records travel as objects.
         encoded = [protocol.encode_shard(shard, portable=False) for shard in shards]
@@ -464,7 +450,12 @@ class ParallelTester:
         failure = summary["failed"]
         if failure is None:
             return
-        exit_codes = fleet.exit_codes if fleet is not None else []
+        exit_codes = []
+        if fleet is not None:
+            # A worker's pipe reads EOF before its exit status can be
+            # collected: retire the fleet so every code is final.
+            fleet.stop()
+            exit_codes = fleet.exit_codes
         if any(code is not None for code in exit_codes):
             failure += f"\n(worker exit codes: {exit_codes})"
         raise RuntimeError(f"parallel exploration failed in a worker:\n{failure}")
@@ -506,7 +497,6 @@ class ParallelTester:
         serial = SystematicTester(
             self.harness_factory,
             max_permuted=self.max_permuted,
-            reuse_instances=self.reuse_instances,
             track_coverage=False,  # confirmation replays must not add coverage
         )
         report.confirmations = []

@@ -54,12 +54,12 @@ rewinds the **live** instance in place, skipping components whose
 version already matches — no pickling, no object-graph rebuild, and
 capture cost proportional to what actually changed.  A model some
 component of which resists capture (e.g. un-deepcopyable state) stops
-snapshotting at the first failure and replays prefixes from then on —
-the ``share_prefixes=False`` behaviour, so only the speed changes
+snapshotting at the first failure and replays prefixes from then on
+(compaction only), so only the speed changes
 (``PopulationStats.snapshot_fallbacks`` records the switch); snapshots
 captured before the failure keep restoring.
 
-Snapshot *scheduling* is adaptive: ``snapshot_after`` caps how many
+Snapshot *scheduling* is adaptive: :data:`SNAPSHOT_AFTER` caps how many
 boundary visits a node needs before it earns a snapshot, and the
 effective threshold anneals toward eager capture while live runs keep
 replaying long prefixes (measured re-run depth), back toward lazy when
@@ -68,8 +68,7 @@ restores land exactly on the divergence point.
 ``population_size`` bounds the number of retained snapshots — the
 working set of materialised row-group states (the (K, …) plant matrices
 live in :class:`~repro.simulation.plantenv.RowGroupPlant`; here K bounds
-state, not concurrency).  ``share_prefixes=False`` disables
-snapshots entirely (dedup-only mode).
+state, not concurrency).
 """
 
 from __future__ import annotations
@@ -84,6 +83,15 @@ from .coverage import CoverageMap
 from .explorer import ExecutionRecord, ModelInstance, SystematicTester
 from .scheduler import BoundedAsynchronyScheduler
 from .strategies import ChoiceStrategy, record_trail
+
+#: Live step-boundary visits a trie node must see before it earns a
+#: snapshot (the laziness bound the adaptive threshold anneals below).
+SNAPSHOT_AFTER = 3
+#: Steps a prefix must have run before its snapshot can amortise.
+SNAPSHOT_MIN_STEPS = 6
+#: Chained deltas after which a capture is a full component vector
+#: (bounds restore-time chain walks).
+DELTA_CHAIN_LIMIT = 8
 
 
 @dataclass
@@ -236,25 +244,20 @@ def _pin_types() -> tuple:
 class PopulationTester(SystematicTester):
     """A :class:`SystematicTester` that compacts and shares executions.
 
-    Drop-in replacement: same constructor arguments plus the population
-    knobs, same :meth:`explore`/:meth:`run_single`/:meth:`replay` API, and
-    — the load-bearing property — reports identical to the serial tester
-    on every scenario and strategy (trails, steps, violations, coverage).
+    Drop-in replacement: same constructor arguments plus
+    ``population_size``, same :meth:`explore`/:meth:`run_single`/:meth:`replay`
+    API, and — the load-bearing property — reports identical to the
+    serial tester on every scenario and strategy (trails, steps,
+    violations, coverage).  It always reuses one instance: row-group
+    sharing is defined over it.
 
     Args:
         population_size: bound on retained prefix snapshots (the
             materialised row-group working set).
-        share_prefixes: capture/restore snapshots on shared trail
-            prefixes.  ``False`` leaves only trail compaction (dedup) —
-            also what a model falls back to when a capture fails.
-        snapshot_after: how many live step-boundary visits a trie node
-            must see before it earns a snapshot (the laziness knob:
-            1 snapshots eagerly, higher values only snapshot prefixes
-            that keep being re-run).
-        delta_chain_limit: force a full component vector every this many
-            chained deltas (bounds restore-time chain walks).
-        adaptive_snapshots: anneal the effective ``snapshot_after`` from
-            measured re-run depth.
+
+    The snapshot schedule reads :data:`SNAPSHOT_AFTER`,
+    :data:`SNAPSHOT_MIN_STEPS` and :data:`DELTA_CHAIN_LIMIT` when the
+    tester is built.
 
     >>> from repro.testing import RandomStrategy, scenario_factory
     >>> tester = PopulationTester(
@@ -272,39 +275,21 @@ class PopulationTester(SystematicTester):
         harness_factory: Callable[[], ModelInstance],
         strategy: Optional[ChoiceStrategy] = None,
         max_permuted: int = 6,
-        reuse_instances: bool = True,
         track_coverage: Optional[bool] = None,
         population_size: int = 256,
-        share_prefixes: bool = True,
-        snapshot_after: int = 3,
-        snapshot_min_steps: int = 6,
-        delta_chain_limit: int = 8,
-        adaptive_snapshots: bool = True,
     ) -> None:
-        if not reuse_instances:
-            raise ValueError(
-                "PopulationTester requires reuse_instances=True: row-group "
-                "sharing is defined over one reused instance"
-            )
         if population_size < 1:
             raise ValueError("population_size must be at least 1")
-        if snapshot_after < 1:
-            raise ValueError("snapshot_after must be at least 1")
         super().__init__(
             harness_factory,
             strategy,
             max_permuted=max_permuted,
-            reuse_instances=True,
             track_coverage=track_coverage,
         )
-        if delta_chain_limit < 1:
-            raise ValueError("delta_chain_limit must be at least 1")
         self.population_size = population_size
-        self.share_prefixes = share_prefixes
-        self.snapshot_after = snapshot_after
-        self.snapshot_min_steps = snapshot_min_steps
-        self.delta_chain_limit = delta_chain_limit
-        self.adaptive_snapshots = adaptive_snapshots
+        self._snapshot_after = SNAPSHOT_AFTER
+        self._snapshot_min_steps = SNAPSHOT_MIN_STEPS
+        self._delta_chain_limit = DELTA_CHAIN_LIMIT
         self.stats = PopulationStats()
         self._router = _TrailRouter(self)
         self._root = _TrieNode()
@@ -321,7 +306,7 @@ class PopulationTester(SystematicTester):
         self._component_pins: List[Any] = []
         self._delta_baseline: Optional[Dict[str, Optional[int]]] = None
         self._delta_parent: Optional[_Snapshot] = None
-        self._effective_after = snapshot_after
+        self._effective_after = self._snapshot_after
 
     # ------------------------------------------------------------------ #
     # strategy binding: the model talks to the router, never the strategy
@@ -414,14 +399,13 @@ class PopulationTester(SystematicTester):
         base_violations: Tuple[Violation, ...] = ()
         restore_position = 0
         snapshot: Optional[_Snapshot] = None
-        if self.share_prefixes:
-            # Deepest snapshotted node on the walked path wins: its state
-            # has consumed exactly the values leading to it.
-            for j in range(len(path_nodes) - 1, 0, -1):
-                snapshot = path_nodes[j].snapshot
-                if snapshot is not None:
-                    restore_position = j
-                    break
+        # Deepest snapshotted node on the walked path wins: its state has
+        # consumed exactly the values leading to it.
+        for j in range(len(path_nodes) - 1, 0, -1):
+            snapshot = path_nodes[j].snapshot
+            if snapshot is not None:
+                restore_position = j
+                break
         if snapshot is not None:
             self.stats.restores += 1
             # The restore rewinds the live instance in place — no new
@@ -438,25 +422,20 @@ class PopulationTester(SystematicTester):
         router.arm(values, path_nodes, restore_position)
         replayed = len(values) - restore_position
         self.stats.replayed_choices += replayed
-        if self.adaptive_snapshots and self.share_prefixes:
-            # Anneal the snapshot threshold from measured re-run depth:
-            # long replayed prefixes mean capture is being under-spent on
-            # the paths restores actually resume from; exact landings mean
-            # the current laziness suffices.
-            if replayed > 2:
-                if self._effective_after > 1:
-                    self._effective_after -= 1
-            elif replayed == 0 and self._effective_after < self.snapshot_after:
-                self._effective_after += 1
+        # Anneal the snapshot threshold from measured re-run depth: long
+        # replayed prefixes mean capture is being under-spent on the paths
+        # restores actually resume from; exact landings mean the current
+        # laziness suffices.
+        if replayed > 2:
+            if self._effective_after > 1:
+                self._effective_after -= 1
+        elif replayed == 0 and self._effective_after < self._snapshot_after:
+            self._effective_after += 1
         scheduler = self._order_scheduler()
         violations = self._violation_buffer
         violations.clear()
         violations.extend(base_violations)
-        boundary = (
-            self._snapshot_policy(path_nodes)
-            if self.share_prefixes and self._snapshots_ok
-            else None
-        )
+        boundary = self._snapshot_policy(path_nodes) if self._snapshots_ok else None
         steps = self._run_steps(harness, engine, scheduler, start_steps, boundary)
         self.stats.live_choices += len(router.tail)
         leaf_coverage = self._harvest_coverage()
@@ -489,6 +468,7 @@ class PopulationTester(SystematicTester):
         violations = self._violation_buffer
         n_path = len(path_nodes)
         snapshot_after = self._effective_after
+        min_steps = self._snapshot_min_steps
 
         def at_boundary(steps: int) -> None:
             position = router.position
@@ -498,7 +478,7 @@ class PopulationTester(SystematicTester):
                     node.boundary_hits += 1
                     if (
                         node.boundary_hits >= snapshot_after
-                        and steps >= self.snapshot_min_steps
+                        and steps >= min_steps
                         and population.snapshots_retained < self.population_size
                         and self._snapshots_ok
                     ):
@@ -507,7 +487,7 @@ class PopulationTester(SystematicTester):
                         except Exception:
                             # Some component resists capture (e.g.
                             # un-deepcopyable state): replay prefixes from
-                            # now on, as share_prefixes=False would.
+                            # now on.
                             self._snapshots_ok = False
                             population.snapshot_fallbacks += 1
                             return
@@ -644,7 +624,7 @@ class PopulationTester(SystematicTester):
         full = (
             baseline is None
             or parent is None
-            or parent.depth + 1 >= self.delta_chain_limit
+            or parent.depth + 1 >= self._delta_chain_limit
         )
         if full:
             parent = None

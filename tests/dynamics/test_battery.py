@@ -1,11 +1,21 @@
 """Tests for the battery model used by the battery-safety RTA module."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dynamics import BatteryModel, BatteryParams, BatteryState, ControlCommand
-from repro.geometry import Vec3
+from repro.dynamics import (
+    BatteryModel,
+    BatteryParams,
+    BatteryState,
+    ControlCommand,
+    default_drone_model,
+)
+from repro.geometry import Vec3, empty_workspace
+from repro.simulation import DronePlant
 
 
 class TestBatteryState:
@@ -50,6 +60,55 @@ class TestDischarge:
             BatteryParams(descent_speed=0.0)
         with pytest.raises(ValueError):
             BatteryParams(max_altitude=0.0)
+
+
+NAN, INF = math.nan, math.inf
+
+#: Commanded accelerations with a non-finite component (and two finite
+#: controls), each discharged by the scalar and the batch path.
+NON_FINITE_ROWS = [
+    (NAN, 0.0, 0.0),
+    (0.0, NAN, 0.0),
+    (0.0, 0.0, NAN),
+    (INF, 0.0, 0.0),
+    (0.0, -INF, 1.0),
+    (NAN, INF, -INF),
+    (0.0, 0.0, 0.0),
+    (3.0, -4.0, 1.0),
+]
+
+
+class TestNonFiniteCommand:
+    """A non-finite command discharges as a hover, as the dynamics fly it."""
+
+    def test_nan_command_drains_the_plant_battery(self):
+        plant = DronePlant(
+            default_drone_model(), empty_workspace(side=20.0, ceiling=10.0), initial_charge=0.2
+        )
+        plant.apply(ControlCommand(acceleration=Vec3(NAN, 0.0, 0.0)), 0.05)
+        hover = BatteryModel().step(BatteryState(0.2), ControlCommand.hover(), 0.05)
+        assert plant.battery.charge < 0.2
+        assert plant.battery.charge == hover.charge
+
+    @pytest.mark.parametrize(
+        "command",
+        [ControlCommand(acceleration=Vec3(*row)) for row in NON_FINITE_ROWS[:-2]]
+        + [ControlCommand(acceleration=Vec3(3.0, 0.0, 0.0), yaw_rate=NAN)],
+    )
+    def test_non_finite_discharges_as_hover(self, command):
+        model = BatteryModel()
+        assert model.discharge_rate(command) == model.discharge_rate(ControlCommand.hover())
+
+    def test_scalar_and_batch_agree_bit_for_bit(self):
+        model = BatteryModel()
+        charges = np.linspace(0.2, 0.9, len(NON_FINITE_ROWS))
+        batch = model.step_batch(charges, np.array(NON_FINITE_ROWS), 0.05)
+        scalar = [
+            model.step(BatteryState(float(charge)), ControlCommand(acceleration=Vec3(*row)), 0.05).charge
+            for charge, row in zip(charges, NON_FINITE_ROWS)
+        ]
+        assert batch.tolist() == scalar
+        assert np.isfinite(batch).all()
 
 
 class TestDecisionQuantities:

@@ -71,6 +71,9 @@ def oracle_step(params, state, command, dt):
 
 
 def oracle_discharge_rate(params, command):
+    # A non-finite command discharges as the hover the dynamics fly.
+    if not oracle_command_is_finite(command):
+        command = ControlCommand(acceleration=Vec3(0.0, 0.0, 0.0), yaw_rate=0.0)
     accel = min(command.acceleration.norm(), params.max_acceleration)
     return params.idle_rate + params.accel_rate * accel
 

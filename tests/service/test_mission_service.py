@@ -535,6 +535,39 @@ class TestErrorPaths:
         assert "environment_period" in detail["error"]
         assert "finite" in detail["error"]
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("shards", 0),
+            ("shards", True),
+            ("shards", 2.5),
+            ("population_size", 0),
+            ("population_size", -3),
+            ("population_size", "abc"),
+            ("population_size", True),
+            ("population_size", 2.5),
+            ("stop_at_first_violation", "false"),
+            ("confirm", "false"),
+            ("track_coverage", 1),
+            ("confirm", None),
+        ],
+    )
+    def test_a_malformed_spec_field_is_a_400_naming_it(self, server, field, value):
+        spec = {
+            "scenario": "toy-closed-loop",
+            "strategy": protocol.encode_strategy(RandomStrategy(max_executions=1)),
+            field: value,
+        }
+        request = urllib.request.Request(
+            server.url + "/api/v1/mission", method="POST",
+            data=protocol.dumps("request", spec),
+            headers={"Content-Type": "application/json"})
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=5.0)
+        assert excinfo.value.code == 400
+        detail = protocol.loads(excinfo.value.read(), expect="response")
+        assert field in detail["error"]
+
     def test_result_before_done_is_an_error(self):
         # No drone serves the plane until the check is made, so the
         # mission is certainly still running when its result is asked.

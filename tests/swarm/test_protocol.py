@@ -19,7 +19,6 @@ def random_shard(**overrides):
         indices=(3, 4, 5),
         max_permuted=6,
         stop_at_first_violation=True,
-        reuse_instances=False,
         track_coverage=True,
     )
     defaults.update(overrides)
@@ -54,6 +53,13 @@ class TestEnvelope:
         # Version 1 shards carried a field version 2 dropped.
         message = protocol.envelope("lease", {})
         message["v"] = 1
+        with pytest.raises(protocol.ProtocolError, match="version mismatch"):
+            protocol.open_envelope(message)
+
+    def test_version_two_envelope_rejected(self):
+        # Version 2 shards carried reuse_instances; version 3 dropped it.
+        message = protocol.envelope("lease", {})
+        message["v"] = 2
         with pytest.raises(protocol.ProtocolError, match="version mismatch"):
             protocol.open_envelope(message)
 
@@ -99,6 +105,12 @@ class TestShards:
     def test_population_size_crosses_the_wire(self, shard):
         assert protocol.decode_shard(protocol.encode_shard(shard)) == shard
 
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_population_size_below_one_rejected(self, size):
+        wire = dict(protocol.encode_shard(random_shard()), population_size=size)
+        with pytest.raises(protocol.ProtocolError, match="population_size"):
+            protocol.decode_shard(wire)
+
     @pytest.mark.parametrize("shard", [random_shard(), exhaustive_shard()],
                              ids=["random", "exhaustive"])
     def test_legacy_peer_without_population_size_decodes(self, shard):
@@ -112,7 +124,7 @@ class TestShards:
         with pytest.raises(protocol.ProtocolError, match="malformed shard"):
             protocol.decode_shard({"kind": "random"})
         common = ("kind", "factory", "max_executions", "max_permuted",
-                  "stop_at_first_violation", "reuse_instances", "track_coverage")
+                  "stop_at_first_violation", "track_coverage")
         for shard, own in ((random_shard(), ("seed", "indices")),
                            (exhaustive_shard(), ("max_depth", "prefixes"))):
             for missing in common + own:

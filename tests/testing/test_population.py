@@ -6,8 +6,8 @@ of a scenario through one reused instance, compacting duplicate trails and
 is pure mechanics: the report it produces must be *observably identical* to
 the serial :class:`~repro.testing.explorer.SystematicTester` — byte-equal
 trails, step counts, violation sequences, and coverage — on every
-registered scenario, for random and exhaustive strategies, with sharing on
-and off.  These tests are the proof the ≥5x speedup claim rides on.
+registered scenario, for random and exhaustive strategies, with eager
+snapshots and with none.  These tests are the proof the ≥5x speedup claim rides on.
 """
 
 import pytest
@@ -20,6 +20,7 @@ from repro.testing import (
     SystematicTester,
     scenario_factory,
 )
+from repro.testing import population as population_module
 
 #: Every registered scenario, with overrides that make violations likely so
 #: the equivalence claim covers non-empty violation sequences too (same
@@ -60,6 +61,24 @@ def _report_keys(report):
     return [_record_key(record) for record in report.executions]
 
 
+#: A ``SNAPSHOT_AFTER`` above any boundary-hit count a sweep here reaches:
+#: compact-only mode, trail compaction without a single snapshot.
+NEVER_SNAPSHOT = 10**9
+
+
+def _schedule(monkeypatch, share):
+    """Eager snapshots when ``share`` (capture/restore even on short
+    sweeps), else compact-only.  Testers read the constants when built."""
+    monkeypatch.setattr(population_module, "SNAPSHOT_AFTER", 1 if share else NEVER_SNAPSHOT)
+    monkeypatch.setattr(population_module, "SNAPSHOT_MIN_STEPS", 1)
+
+
+def _check_compact_only(population, share):
+    if not share:
+        assert population.stats.snapshots_taken == 0
+        assert population.stats.restores == 0
+
+
 class TestPopulationVsSerialEquivalence:
     @pytest.mark.parametrize("share", [True, False], ids=["shared", "compact-only"])
     @pytest.mark.parametrize(
@@ -67,24 +86,17 @@ class TestPopulationVsSerialEquivalence:
         SCENARIOS,
         ids=[f"{s[0]}-{s[1]['drones']}d" if "drones" in s[1] else s[0] for s in SCENARIOS],
     )
-    def test_random_sweep_identical(self, name, overrides, share):
+    def test_random_sweep_identical(self, name, overrides, share, monkeypatch):
+        _schedule(monkeypatch, share)
         factory = scenario_factory(name, **overrides)
-        serial = SystematicTester(
-            factory, RandomStrategy(seed=3, max_executions=14), reuse_instances=True
-        )
-        population = PopulationTester(
-            factory,
-            RandomStrategy(seed=3, max_executions=14),
-            share_prefixes=share,
-            # Eager snapshotting: exercise capture/restore even on short sweeps.
-            snapshot_after=1,
-            snapshot_min_steps=1,
-        )
+        serial = SystematicTester(factory, RandomStrategy(seed=3, max_executions=14))
+        population = PopulationTester(factory, RandomStrategy(seed=3, max_executions=14))
         serial_report = serial.explore()
         population_report = population.explore()
         assert _report_keys(population_report) == _report_keys(serial_report)
         assert population.coverage.counts == serial.coverage.counts
         assert population.stats.executions == 14
+        _check_compact_only(population, share)
         # fault-injected-surveillance is safe by construction; the toy
         # scenario only violates under broken_ttf-specific trails.
         if name not in ("toy-closed-loop", "fault-injected-surveillance"):
@@ -96,22 +108,16 @@ class TestPopulationVsSerialEquivalence:
         SCENARIOS,
         ids=[f"{s[0]}-{s[1]['drones']}d" if "drones" in s[1] else s[0] for s in SCENARIOS],
     )
-    def test_exhaustive_enumeration_identical(self, name, overrides, share):
+    def test_exhaustive_enumeration_identical(self, name, overrides, share, monkeypatch):
+        _schedule(monkeypatch, share)
         factory = scenario_factory(name, **overrides)
-        serial = SystematicTester(
-            factory,
-            ExhaustiveStrategy(max_depth=4, max_executions=20),
-            reuse_instances=True,
-        )
+        serial = SystematicTester(factory, ExhaustiveStrategy(max_depth=4, max_executions=20))
         population = PopulationTester(
-            factory,
-            ExhaustiveStrategy(max_depth=4, max_executions=20),
-            share_prefixes=share,
-            snapshot_after=1,
-            snapshot_min_steps=1,
+            factory, ExhaustiveStrategy(max_depth=4, max_executions=20)
         )
         assert _report_keys(population.explore()) == _report_keys(serial.explore())
         assert population.coverage.counts == serial.coverage.counts
+        _check_compact_only(population, share)
 
     def test_duplicate_trails_are_compacted_not_rerun(self):
         # A short-horizon surveillance sweep with no schedule permutation
@@ -132,13 +138,12 @@ class TestPopulationVsSerialEquivalence:
         assert len(report.executions) == 200
         assert all(record.trail is not None for record in report.executions)
 
-    def test_shared_prefixes_restore_snapshots(self):
+    def test_shared_prefixes_restore_snapshots(self, monkeypatch):
+        _schedule(monkeypatch, share=True)
         population = PopulationTester(
             scenario_factory("drone-surveillance", include_unsafe_position=True),
             RandomStrategy(seed=7, max_executions=40),
             max_permuted=1,
-            snapshot_after=1,
-            snapshot_min_steps=1,
         )
         population.explore()
         stats = population.stats
@@ -148,9 +153,7 @@ class TestPopulationVsSerialEquivalence:
 
     def test_replay_matches_serial_replay(self):
         factory = scenario_factory("drone-surveillance", include_unsafe_position=True)
-        serial = SystematicTester(
-            factory, RandomStrategy(seed=5, max_executions=20), reuse_instances=True
-        )
+        serial = SystematicTester(factory, RandomStrategy(seed=5, max_executions=20))
         population = PopulationTester(
             factory, RandomStrategy(seed=5, max_executions=20)
         )
@@ -165,9 +168,7 @@ class TestPopulationVsSerialEquivalence:
 
     def test_run_single_matches_serial(self):
         factory = scenario_factory("toy-closed-loop", broken_ttf=True)
-        serial = SystematicTester(
-            factory, RandomStrategy(seed=2, max_executions=5), reuse_instances=True
-        )
+        serial = SystematicTester(factory, RandomStrategy(seed=2, max_executions=5))
         population = PopulationTester(factory, RandomStrategy(seed=2, max_executions=5))
         for index in range(5):
             assert _record_key(population.run_single(index)) == _record_key(
@@ -231,10 +232,9 @@ class _CopyLimited:
 class TestSnapshotFallback:
     """A model that resists snapshot capture falls back to prefix replay.
 
-    The first failed capture switches the tester to the
-    ``share_prefixes=False`` behaviour (recorded in
-    ``PopulationStats.snapshot_fallbacks``); the report and coverage stay
-    byte-equal to the serial sweep.
+    The first failed capture switches the tester to compact-only prefix
+    replay (recorded in ``PopulationStats.snapshot_fallbacks``); the
+    report and coverage stay byte-equal to the serial sweep.
     """
 
     @staticmethod
@@ -254,17 +254,14 @@ class TestSnapshotFallback:
 
         return factory
 
+    @pytest.fixture(autouse=True)
+    def _eager(self, monkeypatch):
+        _schedule(monkeypatch, share=True)
+
     def _sweep(self, payload):
         factory = self._factory(payload)
-        serial = SystematicTester(
-            factory, RandomStrategy(seed=4, max_executions=40), reuse_instances=True
-        )
-        population = PopulationTester(
-            factory,
-            RandomStrategy(seed=4, max_executions=40),
-            snapshot_after=1,
-            snapshot_min_steps=1,
-        )
+        serial = SystematicTester(factory, RandomStrategy(seed=4, max_executions=40))
+        population = PopulationTester(factory, RandomStrategy(seed=4, max_executions=40))
         serial_report = serial.explore()
         population_report = population.explore()
         assert _report_keys(population_report) == _report_keys(serial_report)
@@ -314,43 +311,38 @@ class TestCoverageTrackingFlip:
         return _report_keys(first), _report_keys(second), tester.coverage.counts
 
     @pytest.mark.parametrize("share", [True, False], ids=["shared", "compact-only"])
-    def test_tracking_switch_matches_serial(self, share):
+    def test_tracking_switch_matches_serial(self, share, monkeypatch):
+        _schedule(monkeypatch, share)
         factory = scenario_factory("toy-closed-loop")
-        serial = SystematicTester(factory, reuse_instances=True)
-        population = PopulationTester(
-            factory, share_prefixes=share, snapshot_after=1, snapshot_min_steps=1
-        )
+        serial = SystematicTester(factory)
+        population = PopulationTester(factory)
         expected = self._two_sweeps(serial)
         assert sum(expected[2].values()) > 0
         assert self._two_sweeps(population) == expected
+        _check_compact_only(population, share)
 
 
 class TestPopulationValidation:
-    def test_requires_reuse_instances(self):
-        with pytest.raises(ValueError, match="reuse_instances"):
-            PopulationTester(
-                scenario_factory("toy-closed-loop"), reuse_instances=False
-            )
-
     def test_population_size_must_be_positive(self):
         with pytest.raises(ValueError, match="population_size"):
             PopulationTester(scenario_factory("toy-closed-loop"), population_size=0)
 
-    def test_snapshot_after_must_be_positive(self):
-        with pytest.raises(ValueError, match="snapshot_after"):
-            PopulationTester(scenario_factory("toy-closed-loop"), snapshot_after=0)
+    @pytest.mark.parametrize("size", [0, -3])
+    def test_parallel_population_size_must_be_positive(self, size):
+        with pytest.raises(ValueError, match="population_size"):
+            ParallelTester(scenario="toy-closed-loop", workers=2, population_size=size)
+
+    def test_constants_are_read_when_the_tester_is_built(self, monkeypatch):
+        monkeypatch.setattr(population_module, "SNAPSHOT_AFTER", 5)
+        monkeypatch.setattr(population_module, "SNAPSHOT_MIN_STEPS", 2)
+        monkeypatch.setattr(population_module, "DELTA_CHAIN_LIMIT", 4)
+        tester = PopulationTester(scenario_factory("toy-closed-loop"))
+        monkeypatch.setattr(population_module, "SNAPSHOT_AFTER", 1)
+        assert (tester._snapshot_after, tester._snapshot_min_steps,
+                tester._delta_chain_limit, tester._effective_after) == (5, 2, 4, 5)
 
 
 class TestParallelPopulationEquivalence:
-    def test_parallel_requires_reuse_instances(self):
-        with pytest.raises(ValueError, match="reuse_instances"):
-            ParallelTester(
-                scenario="toy-closed-loop",
-                workers=2,
-                reuse_instances=False,
-                population_size=16,
-            )
-
     def test_parallel_random_matches_serial_shards(self):
         strategy = lambda: RandomStrategy(seed=9, max_executions=12)
         plain = ParallelTester(

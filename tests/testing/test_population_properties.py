@@ -8,11 +8,11 @@ depth, and violation placement — each swept by the serial
 :class:`~repro.testing.SystematicTester` and the
 :class:`~repro.testing.population.PopulationTester` under the same
 strategy.  Reports and coverage must match byte for byte on every one,
-with delta snapshots fuzzed on and off, prefix sharing fuzzed on and off,
-and both random and exhaustive strategies.  Between them the generated
-models exercise the trie split/compaction paths, eager snapshotting, the
-delta capture/restore chains and the adaptive scheduler on shapes no
-hand-written scenario covers.
+with the delta chain limit fuzzed, snapshots fuzzed on and off
+(compact-only), and both random and exhaustive strategies.  Between
+them the generated models exercise the trie split/compaction paths,
+eager snapshotting, the delta capture/restore chains and the adaptive
+scheduler on shapes no hand-written scenario covers.
 """
 
 import random
@@ -29,6 +29,7 @@ from repro.testing import (
     RandomStrategy,
     SystematicTester,
 )
+from repro.testing import population as population_module
 from repro.testing.abstractions import AbstractEnvironment, NondeterministicNode
 from repro.testing.explorer import ModelInstance
 
@@ -144,19 +145,22 @@ def rngless_depth(seed: int) -> int:
     return 2 + (seed // 4) % 3
 
 
+def _eager_snapshots(monkeypatch):
+    monkeypatch.setattr(population_module, "SNAPSHOT_AFTER", 1)
+    monkeypatch.setattr(population_module, "SNAPSHOT_MIN_STEPS", 1)
+
+
 @pytest.mark.parametrize("seed", range(PROPERTY_CASES))
-def test_population_equals_serial_on_synthetic_scenario(seed):
+def test_population_equals_serial_on_synthetic_scenario(seed, monkeypatch):
+    _eager_snapshots(monkeypatch)
+    shared = bool(seed % 3)  # fuzz compact-only vs shared
+    if not shared:
+        # Above any boundary-hit count: no node ever earns a snapshot.
+        monkeypatch.setattr(population_module, "SNAPSHOT_AFTER", 10**9)
+    monkeypatch.setattr(population_module, "DELTA_CHAIN_LIMIT", 1 + seed % 4)
     factory = lambda: _synthetic_instance(seed)
-    serial = SystematicTester(factory, _strategy_for(seed), reuse_instances=True)
-    population = PopulationTester(
-        factory,
-        _strategy_for(seed),
-        share_prefixes=bool(seed % 3),  # fuzz compact-only vs shared
-        snapshot_after=1,
-        snapshot_min_steps=1,
-        delta_chain_limit=1 + seed % 4,
-        adaptive_snapshots=bool((seed // 2) % 2),
-    )
+    serial = SystematicTester(factory, _strategy_for(seed))
+    population = PopulationTester(factory, _strategy_for(seed))
     serial_report = serial.explore()
     population_report = population.explore()
     serial_keys = [_record_key(r) for r in serial_report.executions]
@@ -167,6 +171,8 @@ def test_population_equals_serial_on_synthetic_scenario(seed):
     # Snapshotting must never silently give way to prefix replay: the
     # tier-1 gate on the vectorized plane rides on the snapshot path.
     assert population.stats.snapshot_fallbacks == 0
+    if not shared:
+        assert population.stats.snapshots_taken == 0
 
 
 def test_generator_produces_violating_and_safe_scenarios():
@@ -182,15 +188,13 @@ def test_generator_produces_violating_and_safe_scenarios():
     assert outcomes == {True, False}
 
 
-def test_generator_exercises_snapshot_and_delta_paths():
+def test_generator_exercises_snapshot_and_delta_paths(monkeypatch):
     """Across the sweep, snapshots are taken, restored, and chained."""
+    _eager_snapshots(monkeypatch)
     taken = restored = chained = 0
     for seed in range(0, 40):
         population = PopulationTester(
-            lambda: _synthetic_instance(seed),
-            RandomStrategy(seed=5, max_executions=16),
-            snapshot_after=1,
-            snapshot_min_steps=1,
+            lambda: _synthetic_instance(seed), RandomStrategy(seed=5, max_executions=16)
         )
         population.explore()
         stats = population.stats

@@ -178,18 +178,20 @@ class TestResetVsRebuildEquivalence:
 
 class TestParallelReuseEquivalence:
     def test_parallel_random_identical_across_reuse(self):
-        reports = {}
-        for reuse in (False, True):
-            tester = ParallelTester(
-                scenario="multi-obstacle-geofence",
-                scenario_overrides={"include_breach": True},
-                strategy=RandomStrategy(seed=9, max_executions=10),
-                workers=2,
-                reuse_instances=reuse,
-            )
-            reports[reuse] = tester.explore()
-        assert _report_keys(reports[True]) == _report_keys(reports[False])
-        assert reports[True].all_confirmed
+        # The pool always reuses; the serial fresh-build path is the oracle.
+        fresh = SystematicTester(
+            scenario_factory("multi-obstacle-geofence", include_breach=True),
+            RandomStrategy(seed=9, max_executions=10),
+            reuse_instances=False,
+        ).explore()
+        parallel = ParallelTester(
+            scenario="multi-obstacle-geofence",
+            scenario_overrides={"include_breach": True},
+            strategy=RandomStrategy(seed=9, max_executions=10),
+            workers=2,
+        ).explore()
+        assert _report_keys(parallel) == _report_keys(fresh)
+        assert parallel.all_confirmed
 
     def test_parallel_exhaustive_matches_serial_with_reuse(self):
         serial = SystematicTester(
@@ -202,7 +204,6 @@ class TestParallelReuseEquivalence:
             scenario_overrides={"broken_ttf": True},
             strategy=ExhaustiveStrategy(max_depth=3, max_executions=40),
             workers=2,
-            reuse_instances=True,
         ).explore()
         assert _report_keys(parallel) == _report_keys(serial)
 

@@ -10,7 +10,7 @@ tests covers both:
 * when every worker dies, ``explore`` raises naming their exit codes
   (no hang);
 * a scenario that cannot even build surfaces the builder's own
-  traceback, on the fresh-build and the reuse path alike;
+  traceback;
 * an early-stopped run's coverage is exactly that of the executions it
   reports (coverage rides each accepted record);
 * an unpicklable pool factory is refused up front, not left to hang the
@@ -30,14 +30,17 @@ from repro.testing import ParallelTester, RandomStrategy, SystematicTester
 from repro.testing import scenarios
 from repro.testing.scenarios import build_scenario, scenario_factory
 
-#: Builds per process id, so a worker can die after streaming some records
-#: (a forked worker inherits this dict, but not its parent's pid).
-_builds = {}
+#: ``ModelInstance.reset()`` calls per process id, so a worker can die after
+#: streaming some records (a forked worker inherits this dict, but not its
+#: parent's pid).
+_resets = {}
 
 
 @dataclass(frozen=True)
 class KillWorkerFactory:
-    """Picklable factory: a worker SIGKILLs itself on its ``kill_at_build``-th build.
+    """Picklable factory: a worker SIGKILLs itself on its ``kill_at_reset``-th
+    ``ModelInstance.reset()`` — the rewind before each execution after the
+    first on a reused instance (0 never kills).
 
     Only the first worker to get there dies, unless ``every_worker``.  The
     process that made the factory (the test itself) never dies.
@@ -45,18 +48,25 @@ class KillWorkerFactory:
 
     sentinel_dir: str
     parent_pid: int
-    kill_at_build: int = 1
+    kill_at_reset: int = 1
     every_worker: bool = False
 
     scenario = "test-worker-failure-kill"
 
     def __call__(self):
-        pid = os.getpid()
-        _builds[pid] = _builds.get(pid, 0) + 1
-        if pid != self.parent_pid and _builds[pid] == self.kill_at_build:
-            if self.every_worker or _first_to_claim(self.sentinel_dir):
-                os.kill(os.getpid(), signal.SIGKILL)
-        return build_scenario("toy-closed-loop", broken_ttf=True)
+        instance = build_scenario("toy-closed-loop", broken_ttf=True)
+        reset = instance.reset
+
+        def reset_or_die():
+            pid = os.getpid()
+            _resets[pid] = _resets.get(pid, 0) + 1
+            if pid != self.parent_pid and _resets[pid] == self.kill_at_reset:
+                if self.every_worker or _first_to_claim(self.sentinel_dir):
+                    os.kill(pid, signal.SIGKILL)
+            reset()
+
+        instance.reset = reset_or_die
+        return instance
 
 
 @dataclass(frozen=True)
@@ -126,10 +136,10 @@ class TestWorkerFailures:
                         track_coverage=True)
         healthy = ParallelTester("toy-closed-loop", scenario_overrides={"broken_ttf": True},
                                  workers=2, **strategy).explore()
-        # Fresh builds: the doomed worker streams two records, then dies
-        # building its third execution.
-        factory = KillWorkerFactory(str(tmp_path), os.getpid(), kill_at_build=3)
-        report = _tester(fabric, factory, reuse_instances=False, **strategy).explore()
+        # The doomed worker runs three executions of its six, then dies
+        # rewinding the instance for its fourth.
+        factory = KillWorkerFactory(str(tmp_path), os.getpid(), kill_at_reset=3)
+        report = _tester(fabric, factory, **strategy).explore()
         assert os.path.isdir(tmp_path / "killed")  # a worker really died
         assert any(event.startswith("re-lease:") for event in report.events), report.events
         assert _keys(report) == _keys(healthy)
@@ -145,14 +155,9 @@ class TestWorkerFailures:
         assert "exit codes" in message
         assert str(-signal.SIGKILL) in message  # the killed workers' -9
 
-    @pytest.mark.parametrize("reuse_instances", [False, True],
-                             ids=["fresh-build", "reuse-path"])
-    def test_unbuildable_scenario_surfaces_original_traceback(self, fabric, reuse_instances):
+    def test_unbuildable_scenario_surfaces_original_traceback(self, fabric):
         tester = _tester(
-            fabric,
-            ExplodingFactory(),
-            strategy=RandomStrategy(seed=0, max_executions=4),
-            reuse_instances=reuse_instances,
+            fabric, ExplodingFactory(), strategy=RandomStrategy(seed=0, max_executions=4)
         )
         with pytest.raises(RuntimeError) as excinfo:
             tester.explore()
@@ -164,7 +169,7 @@ class TestWorkerFailures:
     def test_early_stop_coverage_matches_the_reported_executions(self, fabric, tmp_path):
         # Coverage rides each accepted record, so an early-stopped report's
         # map is exactly the serial coverage of the executions it reports.
-        factory = KillWorkerFactory(str(tmp_path), os.getpid(), kill_at_build=0)  # never kills
+        factory = KillWorkerFactory(str(tmp_path), os.getpid(), kill_at_reset=0)  # never kills
         report = _tester(
             fabric, factory, workers=4, strategy=RandomStrategy(seed=0, max_executions=16),
             track_coverage=True,
@@ -181,7 +186,7 @@ class TestWorkerFailures:
         assert report.coverage.counts == serial.coverage.counts
 
     def test_healthy_run_reports_every_shard_completed(self, fabric, tmp_path):
-        factory = KillWorkerFactory(str(tmp_path), os.getpid(), kill_at_build=0)
+        factory = KillWorkerFactory(str(tmp_path), os.getpid(), kill_at_reset=0)
         report = _tester(fabric, factory, strategy=RandomStrategy(seed=1, max_executions=8)).explore()
         assert report.completed_workers == report.workers == 2
         assert report.duplicates == 0 and report.events == []
