@@ -459,8 +459,16 @@ class PlantEnvironment:
         if self._row_group is not None:
             rows = np.zeros((len(commands), 3))
             for index, command in enumerate(commands):
-                if command is not None:
+                if command is None:
+                    continue
+                if command.is_finite():
                     rows[index] = command.acceleration.as_tuple()
+                else:
+                    # DronePlant.apply flies and drains a non-finite command
+                    # (a NaN yaw rate too) as no thrust, gust or not; a NaN
+                    # row stays NaN through the gust add, and the kernels
+                    # treat non-finite rows the same way.
+                    rows[index] = math.nan
             gust_rows = np.array([gust.as_tuple() for gust in gusts], dtype=float)
             self._row_group.step_window(rows, duration, self.physics_dt, gust_rows)
         else:

@@ -280,6 +280,8 @@ class SystematicTester:
         self._scheduler: Optional[BoundedAsynchronyScheduler] = None
         self._violation_buffer: List[Violation] = []
         self._tracker: Optional[CoverageTracker] = None
+        #: The choice source the reused instance was last bound to.
+        self._bound_source: Optional[ChoiceStrategy] = None
 
     @property
     def track_coverage(self) -> bool:
@@ -340,11 +342,15 @@ class SystematicTester:
         self._tracker = CoverageTracker(harness.system, fault_plane=harness.fault_plane)
         harness.monitors.add(self._tracker)
 
-    def _order_scheduler(self) -> BoundedAsynchronyScheduler:
-        """The bounded-asynchrony scheduler bound to the current strategy."""
-        if self._scheduler is None or self._scheduler.strategy is not self.strategy:
+    def _order_scheduler(self, source: ChoiceStrategy) -> BoundedAsynchronyScheduler:
+        """The bounded-asynchrony scheduler bound to the choice ``source``.
+
+        ``source`` is the current strategy, or whatever answers choices in
+        its place (the population plane's trail router).
+        """
+        if self._scheduler is None or self._scheduler.strategy is not source:
             self._scheduler = BoundedAsynchronyScheduler(
-                self.strategy, max_permuted=self.max_permuted
+                source, max_permuted=self.max_permuted
             )
         return self._scheduler
 
@@ -360,8 +366,9 @@ class SystematicTester:
         executions out of their serial order.
         """
         harness, engine = self._acquire()
-        scheduler = self._order_scheduler()
-        self._bind_strategy(harness)
+        strategy = self.strategy
+        scheduler = self._order_scheduler(strategy)
+        self._bind_strategy(harness, strategy)
         violations = self._violation_buffer
         violations.clear()
         steps = self._run_steps(harness, engine, scheduler, 0)
@@ -370,7 +377,7 @@ class SystematicTester:
             index=index,
             steps=steps,
             violations=list(violations),
-            trail=record_trail(self.strategy),
+            trail=record_trail(strategy),
         )
 
     def _run_steps(
@@ -448,7 +455,10 @@ class SystematicTester:
         rebuild.  The exploration strategy is restored afterwards, and
         coverage tracking is suspended for the replay (whatever the
         ``track_coverage`` setting), so re-executing a counterexample
-        never double-counts samples into an already-published map.
+        never double-counts samples into an already-published map.  A
+        replay always takes this class's own :meth:`run_single`, so a
+        subclass that shares or compacts executions still re-executes the
+        trail and leaves its sharing state alone.
         """
         strategy = ReplayStrategy(trail=list(trail))
         saved_strategy, saved_scheduler = self.strategy, self._scheduler
@@ -458,23 +468,25 @@ class SystematicTester:
         self._track_coverage_option = False
         try:
             strategy.begin_execution()
-            return self.run_single(index)
+            return SystematicTester.run_single(self, index)
         finally:
             self.strategy = saved_strategy
             self._scheduler = saved_scheduler
             self._track_coverage_option = saved_tracking
 
-    def _bind_strategy(self, harness: ModelInstance) -> None:
+    def _bind_strategy(self, harness: ModelInstance, source: ChoiceStrategy) -> None:
+        """Make the choice ``source`` answer every choice the model makes."""
+        self._bound_source = source
         if harness.environment is not None:
             harness.environment.reset()
-            harness.environment.bind_strategy(self.strategy)
+            harness.environment.bind_strategy(source)
         # Duck-typed: NondeterministicNode and the fault plane's
         # ChoiceFaultInjector both expose bind_strategy; anything else
-        # with the hook gets the strategy too.
+        # with the hook gets the source too.
         for node in harness.system.all_nodes():
             bind = getattr(node, "bind_strategy", None)
             if bind is not None:
-                bind(self.strategy)
+                bind(source)
 
     # ------------------------------------------------------------------ #
     # exploration loop

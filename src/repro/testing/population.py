@@ -69,6 +69,18 @@ restores land exactly on the divergence point.
 working set of materialised row-group states (the (K, …) plant matrices
 live in :class:`~repro.simulation.plantenv.RowGroupPlant`; here K bounds
 state, not concurrency).
+
+The trie is kept only while it pays.  The first :data:`SHARING_PROBE`
+executions after the trie is (re)built, or after ``strategy`` is
+replaced, are a *probe window*: they run on the trie as described
+above.  If none of them compacted, restored or took a snapshot, the
+traffic shares nothing, so the tester drops the trie and its snapshots
+and runs every later execution on the *serial route* — the plain
+:meth:`SystematicTester.run_single` step loop with the raw strategy
+bound in place of the trail router — which is the serial tester
+itself, hence trivially equal to it (``PopulationStats.serial_runs``
+counts those executions).  :meth:`~SystematicTester.replay` always runs
+on the serial route and touches neither the trie nor the probe.
 """
 
 from __future__ import annotations
@@ -79,9 +91,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.monitor import Violation
 from ..core.resettable import capture_state, restore_state
+from ..core.semantics import SemanticsEngine
 from .coverage import CoverageMap
 from .explorer import ExecutionRecord, ModelInstance, SystematicTester
-from .scheduler import BoundedAsynchronyScheduler
 from .strategies import ChoiceStrategy, record_trail
 
 #: Live step-boundary visits a trie node must see before it earns a
@@ -92,6 +104,10 @@ SNAPSHOT_MIN_STEPS = 6
 #: Chained deltas after which a capture is a full component vector
 #: (bounds restore-time chain walks).
 DELTA_CHAIN_LIMIT = 8
+#: Executions the trie gets, after each reset or strategy swap, to show
+#: any sharing (a compaction, a restore or a snapshot) before the tester
+#: drops it and runs the serial step loop (at least 1).
+SHARING_PROBE = 32
 
 
 @dataclass
@@ -169,21 +185,30 @@ class _TrailRouter:
     During a live run the first ``len(replay)`` choices are returned *by
     value* (they were already drawn from the real strategy during the trie
     walk — consuming them again would desynchronise RNG streams and
-    odometers); every later choice delegates to the tester's current
-    strategy and is recorded in ``tail`` for trie extension.
+    odometers); every later choice delegates to the tester's strategy and
+    is recorded in ``tail`` for trie extension.  The router holds the
+    strategy, not the tester, so a tester is freed by reference counting
+    alone.
     """
 
-    __slots__ = ("_tester", "_replay", "_expected", "position", "tail")
+    __slots__ = ("_strategy", "_replay", "_expected", "position", "tail")
 
-    def __init__(self, tester: "PopulationTester") -> None:
-        self._tester = tester
+    def __init__(self) -> None:
+        self._strategy: Optional[ChoiceStrategy] = None
         self._replay: List[int] = []
         self._expected: List[_TrieNode] = []
         self.position = 0
         self.tail: List[Tuple[int, str, int]] = []
 
-    def arm(self, replay: List[int], expected: List[_TrieNode], position: int) -> None:
-        """Prepare for one live run: replay values, trie path, start position."""
+    def arm(
+        self,
+        strategy: Optional[ChoiceStrategy],
+        replay: List[int],
+        expected: List[_TrieNode],
+        position: int,
+    ) -> None:
+        """Prepare for one live run: strategy, replay values, trie path, start position."""
+        self._strategy = strategy
         self._replay = replay
         self._expected = expected
         self.position = position
@@ -201,7 +226,7 @@ class _TrailRouter:
                     f"({node.options}, {node.label!r})"
                 )
             return self._replay[position]
-        value = self._tester.strategy.choose(options, label)
+        value = self._strategy.choose(options, label)
         self.tail.append((options, label, value))
         return value
 
@@ -220,6 +245,7 @@ class PopulationStats:
     live_choices: int = 0
     delta_snapshots: int = 0  # incremental (non-full) component captures
     snapshot_fallbacks: int = 0  # 1 once a failed capture switched to replay
+    serial_runs: int = 0  # executions run on the serial route (no trie)
 
     @property
     def compaction_rate(self) -> float:
@@ -256,8 +282,8 @@ class PopulationTester(SystematicTester):
             materialised row-group working set).
 
     The snapshot schedule reads :data:`SNAPSHOT_AFTER`,
-    :data:`SNAPSHOT_MIN_STEPS` and :data:`DELTA_CHAIN_LIMIT` when the
-    tester is built.
+    :data:`SNAPSHOT_MIN_STEPS` and :data:`DELTA_CHAIN_LIMIT`, and the
+    sharing probe :data:`SHARING_PROBE`, when the tester is built.
 
     >>> from repro.testing import RandomStrategy, scenario_factory
     >>> tester = PopulationTester(
@@ -290,8 +316,9 @@ class PopulationTester(SystematicTester):
         self._snapshot_after = SNAPSHOT_AFTER
         self._snapshot_min_steps = SNAPSHOT_MIN_STEPS
         self._delta_chain_limit = DELTA_CHAIN_LIMIT
+        self._sharing_probe = SHARING_PROBE
         self.stats = PopulationStats()
-        self._router = _TrailRouter(self)
+        self._router = _TrailRouter()
         self._root = _TrieNode()
         # The track_coverage setting the trie's leaves and snapshots were
         # recorded under (None until the first execution).
@@ -307,43 +334,64 @@ class PopulationTester(SystematicTester):
         self._delta_baseline: Optional[Dict[str, Optional[int]]] = None
         self._delta_parent: Optional[_Snapshot] = None
         self._effective_after = self._snapshot_after
+        # The sharing probe: the strategy it watches, the trie executions
+        # it has left (0 once the trie has paid), and whether it found no
+        # sharing and switched to the serial route.
+        self._probe_strategy: Optional[ChoiceStrategy] = None
+        self._probe_left = 0
+        self._serial_route = False
 
-    # ------------------------------------------------------------------ #
-    # strategy binding: the model talks to the router, never the strategy
-    # ------------------------------------------------------------------ #
-    def _bind_strategy(self, harness: ModelInstance) -> None:
-        if harness.environment is not None:
-            harness.environment.reset()
-            harness.environment.bind_strategy(self._router)
+    def _acquire(self) -> Tuple[ModelInstance, SemanticsEngine]:
+        built = self._instance is not None
+        harness, engine = super()._acquire()
+        if not built:
             # Plant-in-the-loop environments can step their vehicles as one
             # (K, …) matrix plant (see repro.simulation.plantenv) — ask for
             # the bit-identical batch path when the environment offers it;
-            # the environment engages it from BATCH_PLANT_MIN_ROWS vehicles.
+            # the environment engages it from BATCH_PLANT_MIN_ROWS vehicles,
+            # and the setting outlives resets.
             enable_batch = getattr(harness.environment, "set_batch_plant", None)
             if enable_batch is not None:
                 enable_batch(True)
-        # Duck-typed like the serial tester: NondeterministicNode and the
-        # fault plane's ChoiceFaultInjector both expose bind_strategy.
-        for node in harness.system.all_nodes():
-            bind = getattr(node, "bind_strategy", None)
-            if bind is not None:
-                bind(self._router)
-
-    def _order_scheduler(self) -> BoundedAsynchronyScheduler:
-        if self._scheduler is None or self._scheduler.strategy is not self._router:
-            self._scheduler = BoundedAsynchronyScheduler(
-                self._router, max_permuted=self.max_permuted
-            )
-        return self._scheduler
+        return harness, engine
 
     # ------------------------------------------------------------------ #
-    # single execution: walk the trie, then compact / restore / run live
+    # single execution: the serial route, or walk the trie, then
+    # compact / restore / run live
     # ------------------------------------------------------------------ #
     def run_single(self, index: int) -> ExecutionRecord:
-        self.stats.executions += 1
+        stats = self.stats
+        stats.executions += 1
         tracking = self.track_coverage
         if tracking != self._trie_tracking:
             self._reset_trie(tracking)
+        elif self.strategy is not self._probe_strategy:
+            self._restart_probe()
+        if self._serial_route:
+            stats.serial_runs += 1
+            return SystematicTester.run_single(self, index)
+        if not self._probe_left:
+            return self._walk(index)
+        shared = stats.compacted + stats.restores + stats.snapshots_taken
+        record = self._walk(index)
+        if stats.compacted + stats.restores + stats.snapshots_taken != shared:
+            self._probe_left = 0  # the trie pays: keep it
+        else:
+            self._probe_left -= 1
+            if not self._probe_left:
+                # A whole window without sharing: the trie is pure overhead.
+                self._drop_trie()
+                self._serial_route = True
+        return record
+
+    def _restart_probe(self) -> None:
+        """Open a probe window on the trie for the current strategy."""
+        self._probe_strategy = self.strategy
+        self._probe_left = self._sharing_probe
+        self._serial_route = False
+
+    def _walk(self, index: int) -> ExecutionRecord:
+        """One execution on the trie: walk it, then compact or run live."""
         node = self._root
         path_nodes: List[_TrieNode] = []
         values: List[int] = []
@@ -400,12 +448,15 @@ class PopulationTester(SystematicTester):
         restore_position = 0
         snapshot: Optional[_Snapshot] = None
         # Deepest snapshotted node on the walked path wins: its state has
-        # consumed exactly the values leading to it.
-        for j in range(len(path_nodes) - 1, 0, -1):
-            snapshot = path_nodes[j].snapshot
-            if snapshot is not None:
-                restore_position = j
-                break
+        # consumed exactly the values leading to it.  A restore keeps the
+        # model's binding, so it needs the router bound; after a serial-route
+        # run (a replay) the model is rebound by running from the start.
+        if self._bound_source is router:
+            for j in range(len(path_nodes) - 1, 0, -1):
+                snapshot = path_nodes[j].snapshot
+                if snapshot is not None:
+                    restore_position = j
+                    break
         if snapshot is not None:
             self.stats.restores += 1
             # The restore rewinds the live instance in place — no new
@@ -418,8 +469,8 @@ class PopulationTester(SystematicTester):
             self._delta_baseline = None
             self._delta_parent = None
             harness, engine = self._acquire()
-            self._bind_strategy(harness)
-        router.arm(values, path_nodes, restore_position)
+            self._bind_strategy(harness, router)
+        router.arm(self.strategy, values, path_nodes, restore_position)
         replayed = len(values) - restore_position
         self.stats.replayed_choices += replayed
         # Anneal the snapshot threshold from measured re-run depth: long
@@ -431,7 +482,7 @@ class PopulationTester(SystematicTester):
                 self._effective_after -= 1
         elif replayed == 0 and self._effective_after < self._snapshot_after:
             self._effective_after += 1
-        scheduler = self._order_scheduler()
+        scheduler = self._order_scheduler(router)
         violations = self._violation_buffer
         violations.clear()
         violations.extend(base_violations)
@@ -500,16 +551,24 @@ class PopulationTester(SystematicTester):
     # trie maintenance
     # ------------------------------------------------------------------ #
     def _reset_trie(self, tracking: bool) -> None:
-        """Forget every recorded trail and snapshot, and the component list.
+        """Start a fresh trie for ``tracking``, and a fresh probe window.
 
         Leaves record coverage only while tracking is on, and switching it
         on adds a tracker to the monitor roster, so nothing recorded under
         the other setting describes what an execution would do now.
         """
         self._trie_tracking = tracking
+        self._drop_trie()
+        self._restart_probe()
+
+    def _drop_trie(self) -> None:
+        """Forget every recorded trail and snapshot, and the component list."""
         self._root = _TrieNode()
         self._components = None
         self._component_pins = []
+        self._delta_baseline = None
+        self._delta_parent = None
+        self._router.arm(None, [], [], 0)
         self.stats.snapshots_retained = 0
 
     def _split_leaf(

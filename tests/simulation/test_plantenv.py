@@ -424,6 +424,40 @@ class TestPlantEnvironment:
         replay_inputs = [(t, repr(v)) for t, v in engine.inputs]
         assert replay_inputs == first_inputs[-len(replay_inputs):]
 
+    @pytest.mark.parametrize(
+        "gust", [Vec3.zero(), Vec3(1.0, 0.0, 0.0)], ids=["calm", "gusty"]
+    )
+    def test_a_non_finite_yaw_rate_is_no_thrust_on_both_paths(self, gust, monkeypatch):
+        # DronePlant.apply flies a command with a NaN yaw rate as no thrust
+        # (and drains it as a hover), however finite its acceleration; the
+        # row-group path must not fly the acceleration.
+        monkeypatch.setattr(plantenv, "BATCH_PLANT_MIN_ROWS", 1)
+        world = Workspace(bounds=AABB(Vec3(0.0, 0.0, 0.0), Vec3(20.0, 20.0, 10.0)))
+        command = ControlCommand(acceleration=Vec3(3.0, 0.0, 0.0), yaw_rate=math.nan)
+        plants = []
+        for batch in (False, True):
+            plant = DronePlant(
+                BoundedDoubleIntegrator(), world, battery_model=BatteryModel(),
+                initial_state=DroneState(position=Vec3(5.0, 5.0, 2.0)),
+            )
+            env = PlantEnvironment(
+                channels=[PlantChannel(plant=plant, estimator=StateEstimator(),
+                                       command_topic="cmd", position_topic="pos")],
+                gust_menu=[gust], period=0.1, physics_dt=0.02,
+            )
+            env.set_batch_plant(batch)
+            assert env.batch_plant_active == batch
+            env.bind_strategy(_ScriptedStrategy())
+            engine = _StubEngine({"cmd": command})
+            env.apply(engine, 0.0)  # picks the window's gust
+            env.apply(engine, 0.1)  # five 0.02-s substeps under the command
+            plants.append(plant)
+        scalar, row = plants
+        assert _plant_fields(row) == _plant_fields(scalar)
+        assert row.time == pytest.approx(0.1)
+        assert row.state.position == Vec3(5.0, 5.0, 2.0)
+        assert round(row.battery.charge, 5) == 0.99992
+
 
 class TestTimingValidation:
     """Non-finite timing would freeze every plant after t=0 (or fail mid-run)."""

@@ -322,6 +322,133 @@ class TestCoverageTrackingFlip:
         _check_compact_only(population, share)
 
 
+#: ``sweep-distinct``-style traffic: schedules permute from the first step,
+#: so no two executions share a trail prefix worth keeping.
+def _distinct_factory():
+    return scenario_factory("drone-surveillance", horizon=2.0)
+
+
+#: ``sweep-shared``-style traffic: no schedule permutation, short horizon,
+#: long shared prefixes from the first executions on.
+def _shared_factory():
+    return scenario_factory("drone-surveillance", horizon=1.5)
+
+
+def _route_counts_add_up(stats):
+    return stats.live_runs + stats.compacted + stats.serial_runs == stats.executions
+
+
+class TestSerialRoute:
+    """Once a probe window finds no sharing, the trie gives way to the serial loop.
+
+    The first ``SHARING_PROBE`` executions run on the trie; if none
+    compacted, restored or took a snapshot, the tester drops the trie and
+    runs every later execution through ``SystematicTester.run_single``.
+    Either way the report is the serial tester's, record for record.
+    """
+
+    DISTINCT = population_module.SHARING_PROBE + 16
+
+    @staticmethod
+    def _strategy(kind, seed):
+        from repro.testing import CoverageGuidedStrategy
+
+        budget = TestSerialRoute.DISTINCT
+        if kind == "random":
+            return RandomStrategy(seed=seed, max_executions=budget)
+        # Elite mutations replay a trail prefix, which the trie shares;
+        # sweep mode alone draws trails as distinct as random ones.
+        return CoverageGuidedStrategy(seed=seed, max_executions=budget, mutation_rate=0.0)
+
+    @pytest.mark.parametrize("kind", ["random", "coverage-guided"])
+    def test_distinct_sweep_equals_serial_record_for_record(self, kind):
+        tracking = kind == "coverage-guided" or None
+        serial = SystematicTester(
+            _distinct_factory(), self._strategy(kind, 3), track_coverage=tracking
+        )
+        population = PopulationTester(
+            _distinct_factory(), self._strategy(kind, 3), track_coverage=tracking
+        )
+        serial_report = serial.explore()
+        population_report = population.explore()
+        assert _report_keys(population_report) == _report_keys(serial_report)
+        assert population.coverage.counts == serial.coverage.counts
+        if tracking:
+            assert sum(serial.coverage.counts.values()) > 0
+        stats = population.stats
+        probe = population_module.SHARING_PROBE
+        assert stats.live_runs == probe
+        assert stats.compacted == stats.restores == stats.snapshots_taken == 0
+        assert stats.serial_runs == self.DISTINCT - probe
+        assert stats.snapshots_retained == 0
+        assert _route_counts_add_up(stats)
+
+    def test_shared_sweep_never_takes_the_serial_route(self):
+        strategy = lambda: RandomStrategy(seed=7, max_executions=96)
+        serial = SystematicTester(_shared_factory(), strategy(), max_permuted=1)
+        population = PopulationTester(_shared_factory(), strategy(), max_permuted=1)
+        assert _report_keys(population.explore()) == _report_keys(serial.explore())
+        stats = population.stats
+        assert stats.serial_runs == 0
+        assert stats.restores > 0 and stats.snapshots_taken > 0
+        assert _route_counts_add_up(stats)
+
+    def test_a_strategy_swap_restarts_the_probe(self):
+        probe = population_module.SHARING_PROBE
+
+        def two_sweeps(tester):
+            reports = []
+            for seed in (1, 2):
+                tester.strategy = RandomStrategy(seed=seed, max_executions=probe + 4)
+                reports.append(_report_keys(tester.explore()))
+            return reports
+
+        population = PopulationTester(_distinct_factory())
+        assert two_sweeps(population) == two_sweeps(SystematicTester(_distinct_factory()))
+        stats = population.stats
+        # Each strategy got its own probe window on a fresh trie, then 4
+        # serial-route executions.
+        assert (stats.live_runs, stats.serial_runs) == (2 * probe, 8)
+        assert _route_counts_add_up(stats)
+
+
+class TestReplayLeavesTheTrieAlone:
+    """A replay runs on the serial route: the trie, its snapshots and the
+    probe survive it, and the next sweep still shares."""
+
+    def test_replay_then_sweep_still_shares_and_equals_serial(self, monkeypatch):
+        _schedule(monkeypatch, share=True)
+        factory = scenario_factory("drone-surveillance", include_unsafe_position=True)
+        serial = SystematicTester(factory, max_permuted=1, track_coverage=True)
+        population = PopulationTester(factory, max_permuted=1, track_coverage=True)
+        sweeps = {}
+        for tester in (serial, population):
+            tester.strategy = RandomStrategy(seed=7, max_executions=64)
+            first = tester.explore()
+            counterexample = first.first_counterexample()
+            assert counterexample is not None
+            replayed = tester.replay(counterexample.trail, index=counterexample.index)
+            assert _record_key(replayed) == _record_key(counterexample)
+            if tester is population:
+                stats = population.stats
+                retained = stats.snapshots_retained
+                assert retained > 0
+                counters = dict(vars(stats))
+            tester.strategy = RandomStrategy(seed=8, max_executions=64)
+            second = tester.explore()
+            sweeps[tester] = (_report_keys(first), _report_keys(second), tester.coverage.counts)
+        assert sweeps[population] == sweeps[serial]
+        stats = population.stats
+        # The replay touched no counter and dropped no snapshot; the second
+        # sweep reused the first one's trie.
+        assert counters["executions"] == 64
+        assert stats.executions == 128
+        assert stats.snapshots_retained >= retained
+        assert stats.compacted > counters["compacted"]
+        assert stats.restores > counters["restores"]
+        assert stats.serial_runs == 0
+
+
 class TestPopulationValidation:
     def test_population_size_must_be_positive(self):
         with pytest.raises(ValueError, match="population_size"):

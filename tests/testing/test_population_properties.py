@@ -9,10 +9,12 @@ depth, and violation placement — each swept by the serial
 :class:`~repro.testing.population.PopulationTester` under the same
 strategy.  Reports and coverage must match byte for byte on every one,
 with the delta chain limit fuzzed, snapshots fuzzed on and off
-(compact-only), and both random and exhaustive strategies.  Between
-them the generated models exercise the trie split/compaction paths,
-eager snapshotting, the delta capture/restore chains and the adaptive
-scheduler on shapes no hand-written scenario covers.
+(compact-only), the sharing probe fuzzed (short windows hand most of a
+sweep to the serial route), and both random and exhaustive strategies.
+Between them the generated models exercise the trie split/compaction
+paths, eager snapshotting, the delta capture/restore chains, the
+adaptive scheduler and the switch to the serial route on shapes no
+hand-written scenario covers.
 """
 
 import random
@@ -35,6 +37,11 @@ from repro.testing.explorer import ModelInstance
 
 #: How many generated scenarios the harness sweeps (the property budget).
 PROPERTY_CASES = 200
+
+#: ``SHARING_PROBE`` values the harness cycles through: a window of 1 or 2
+#: usually ends before the trie has anything to share (the serial route
+#: takes over), the default keeps every 10-12-execution sweep on the trie.
+_PROBES = (1, 2, 3, 5, population_module.SHARING_PROBE)
 
 #: Finite pools the generator draws from — values are arbitrary but the
 #: *shape* axes matter: branching factor, node/environment periods (which
@@ -158,6 +165,7 @@ def test_population_equals_serial_on_synthetic_scenario(seed, monkeypatch):
         # Above any boundary-hit count: no node ever earns a snapshot.
         monkeypatch.setattr(population_module, "SNAPSHOT_AFTER", 10**9)
     monkeypatch.setattr(population_module, "DELTA_CHAIN_LIMIT", 1 + seed % 4)
+    monkeypatch.setattr(population_module, "SHARING_PROBE", _PROBES[seed % len(_PROBES)])
     factory = lambda: _synthetic_instance(seed)
     serial = SystematicTester(factory, _strategy_for(seed))
     population = PopulationTester(factory, _strategy_for(seed))
@@ -167,7 +175,9 @@ def test_population_equals_serial_on_synthetic_scenario(seed, monkeypatch):
     population_keys = [_record_key(r) for r in population_report.executions]
     assert population_keys == serial_keys
     assert population.coverage.counts == serial.coverage.counts
-    assert population.stats.executions == len(serial_report.executions)
+    stats = population.stats
+    assert stats.executions == len(serial_report.executions)
+    assert stats.live_runs + stats.compacted + stats.serial_runs == stats.executions
     # Snapshotting must never silently give way to prefix replay: the
     # tier-1 gate on the vectorized plane rides on the snapshot path.
     assert population.stats.snapshot_fallbacks == 0
@@ -186,6 +196,22 @@ def test_generator_produces_violating_and_safe_scenarios():
         if len(outcomes) == 2:
             break
     assert outcomes == {True, False}
+
+
+def test_generator_drives_both_routes(monkeypatch):
+    """Short probe windows hand sweeps to the serial route; long ones keep the trie."""
+    _eager_snapshots(monkeypatch)
+    routes = {probe: [0, 0] for probe in _PROBES}
+    for seed in range(0, 4 * PROPERTY_CASES // 10):
+        probe = _PROBES[seed % len(_PROBES)]
+        monkeypatch.setattr(population_module, "SHARING_PROBE", probe)
+        population = PopulationTester(lambda: _synthetic_instance(seed), _strategy_for(seed))
+        population.explore()
+        routes[probe][0] += population.stats.serial_runs
+        routes[probe][1] += population.stats.live_runs + population.stats.compacted
+    assert routes[1][0] > 0 and routes[2][0] > 0
+    assert routes[population_module.SHARING_PROBE][0] == 0
+    assert all(trie > 0 for _, trie in routes.values())
 
 
 def test_generator_exercises_snapshot_and_delta_paths(monkeypatch):
