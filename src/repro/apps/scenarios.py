@@ -740,8 +740,8 @@ def build_multi_drone_crossing(
         "back, with a per-period wind-gust menu as the only nondeterminism.  "
         "Strong gusts can push a drone off the street grid, which φ_obs "
         "flags; drones>1 composes namespaced stacks whose plants share one "
-        "airspace.  The population tester steps all vehicles through the "
-        "(K, …) matrix plant (bit-identical to the scalar path)."
+        "airspace.  Every tester integrates the plants through the same "
+        "scalar per-vehicle loop."
     ),
     tags=("drone", "stack", "plant"),
 )
@@ -780,13 +780,8 @@ def build_plant_surveillance(
         min_separation=min_separation,
     )
     model = build_fleet_discrete_model(fleet)
-    # The row-group matrix path requires one shared dynamics/battery model
-    # across all plant rows (both are stateless here); vehicle 0's
-    # instances carry the fleet-wide parameters.
-    shared_dynamics = model.vehicles[0].model
-    shared_battery = model.vehicles[0].battery_model
     channels = [
-        build_plant_channel(vehicle.config, shared_dynamics, shared_battery, index)
+        build_plant_channel(vehicle.config, vehicle.model, vehicle.battery_model, index)
         for index, vehicle in enumerate(model.vehicles)
     ]
     environment = PlantEnvironment(

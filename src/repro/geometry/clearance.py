@@ -40,7 +40,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, TypeVar
 
 import numpy as np
 
-from .shapes import points_as_array
 from .vec import Vec3
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -294,52 +293,6 @@ class ClearanceField:
     def below(self, point: Vec3, threshold: float) -> bool:
         """Exactly ``workspace.clearance(point) < threshold``."""
         return not self.exceeds(point, threshold, strict=False)
-
-    # ------------------------------------------------------------------ #
-    # batched access
-    # ------------------------------------------------------------------ #
-    def lower_bound_batch(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`lower_bound` (fills missing cells in one batch query).
-
-        With a dense grid (:meth:`densify`) in place the in-grid rows are a
-        single fancy-indexed lookup; only off-grid rows take the lazy
-        fill-the-dict path.
-        """
-        self._check_freshness()
-        pts = points_as_array(points)
-        res = self.resolution
-        cells = np.floor(pts / res).astype(int)
-        if self._dense_values is not None:
-            indices = cells - self._dense_origin
-            on_grid = np.all((indices >= 0) & (indices < self._dense_shape), axis=1)
-            _, ny, nz = self._dense_shape
-            flat = (indices[:, 0] * ny + indices[:, 1]) * nz + indices[:, 2]
-            dense = np.frombuffer(self._dense_values)
-            hits = int(np.count_nonzero(on_grid))
-            self.stats.dense_hits += hits
-            if hits == len(cells):
-                return dense[flat]
-            out = np.empty(len(cells), dtype=float)
-            out[on_grid] = dense[flat[on_grid]]
-            off = np.flatnonzero(~on_grid)
-            out[off] = self._lazy_bounds([tuple(cells[row]) for row in off])
-            return out
-        return self._lazy_bounds([tuple(cell) for cell in cells])
-
-    def _lazy_bounds(self, keys) -> np.ndarray:
-        """Bounds for ``keys`` from the lazy dict, batch-filling cold cells."""
-        res = self.resolution
-        missing = sorted({key for key in keys if key not in self._bounds})
-        if missing:
-            centers = (np.array(missing, dtype=float) + 0.5) * res
-            bounds = self.workspace.clearance_batch(centers) - self.cell_radius
-            for key, bound in zip(missing, bounds):
-                self._bounds[key] = float(bound)
-        return np.array([self._bounds[key] for key in keys], dtype=float)
-
-    def prewarm(self, points: np.ndarray) -> None:
-        """Fill the cells covering ``points`` ahead of time (one batched query)."""
-        self.lower_bound_batch(points)
 
 
 def state_memo(workspace: "Workspace", fn: Callable[..., R]) -> Callable[..., R]:

@@ -2,7 +2,7 @@
 
 from .drone import BatteryStatus, DronePlant, PlantStatus
 from .environment import ConstantWind, GustyWind, NoWind
-from .plantenv import PlantChannel, PlantEnvironment, RowGroupPlant
+from .plantenv import PlantChannel, PlantEnvironment
 from .sensors import BatterySensor, PerfectEstimator, StateEstimator
 from .sim import DroneSimulation, SimulationConfig, SimulationResult
 from .world import MissionWorld, figure_eight_range, surveillance_city, waypoint_range
@@ -16,7 +16,6 @@ __all__ = [
     "NoWind",
     "PlantChannel",
     "PlantEnvironment",
-    "RowGroupPlant",
     "BatterySensor",
     "PerfectEstimator",
     "StateEstimator",

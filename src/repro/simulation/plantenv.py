@@ -11,21 +11,12 @@ readings back — the co-simulation pattern of
 tester-compatible environment whose only nondeterminism is a finite,
 labelled *gust menu* sampled once per period.
 
-Two interchangeable integration paths exist:
-
-* the **scalar path** loops ``plant.apply`` per vehicle — the oracle;
-* the **row-group path** (:class:`RowGroupPlant`) gathers the K live
-  vehicles' states into ``(K, …)`` structure-of-arrays matrices, advances
-  a whole window with one ``apply_window`` (a ``step_batch`` + battery
-  ``step_batch`` per physics substep, one ground-truth pass per window),
-  and scatters the rows back — row-bitwise-identical to the scalar path,
-  which ``tests/simulation/test_plantenv.py`` asserts with ``==``.
-
-:class:`~repro.testing.population.PopulationTester` asks for the row-group
-path (:meth:`PlantEnvironment.set_batch_plant`), which engages from
-:data:`BATCH_PLANT_MIN_ROWS` vehicles; the serial
-:class:`~repro.testing.explorer.SystematicTester` keeps the scalar path,
-so the population plane's equivalence suite doubles as the oracle proof.
+Every plane integrates the plants through the same scalar loop: one
+``DronePlant.apply`` per vehicle and physics substep, the certified plant
+model that :class:`~repro.simulation.sim.DroneSimulation` runs too.  The
+serial :class:`~repro.testing.explorer.SystematicTester` and the
+:class:`~repro.testing.population.PopulationTester` differ only in how
+they schedule executions, never in how a window is integrated.
 """
 
 from __future__ import annotations
@@ -35,19 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..dynamics import BatteryState, ControlCommand, DroneState
+from ..dynamics import ControlCommand
 from ..geometry import Vec3
-from ..geometry.vec import row_norms
-from .drone import _CORNER_FACTOR, _GATE_HEADROOM, DronePlant
-
-#: Minimum row-group size for the matrix path to pay for itself.  Below
-#: this many vehicles numpy's fixed per-call cost exceeds the
-#: vectorisation win over the gated scalar loop; on the 'plant-surveillance'
-#: sweep of ``benchmarks/bench_population.py`` the two paths break even at
-#: 8-10 vehicles and the matrix path wins from 12.
-BATCH_PLANT_MIN_ROWS = 8
+from .drone import DronePlant
 
 
 @dataclass
@@ -90,253 +71,6 @@ class PlantChannel:
             engine.set_input(self.battery_topic, self.battery_sensor.measure(self.plant))
 
 
-class RowGroupPlant:
-    """K scalar :class:`DronePlant` rows stepped as one matrix plant.
-
-    :meth:`step_window` gathers the scalar plants into ``(K, …)`` rows
-    (:meth:`load_rows`), advances all of them through the window's physics
-    substeps with one :meth:`apply_window` call, and scatters the rows
-    back (:meth:`store_rows`), so callers observe plain scalar plants
-    whose fields are bit-identical to K ``apply`` loops.
-
-    Per-row semantics are those of :meth:`DronePlant.apply`: the same
-    floating-point expressions evaluate in the same order, and rows that
-    diverge — collided, battery-depleted, grounded — are carried by
-    boolean masks (``np.where`` freezes) rather than control flow, so every
-    row ends exactly where its scalar twin would.
-
-    All plants must share one dynamics model, workspace and battery model
-    instance — the same sharing the scalar path assumes.
-    """
-
-    def __init__(self, plants: Sequence[DronePlant]) -> None:
-        if not plants:
-            raise ValueError("a row group needs at least one plant")
-        first = plants[0]
-        for plant in plants:
-            if (
-                plant.model is not first.model
-                or plant.workspace is not first.workspace
-                or plant.battery_model is not first.battery_model
-                or plant.collision_margin != first.collision_margin
-                or plant.ground_altitude != first.ground_altitude
-            ):
-                raise ValueError("row-group plants must share model, workspace and margins")
-        self._plants = list(plants)
-        self.model = first.model
-        self.workspace = first.workspace
-        self._field = first.workspace.clearance_field()
-        self.battery_model = first.battery_model
-        self.collision_margin = first.collision_margin
-        self.ground_altitude = first.ground_altitude
-        self.batched_substeps = 0
-
-    @property
-    def size(self) -> int:
-        return len(self._plants)
-
-    def step_window(
-        self,
-        commands: np.ndarray,
-        duration: float,
-        dt: float,
-        gusts: Optional[np.ndarray] = None,
-    ) -> None:
-        """Advance every row by ``duration`` seconds in ``dt`` substeps.
-
-        ``commands``/``gusts`` are ``(K, 3)`` matrices held constant over
-        the window, exactly as the scalar path holds one command and one
-        gust per vehicle across the same substep loop.
-        """
-        if duration <= 0.0:
-            return
-        steps = []
-        remaining = duration
-        while remaining > 1e-12:
-            step = min(dt, remaining)
-            steps.append(step)
-            remaining -= step
-        self.load_rows()
-        self.apply_window(commands, steps, gusts)
-        self.batched_substeps += len(steps)
-        self.store_rows()
-
-    def load_rows(self) -> None:
-        """Adopt the live state of the group's scalar plants as the ``(K, …)`` rows.
-
-        The plants must share one mission clock (row groups advance in
-        lock-step).  Stateful dynamics models restart their per-row batch
-        state here (``begin_batch``), so groups should be loaded at points
-        where that state is at rest — mission start or a snapshot boundary
-        — exactly as the scalar path's shared-model usage assumes.
-        """
-        plants = self._plants
-        self.positions = np.array(
-            [plant.state.position.as_tuple() for plant in plants], dtype=float
-        )
-        self.velocities = np.array(
-            [plant.state.velocity.as_tuple() for plant in plants], dtype=float
-        )
-        self.charges = np.array([plant.battery.charge for plant in plants], dtype=float)
-        self.collided = np.array([plant.collided for plant in plants], dtype=bool)
-        self.battery_failed = np.array([plant.battery_failed for plant in plants], dtype=bool)
-        self.distance_flown = np.array([plant.distance_flown for plant in plants], dtype=float)
-        self.min_clearance = np.array([plant.min_clearance for plant in plants], dtype=float)
-        self.collision_positions = np.array(
-            [
-                (math.nan, math.nan, math.nan) if plant.collision_position is None
-                else plant.collision_position.as_tuple()
-                for plant in plants
-            ],
-            dtype=float,
-        )
-        self.time = float(plants[0].time)
-        self.model.begin_batch(self.size)
-
-    def apply_window(
-        self,
-        commands: np.ndarray,
-        steps: Sequence[float],
-        disturbances: Optional[np.ndarray] = None,
-    ) -> None:
-        """Advance every loaded row through the substeps ``steps`` under fixed commands.
-
-        ``commands`` is a ``(K, 3)`` acceleration matrix (a hover is all
-        zeros) and ``disturbances`` an optional ``(K, 3)`` additive gust
-        matrix; rows whose disturbance is exactly zero skip the add,
-        matching the scalar plant's ``norm() > 0`` guard bit for bit.  The
-        result equals, field for field, one ``DronePlant.apply`` per row
-        and substep.  The dynamics and battery run substep by substep; the
-        ground truth (collisions, clearance) is evaluated once over every
-        substep endpoint of the window, and a row's first collision ends
-        its trajectory there: its fields are taken at that substep, where
-        the per-substep loop would have frozen them.
-        """
-        if any(not dt >= 0.0 for dt in steps):
-            raise ValueError("dt must be non-negative")
-        active = ~self.collided
-        if not steps or not active.any():
-            for dt in steps:
-                self.time += dt
-            return
-        size = self.size
-        accelerations = np.array(commands, dtype=float, copy=True)
-        if accelerations.shape != (size, 3):
-            raise ValueError("commands must be a (K, 3) acceleration matrix")
-        if disturbances is not None:
-            gusts = np.asarray(disturbances, dtype=float)
-            if gusts.shape != (size, 3):
-                raise ValueError("disturbances must be a (K, 3) matrix")
-            gusty = row_norms(gusts) > 0.0
-            if gusty.any():
-                accelerations[gusty] = accelerations[gusty] + gusts[gusty]
-        ground = self.ground_altitude
-        positions = [self.positions]
-        charges = [self.charges]
-        velocities = self.velocities
-        for dt in steps:
-            self.time += dt
-            thrust = accelerations
-            # Pre-step depletion while airborne: the drone free-falls.
-            freefall = (charges[-1] <= 0.0) & (positions[-1][:, 2] > ground)
-            if freefall.any():
-                thrust = accelerations.copy()
-                thrust[freefall] = (0.0, 0.0, -self.model.max_acceleration)
-            new_positions, velocities = self.model.step_batch(
-                positions[-1], velocities, thrust, dt
-            )
-            # Ground clamp: z < 0 rows land with vertical velocity zeroed.
-            below = new_positions[:, 2] < 0.0
-            if below.any():
-                new_positions[below, 2] = 0.0
-                velocities[below, 2] = 0.0
-            positions.append(new_positions)
-            charges.append(self.battery_model.step_batch(charges[-1], thrust, dt))
-        count = len(steps)
-        points = np.concatenate(positions)  # substep s runs points[s] -> points[s + 1]
-        starts, ends = points[:-size], points[size:]
-        travelled = row_norms(ends - starts).reshape(count, size)
-        airborne = ends[:, 2].reshape(count, size) > ground
-        # Collision latch (airborne rows only): obstacle hit, bounds exit,
-        # or an obstacle crossed between the step's endpoints.  The gates
-        # of DronePlant.apply: the cell bounds of the two endpoints decide
-        # most substeps, and only the ones they leave open run the exact
-        # queries.  A segment leaving the bounds is caught by the in-bounds
-        # test of its endpoints, exactly as ``segment_is_free`` catches it.
-        workspace = self.workspace
-        margin = self.collision_margin
-        bounds = self._field.lower_bound_batch(points).reshape(count + 1, size)
-        inside = workspace.in_bounds_batch(points).reshape(count + 1, size)
-        live = active & airborne
-        hit = live & ~(inside[:-1] & inside[1:])
-        flat_hit = hit.reshape(-1)
-        near_box = np.flatnonzero(live & (bounds[1:] <= _CORNER_FACTOR * margin + _GATE_HEADROOM))
-        if near_box.size:
-            flat_hit[near_box] |= workspace.in_obstacle_batch(ends[near_box], margin=margin)
-        near_path = np.flatnonzero(live & ~(bounds[:-1] > travelled + _GATE_HEADROOM))
-        if near_path.size:
-            flat_hit[near_path] |= ~workspace.segments_free_batch(
-                starts[near_path], ends[near_path]
-            )
-        # Each row's last live substep: its first collision, else the last.
-        collided = hit.any(axis=0)
-        last = np.where(collided, hit.argmax(axis=0), count - 1)
-        rows = np.arange(size)
-        final = (last + 1, rows)
-        clearances = workspace.clearance_batch(ends).reshape(count, size)
-        min_clearance = np.minimum.accumulate(
-            np.concatenate((self.min_clearance[None], clearances))
-        )
-        distance = np.add.accumulate(np.concatenate((self.distance_flown[None], travelled)))
-        charges = np.array(charges)
-        battery_failed = np.logical_or.accumulate((charges[1:] <= 0.0) & airborne)[last, rows]
-        new_positions = points.reshape(count + 1, size, 3)[final]
-        if collided.any():
-            velocities[collided] = 0.0
-            self.collision_positions[collided] = new_positions[collided]
-        # Masked commit: frozen rows keep every field; rows colliding in
-        # the window keep their position at the collision (frozen from then
-        # on) and still record distance, charge and clearance up to it —
-        # exactly the scalar order of DronePlant.apply.
-        self.positions = np.where(active[:, None], new_positions, self.positions)
-        self.velocities = np.where(active[:, None], velocities, self.velocities)
-        self.distance_flown = np.where(active, distance[final], self.distance_flown)
-        self.charges = np.where(active, charges[final], self.charges)
-        self.battery_failed = self.battery_failed | (active & battery_failed)
-        self.min_clearance = np.where(active, min_clearance[final], self.min_clearance)
-        self.collided = self.collided | collided
-
-    def store_rows(self) -> None:
-        """Scatter the ``(K, …)`` rows back into the group's scalar plants.
-
-        The inverse of :meth:`load_rows`; every scalar field round-trips
-        bit-exactly (``float`` of a float64 cell is the cell).
-        """
-        rows = zip(
-            self._plants,
-            self.positions.tolist(),
-            self.velocities.tolist(),
-            self.charges.tolist(),
-            self.collided.tolist(),
-            self.battery_failed.tolist(),
-            self.distance_flown.tolist(),
-            self.min_clearance.tolist(),
-            self.collision_positions.tolist(),
-        )
-        for plant, position, velocity, charge, collided, failed, distance, clearance, hit in rows:
-            plant.state = DroneState(position=Vec3(*position), velocity=Vec3(*velocity))
-            plant.battery = BatteryState(charge=charge)
-            plant.collided = collided
-            plant.battery_failed = failed
-            plant.distance_flown = distance
-            plant.min_clearance = clearance
-            plant.time = float(self.time)
-            if collided and all(map(math.isfinite, hit)):
-                plant.collision_position = Vec3(*hit)
-            else:
-                plant.collision_position = None
-
-
 class PlantEnvironment:
     """A tester environment that closes the loop through real plants.
 
@@ -351,9 +85,9 @@ class PlantEnvironment:
        environment choice points), and
     3. publishes each vehicle's estimated state and battery reading.
 
-    The integration runs the scalar per-plant loop by default; a
-    population tester asks for the row-group matrix path with
-    :meth:`set_batch_plant` (bit-identical, see :class:`RowGroupPlant`).
+    The integration is one scalar loop: each ``physics_dt`` substep
+    calls ``plant.apply`` on every vehicle in channel order, whichever
+    tester drives the environment.
 
     ``period`` and ``physics_dt`` must be finite and positive and every
     gust finite: a non-finite clock would freeze the plants after t=0 (or
@@ -386,7 +120,6 @@ class PlantEnvironment:
         # the private clock never rewinds, so version ids stay unique.
         self._delta_clock = 0
         self.delta_version = 0
-        self._row_group: Optional[RowGroupPlant] = None
         self._next_time = 0.0
         self._physics_time = 0.0
         self._window_gusts: List[Vec3] = [Vec3.zero() for _ in self.channels]
@@ -394,24 +127,6 @@ class PlantEnvironment:
     # -- tester protocol ------------------------------------------------ #
     def bind_strategy(self, strategy) -> None:
         self.strategy = strategy
-
-    def set_batch_plant(self, enabled: bool) -> None:
-        """Toggle the row-group matrix path (population tester hook).
-
-        Engaging is economic, not unconditional: below
-        :data:`BATCH_PLANT_MIN_ROWS` vehicles the per-window gather/scatter
-        plus numpy's fixed per-call cost outweigh the vectorisation win,
-        so the scalar loop is kept.  Both paths are bit-identical.
-        """
-        if not (enabled and len(self.channels) >= BATCH_PLANT_MIN_ROWS):
-            self._row_group = None
-        elif self._row_group is None:
-            self._row_group = RowGroupPlant([channel.plant for channel in self.channels])
-
-    @property
-    def batch_plant_active(self) -> bool:
-        """Whether integration currently runs through the row-group plant."""
-        return self._row_group is not None
 
     def _touch(self) -> None:
         clock = self._delta_clock + 1
@@ -456,28 +171,12 @@ class PlantEnvironment:
             return
         commands = [channel.read_command(engine) for channel in self.channels]
         gusts = self._window_gusts
-        if self._row_group is not None:
-            rows = np.zeros((len(commands), 3))
-            for index, command in enumerate(commands):
-                if command is None:
-                    continue
-                if command.is_finite():
-                    rows[index] = command.acceleration.as_tuple()
-                else:
-                    # DronePlant.apply flies and drains a non-finite command
-                    # (a NaN yaw rate too) as no thrust, gust or not; a NaN
-                    # row stays NaN through the gust add, and the kernels
-                    # treat non-finite rows the same way.
-                    rows[index] = math.nan
-            gust_rows = np.array([gust.as_tuple() for gust in gusts], dtype=float)
-            self._row_group.step_window(rows, duration, self.physics_dt, gust_rows)
-        else:
-            remaining = duration
-            while remaining > 1e-12:
-                step = min(self.physics_dt, remaining)
-                for channel, command, gust in zip(self.channels, commands, gusts):
-                    channel.plant.apply(command, step, gust)
-                remaining -= step
+        remaining = duration
+        while remaining > 1e-12:
+            step = min(self.physics_dt, remaining)
+            for channel, command, gust in zip(self.channels, commands, gusts):
+                channel.plant.apply(command, step, gust)
+            remaining -= step
         self._physics_time = until
 
     # -- delta-snapshot hooks (see repro.core.resettable) --------------- #

@@ -478,7 +478,6 @@ class SystematicTester:
         """Make the choice ``source`` answer every choice the model makes."""
         self._bound_source = source
         if harness.environment is not None:
-            harness.environment.reset()
             harness.environment.bind_strategy(source)
         # Duck-typed: NondeterministicNode and the fault plane's
         # ChoiceFaultInjector both expose bind_strategy; anything else

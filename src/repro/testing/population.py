@@ -66,9 +66,9 @@ replaying long prefixes (measured re-run depth), back toward lazy when
 restores land exactly on the divergence point.
 
 ``population_size`` bounds the number of retained snapshots — the
-working set of materialised row-group states (the (K, …) plant matrices
-live in :class:`~repro.simulation.plantenv.RowGroupPlant`; here K bounds
-state, not concurrency).
+working set of materialised row-group states (K bounds state, not
+concurrency: every execution steps its plants through the same scalar
+loop as the serial tester).
 
 The trie is kept only while it pays.  The first :data:`SHARING_PROBE`
 executions after the trie is (re)built, or after ``strategy`` is
@@ -91,7 +91,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.monitor import Violation
 from ..core.resettable import capture_state, restore_state
-from ..core.semantics import SemanticsEngine
 from .coverage import CoverageMap
 from .explorer import ExecutionRecord, ModelInstance, SystematicTester
 from .strategies import ChoiceStrategy, record_trail
@@ -340,20 +339,6 @@ class PopulationTester(SystematicTester):
         self._probe_strategy: Optional[ChoiceStrategy] = None
         self._probe_left = 0
         self._serial_route = False
-
-    def _acquire(self) -> Tuple[ModelInstance, SemanticsEngine]:
-        built = self._instance is not None
-        harness, engine = super()._acquire()
-        if not built:
-            # Plant-in-the-loop environments can step their vehicles as one
-            # (K, …) matrix plant (see repro.simulation.plantenv) — ask for
-            # the bit-identical batch path when the environment offers it;
-            # the environment engages it from BATCH_PLANT_MIN_ROWS vehicles,
-            # and the setting outlives resets.
-            enable_batch = getattr(harness.environment, "set_batch_plant", None)
-            if enable_batch is not None:
-                enable_batch(True)
-        return harness, engine
 
     # ------------------------------------------------------------------ #
     # single execution: the serial route, or walk the trie, then

@@ -151,15 +151,6 @@ class TestBatchScalarBitEquality:
             assert field.exceeds(p, threshold, strict=False) == (clearance >= threshold)
             assert field.at_most(p, threshold) == (clearance <= threshold)
 
-    def test_lower_bound_batch_matches_scalar(self, seed):
-        workspace = random_workspace(seed)
-        pts = random_points(workspace, seed, count=150)
-        batched_field = ClearanceField(workspace, resolution=0.5)
-        scalar_field = ClearanceField(workspace, resolution=0.5)
-        batch = batched_field.lower_bound_batch(points_as_array(pts))
-        scalar = np.array([scalar_field.lower_bound(p) for p in pts])
-        assert (batch == scalar).all()
-
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 class TestDenseClearanceGrid:
@@ -186,17 +177,6 @@ class TestDenseClearanceGrid:
                     assert workspace.clearance(p) - margin > threshold
         assert dense.stats.dense_hits > 0
         assert lazy.stats.dense_hits == 0
-
-    def test_dense_lower_bound_batch_matches_lazy(self, seed):
-        workspace = random_workspace(seed)
-        dense = ClearanceField(workspace, resolution=0.5)
-        lazy = ClearanceField(workspace, resolution=0.5)
-        dense.densify()
-        # random_points includes rows outside the workspace bounds, which
-        # with padding=0 land off the dense grid → the lazy fallback rows.
-        pts = points_as_array(random_points(workspace, seed, count=150))
-        assert (dense.lower_bound_batch(pts) == lazy.lower_bound_batch(pts)).all()
-        assert 0 < dense.stats.dense_hits < len(pts)  # mixed on-/off-grid batch
 
     def test_off_grid_points_fall_back_to_the_lazy_path(self, seed):
         workspace = random_workspace(seed)

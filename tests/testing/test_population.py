@@ -37,9 +37,9 @@ SCENARIOS = [
     ("deep-menu-surveillance", {"include_unsafe_position": True}),
     ("fault-injected-planner", {"protected": False}),
     ("fault-injected-surveillance", {}),
-    # Plant-in-the-loop: the population side additionally runs the
-    # row-group matrix plant, so these rows double as the vectorized
-    # live-row equivalence proof.
+    # Plant-in-the-loop: both sides integrate through the same scalar
+    # plant loop, so these rows check that snapshots and restores rewind
+    # the plants, estimators and battery sensors exactly.
     ("plant-surveillance", {"unsafe_start": True}),
     ("plant-surveillance", {"unsafe_start": True, "drones": 2}),
 ]

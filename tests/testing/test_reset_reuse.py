@@ -10,6 +10,7 @@ recorded counterexample on a reused instance.
 import pytest
 
 from repro.core import Mode, SemanticsEngine
+from repro.simulation import PlantEnvironment
 from repro.testing import (
     CoverageGuidedStrategy,
     ExhaustiveStrategy,
@@ -35,6 +36,7 @@ SCENARIOS = [
     ("multi-drone-crossing", {}),
     ("rare-branch-geofence", {"include_breach": True}),
     ("deep-menu-surveillance", {"include_unsafe_position": True}),
+    ("plant-surveillance", {"unsafe_start": True, "drones": 2}),
 ]
 
 
@@ -174,6 +176,26 @@ class TestResetVsRebuildEquivalence:
         )
         tester.explore()
         assert len(builds) == 8
+
+    @pytest.mark.parametrize("reuse, resets", [(True, 7), (False, 0)])
+    def test_environment_resets_once_per_reused_execution(self, monkeypatch, reuse, resets):
+        # The reuse path rewinds the environment with the instance; a fresh
+        # build starts rewound.  Nothing else may reset it again.
+        calls = []
+        reset = PlantEnvironment.reset
+
+        def counting_reset(self):
+            calls.append(1)
+            reset(self)
+
+        monkeypatch.setattr(PlantEnvironment, "reset", counting_reset)
+        tester = SystematicTester(
+            scenario_factory("plant-surveillance", unsafe_start=True),
+            RandomStrategy(seed=0, max_executions=8),
+            reuse_instances=reuse,
+        )
+        tester.explore()
+        assert len(calls) == resets
 
 
 class TestParallelReuseEquivalence:
