@@ -101,6 +101,21 @@ class TestBatchScalarBitEquality:
             batch = workspace.in_obstacle_batch(points_as_array(pts), margin=margin)
             assert (scalar == batch).all()
 
+    def test_distance_batches_match_scalar(self, seed):
+        workspace = random_workspace(seed)
+        pts = random_points(workspace, seed, count=150)
+        arr = points_as_array(pts)
+        scalar = np.array([workspace.distance_to_nearest_obstacle(p) for p in pts])
+        assert (scalar == workspace.distance_to_nearest_obstacle_batch(arr)).all()
+        for include_floor in (False, True):
+            scalar = np.array(
+                [workspace.distance_to_boundary(p, include_floor=include_floor) for p in pts]
+            )
+            batch = workspace.distance_to_boundary_batch(arr, include_floor=include_floor)
+            assert (scalar == batch).all()
+        # No obstacles: every point is infinitely far from one.
+        assert np.isinf(empty_workspace().distance_to_nearest_obstacle_batch(arr)).all()
+
     def test_segment_batch_matches_scalar(self, seed):
         workspace = random_workspace(seed)
         pts = random_points(workspace, seed, count=120)
@@ -177,6 +192,30 @@ class TestDenseClearanceGrid:
                     assert workspace.clearance(p) - margin > threshold
         assert dense.stats.dense_hits > 0
         assert lazy.stats.dense_hits == 0
+
+    def test_dense_cells_hold_the_lazy_cell_bounds(self, seed):
+        # densify fills the grid through clearance_batch, the lazy memo
+        # through scalar clearance: every cell, the padded rim included,
+        # must hold the lazy bound bit for bit.
+        workspace = random_workspace(seed)
+        dense = ClearanceField(workspace, resolution=0.5)
+        lazy = ClearanceField(workspace, resolution=0.5)
+        dense.densify(padding=1.0)
+        nx, ny, nz = dense._dense_shape
+        oi, oj, ok = dense._dense_origin
+        rng = random.Random(seed + 4)
+        cells = [(i, j, k) for i in (0, nx - 1) for j in (0, ny - 1) for k in (0, nz - 1)]
+        cells += [(rng.randrange(nx), rng.randrange(ny), rng.randrange(nz)) for _ in range(300)]
+        for i, j, k in cells:
+            center = Vec3((oi + i + 0.5) * 0.5, (oj + j + 0.5) * 0.5, (ok + k + 0.5) * 0.5)
+            assert dense.lower_bound(center) == lazy.lower_bound(center)
+        assert dense.stats.dense_hits == len(cells)
+        # random_points includes points outside the padded grid, which
+        # fall back to the lazy path: a mixed batch of queries.
+        pts = random_points(workspace, seed, count=150)
+        before = dense.stats.dense_hits
+        assert [dense.lower_bound(p) for p in pts] == [lazy.lower_bound(p) for p in pts]
+        assert 0 < dense.stats.dense_hits - before < len(pts)
 
     def test_off_grid_points_fall_back_to_the_lazy_path(self, seed):
         workspace = random_workspace(seed)

@@ -4,16 +4,20 @@ Every tester integrates a plant-in-the-loop scenario through one loop —
 ``DronePlant.apply`` per vehicle and physics substep.  These tests pin
 what the environment adds around that loop: deterministic resets,
 delta-snapshot round trips, how a non-finite command flies, and the
-validation of its timing and gust menu.
+validation of its timing and gust menu — and that its windows fly
+exactly the literal per-substep loop, compared with ``==`` after every
+window, through gusts, collisions (mid-window ones included), grazing
+walks along the city's faces, edges and corners, and battery discharge.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from repro.dynamics import BatteryModel, BoundedDoubleIntegrator, ControlCommand, DroneState
-from repro.geometry import AABB, Vec3, Workspace
+from repro.geometry import AABB, Vec3, Workspace, grid_city_workspace
 from repro.simulation import (
     BatterySensor,
     DronePlant,
@@ -24,11 +28,13 @@ from repro.simulation import (
 )
 from repro.testing import scenario_factory
 
+from .test_plant_gates import SUBSTEPS, ExactPlant, _features, _walk
 
-def _plants(workspace, K, seed=0):
+
+def _plants(workspace, K, seed=0, charges=(0.05, 1.0)):
     rng = np.random.default_rng(seed)
     starts = rng.uniform([2, 2, 1.0], [20, 20, 6.0], size=(K, 3))
-    charges = rng.uniform(0.05, 1.0, size=K)
+    charges = rng.uniform(*charges, size=K)
     model = BoundedDoubleIntegrator()
     battery = BatteryModel()
     return [
@@ -82,8 +88,8 @@ class _StubEngine:
         self.inputs.append((topic, value))
 
 
-def _environment(workspace, K, seed=0):
-    plants = _plants(workspace, K, seed=seed)
+def _environment(workspace, K, seed=0, charges=(0.05, 1.0), period=0.25, physics_dt=0.05):
+    plants = _plants(workspace, K, seed=seed, charges=charges)
     channels = [
         PlantChannel(
             plant=plant,
@@ -99,9 +105,245 @@ def _environment(workspace, K, seed=0):
     return PlantEnvironment(
         channels=channels,
         gust_menu=[Vec3.zero(), Vec3(25.0, 0.0, 0.0), Vec3(0.0, -25.0, 0.0)],
-        period=0.25,
-        physics_dt=0.05,
+        period=period,
+        physics_dt=physics_dt,
     )
+
+
+class _RecordingStrategy:
+    """Seeded random gust picker that remembers its picks."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+        self.picks = []
+
+    def choose(self, count, label=None):
+        index = self._rng.randrange(count)
+        self.picks.append(index)
+        return index
+
+
+def _fly_windows(env, twin, windows, seed):
+    """Fly ``env`` window by window and ``twin``'s channels by the literal loop.
+
+    Every window gets fresh random commands.  ``twin`` is an identically
+    built environment whose ``apply`` is never called: its plants take
+    one ``apply`` per substep under the command read at the window's end
+    and the gust picked at its start, and its channels publish after
+    each window.  Asserts field equality after every window and returns
+    the twin's board and its number of mid-window collisions.
+    """
+    rng = np.random.default_rng(seed)
+    strategy = _RecordingStrategy(seed)
+    env.bind_strategy(strategy)
+    K = len(env.channels)
+    commands, expected = {}, {}
+    engine, oracle = _StubEngine(commands), _StubEngine(expected)
+    gusts = [Vec3.zero()] * K
+    previous = now = 0.0
+    mid_window = 0
+    for _ in range(windows):
+        for channel in env.channels:
+            commands[channel.command_topic] = ControlCommand(
+                acceleration=Vec3(*rng.uniform(-9.0, 9.0, size=3))
+            )
+        env.apply(engine, now)
+        held = [commands[channel.command_topic] for channel in twin.channels]
+        remaining = now - previous
+        while remaining > 1e-12:
+            step = min(twin.physics_dt, remaining)
+            remaining -= step
+            for channel, command, gust in zip(twin.channels, held, gusts):
+                was_collided = channel.plant.collided
+                channel.plant.apply(command, step, gust)
+                mid_window += channel.plant.collided and not was_collided and remaining > 1e-12
+        gusts = [twin.gust_menu[index] for index in strategy.picks[-K:]]
+        for channel in twin.channels:
+            channel.publish(oracle)
+        assert [_plant_fields(c.plant) for c in env.channels] == [
+            _plant_fields(c.plant) for c in twin.channels
+        ]
+        previous, now = now, now + twin.period
+    assert engine.inputs == oracle.inputs
+    return oracle, mid_window
+
+
+class TestScalarLoop:
+    @pytest.mark.parametrize("K", [1, 3, 32])
+    def test_windows_match_literal_substep_loops(self, K):
+        workspace = surveillance_city().workspace
+        env = _environment(workspace, K, seed=7)
+        twin = _environment(workspace, K, seed=7)
+        board, _ = _fly_windows(env, twin, windows=16, seed=11)
+        # Every channel published a state and a battery reading per sample.
+        assert len(board.inputs) == 16 * 2 * K
+
+    def test_a_vehicle_that_collides_mid_window_stops_where_it_hit(self):
+        # Six 0.05-s substeps per window, low charges and strong gusts:
+        # vehicles hit buildings between samples and run flat in the air.
+        workspace = surveillance_city().workspace
+        env = _environment(workspace, 24, seed=21, charges=(0.003, 0.2), period=0.3)
+        twin = _environment(workspace, 24, seed=21, charges=(0.003, 0.2), period=0.3)
+        _, mid_window = _fly_windows(env, twin, windows=30, seed=5)
+        plants = [channel.plant for channel in env.channels]
+        assert mid_window > 0
+        assert any(plant.battery_failed for plant in plants)
+        assert 0 < sum(plant.collided for plant in plants) < len(plants)
+
+    def test_collided_vehicles_still_advance_the_clock(self):
+        env = _environment(surveillance_city().workspace, 4, seed=3)
+        env.bind_strategy(_ScriptedStrategy())
+        plants = [channel.plant for channel in env.channels]
+        for plant in plants:
+            plant.collided = True
+        before = [(plant.state, plant.battery, plant.distance_flown) for plant in plants]
+        engine = _StubEngine({"cmd0": ControlCommand(acceleration=Vec3(5.0, 0.0, 0.0))})
+        env.apply(engine, 0.5)
+        assert [plant.time for plant in plants] == [pytest.approx(0.5)] * 4
+        assert [(plant.state, plant.battery, plant.distance_flown) for plant in plants] == before
+        assert len(engine.inputs) == 3 * 2 * 4  # samples at 0, 0.25 and 0.5
+
+    @pytest.mark.parametrize("stride", [0.05, 0.25, 0.7])
+    def test_applying_in_pieces_equals_applying_at_once(self, stride):
+        workspace = surveillance_city().workspace
+        commands = {f"cmd{k}": ControlCommand(acceleration=Vec3(2.0, -1.0, 0.5)) for k in range(3)}
+        whole, pieces = _environment(workspace, 3, seed=5), _environment(workspace, 3, seed=5)
+        whole_engine, pieces_engine = _StubEngine(commands), _StubEngine(commands)
+        whole.bind_strategy(_ScriptedStrategy())
+        pieces.bind_strategy(_ScriptedStrategy())
+        whole.apply(whole_engine, 3.0)
+        until = 0.0
+        while until < 3.0:
+            until = min(until + stride, 3.0)
+            pieces.apply(pieces_engine, until)
+        assert [_plant_fields(c.plant) for c in pieces.channels] == [
+            _plant_fields(c.plant) for c in whole.channels
+        ]
+        assert pieces_engine.inputs == whole_engine.inputs
+
+    @pytest.mark.parametrize(
+        "physics_dt, substeps", [(0.05, 5), (0.1, 3), (0.07, 4), (0.25, 1), (1.0, 1)]
+    )
+    def test_a_window_splits_into_physics_substeps(self, physics_dt, substeps):
+        env = _environment(surveillance_city().workspace, 2, physics_dt=physics_dt)
+        steps = {channel.label: [] for channel in env.channels}
+        for channel in env.channels:
+            apply = channel.plant.apply
+
+            def recording(command, dt, gust, apply=apply, log=steps[channel.label]):
+                log.append(dt)
+                apply(command, dt, gust)
+
+            channel.plant.apply = recording
+        engine = _StubEngine({})
+        env.apply(engine, 0.0)
+        assert steps == {"drone0": [], "drone1": []}  # nothing to integrate at t=0
+        env.apply(engine, 0.25)
+        for log in steps.values():
+            assert len(log) == substeps
+            assert all(0.0 < dt <= physics_dt for dt in log)
+            assert sum(log) == pytest.approx(0.25)
+
+
+class _CollisionClock(ExactPlant):
+    """The exact oracle plant, remembering when it collided."""
+
+    collided_at = None
+
+    def apply(self, command, dt, disturbance=Vec3()):
+        was_collided = self.collided
+        super().apply(command, dt, disturbance)
+        if self.collided and not was_collided:
+            self.collided_at = self.time
+
+
+@pytest.mark.parametrize("margin", [0.0, 0.05])
+@pytest.mark.parametrize("dt", [0.05, 0.25])
+def test_environment_gates_match_exact_oracle_on_grazing_walks(margin, dt):
+    """The environment's gated plants against plants that run every query.
+
+    Channels fly the seeded grazing walks of ``test_plant_gates`` (faces,
+    edges and corners of the city, walls, ceiling, ground), each window's
+    command held for its four substeps; long substeps clip edges between
+    samples.  Two extra channels enter the bounds from outside within one
+    substep, and deplete in the air and land.
+    """
+    world = grid_city_workspace()
+    world.clearance_field().densify(padding=1.0)
+    oracle_world = grid_city_workspace()
+    rng = random.Random(f"window/{margin}/{dt}")
+    features = _features(oracle_world)
+    walks = [_walk(rng, oracle_world, rng.choice(features)) for _ in range(46)]
+    states = [walk[0] for walk in walks] + [
+        DroneState(position=Vec3(-0.01, 12.0, 3.0), velocity=Vec3(4.0, 0.0, 0.0)),
+        DroneState(position=Vec3(12.0, 30.0, 0.4)),
+    ]
+    charges = [walk[1] for walk in walks] + [1.0, 0.0]
+    model, battery = BoundedDoubleIntegrator(), BatteryModel()
+    # Horizontal gusts only: an updraft could lift the flat vehicle again.
+    menu = [Vec3.zero()] + [Vec3(3.0 * math.cos(a), 3.0 * math.sin(a), 0.0) for a in (0.5, 2.5, 4.5)]
+    substeps = 4
+
+    def environment(cls, workspace):
+        channels = [
+            PlantChannel(
+                plant=cls(
+                    model,
+                    workspace,
+                    battery_model=battery,
+                    initial_state=state,
+                    initial_charge=charge,
+                    collision_margin=margin,
+                ),
+                estimator=StateEstimator(),
+                command_topic=f"cmd{k}",
+                position_topic=f"pos{k}",
+                label=f"drone{k}",
+            )
+            for k, (state, charge) in enumerate(zip(states, charges))
+        ]
+        env = PlantEnvironment(channels, gust_menu=menu, period=substeps * dt, physics_dt=dt)
+        env.bind_strategy(_RecordingStrategy(f"{margin}/{dt}"))
+        return env
+
+    gated, exact = environment(DronePlant, world), environment(_CollisionClock, oracle_world)
+    commands = {}
+    engine = _StubEngine(commands)
+    for window in range(SUBSTEPS // substeps + 1):
+        for k, walk in enumerate(walks):
+            commands[f"cmd{k}"] = walk[2][min(window * substeps, SUBSTEPS - 1)]
+        gated.apply(engine, window * gated.period)
+        exact.apply(engine, window * exact.period)
+        assert [_plant_fields(c.plant) for c in gated.channels] == [
+            _plant_fields(c.plant) for c in exact.channels
+        ]
+    plants = [channel.plant for channel in exact.channels]
+    assert plants[-2].collided and plants[-1].battery_failed and not plants[-1].airborne
+    assert 0 < sum(plant.collided for plant in plants) < len(plants)
+    windows = [plant.collided_at / exact.period for plant in plants if plant.collided]
+    assert any(abs(w - round(w)) > 1e-6 for w in windows)  # some hit between samples
+
+
+def test_a_start_below_a_raised_floor_collides_in_the_first_window():
+    """Clearance ignores the floor, so a start below a raised floor is left to ``in_bounds``."""
+    world = Workspace(bounds=AABB(Vec3(0.0, 0.0, 1.0), Vec3(20.0, 20.0, 10.0)))
+    start = DroneState(position=Vec3(10.0, 10.0, 0.1), velocity=Vec3(0.0, 0.0, 5.0))
+    model = BoundedDoubleIntegrator()
+    plants = [
+        cls(model, world, initial_state=start) for cls in (DronePlant, ExactPlant)
+    ]
+    for plant in plants:
+        env = PlantEnvironment(
+            [PlantChannel(plant=plant, estimator=StateEstimator(),
+                          command_topic="cmd", position_topic="pos")],
+            period=0.25, physics_dt=0.25,
+        )
+        env.apply(_StubEngine({}), 0.25)  # one 0.25-s substep with no command
+    gated, exact = plants
+    assert world.in_bounds(gated.state.position)
+    assert world.clearance_field().lower_bound(start.position) > gated.distance_flown
+    assert gated.collided and exact.collided
+    assert _plant_fields(gated) == _plant_fields(exact)
 
 
 class TestPlantEnvironment:
