@@ -290,7 +290,7 @@ class SafeWaypointTracker(WaypointTracker):
             closest = dist = None
             obstacle_dist = np.full(positions.shape[0], np.inf)
         boundary = workspace.distance_to_boundary_batch(positions)
-        clearance = np.minimum(obstacle_dist, boundary)
+        clearance = np.minimum(boundary, obstacle_dist)
         return clearance, closest, dist, boundary
 
     def _urgency_from_clearance(self, clearance: np.ndarray) -> np.ndarray:

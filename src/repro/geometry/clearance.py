@@ -185,23 +185,23 @@ class ClearanceField:
                 f"dense clearance grid would need {total} cells (> {max_cells}); "
                 "raise max_cells or coarsen the resolution"
             )
-        centers = np.stack(
-            np.meshgrid(
-                (np.arange(lo[0], hi[0] + 1) + 0.5) * res,
-                (np.arange(lo[1], hi[1] + 1) + 0.5) * res,
-                (np.arange(lo[2], hi[2] + 1) + 0.5) * res,
-                indexing="ij",
-            ),
-            axis=-1,
-        ).reshape(-1, 3)
+        axes = [(np.arange(l, h + 1) + 0.5) * res for l, h in zip(lo, hi)]
+        _, ny, nz = shape
         dense_values = array("d", [0.0]) * total
         values = np.frombuffer(dense_values)
-        # Chunked so the (cells x obstacles) intermediates stay bounded.
-        chunk = 131072
+        # Cell centres are built per chunk from the flat index range, so
+        # the transient is bounded by the chunk, not by the grid.
+        chunk = 32768
+        centers = np.empty((chunk, 3))
         for start in range(0, total, chunk):
             stop = min(start + chunk, total)
-            values[start:stop] = (
-                self.workspace.clearance_batch(centers[start:stop]) - self.cell_radius
+            flat = np.arange(start, stop)
+            block = centers[: stop - start]
+            block[:, 0] = axes[0][flat // (ny * nz)]
+            block[:, 1] = axes[1][flat // nz % ny]
+            block[:, 2] = axes[2][flat % nz]
+            np.subtract(
+                self.workspace.clearance_batch(block), self.cell_radius, out=values[start:stop]
             )
         self._dense_values = dense_values
         self._dense_origin = lo

@@ -247,10 +247,17 @@ class Sphere:
 
 
 def min_distance_to_boxes(point: Vec3, boxes: Iterable[AABB]) -> float:
-    """Distance from ``point`` to the nearest box in ``boxes`` (inf if empty)."""
+    """Distance from ``point`` to the nearest box in ``boxes`` (inf if empty).
+
+    NaN for a point with a NaN coordinate when ``boxes`` is not empty:
+    ``min`` would skip the NaN distances and read such a point as clear.
+    """
     best = math.inf
     for box in boxes:
-        best = min(best, box.distance_to_point(point))
+        distance = box.distance_to_point(point)
+        if distance != distance:
+            return distance
+        best = min(best, distance)
     return best
 
 

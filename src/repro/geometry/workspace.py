@@ -199,17 +199,24 @@ class Workspace:
         difference is exact, and a NaN coordinate stays NaN), the squared
         norm sums in :meth:`Vec3.dot` order, and one ``sqrt`` of the
         smallest square equals the smallest ``sqrt`` because ``sqrt`` is
-        correctly rounded and monotone.
+        correctly rounded and monotone.  A NaN coordinate gives NaN when
+        there is at least one obstacle, as the batch kernel does: a point
+        of unknown position must not read as clear.
         """
         x, y, z = point.x, point.y, point.z
         best = math.inf
-        for lx, ly, lz, hx, hy, hz in self._obstacle_rows():
+        rows = self._obstacle_rows()
+        for lx, ly, lz, hx, hy, hz in rows:
             dx = (0.0 if x <= hx else x - hx) if x >= lx else lx - x
             dy = (0.0 if y <= hy else y - hy) if y >= ly else ly - y
             dz = (0.0 if z <= hz else z - hz) if z >= lz else lz - z
             d2 = dx * dx + dy * dy + dz * dz
             if d2 < best:
                 best = d2
+        # A NaN coordinate makes every d2 NaN, which ``<`` never admits:
+        # answer NaN (not a clear inf) when there was a box to be near.
+        if best == math.inf and rows and (x != x or y != y or z != z):
+            return math.nan
         return math.sqrt(best)
 
     def distance_to_boundary(self, point: Vec3, include_floor: bool = False) -> float:
@@ -217,13 +224,17 @@ class Workspace:
 
         By default the lower z face (the ground plane) is excluded: the
         drone is supposed to fly close to — and land on — the ground, so
-        only the lateral walls and the ceiling count as hazards.
+        only the lateral walls and the ceiling count as hazards.  A NaN
+        coordinate gives NaN.
         """
-        dx = min(point.x - self.bounds.lo.x, self.bounds.hi.x - point.x)
-        dy = min(point.y - self.bounds.lo.y, self.bounds.hi.y - point.y)
-        dz = self.bounds.hi.z - point.z
+        x, y, z = point.x, point.y, point.z
+        if y != y or z != z:  # a NaN x already propagates through min
+            return math.nan
+        dx = min(x - self.bounds.lo.x, self.bounds.hi.x - x)
+        dy = min(y - self.bounds.lo.y, self.bounds.hi.y - y)
+        dz = self.bounds.hi.z - z
         if include_floor:
-            dz = min(dz, point.z - self.bounds.lo.z)
+            dz = min(dz, z - self.bounds.lo.z)
         return min(dx, dy, dz)
 
     def clearance(self, point: Vec3) -> float:
@@ -231,12 +242,17 @@ class Workspace:
 
         This is the quantity the motion-primitive safety predicate and the
         level-set substitute reason about: the drone is in ``φ_safe`` as
-        long as its clearance is positive.
+        long as its clearance is positive.  A NaN coordinate gives NaN.
         """
         lo, hi = self.bounds.lo, self.bounds.hi
         x, y = point.x, point.y
+        distance = self.distance_to_nearest_obstacle(point)
+        # A NaN coordinate already made ``distance`` NaN when there are
+        # obstacles; without them the boundary term alone sees it.
+        if distance == math.inf and (x != x or y != y or point.z != point.z):
+            return math.nan
         return min(
-            self.distance_to_nearest_obstacle(point),
+            distance,
             min(min(x - lo.x, hi.x - x), min(y - lo.y, hi.y - y), hi.z - point.z),
         )
 
@@ -282,42 +298,58 @@ class Workspace:
     def distance_to_nearest_obstacle_batch(self, points: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`distance_to_nearest_obstacle` (inf with no obstacles).
 
-        One fused ``(M, N)`` clamp-and-norm over the cached obstacle-corner
-        arrays instead of a per-box Python loop; the per-element operations
-        (axis clamps, ``(dx*dx + dy*dy) + dz*dz`` norm, running minimum)
-        are exactly the scalar ones, so answers stay bit-identical.
+        A running minimum of the squared distance, one cached obstacle row
+        at a time: per axis the gap ``x - min(max(x, lo), hi)`` (the scalar
+        gap up to a sign that squaring drops), the squared norm in
+        ``(dx*dx + dy*dy) + dz*dz`` order, and one ``sqrt`` at the end —
+        ``sqrt`` is correctly rounded and monotone, so the answers are the
+        scalar ones bit for bit.  Every temporary is an ``(N,)`` column,
+        so memory is ``O(N)`` whatever the box count.  ``np.minimum``
+        carries a NaN coordinate through to a NaN distance, as the scalar
+        kernel answers.
         """
         pts = points_as_array(points)
-        if not self.obstacles:
-            return np.full(pts.shape[0], np.inf)
-        lo, hi = self.obstacle_arrays()  # (M, 3)
-        closest = np.minimum(np.maximum(pts[None, :, :], lo[:, None, :]), hi[:, None, :])
-        delta = pts[None, :, :] - closest  # (M, N, 3)
-        dx, dy, dz = delta[:, :, 0], delta[:, :, 1], delta[:, :, 2]
-        return np.sqrt(dx * dx + dy * dy + dz * dz).min(axis=0)
+        rows = self._obstacle_rows()
+        best = np.full(pts.shape[0], np.inf)
+        if not rows:
+            return best
+        x, y, z = (np.ascontiguousarray(pts[:, axis]) for axis in range(3))
+        d2 = np.empty_like(best)
+        gap = np.empty_like(best)
+        for lx, ly, lz, hx, hy, hz in rows:
+            _squared_gap(x, lx, hx, d2)
+            d2 += _squared_gap(y, ly, hy, gap)
+            d2 += _squared_gap(z, lz, hz, gap)
+            np.minimum(best, d2, out=best)
+        return np.sqrt(best, out=best)
 
     def distance_to_boundary_batch(self, points: np.ndarray, include_floor: bool = False) -> np.ndarray:
-        """Vectorised :meth:`distance_to_boundary` over an ``(N, 3)`` point array."""
+        """Vectorised :meth:`distance_to_boundary` over an ``(N, 3)`` point array.
+
+        ``np.minimum(b, a)`` returns ``b`` only when ``b < a``, as Python's
+        ``min(a, b)`` does, so a ``±0.0`` tie keeps the scalar's sign.
+        """
         pts = points_as_array(points)
         lo, hi = self.bounds.lo, self.bounds.hi
-        dx = np.minimum(pts[:, 0] - lo.x, hi.x - pts[:, 0])
-        dy = np.minimum(pts[:, 1] - lo.y, hi.y - pts[:, 1])
+        dx = np.minimum(hi.x - pts[:, 0], pts[:, 0] - lo.x)
+        dy = np.minimum(hi.y - pts[:, 1], pts[:, 1] - lo.y)
         dz = hi.z - pts[:, 2]
         if include_floor:
-            dz = np.minimum(dz, pts[:, 2] - lo.z)
-        return np.minimum(np.minimum(dx, dy), dz)
+            dz = np.minimum(pts[:, 2] - lo.z, dz)
+        return np.minimum(dz, np.minimum(dy, dx))
 
     def clearance_batch(self, points: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`clearance`: one call answers N safety queries.
 
         This is the workhorse of the batched safety-query plane — monitors,
-        decision modules and the backward-reachable-set build all reduce to
-        it.  Bit-for-bit identical to mapping :meth:`clearance` over the
-        points.
+        decision modules, the dense clearance grid and the
+        backward-reachable-set build all reduce to it.  Bit-for-bit
+        identical to mapping :meth:`clearance` over the points, NaN and
+        ``±0.0`` answers included.
         """
         pts = points_as_array(points)
         return np.minimum(
-            self.distance_to_nearest_obstacle_batch(pts), self.distance_to_boundary_batch(pts)
+            self.distance_to_boundary_batch(pts), self.distance_to_nearest_obstacle_batch(pts)
         )
 
     def segments_free_batch(
@@ -389,6 +421,14 @@ class Workspace:
     def clamp(self, point: Vec3) -> Vec3:
         """Clamp ``point`` into the workspace bounds."""
         return self.bounds.clamp(point)
+
+
+def _squared_gap(coord: np.ndarray, lo: float, hi: float, out: np.ndarray) -> np.ndarray:
+    """``(coord - min(max(coord, lo), hi))**2`` written into ``out``."""
+    np.maximum(coord, lo, out=out)
+    np.minimum(out, hi, out=out)
+    np.subtract(coord, out, out=out)
+    return np.multiply(out, out, out=out)
 
 
 def grid_city_workspace(

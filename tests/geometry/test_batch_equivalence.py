@@ -5,10 +5,16 @@ every ``*_batch`` query evaluates the same floating-point expressions as
 its scalar counterpart, so answers must match *bit-for-bit* — not just
 within a tolerance.  These tests check that on randomized workspaces, and
 check the conservativeness invariant of the :class:`ClearanceField` memo.
+Hostile points (NaN, ±inf and ±0.0 coordinates, box faces and corners
+one ulp either side) are compared bit for bit too: NaN equal to NaN and
+the sign of every zero matched.
 """
 
+import hashlib
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +26,10 @@ from repro.geometry import (
     Vec3,
     empty_workspace,
     grid_city_workspace,
+    min_distance_to_boxes,
     points_as_array,
 )
+from repro.simulation.world import surveillance_city
 
 
 def random_workspace(seed: int, obstacles: int = 6):
@@ -288,3 +296,154 @@ class TestClearanceFieldBookkeeping:
         assert field.lower_bound(inside) <= workspace.clearance(inside)
         assert field.exceeds(inside, 0.0) == (workspace.clearance(inside) > 0.0)
         assert not field.exceeds(inside, 0.0)  # it is inside the new box
+
+
+# --------------------------------------------------------------------- #
+# hostile points: NaN, ±inf, ±0.0, faces and corners one ulp either side
+# --------------------------------------------------------------------- #
+SPECIALS = (math.nan, math.inf, -math.inf, 0.0, -0.0)
+
+
+def touching_workspace():
+    """A box flush with the x = 0 wall: a ±0.0 distance/boundary tie."""
+    workspace = empty_workspace(side=20.0, ceiling=10.0, name="touching")
+    workspace.add_obstacle(AABB(Vec3(0.0, 2.0, 0.0), Vec3(3.0, 5.0, 4.0)))
+    workspace.add_obstacle(AABB(Vec3(8.0, 8.0, 0.0), Vec3(12.0, 12.0, 6.0)))
+    return workspace
+
+
+HOSTILE_WORLDS = {
+    "city": lambda: surveillance_city().workspace,
+    "touching": touching_workspace,
+    "empty": empty_workspace,
+}
+
+
+def _ulps(value):
+    return (math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf))
+
+
+def hostile_points(workspace):
+    bounds = workspace.bounds
+    bases = [bounds.center, bounds.lo, bounds.hi, Vec3(1.5, 3.0, 2.0)]
+    bases += [box.center for box in workspace.obstacles]
+    points = []
+    for base in bases:
+        coords = base.as_tuple()
+        for axis in range(3):
+            for value in SPECIALS:
+                changed = list(coords)
+                changed[axis] = value
+                points.append(changed)
+        # Two special axes at once (NaN with inf, -0.0 with 0.0, ...).
+        for a in SPECIALS:
+            for b in SPECIALS:
+                points.append([a, b, coords[2]])
+                points.append([coords[0], a, b])
+    for box in [*workspace.obstacles, bounds]:
+        # Every corner, edge midpoint and face centre, one ulp either side
+        # on each axis.
+        choices = list(zip(box.lo.as_tuple(), box.hi.as_tuple(), box.center.as_tuple()))
+        for corner in itertools.product(*choices):
+            for axis in range(3):
+                for value in _ulps(corner[axis]):
+                    moved = list(corner)
+                    moved[axis] = value
+                    points.append(moved)
+    return np.array(points, dtype=float)
+
+
+def assert_bit_equal(got, expected):
+    """``==`` elementwise, NaN equal to NaN, and every zero's sign matched."""
+    got = np.asarray(got, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    assert got.shape == expected.shape
+    both_nan = np.isnan(got) & np.isnan(expected)
+    assert ((got == expected) | both_nan).all(), np.flatnonzero(~((got == expected) | both_nan))
+    assert (np.signbit(got) == np.signbit(expected))[~both_nan].all()
+
+
+def _scalar_map(query, points):
+    return np.array([query(Vec3(*p)) for p in points], dtype=float)
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_WORLDS))
+class TestHostilePointDifferential:
+    def test_batch_queries_equal_the_scalar_ones(self, name):
+        workspace = HOSTILE_WORLDS[name]()
+        points = hostile_points(workspace)
+        assert_bit_equal(
+            workspace.distance_to_nearest_obstacle_batch(points),
+            _scalar_map(workspace.distance_to_nearest_obstacle, points),
+        )
+        assert_bit_equal(workspace.clearance_batch(points), _scalar_map(workspace.clearance, points))
+        for include_floor in (False, True):
+            assert_bit_equal(
+                workspace.distance_to_boundary_batch(points, include_floor=include_floor),
+                _scalar_map(
+                    lambda p: workspace.distance_to_boundary(p, include_floor=include_floor), points
+                ),
+            )
+
+    def test_single_point_and_empty_batches(self, name):
+        workspace = HOSTILE_WORLDS[name]()
+        points = hostile_points(workspace)
+        for point in points[::7]:
+            scalar = workspace.clearance(Vec3(*point))
+            assert_bit_equal(workspace.clearance_batch(point.reshape(1, 3)), [scalar])
+            assert_bit_equal(
+                workspace.distance_to_nearest_obstacle_batch(point.reshape(1, 3)),
+                [workspace.distance_to_nearest_obstacle(Vec3(*point))],
+            )
+        none = np.empty((0, 3))
+        for query in (workspace.clearance_batch, workspace.distance_to_nearest_obstacle_batch):
+            answer = query(none)
+            assert answer.shape == (0,) and answer.dtype == np.float64
+
+    def test_nan_points_are_not_clear(self, name):
+        workspace = HOSTILE_WORLDS[name]()
+        for axis in range(3):
+            coords = [5.0, 5.0, 1.0]
+            coords[axis] = math.nan
+            point = Vec3(*coords)
+            assert math.isnan(workspace.clearance(point))
+            assert math.isnan(workspace.distance_to_boundary(point))
+            distance = workspace.distance_to_nearest_obstacle(point)
+            if workspace.obstacles:
+                assert math.isnan(distance)
+                assert math.isnan(min_distance_to_boxes(point, workspace.obstacles))
+            else:
+                assert distance == math.inf
+
+
+# --------------------------------------------------------------------- #
+# the surveillance-city dense grid: golden values, bounded transient
+# --------------------------------------------------------------------- #
+#: sha256 of the little-endian float64 cells of ``surveillance_city()``'s
+#: dense grid at 0.5 m: a change of distance kernel must not move one bit.
+CITY_GRID_SHA256 = "74ec104239ecf7b76611622809acc3c4321ee26abd830be85c70c9ebc7a4beba"
+
+
+class TestCityDenseGrid:
+    def test_grid_matches_its_golden_digest(self):
+        field = ClearanceField(surveillance_city().workspace, resolution=0.5)
+        assert field.densify() == 101 * 101 * 25
+        cells = np.frombuffer(field._dense_values).astype("<f8").tobytes()
+        assert hashlib.sha256(cells).hexdigest() == CITY_GRID_SHA256
+
+    def test_densify_transient_is_bounded_by_the_chunk(self):
+        field = ClearanceField(surveillance_city().workspace, resolution=0.5)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            field.densify()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        # The grid itself is 2.0 MB; a whole-grid (cells, 3) array of
+        # centres or an (M, N, 3) temporary would be tens of MB.
+        assert peak < 8_000_000, f"densify() peaked at {peak / 1e6:.1f} MB"

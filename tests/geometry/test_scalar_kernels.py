@@ -9,7 +9,7 @@ rebuild each query from ``min_distance_to_boxes`` (one
 to return the same answers with ``==`` (both NaN counts as equal) — or to
 raise the same error — on seeded probes.  The probes cover box faces,
 edges and corners one ulp either side, points outside the bounds, NaN and
-inf coordinates, segments with a zero (or sub-1e-12) delta on each axis,
+inf coordinates (a NaN coordinate answers NaN), segments with a zero (or sub-1e-12) delta on each axis,
 and margins 0, 0.05, 0.9, ``2.9 * 0.9`` and negative ones.  Every run
 calls ``add_obstacle`` between queries, so the row cache must refresh.
 """
@@ -43,7 +43,12 @@ def oracle_distance(workspace, point):
 
 
 def oracle_clearance(workspace, point):
-    return min(oracle_distance(workspace, point), workspace.distance_to_boundary(point))
+    # NaN if either distance is NaN: a point of unknown position is not clear.
+    distance = oracle_distance(workspace, point)
+    boundary = workspace.distance_to_boundary(point)
+    if math.isnan(distance) or math.isnan(boundary):
+        return math.nan
+    return min(distance, boundary)
 
 
 def oracle_in_obstacle(workspace, point, margin):
