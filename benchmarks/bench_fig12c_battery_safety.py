@@ -30,7 +30,7 @@ def _mission(protect_battery: bool, seed: int = 2):
         seed=seed,
     )
     stack = build_stack(config)
-    metrics, result = stack.run(duration=MISSION_TIMEOUT, stop_on_complete=False)
+    metrics, result = stack.run(duration=MISSION_TIMEOUT)
     battery_switches = (
         metrics.disengagements.get("BatterySafety", 0) if protect_battery else 0
     )

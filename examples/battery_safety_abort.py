@@ -33,7 +33,7 @@ def fly(protect_battery: bool):
         seed=2,
     )
     stack = build_stack(config)
-    metrics, result = stack.run(duration=500.0, stop_on_complete=False)
+    metrics, result = stack.run(duration=500.0)
     return stack, metrics
 
 

@@ -49,7 +49,6 @@ from ..simulation import (
     DroneSimulation,
     MissionWorld,
     PlantChannel,
-    SimulationConfig,
     SimulationResult,
     StateEstimator,
     surveillance_city,
@@ -158,22 +157,21 @@ class BuiltStack:
     battery: Optional[BatteryModule] = None
     planner: Optional[PlannerModule] = None
 
-    def run(
-        self,
-        duration: float,
-        stop_on_complete: bool = True,
-        stop_on_crash: bool = True,
-    ) -> Tuple[MissionMetrics, SimulationResult]:
-        """Run the mission and return its metrics plus the raw simulation result."""
+    def run(self, duration: float) -> Tuple[MissionMetrics, SimulationResult]:
+        """Run the mission and return its metrics plus the raw simulation result.
+
+        The mission ends on a crash, once a non-looping tour is complete,
+        or once a battery abort has landed the drone.
+        """
 
         def stop(sim: DroneSimulation) -> bool:
-            if stop_on_complete and self.surveillance.mission_complete and not self.config.loop_goals:
+            if self.surveillance.mission_complete and not self.config.loop_goals:
                 return True
             if self.battery is not None and self._battery_abort_finished():
                 return True
             return False
 
-        result = self.simulation.run(duration, stop_when=stop, stop_on_crash=stop_on_crash)
+        result = self.simulation.run(duration, stop_when=stop)
         metrics = metrics_from_result(result, self.system, surveillance=self.surveillance)
         return metrics, result
 
@@ -571,13 +569,10 @@ def build_plant_channel(
 
 
 def run_mission(
-    config: Optional[StackConfig] = None,
-    duration: float = 120.0,
-    stop_on_complete: bool = True,
+    config: Optional[StackConfig] = None, duration: float = 120.0
 ) -> Tuple[MissionMetrics, SimulationResult]:
     """Convenience wrapper: build the stack and run one mission."""
-    stack = build_stack(config)
-    return stack.run(duration, stop_on_complete=stop_on_complete)
+    return build_stack(config).run(duration)
 
 
 # --------------------------------------------------------------------------- #
@@ -773,18 +768,12 @@ class FleetStack:
     def mission_complete(self) -> bool:
         return all(vehicle.surveillance.mission_complete for vehicle in self.vehicles)
 
-    def run(self, duration: float, stop_on_complete: bool = True) -> SimulationResult:
-        """Run the fleet mission (stopping when every tour is complete)."""
-
-        def stop(sim: DroneSimulation) -> bool:
-            return stop_on_complete and self.mission_complete
-
-        return self.simulation.run(duration, stop_when=stop)
+    def run(self, duration: float) -> SimulationResult:
+        """Run the fleet mission (stopping on a crash or when every tour is complete)."""
+        return self.simulation.run(duration, stop_when=lambda sim: self.mission_complete)
 
 
-def build_fleet_stack(
-    config: FleetConfig, sim_config: Optional[SimulationConfig] = None
-) -> FleetStack:
+def build_fleet_stack(config: FleetConfig) -> FleetStack:
     """Assemble, compile, and wire the N-vehicle fleet with per-vehicle plants.
 
     Every vehicle gets its own :class:`DronePlant`, state estimator and
@@ -806,7 +795,6 @@ def build_fleet_stack(
         channels=channels,
         scheduler=config.vehicles[0].scheduler,
         monitors=model.monitors,
-        config=sim_config,
     )
     return FleetStack(
         config=config,

@@ -379,7 +379,7 @@ class MonitorSuite:
 class MonitorCadence:
     """Samples a :class:`MonitorSuite` every ``period`` seconds of virtual time.
 
-    This is the executors' and the plant co-simulation's cadence: call
+    This is the mission co-simulation's cadence: call
     :meth:`advance` right before each discrete step, and every sampling
     instant at or before the step's time that has not been taken yet is
     taken now, against the state the step is about to read.

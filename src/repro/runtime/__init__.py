@@ -1,6 +1,9 @@
-"""Runtime: executors, scheduling policies, tracing, and fault injection."""
+"""Runtime: scheduling policies, tracing, and fault injection.
 
-from .executor import ExecutionResult, SimulatedTimeExecutor, WallClockExecutor
+The one engine loop is :meth:`repro.core.semantics.SemanticsEngine.run_until`;
+:class:`repro.simulation.DroneSimulation` drives it for missions.
+"""
+
 from .faults import (
     NODE_FAULT_KINDS,
     TOPIC_FAULT_KINDS,
@@ -16,9 +19,6 @@ from .scheduler import JitteryOSScheduler, OverloadScheduler, PerfectScheduler
 from .tracing import ExecutionTrace, FiringEvent, ModeSwitchEvent, SampleEvent
 
 __all__ = [
-    "ExecutionResult",
-    "SimulatedTimeExecutor",
-    "WallClockExecutor",
     "NODE_FAULT_KINDS",
     "TOPIC_FAULT_KINDS",
     "ChoiceFaultInjector",

@@ -1,26 +1,23 @@
-"""Simulation substrate: worlds, the drone plant, sensors, wind, and the co-simulator."""
+"""Simulation substrate: worlds, the drone plant, sensors, the plant loop, and the co-simulator."""
 
 from .drone import BatteryStatus, DronePlant, PlantStatus
-from .environment import ConstantWind, GustyWind, NoWind
-from .plantenv import PlantChannel, PlantEnvironment
+from .plantenv import MIN_STEP, PlantChannel, PlantEnvironment
 from .sensors import BatterySensor, PerfectEstimator, StateEstimator
-from .sim import DroneSimulation, SimulationConfig, SimulationResult
+from .sim import PHYSICS_DT, DroneSimulation, SimulationResult
 from .world import MissionWorld, figure_eight_range, surveillance_city, waypoint_range
 
 __all__ = [
     "BatteryStatus",
     "DronePlant",
     "PlantStatus",
-    "ConstantWind",
-    "GustyWind",
-    "NoWind",
+    "MIN_STEP",
     "PlantChannel",
     "PlantEnvironment",
     "BatterySensor",
     "PerfectEstimator",
     "StateEstimator",
+    "PHYSICS_DT",
     "DroneSimulation",
-    "SimulationConfig",
     "SimulationResult",
     "MissionWorld",
     "figure_eight_range",

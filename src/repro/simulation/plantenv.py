@@ -1,20 +1,24 @@
-"""Plant-in-the-loop environment for systematic testing.
+"""The co-simulation's one substep loop, and the plant-in-the-loop tester environment.
+
+:func:`integrate` is the only place a plant is flown: one
+``DronePlant.apply`` per vehicle and physics substep, under the command
+the vehicle's stack last published plus a per-vehicle gust.  Both
+drivers call it:
+
+* :class:`~repro.simulation.sim.DroneSimulation` (every mission) before
+  every discrete step, with calm gusts and
+  :data:`~repro.simulation.sim.PHYSICS_DT` substeps;
+* :class:`PlantEnvironment` (the testers) once per gust window.
 
 The registered scenarios abstract the continuous half of the stack away —
 an :class:`~repro.testing.abstractions.AbstractEnvironment` teleports the
-state estimate between menu points.  This module closes the loop instead:
-a :class:`PlantEnvironment` owns one real :class:`DronePlant` (plus
-estimator and battery sensor) per vehicle, integrates it under the
-commands the discrete stack publishes, and feeds the resulting sensor
-readings back — the co-simulation pattern of
-:class:`~repro.simulation.sim.DroneSimulation`, packaged as a
-tester-compatible environment whose only nondeterminism is a finite,
-labelled *gust menu* sampled once per period.
-
-Every plane integrates the plants through the same scalar loop: one
-``DronePlant.apply`` per vehicle and physics substep, the certified plant
-model that :class:`~repro.simulation.sim.DroneSimulation` runs too.  The
-serial :class:`~repro.testing.explorer.SystematicTester` and the
+state estimate between menu points.  A :class:`PlantEnvironment` closes
+the loop instead: it owns one real :class:`DronePlant` (plus estimator
+and battery sensor) per vehicle, integrates it under the commands the
+discrete stack publishes, and feeds the resulting sensor readings back,
+as a tester-compatible environment whose only nondeterminism is a
+finite, labelled *gust menu* sampled once per period.  The serial
+:class:`~repro.testing.explorer.SystematicTester` and the
 :class:`~repro.testing.population.PopulationTester` differ only in how
 they schedule executions, never in how a window is integrated.
 """
@@ -29,6 +33,11 @@ from typing import Any, List, Optional, Sequence, Tuple
 from ..dynamics import ControlCommand
 from ..geometry import Vec3
 from .drone import DronePlant
+
+#: The smallest ``physics_dt`` and ``period`` (s) a :class:`PlantEnvironment`
+#: accepts.  A step far below its clock's resolution vanishes in rounding
+#: (``0.25 - 1e-20 == 0.25``), and the clock would never reach the window's end.
+MIN_STEP = 1e-6
 
 
 @dataclass
@@ -71,6 +80,31 @@ class PlantChannel:
             engine.set_input(self.battery_topic, self.battery_sensor.measure(self.plant))
 
 
+def integrate(
+    channels: Sequence[PlantChannel],
+    engine,
+    gusts: Sequence[Vec3],
+    start: float,
+    until: float,
+    physics_dt: float,
+) -> None:
+    """Fly every channel's plant from ``start`` to ``until`` seconds.
+
+    Each vehicle holds the command its stack last published and its gust
+    for the whole interval.  Substeps are ``physics_dt`` long, the last
+    one shortened to land on ``until``; within a substep the plants are
+    applied in channel order.  Callers then set their clock to ``until``
+    itself, not to the substep sum, which may miss it by an ulp.
+    """
+    commands = [channel.read_command(engine) for channel in channels]
+    t = start
+    while t < until - 1e-12:
+        dt = min(physics_dt, until - t)
+        for channel, command, gust in zip(channels, commands, gusts):
+            channel.plant.apply(command, dt, gust)
+        t += dt
+
+
 class PlantEnvironment:
     """A tester environment that closes the loop through real plants.
 
@@ -85,13 +119,13 @@ class PlantEnvironment:
        environment choice points), and
     3. publishes each vehicle's estimated state and battery reading.
 
-    The integration is one scalar loop: each ``physics_dt`` substep
-    calls ``plant.apply`` on every vehicle in channel order, whichever
-    tester drives the environment.
+    Each window is one :func:`integrate` call, whichever tester drives
+    the environment.
 
-    ``period`` and ``physics_dt`` must be finite and positive and every
-    gust finite: a non-finite clock would freeze the plants after t=0 (or
-    fail mid-run) instead of testing them.
+    ``period`` and ``physics_dt`` must be finite and at least
+    :data:`MIN_STEP`, and every gust finite: a non-finite clock would
+    freeze the plants after t=0 (or fail mid-run), and a vanishing one
+    would never finish a window.
     """
 
     def __init__(
@@ -104,8 +138,10 @@ class PlantEnvironment:
         if not channels:
             raise ValueError("a plant environment needs at least one channel")
         for name, value in (("period", period), ("physics_dt", physics_dt)):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+            if not (math.isfinite(value) and value >= MIN_STEP):
+                raise ValueError(
+                    f"{name} must be finite and at least MIN_STEP={MIN_STEP} s, got {value!r}"
+                )
         if not gust_menu:
             raise ValueError("the gust menu must not be empty")
         for index, gust in enumerate(gust_menu):
@@ -146,7 +182,10 @@ class PlantEnvironment:
         advanced = False
         while self._next_time <= upcoming_time + 1e-12:
             now = self._next_time
-            self._integrate_to(now, engine)
+            integrate(
+                self.channels, engine, self._window_gusts, self._physics_time, now, self.physics_dt
+            )
+            self._physics_time = now
             self._window_gusts = [
                 self._choose_gust(channel) for channel in self.channels
             ]
@@ -164,20 +203,6 @@ class PlantEnvironment:
             return menu[0]
         index = self.strategy.choose(len(menu), label=f"wind:{channel.label}")
         return menu[index]
-
-    def _integrate_to(self, until: float, engine) -> None:
-        duration = until - self._physics_time
-        if duration <= 1e-12:
-            return
-        commands = [channel.read_command(engine) for channel in self.channels]
-        gusts = self._window_gusts
-        remaining = duration
-        while remaining > 1e-12:
-            step = min(self.physics_dt, remaining)
-            for channel, command, gust in zip(self.channels, commands, gusts):
-                channel.plant.apply(command, step, gust)
-            remaining -= step
-        self._physics_time = until
 
     # -- delta-snapshot hooks (see repro.core.resettable) --------------- #
     def capture_delta_state(self) -> Tuple[Any, ...]:

@@ -3,17 +3,21 @@
 This is the reproduction's Gazebo-with-firmware-in-the-loop: the SOTER
 program runs under its discrete-event semantics while, between discrete
 steps, every plant integrates its currently published control command at
-a fine physics step.  Before every discrete step the simulator publishes
-each vehicle's (estimated) state and battery status on the program's
-sensor topics — those are the ENVIRONMENT-INPUT transitions of the formal
-semantics.
+a fine physics step (:data:`PHYSICS_DT`).  Before every discrete step the
+simulator publishes each vehicle's (estimated) state and battery status
+on the program's sensor topics — those are the ENVIRONMENT-INPUT
+transitions of the formal semantics — and samples its monitors every
+:data:`MONITOR_PERIOD` seconds of virtual time.
 
 One :class:`DroneSimulation` drives N ≥ 1 vehicles, each wired in through
 a :class:`~repro.simulation.plantenv.PlantChannel` (plant, sensors and
 topics).  A single-drone stack passes one channel; a fleet passes one per
 vehicle, and all plants then evolve in lock-step through the same
 airspace — which is what the pairwise
-:class:`~repro.core.monitor.SeparationMonitor` observes.
+:class:`~repro.core.monitor.SeparationMonitor` observes.  The plants fly
+through :func:`~repro.simulation.plantenv.integrate`, the substep loop
+the plant-in-the-loop testers' :class:`~repro.simulation.plantenv.PlantEnvironment`
+runs too, here with calm air.
 """
 
 from __future__ import annotations
@@ -26,29 +30,17 @@ import numpy as np
 from ..core.monitor import MonitorCadence, MonitorSuite
 from ..core.semantics import SchedulingPolicy, SemanticsEngine
 from ..core.system import RTASystem
-from ..geometry import Trajectory, pairwise_separations
+from ..geometry import Trajectory, Vec3, pairwise_separations
 from ..runtime.tracing import ExecutionTrace
-from .environment import NoWind
-from .plantenv import PlantChannel
+from .plantenv import PlantChannel, integrate
+
+#: Physics substep of every mission plant (s).
+PHYSICS_DT = 0.02
+#: Virtual-time period of the mission's monitor samples (s).
+MONITOR_PERIOD = 0.1
 
 #: Per-step trace signals, sampled from each plant before every discrete step.
 _SIGNALS = ("clearance", "battery", "speed")
-
-
-@dataclass
-class SimulationConfig:
-    """Fidelity knobs of the co-simulation, shared by every vehicle."""
-
-    physics_dt: float = 0.02
-    monitor_period: float = 0.1
-    record_trajectory: bool = True
-    record_signals: bool = True
-
-    def __post_init__(self) -> None:
-        if self.physics_dt <= 0.0:
-            raise ValueError("physics_dt must be positive")
-        if self.monitor_period <= 0.0:
-            raise ValueError("monitor_period must be positive")
 
 
 @dataclass
@@ -103,10 +95,8 @@ class DroneSimulation:
         self,
         system: RTASystem,
         channels: Sequence[PlantChannel],
-        wind=None,
         scheduler: Optional[SchedulingPolicy] = None,
         monitors: Optional[MonitorSuite] = None,
-        config: Optional[SimulationConfig] = None,
     ) -> None:
         if not channels:
             raise ValueError("a simulation needs at least one vehicle channel")
@@ -115,10 +105,8 @@ class DroneSimulation:
             raise ValueError("vehicle labels must be distinct")
         self.system = system
         self.channels = list(channels)
-        self.wind = wind or NoWind()
         self.scheduler = scheduler
         self.monitors = monitors or MonitorSuite()
-        self.config = config or SimulationConfig()
         self.trace = ExecutionTrace()
         self.engine = SemanticsEngine(system, scheduler=scheduler, listeners=[self.trace])
         self.trajectories: Dict[str, Trajectory] = {label: Trajectory() for label in labels}
@@ -128,8 +116,9 @@ class DroneSimulation:
             (channel, _SIGNALS if len(labels) == 1 else tuple(f"{channel.label}/{s}" for s in _SIGNALS))
             for channel in self.channels
         ]
-        self._cadence = MonitorCadence(self.monitors, self.config.monitor_period)
-        self._last_physics_time = 0.0
+        self._calm = [Vec3.zero()] * len(self.channels)
+        self._cadence = MonitorCadence(self.monitors, MONITOR_PERIOD)
+        self._physics_time = 0.0
         # Publish the initial sensor values so the very first node firings
         # already see a state estimate.
         self._publish_sensors()
@@ -152,42 +141,31 @@ class DroneSimulation:
         self.engine.reset()
         for trajectory in self.trajectories.values():
             trajectory.samples.clear()
-        self._last_physics_time = 0.0
+        self._physics_time = 0.0
         self._publish_sensors()
 
     # ------------------------------------------------------------------ #
     # the environment hook (plant physics + sensor publication)
     # ------------------------------------------------------------------ #
-    def _advance_plants(self, until: float) -> None:
-        until = max(until, self._last_physics_time)
-        commands = [channel.read_command(self.engine) for channel in self.channels]
-        while self._last_physics_time < until - 1e-12:
-            dt = min(self.config.physics_dt, until - self._last_physics_time)
-            disturbance = self.wind.acceleration(self._last_physics_time)
-            for channel, command in zip(self.channels, commands):
-                channel.plant.apply(command, dt, disturbance=disturbance)
-            self._last_physics_time += dt
-        if self.config.record_trajectory:
-            for channel in self.channels:
-                state = channel.plant.state
-                self.trajectories[channel.label].append(
-                    time=until, position=state.position, velocity=state.velocity
-                )
-
     def _publish_sensors(self) -> None:
         for channel in self.channels:
             channel.publish(self.engine)
 
     def _environment(self, engine: SemanticsEngine, upcoming: float) -> None:
-        self._advance_plants(upcoming)
+        integrate(self.channels, engine, self._calm, self._physics_time, upcoming, PHYSICS_DT)
+        self._physics_time = upcoming
+        for channel in self.channels:
+            state = channel.plant.state
+            self.trajectories[channel.label].append(
+                time=upcoming, position=state.position, velocity=state.velocity
+            )
         self._publish_sensors()
-        if self.config.record_signals:
-            add_sample = self.trace.add_sample
-            for channel, (clearance, battery, speed) in self._signals:
-                plant = channel.plant
-                add_sample(upcoming, clearance, plant.clearance)
-                add_sample(upcoming, battery, plant.battery.charge)
-                add_sample(upcoming, speed, plant.state.speed)
+        add_sample = self.trace.add_sample
+        for channel, (clearance, battery, speed) in self._signals:
+            plant = channel.plant
+            add_sample(upcoming, clearance, plant.clearance)
+            add_sample(upcoming, battery, plant.battery.charge)
+            add_sample(upcoming, speed, plant.state.speed)
         self._cadence.advance(engine, upcoming)
 
     # ------------------------------------------------------------------ #
@@ -197,18 +175,18 @@ class DroneSimulation:
         self,
         duration: float,
         stop_when: Optional[Callable[["DroneSimulation"], bool]] = None,
-        stop_on_crash: bool = True,
     ) -> SimulationResult:
         """Run the mission for up to ``duration`` seconds of simulated time.
 
-        Simulated time continues from where the previous call stopped;
-        :meth:`reset` rewinds to mission start.
+        The run stops early after the step at which any plant crashed, or
+        at which ``stop_when`` holds.  Simulated time continues from where
+        the previous call stopped; :meth:`reset` rewinds to mission start.
         """
         stop_reason = "duration elapsed"
 
         def should_stop(engine: SemanticsEngine) -> bool:
             nonlocal stop_reason
-            if stop_on_crash and any(channel.plant.crashed for channel in self.channels):
+            if any(channel.plant.crashed for channel in self.channels):
                 stop_reason = "crash"
                 return True
             if stop_when is not None and stop_when(self):

@@ -15,7 +15,7 @@ from repro.apps import (
 )
 from repro.core import CompositionError, SeparationMonitor
 from repro.geometry import Vec3
-from repro.simulation import SimulationConfig, surveillance_city
+from repro.simulation import surveillance_city
 
 
 @pytest.fixture(scope="module")
@@ -159,9 +159,9 @@ class TestFleetSimulation:
             vehicles=fleet_configs(2, _base(world, estimator_noise=0.0)),
             min_separation=2.0,
         )
-        stack = build_fleet_stack(fleet, SimulationConfig(physics_dt=0.02))
+        stack = build_fleet_stack(fleet)
         assert stack.separation is not None
-        result = stack.run(duration=6.0, stop_on_complete=False)
+        result = stack.run(duration=6.0)
         assert result.end_time > 0.0
         assert not result.crashed
         for channel in stack.channels:
@@ -215,7 +215,9 @@ class TestFleetSimulation:
         configs = [replace(c, start_position=start, goals=[start]) for c in configs]
         fleet = FleetConfig(vehicles=configs, min_separation=2.0)
         stack = build_fleet_stack(fleet)
-        result = stack.run(duration=1.0, stop_on_complete=False)
+        # Parked on their one goal, both tours are complete at once, which
+        # ends a FleetStack.run; fly the whole second regardless.
+        result = stack.simulation.run(1.0)
         assert not result.monitors.ok
         assert any(
             violation.monitor == "phi_separation"

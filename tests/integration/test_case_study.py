@@ -85,7 +85,7 @@ class TestFigure12cShape:
 
     def test_protected_stack_lands_safely(self):
         stack = build_stack(self._battery_config(protect=True))
-        metrics, _ = stack.run(duration=400.0, stop_on_complete=False)
+        metrics, _ = stack.run(duration=400.0)
         assert not metrics.battery_depleted_in_air
         assert metrics.landed_safely
         assert metrics.disengagements["BatterySafety"] == 1
@@ -93,9 +93,7 @@ class TestFigure12cShape:
         assert battery_dm.mode is Mode.SC
 
     def test_unprotected_stack_crashes_on_empty_battery(self):
-        metrics, _ = build_stack(self._battery_config(protect=False)).run(
-            duration=400.0, stop_on_complete=False
-        )
+        metrics, _ = build_stack(self._battery_config(protect=False)).run(duration=400.0)
         assert metrics.battery_depleted_in_air
         assert metrics.crashed
 

@@ -1,17 +1,14 @@
-"""Tests for schedulers, tracing and executors."""
+"""Tests for schedulers, tracing and the engine loop's stop condition."""
 
 import pytest
 
-from repro.core import ConstantNode, FunctionNode, Program, SafetySpec, SoterCompiler, Topic
-from repro.core.monitor import MonitorSuite, TopicSafetyMonitor
+from repro.core import ConstantNode, Program, SoterCompiler, Topic
 from repro.core.semantics import SemanticsEngine
 from repro.runtime import (
     ExecutionTrace,
     JitteryOSScheduler,
     OverloadScheduler,
     PerfectScheduler,
-    SimulatedTimeExecutor,
-    WallClockExecutor,
 )
 
 
@@ -105,42 +102,10 @@ class TestExecutionTrace:
         assert not trace.disengagements("other")
 
 
-class TestExecutors:
-    def test_simulated_executor_runs_and_monitors(self):
-        system = _counting_system()
-        monitors = MonitorSuite([
-            TopicSafetyMonitor("ticks-positive", "ticks", SafetySpec("pos", lambda x: x >= 0))
-        ])
-        executor = SimulatedTimeExecutor(system, monitors=monitors, monitor_period=0.1)
-        result = executor.run(duration=1.0)
-        assert result.safe
-        assert result.end_time >= 1.0 - 1e-9
-        assert result.trace.firings
-
-    def test_simulated_executor_environment_hook(self):
-        node = FunctionNode(
-            "echo", lambda now, inputs: {"echoed": inputs.get("signal")},
-            subscribes=("signal",), publishes=("echoed",), period=0.1,
-        )
-        program = Program(name="echo", topics=[Topic("signal"), Topic("echoed")], nodes=[node])
-        system = SoterCompiler().compile(program).system
-        executor = SimulatedTimeExecutor(system)
-        result = executor.run(duration=0.5, environment=lambda eng, t: eng.set_input("signal", t))
-        assert result.engine.read_topic("echoed") is not None
-
+class TestRunUntil:
     def test_stop_when_is_checked_after_each_step(self):
-        executor = SimulatedTimeExecutor(_counting_system(period=0.1))
-        result = executor.run(10.0, stop_when=lambda engine: engine.current_time >= 0.3)
-        assert result.end_time == pytest.approx(0.3)
-        assert len(result.trace.firings) == 4  # t = 0, 0.1, 0.2, 0.3
-
-    def test_invalid_monitor_period(self):
-        with pytest.raises(ValueError):
-            SimulatedTimeExecutor(_counting_system(), monitor_period=0.0)
-
-    def test_wall_clock_executor_paces_execution(self):
-        executor = WallClockExecutor(_counting_system(period=0.05), time_scale=50.0)
-        result = executor.run(duration=0.5)
-        assert result.end_time >= 0.45
-        with pytest.raises(ValueError):
-            WallClockExecutor(_counting_system(), time_scale=0.0)
+        trace = ExecutionTrace()
+        engine = SemanticsEngine(_counting_system(period=0.1), listeners=[trace])
+        engine.run_until(10.0, stop_when=lambda inner: inner.current_time >= 0.3)
+        assert engine.current_time == pytest.approx(0.3)
+        assert len(trace.firings) == 4  # t = 0, 0.1, 0.2, 0.3

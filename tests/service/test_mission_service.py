@@ -536,6 +536,24 @@ class TestErrorPaths:
         assert "finite" in detail["error"]
 
     @pytest.mark.parametrize(
+        "override, field", [("physics_dt", "physics_dt"), ("environment_period", "period")]
+    )
+    def test_a_vanishing_step_override_ends_the_mission_with_an_error(
+        self, client, override, field
+    ):
+        # Finite, so it passes submission; the scenario build then rejects
+        # it instead of a drone integrating a window that never ends.
+        mission_id = client.submit(
+            "plant-surveillance",
+            strategy=RandomStrategy(seed=1, max_executions=2),
+            overrides={override: 1e-20, "horizon": 0.5},
+        )
+        finished = list(client.events(mission_id))[-1]
+        assert finished["type"] == "finished"
+        assert finished["ok"] is None
+        assert f"{field} must be finite and at least MIN_STEP" in finished["error"]
+
+    @pytest.mark.parametrize(
         "field,value",
         [
             ("shards", 0),

@@ -1,4 +1,4 @@
-"""Tests for the drone plant, sensors, wind models, and mission worlds."""
+"""Tests for the drone plant, sensors, and mission worlds."""
 
 import pytest
 
@@ -6,10 +6,7 @@ from repro.dynamics import BatteryModel, BatteryParams, ControlCommand, DroneSta
 from repro.geometry import AABB, Vec3, empty_workspace
 from repro.simulation import (
     BatterySensor,
-    ConstantWind,
     DronePlant,
-    GustyWind,
-    NoWind,
     PerfectEstimator,
     StateEstimator,
     figure_eight_range,
@@ -122,26 +119,6 @@ class TestSensors:
         assert 0.0 <= reading.charge <= 1.0
         with pytest.raises(ValueError):
             BatterySensor(charge_noise=-0.1)
-
-
-class TestWind:
-    def test_no_wind(self):
-        assert NoWind().acceleration(3.0) == Vec3.zero()
-
-    def test_constant_wind_is_normalised(self):
-        wind = ConstantWind(direction=Vec3(2.0, 0.0, 0.0), strength=0.5)
-        assert wind.acceleration(0.0).norm() == pytest.approx(0.5)
-        with pytest.raises(ValueError):
-            ConstantWind(direction=Vec3(0, 0, 0))
-
-    def test_gusty_wind_is_bounded_and_seeded(self):
-        wind = GustyWind(mean=Vec3(0.2, 0, 0), gust_amplitude=0.5, seed=4)
-        other = GustyWind(mean=Vec3(0.2, 0, 0), gust_amplitude=0.5, seed=4)
-        for t in (0.0, 1.0, 2.5):
-            assert wind.acceleration(t).norm() <= 0.2 + 0.5 + 1e-9
-            assert wind.acceleration(t).almost_equal(other.acceleration(t))
-        with pytest.raises(ValueError):
-            GustyWind(gust_period=0.0)
 
 
 class TestWorlds:

@@ -19,6 +19,7 @@ import pytest
 from repro.dynamics import BatteryModel, BoundedDoubleIntegrator, ControlCommand, DroneState
 from repro.geometry import AABB, Vec3, Workspace, grid_city_workspace
 from repro.simulation import (
+    MIN_STEP,
     BatterySensor,
     DronePlant,
     PlantChannel,
@@ -149,14 +150,14 @@ def _fly_windows(env, twin, windows, seed):
             )
         env.apply(engine, now)
         held = [commands[channel.command_topic] for channel in twin.channels]
-        remaining = now - previous
-        while remaining > 1e-12:
-            step = min(twin.physics_dt, remaining)
-            remaining -= step
+        t = previous
+        while t < now - 1e-12:
+            step = min(twin.physics_dt, now - t)
+            t += step
             for channel, command, gust in zip(twin.channels, held, gusts):
                 was_collided = channel.plant.collided
                 channel.plant.apply(command, step, gust)
-                mid_window += channel.plant.collided and not was_collided and remaining > 1e-12
+                mid_window += channel.plant.collided and not was_collided and t < now - 1e-12
         gusts = [twin.gust_menu[index] for index in strategy.picks[-K:]]
         for channel in twin.channels:
             channel.publish(oracle)
@@ -408,7 +409,8 @@ class TestPlantEnvironment:
 
 
 class TestTimingValidation:
-    """Non-finite timing would freeze every plant after t=0 (or fail mid-run)."""
+    """Non-finite timing would freeze every plant after t=0 (or fail mid-run),
+    and a step below ``MIN_STEP`` would never finish its window."""
 
     @pytest.mark.parametrize("field", ["period", "physics_dt"])
     @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf, 0.0, -0.25])
@@ -416,6 +418,22 @@ class TestTimingValidation:
         channels = _environment(surveillance_city().workspace, 1).channels
         with pytest.raises(ValueError, match=field):
             PlantEnvironment(channels=channels, **{field: value})
+
+    @pytest.mark.parametrize("field", ["period", "physics_dt"])
+    def test_rejects_a_step_too_small_to_advance_the_clock(self, field):
+        channels = _environment(surveillance_city().workspace, 1).channels
+        with pytest.raises(ValueError, match=field):
+            PlantEnvironment(channels=channels, **{field: MIN_STEP / 2})
+        PlantEnvironment(channels=channels, **{field: MIN_STEP})
+
+    @pytest.mark.parametrize(
+        "override, field", [("physics_dt", "physics_dt"), ("environment_period", "period")]
+    )
+    def test_plant_surveillance_rejects_a_vanishing_step(self, override, field):
+        # 0.25 - 1e-20 == 0.25: such a window could never be integrated.
+        factory = scenario_factory("plant-surveillance", horizon=0.5, **{override: 1e-20})
+        with pytest.raises(ValueError, match=field):
+            factory()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_a_non_finite_gust(self, bad):

@@ -3,16 +3,21 @@
 import pytest
 
 from repro.apps import StackConfig, build_stack
-from repro.core import ConstantNode, Program, SoterCompiler, Topic
+from repro.core import ConstantNode, FunctionNode, Program, SafetySpec, SoterCompiler, Topic
+from repro.core.monitor import MonitorSuite, TopicSafetyMonitor
+from repro.core.semantics import SemanticsEngine
 from repro.dynamics import ControlCommand, DroneState, default_drone_model
 from repro.geometry import Vec3, empty_workspace
 from repro.simulation import (
+    PHYSICS_DT,
     BatterySensor,
     DronePlant,
     DroneSimulation,
+    PerfectEstimator,
     PlantChannel,
-    SimulationConfig,
+    PlantEnvironment,
     StateEstimator,
+    surveillance_city,
     waypoint_range,
 )
 
@@ -40,14 +45,6 @@ def _channel(plant, estimator=None):
         position_topic="localPosition",
         battery_topic="batteryStatus",
     )
-
-
-class TestSimulationConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(physics_dt=0.0)
-        with pytest.raises(ValueError):
-            SimulationConfig(monitor_period=0.0)
 
 
 class TestCoSimulation:
@@ -110,3 +107,157 @@ class TestCoSimulation:
         stack = build_stack(config)
         metrics, result = stack.run(duration=120.0)
         assert result.safe == (not result.crashed and result.monitors.ok)
+
+
+def _steering_system(period):
+    """One node that steers toward a point east along a free street."""
+    target = Vec3(31.5, 18.5, 4.0)
+
+    def steer(now, inputs):
+        state = inputs.get("localPosition")
+        if state is None:
+            return {}
+        pull = (target - state.position) * 0.8 - state.velocity * 1.5
+        return {"controlCommand": ControlCommand(acceleration=pull)}
+
+    node = FunctionNode(
+        "steer", steer, subscribes=("localPosition",), publishes=("controlCommand",), period=period
+    )
+    program = Program(
+        name="steer",
+        topics=[Topic("localPosition"), Topic("controlCommand", ControlCommand, None)],
+        nodes=[node],
+    )
+    return SoterCompiler().compile(program).system
+
+
+def _plant_fields(plant):
+    return (
+        plant.time,
+        plant.state,
+        plant.battery,
+        plant.collided,
+        plant.collision_position,
+        plant.battery_failed,
+        plant.distance_flown,
+        plant.min_clearance,
+    )
+
+
+class TestOneLoop:
+    def test_missions_and_the_plant_environment_fly_the_same_plant(self):
+        # The same channel twice: one flown by a mission at every discrete
+        # step, one by a tester environment at every window.  With the
+        # node's period equal to the window, both call the one substep
+        # loop over the same intervals, so the plants stay equal.
+        period = 0.125
+        workspace = surveillance_city().workspace
+
+        def channel():
+            plant = DronePlant(
+                model=default_drone_model(),
+                workspace=workspace,
+                initial_state=DroneState(position=Vec3(4.0, 18.5, 4.0)),
+            )
+            return PlantChannel(
+                plant=plant,
+                estimator=PerfectEstimator(),
+                command_topic="controlCommand",
+                position_topic="localPosition",
+            )
+
+        mission = DroneSimulation(system=_steering_system(period), channels=[channel()])
+        environment = PlantEnvironment(
+            channels=[channel()], gust_menu=[Vec3.zero()], period=period, physics_dt=PHYSICS_DT
+        )
+        engine = SemanticsEngine(_steering_system(period))
+        for k in range(1, 49):
+            mission.run(k * period)
+            engine.run_until(k * period, environment=environment.apply)
+            assert _plant_fields(mission.channels[0].plant) == _plant_fields(
+                environment.channels[0].plant
+            ), f"step {k}"
+        plant = environment.channels[0].plant
+        assert plant.distance_flown > 10.0 and not plant.collided
+
+
+class TestReset:
+    def test_a_stopped_run_does_not_leak_into_the_next(self):
+        # The drone starts at x=2 under forward thrust; φ "x < 3" fails
+        # once it passes x=3.  A run stopped at t=2 leaves violations and
+        # an advanced monitor cadence behind; after reset() a short run
+        # must read exactly what a fresh simulation reads.
+        def simulation():
+            plant = DronePlant(
+                model=default_drone_model(),
+                workspace=empty_workspace(side=50.0, ceiling=10.0),
+                initial_state=DroneState(position=Vec3(2.0, 2.0, 2.0)),
+            )
+            west = SafetySpec("x<3", lambda state: state.position.x < 3.0)
+            monitors = MonitorSuite([TopicSafetyMonitor("west", "localPosition", west)])
+            return DroneSimulation(
+                system=_thrust_only_system(),
+                channels=[_channel(plant, StateEstimator(0.0, 0.0))],
+                monitors=monitors,
+            )
+
+        def keys(result):
+            return [(v.time, v.monitor, v.message) for v in result.monitors.violations]
+
+        warm = simulation()
+        stopped = warm.run(3.0, stop_when=lambda sim: sim.engine.current_time >= 2.0)
+        assert stopped.stop_reason == "stop condition" and keys(stopped)
+        warm.reset()
+        again = warm.run(1.5)
+        fresh = simulation().run(1.5)
+        assert keys(again) == keys(fresh)
+        assert again.end_time == fresh.end_time
+        assert again.trace.samples == fresh.trace.samples
+        assert again.trajectories["drone"].samples == fresh.trajectories["drone"].samples
+
+    def test_a_reset_golden_mission_flies_the_golden_figures_again(self):
+        # The golden Fig. 12b mission (tests/apps/test_golden_mission.py),
+        # flown, rewound with reset() and flown again on the warm stack.
+        world = surveillance_city()
+        world.workspace.clearance_field().densify()
+        stack = build_stack(
+            StackConfig(
+                world=world,
+                random_goals=5,
+                planner="astar",
+                tracker="learned",
+                protect_battery=True,
+                seed=0,
+            )
+        )
+
+        def fly():
+            metrics, result = stack.run(300)
+            stats = result.engine.stats
+            figures = (
+                metrics.mission_time,
+                metrics.goals_visited,
+                stats.node_firings,
+                stats.time_progress_steps,
+                stats.mode_switches,
+                metrics.min_clearance,
+            )
+            trace = result.trace
+            recorded = (
+                list(trace.firings),
+                list(trace.switches),
+                list(trace.samples),
+                trace.inputs,
+                {name: list(t.samples) for name, t in result.trajectories.items()},
+                [(v.time, v.monitor, v.message) for v in result.monitors.violations],
+            )
+            return figures, recorded
+
+        golden = (109.49999999999592, 14, 7124, 2191, 4, 1.52040624955686)
+        first, first_recorded = fly()
+        assert first == golden
+        stack.simulation.reset()
+        assert stack.simulation.engine.current_time == 0.0
+        second, second_recorded = fly()
+        assert second == golden
+        assert second_recorded == first_recorded
