@@ -11,7 +11,7 @@ identical traces, monitor verdicts, engine statistics and end times.
 import pytest
 
 import repro.apps.scenarios  # noqa: F401 — registers the built-in scenarios
-from repro.core import ConstantNode, Program, SafetySpec, SoterCompiler, Topic
+from repro.core import ConstantNode, FunctionNode, Program, SafetySpec, SoterCompiler, Topic
 from repro.core.monitor import MonitorCadence, MonitorSuite, TopicSafetyMonitor
 from repro.core.semantics import SemanticsEngine
 from repro.runtime import ExecutionTrace
@@ -124,3 +124,98 @@ def test_the_cadence_checks_once_per_monitor_period(period):
     count = round(1.0 / period)
     expected = [k * period - 0.05 for k in range(1, count + 1)]
     assert [v.time for v in monitors.violations] == pytest.approx(expected)
+
+
+def _negative_tick_suite():
+    return MonitorSuite(
+        [TopicSafetyMonitor("positive", "ticks", SafetySpec("pos", lambda x: x > 0))]
+    )
+
+
+def _run_with_cadence(system, cadence, end_time, environment=None):
+    """A bare mission loop: a fresh engine, the hook, then the cadence."""
+    cadence.reset()
+    trace = ExecutionTrace()
+    engine = SemanticsEngine(system, listeners=[trace])
+
+    def hook(inner, upcoming):
+        if environment is not None:
+            environment(inner, upcoming)
+        cadence.advance(inner, upcoming)
+
+    engine.run_until(end_time, environment=hook)
+    return engine, trace
+
+
+def _keys(violations):
+    return [(v.time, v.monitor, v.message) for v in violations]
+
+
+def test_a_safe_run_under_the_cadence_fires_and_records_no_violation():
+    monitors = MonitorSuite(
+        [TopicSafetyMonitor("ticks-positive", "ticks", SafetySpec("pos", lambda x: x >= 0))]
+    )
+    engine, trace = _run_with_cadence(_ticker_system(), MonitorCadence(monitors, 0.1), 1.0)
+    assert monitors.ok and not monitors.violations
+    assert engine.current_time == pytest.approx(1.0)
+    assert trace.firings
+
+
+def test_the_hook_sets_inputs_the_next_step_reads():
+    node = FunctionNode(
+        "echo", lambda now, inputs: {"echoed": inputs.get("signal")},
+        subscribes=("signal",), publishes=("echoed",), period=0.1,
+    )
+    program = Program(name="echo", topics=[Topic("signal"), Topic("echoed")], nodes=[node])
+    system = SoterCompiler().compile(program).system
+    engine = SemanticsEngine(system)
+    engine.run_until(0.5, environment=lambda inner, upcoming: inner.set_input("signal", upcoming))
+    assert engine.read_topic("echoed") == pytest.approx(0.5)
+
+
+class TestCadenceReentrancy:
+    """A reset cadence must not carry the previous run's verdicts or instants.
+
+    A long-running service re-runs missions on a warm cadence; one that
+    kept its violations, or its next sampling instant, would double-count
+    every verdict or skip the next run's first samples.
+    """
+
+    def test_a_second_run_reports_independent_violations(self):
+        monitors = _negative_tick_suite()
+        cadence = MonitorCadence(monitors, 0.1)
+        _run_with_cadence(_ticker_system(ticks=-1), cadence, 0.5)
+        first = _keys(monitors.violations)
+        assert first  # the spec must actually fire
+        _run_with_cadence(_ticker_system(ticks=-1), cadence, 0.5)
+        # Identical runs, identical verdicts — not first + first again.
+        assert _keys(monitors.violations) == first
+
+    def test_a_warm_cadence_matches_a_fresh_one(self):
+        warm = MonitorCadence(_negative_tick_suite(), 0.1)
+        _run_with_cadence(_ticker_system(ticks=-1), warm, 0.7)
+        _run_with_cadence(_ticker_system(ticks=-1), warm, 0.5)
+        fresh = MonitorCadence(_negative_tick_suite(), 0.1)
+        _run_with_cadence(_ticker_system(ticks=-1), fresh, 0.5)
+        assert _keys(warm.suite.violations) == _keys(fresh.suite.violations)
+
+    def test_an_aborted_run_does_not_leak_into_the_next(self):
+        # A hook that blows up mid-run leaves violations and a half-advanced
+        # cadence behind; the next run must start clean.
+        cadence = MonitorCadence(_negative_tick_suite(), 0.05)
+
+        def exploding(inner, upcoming):
+            if upcoming > 0.2:
+                raise RuntimeError("mid-run crash")
+
+        with pytest.raises(RuntimeError):
+            _run_with_cadence(_ticker_system(ticks=-1), cadence, 1.0, environment=exploding)
+        assert cadence.suite.violations  # the stale state the reset clears
+        assert cadence.next_time > 0.2
+        # A run shorter than the aborted one: stale verdicts, or a cadence
+        # still waiting for its next instant past 0.2, would show.
+        _run_with_cadence(_ticker_system(ticks=-1), cadence, 0.1)
+        clean = MonitorCadence(_negative_tick_suite(), 0.05)
+        _run_with_cadence(_ticker_system(ticks=-1), clean, 0.1)
+        assert _keys(cadence.suite.violations) == _keys(clean.suite.violations)
+        assert len(clean.suite.violations) == 2

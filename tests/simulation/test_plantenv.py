@@ -27,6 +27,7 @@ from repro.simulation import (
     StateEstimator,
     surveillance_city,
 )
+from repro.simulation.plantenv import integrate
 from repro.testing import scenario_factory
 
 from .test_plant_gates import SUBSTEPS, ExactPlant, _features, _walk
@@ -244,6 +245,94 @@ class TestScalarLoop:
             assert len(log) == substeps
             assert all(0.0 < dt <= physics_dt for dt in log)
             assert sum(log) == pytest.approx(0.25)
+
+
+class _LoggingPlant:
+    """Records every ``apply`` call into a log shared by all channels."""
+
+    def __init__(self, label, log):
+        self.label = label
+        self.log = log
+
+    def apply(self, command, dt, gust):
+        self.log.append((self.label, command, dt, gust))
+
+
+class _CountingEngine(_StubEngine):
+    def __init__(self, commands):
+        super().__init__(commands)
+        self.reads = []
+
+    def read_topic(self, topic):
+        self.reads.append(topic)
+        return super().read_topic(topic)
+
+
+def _logging_channels(K):
+    log = []
+    channels = [
+        PlantChannel(
+            plant=_LoggingPlant(f"drone{k}", log),
+            estimator=None,
+            command_topic=f"cmd{k}",
+            position_topic=f"pos{k}",
+            label=f"drone{k}",
+        )
+        for k in range(K)
+    ]
+    return channels, log
+
+
+class TestIntegrate:
+    """The one substep kernel both drivers call, against logging plants."""
+
+    @pytest.mark.parametrize("start, until", [(0.0, 0.0), (1.5, 1.5), (1.0, 1.0 + 1e-13)])
+    def test_an_empty_interval_flies_nothing(self, start, until):
+        channels, log = _logging_channels(2)
+        integrate(channels, _StubEngine({}), [Vec3.zero()] * 2, start, until, 0.05)
+        assert log == []
+
+    @pytest.mark.parametrize(
+        "start, until, physics_dt, steps",
+        [
+            (0.0, 0.25, 0.1, [0.1, 0.1, 0.05]),
+            (1.0, 1.03, 0.05, [0.03]),
+            (0.5, 0.7, 0.1, [0.1, 0.1]),
+        ],
+    )
+    def test_the_last_substep_is_shortened_to_land_on_until(self, start, until, physics_dt, steps):
+        channels, log = _logging_channels(1)
+        integrate(channels, _StubEngine({}), [Vec3.zero()], start, until, physics_dt)
+        assert [dt for _, _, dt, _ in log] == pytest.approx(steps)
+        assert start + sum(dt for _, _, dt, _ in log) == pytest.approx(until)
+
+    def test_plants_fly_in_channel_order_within_each_substep(self):
+        channels, log = _logging_channels(3)
+        integrate(channels, _StubEngine({}), [Vec3.zero()] * 3, 0.0, 0.1, 0.05)
+        assert [label for label, _, _, _ in log] == ["drone0", "drone1", "drone2"] * 2
+
+    def test_each_command_is_read_once_and_held_for_the_interval(self):
+        commands = {
+            "cmd0": ControlCommand(acceleration=Vec3(1.0, 0.0, 0.0)),
+            "cmd1": ControlCommand(acceleration=Vec3(0.0, 2.0, 0.0)),
+        }
+        engine = _CountingEngine(commands)
+        channels, log = _logging_channels(2)
+        integrate(channels, engine, [Vec3.zero()] * 2, 0.0, 0.2, 0.05)
+        assert engine.reads == ["cmd0", "cmd1"]
+        assert len(log) == 8
+        for label, command, _, _ in log:
+            assert command is commands["cmd" + label[-1]]
+
+    def test_each_vehicle_flies_its_own_gust_and_a_non_command_as_no_thrust(self):
+        gusts = [Vec3(3.0, 0.0, 0.0), Vec3(0.0, -1.0, 0.5)]
+        channels, log = _logging_channels(2)
+        engine = _StubEngine({"cmd0": "not a command"})  # cmd1 never published
+        integrate(channels, engine, gusts, 0.0, 0.1, 0.05)
+        assert [(label, command, gust) for label, command, _, gust in log] == [
+            ("drone0", None, gusts[0]),
+            ("drone1", None, gusts[1]),
+        ] * 2
 
 
 class _CollisionClock(ExactPlant):

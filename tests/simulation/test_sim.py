@@ -20,6 +20,7 @@ from repro.simulation import (
     surveillance_city,
     waypoint_range,
 )
+from repro.simulation.sim import MONITOR_PERIOD
 
 
 def _thrust_only_system():
@@ -107,6 +108,65 @@ class TestCoSimulation:
         stack = build_stack(config)
         metrics, result = stack.run(duration=120.0)
         assert result.safe == (not result.crashed and result.monitors.ok)
+
+
+
+class TestMissionLoop:
+    """What DroneSimulation adds around the substep kernel: its step and cadence."""
+
+    @staticmethod
+    def _simulation(monitors=None):
+        plant = DronePlant(
+            model=default_drone_model(),
+            workspace=empty_workspace(side=50.0, ceiling=10.0),
+            initial_state=DroneState(position=Vec3(2.0, 2.0, 2.0)),
+        )
+        return DroneSimulation(
+            system=_thrust_only_system(),
+            channels=[_channel(plant, StateEstimator(0.0, 0.0))],
+            monitors=monitors,
+        )
+
+    def test_plants_fly_physics_dt_substeps_between_discrete_steps(self):
+        sim = self._simulation()
+        plant = sim.channels[0].plant
+        steps = []
+        apply = plant.apply
+
+        def recording(command, dt, gust):
+            steps.append(dt)
+            apply(command, dt, gust)
+
+        plant.apply = recording
+        result = sim.run(1.0)
+        # Twenty 0.05-s gaps between the node's firings, each flown as
+        # 0.02 + 0.02 + 0.01.
+        assert len(steps) == 20 * 3
+        assert all(0.0 < dt <= PHYSICS_DT for dt in steps)
+        assert sum(steps) == pytest.approx(result.end_time)
+        assert plant.time == pytest.approx(result.end_time)
+
+    def test_monitors_are_sampled_every_monitor_period(self):
+        never = SafetySpec("never", lambda state: False)
+        monitors = MonitorSuite([TopicSafetyMonitor("never", "localPosition", never)])
+        self._simulation(monitors).run(1.0)
+        # One sample at t=0 (the initial estimate is already published),
+        # then one per MONITOR_PERIOD.  The sample due at k*MONITOR_PERIOD
+        # is taken right before the step at that instant, so it is stamped
+        # with the previous step's time (the node fires every 0.05 s).
+        count = round(1.0 / MONITOR_PERIOD)
+        expected = [0.0] + [k * MONITOR_PERIOD - 0.05 for k in range(1, count + 1)]
+        assert [v.time for v in monitors.violations] == pytest.approx(expected)
+
+    def test_a_run_continued_in_pieces_equals_one_run(self):
+        pieces, whole = self._simulation(), self._simulation()
+        pieces.run(0.7)
+        continued = pieces.run(2.0)
+        once = whole.run(2.0)
+        assert continued.end_time == once.end_time
+        assert _plant_fields(continued.channels[0].plant) == _plant_fields(once.channels[0].plant)
+        assert continued.trace.samples == once.trace.samples
+        assert continued.trajectories["drone"].samples == once.trajectories["drone"].samples
 
 
 def _steering_system(period):
