@@ -3,12 +3,13 @@
 The swarm layer (:mod:`repro.swarm`) runs one exploration sweep per
 ``SwarmTester`` call.  This package turns the same control plane + drone
 fleet into a *long-running service*: clients POST a mission (scenario
-name, overrides, strategy/budget, population size) to
-``/api/v1/mission`` and stream back execution records, coverage tables
-and confirmed counterexamples incrementally via the cursor-based
+name, overrides, strategy/budget, shard count) to ``/api/v1/mission``
+and stream back execution records, coverage tables and confirmed
+counterexamples incrementally via the cursor-based
 ``/api/v1/mission/<id>/events?since=<seq>`` endpoint (chunked JSON
 lines), with many interleaved missions multiplexed over the existing
-session/lease/status machinery.
+session/lease/status machinery.  Every drone runs the serial
+reset-and-reuse :class:`~repro.testing.SystematicTester`.
 
 * :mod:`~repro.service.missions` — :class:`MissionService`, the pure
   state machine: mission lifecycle, per-mission event logs with

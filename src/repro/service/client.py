@@ -51,7 +51,6 @@ class MissionClient:
         strategy: Any,
         overrides: Optional[dict] = None,
         shards: Optional[int] = None,
-        population_size: Optional[int] = None,
         track_coverage: bool = False,
         stop_at_first_violation: bool = False,
         confirm: bool = True,
@@ -70,8 +69,6 @@ class MissionClient:
             spec["overrides"] = overrides
         if shards is not None:
             spec["shards"] = shards
-        if population_size is not None:
-            spec["population_size"] = population_size
         created = post_json(
             self.base_url, "/api/v1/mission", spec, timeout=self.timeout
         )

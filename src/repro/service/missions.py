@@ -42,6 +42,12 @@ from ..swarm import protocol
 from ..swarm.controlplane import ControlPlane
 from ..testing.parallel import ParallelReport, ParallelTester
 
+#: The fields a mission spec may carry (see :meth:`MissionService.submit`).
+_SPEC_FIELDS = frozenset({
+    "scenario", "strategy", "overrides", "shards",
+    "track_coverage", "stop_at_first_violation", "confirm",
+})
+
 
 class Mission:
     """One submitted mission: its spec, event log, and final report."""
@@ -102,13 +108,17 @@ class MissionService:
 
         Spec fields: ``scenario`` (registry name, required), ``strategy``
         (wire form, see :func:`~repro.swarm.protocol.encode_strategy`,
-        required), ``overrides`` (builder kwargs), ``shards`` and
-        ``population_size`` (null or an integer >= 1), and the JSON
-        booleans ``track_coverage``, ``stop_at_first_violation`` and
-        ``confirm`` (default True).
+        required), ``overrides`` (builder kwargs), ``shards`` (null or an
+        integer >= 1), and the JSON booleans ``track_coverage``,
+        ``stop_at_first_violation`` and ``confirm`` (default True).  Any
+        other field is rejected, as is a workload whose build fails.
         """
         if not isinstance(spec, dict):
             raise protocol.ProtocolError("mission spec must be an object")
+        unknown = sorted(set(spec) - _SPEC_FIELDS)
+        if unknown:
+            raise protocol.ProtocolError(
+                f"unknown mission spec field(s): {', '.join(map(repr, unknown))}")
         scenario = spec.get("scenario")
         if not isinstance(scenario, str):
             raise protocol.ProtocolError("mission spec needs a scenario name")
@@ -120,27 +130,26 @@ class MissionService:
         if not isinstance(overrides, dict):
             raise protocol.ProtocolError("mission overrides must be an object")
         for name, value in overrides.items():
-            # JSON ``NaN``/``Infinity`` pass the wire, and the factory
-            # below only binds names: the build that would reject them
-            # runs later, in the mission's runner thread.
+            # JSON ``NaN``/``Infinity`` pass the wire, and not every
+            # builder rejects them.
             if isinstance(value, float) and not math.isfinite(value):
                 raise protocol.ProtocolError(
                     f"override {name!r} must be finite, got {value!r}")
         try:
-            # Eager build failure (unknown scenario, bad override) belongs
-            # to the submitter, not to a runner thread's error event.
-            protocol.scenario_factory(scenario, **overrides)
+            # Build the workload once: a failure (unknown scenario, bad
+            # override, a value the builder rejects) belongs to the
+            # submitter, not to a runner thread's error event.
+            protocol.scenario_factory(scenario, **overrides)()
         except Exception as error:
             raise protocol.ProtocolError(f"bad mission workload: {error}") from None
         # Checked here, not left to the runner thread or a drone: ``int``
         # would truncate 2.5 and ``bool`` would read "false" as True.
-        for count in ("shards", "population_size"):
-            value = spec.get(count)
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, int) or value < 1
-            ):
-                raise protocol.ProtocolError(
-                    f"{count} must be null or an integer >= 1, got {value!r}")
+        shards = spec.get("shards")
+        if shards is not None and (
+            isinstance(shards, bool) or not isinstance(shards, int) or shards < 1
+        ):
+            raise protocol.ProtocolError(
+                f"shards must be null or an integer >= 1, got {shards!r}")
         for flag in ("track_coverage", "stop_at_first_violation", "confirm"):
             if flag in spec and not isinstance(spec[flag], bool):
                 raise protocol.ProtocolError(
@@ -318,7 +327,6 @@ class MissionService:
             ],
             "duplicates": report.duplicates,
             "events": list(report.events),
-            "population_stats": dict(report.population_stats),
             "workers": report.workers,
             "wall_time": report.wall_time,
         }
@@ -342,7 +350,6 @@ class _MissionRun(ParallelTester):
             workers=spec.get("shards") or service.default_shards,
             scenario_overrides=spec.get("overrides") or None,
             track_coverage=spec.get("track_coverage", False),
-            population_size=spec.get("population_size"),
         )
         self.service = service
         self.mission = mission

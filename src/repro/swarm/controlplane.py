@@ -118,11 +118,6 @@ class Session:
     records: List[Dict[str, Any]] = field(default_factory=list)
     record_keys: set = field(default_factory=set)
     coverage_rows: Dict[Tuple[str, str, str], int] = field(default_factory=dict)
-    #: Summed per-lease PopulationTester counter deltas (empty when no
-    #: shard ran the population plane).  Counts work *performed* by the
-    #: fleet: a zombie/re-lease race that redundantly re-runs a shard
-    #: shows up here even though its records dedupe away.
-    population_stats: Dict[str, int] = field(default_factory=dict)
     duplicates: int = 0
     stopping: bool = False
     failed: Optional[str] = None
@@ -395,7 +390,7 @@ class ControlPlane:
                 return self._long_poll_lease(payload)
             if route == "result":
                 return self.ingest(payload["session"], payload["lease"], **_options(
-                    payload, "results", "done", "released", "error", "population_stats"))
+                    payload, "results", "done", "released", "error"))
             if route == "heartbeat":
                 return self.heartbeat(payload["session"], payload["lease"], **_options(
                     payload, "executions_done", "prefixes_done"))
@@ -586,7 +581,6 @@ class ControlPlane:
         done: bool = False,
         released: bool = False,
         error: Optional[str] = None,
-        population_stats: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
         """Fold a drone's streamed results into the session.
 
@@ -597,11 +591,10 @@ class ControlPlane:
         fully enumerated; ``released`` returns it unfinished (stop
         drain); ``error`` fails the session with the drone's traceback —
         executions are deterministic, so the error would reproduce on any
-        drone.  ``population_stats`` is the lease's PopulationTester
-        counter delta, summed into the session's running totals.  A
-        malformed window raises :class:`~repro.swarm.protocol.ProtocolError`
-        before anything is folded in, so the session is left as it was and
-        a corrected resend is not counted as a duplicate.
+        drone.  A malformed window raises
+        :class:`~repro.swarm.protocol.ProtocolError` before anything is
+        folded in, so the session is left as it was and a corrected resend
+        is not counted as a duplicate.
         """
         self.sweep()
         with self._lock:
@@ -616,7 +609,6 @@ class ControlPlane:
             kind = (shard.kind if shard is not None
                     else session.shards[0].kind if session.shards else "random")
             window = [_window_item(kind, item) for item in results or []]
-            stats = protocol.decode_population_stats(population_stats) if population_stats else {}
             if lease is not None:
                 lease.last_heartbeat = self._clock()
                 lease.warned = False
@@ -632,8 +624,6 @@ class ControlPlane:
                 self._notify_record(session_id, record, coverage)
                 if record.get("violations") and session.stop_at_first_violation:
                     self._begin_stop(session)
-            for key, value in stats.items():
-                session.population_stats[key] = session.population_stats.get(key, 0) + value
             if error is not None:
                 self._fail(session, error)
                 self._release(lease, shard, completed=False)
@@ -729,7 +719,6 @@ class ControlPlane:
                     for (vehicle, mode, region), count in sorted(session.coverage_rows.items())
                 ],
                 "duplicates": session.duplicates,
-                "population_stats": dict(session.population_stats),
                 "events": list(session.events),
                 "shards": [
                     {"shard_id": shard.shard_id, "status": shard.status,

@@ -3,11 +3,10 @@
 A drone is one exploration worker on one host.  It long-polls the
 control plane (:mod:`repro.swarm.controlplane`) for a shard lease,
 rebuilds the workload from the shard description, runs it on the warm
-reset-and-reuse :class:`~repro.testing.SystematicTester` (or the
-population plane), and streams the
-:class:`~repro.testing.explorer.ExecutionRecord` items (each with its
-execution's own coverage delta) back in windows: one post carries up to
-:data:`RESULT_WINDOW` items, none held longer than
+reset-and-reuse serial :class:`~repro.testing.SystematicTester`, and
+streams the :class:`~repro.testing.explorer.ExecutionRecord` items
+(each with its execution's own coverage delta) back in windows: one
+post carries up to :data:`RESULT_WINDOW` items, none held longer than
 :data:`RESULT_WINDOW_S`, and a lease's first record and every violating
 record go out at once.  ``Drone._run_lease`` is the one shard loop of
 every sharded tester.  While a shard runs, a
@@ -46,7 +45,6 @@ from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..testing.explorer import SystematicTester
 from ..testing.parallel import _RandomShard
-from ..testing.population import PopulationTester
 from ..testing.strategies import ExhaustiveStrategy, RandomStrategy, start_execution
 from . import protocol
 
@@ -238,22 +236,12 @@ class Drone:
         )
         heartbeat.start()
         try:
-            # Warm (or build) the shard's tester up front so the lease's
-            # population-stats delta brackets exactly this lease's work —
-            # the tester is cached, so _run_* below get the same instance.
-            tester = self._tester(shard)
-            stats_before = protocol.snapshot_population_stats(tester)
             if isinstance(shard, _RandomShard):
                 completed = self._run_random(session_id, lease_id, shard, state)
             else:
                 completed = self._run_exhaustive(session_id, lease_id, shard, state)
-            flags: Dict[str, Any] = {
-                "done": completed, "released": not completed, "results": state.take_window(),
-            }
-            stats_delta = protocol.population_stats_delta(tester, stats_before)
-            if stats_delta is not None:
-                flags["population_stats"] = stats_delta
-            self._finish(session_id, lease_id, **flags)
+            self._finish(session_id, lease_id, done=completed, released=not completed,
+                         results=state.take_window())
         except SwarmUnavailable:
             pass  # the lease expires and is re-leased; posted windows stay ingested
         except Exception:
@@ -318,31 +306,15 @@ class Drone:
     # running shards on a warm tester
     # ------------------------------------------------------------------ #
     def _tester(self, shard: Any) -> SystematicTester:
-        """The warm tester a shard asks for: serial, or the population plane.
-
-        A shard with ``population_size`` set runs through
-        :class:`~repro.testing.population.PopulationTester` — same
-        reports, compacted execution — with that bound on retained
-        snapshots; others use the plain reset-and-reuse tester.
-        """
-        key = (
-            shard.factory,
-            shard.max_permuted,
-            shard.track_coverage,
-            shard.population_size,
-        )
+        """The warm reset-and-reuse tester for a shard's workload."""
+        key = (shard.factory, shard.max_permuted, shard.track_coverage)
         tester = self._testers.get(key)
         if tester is None:
-            options = dict(
+            tester = SystematicTester(
+                shard.factory,
                 max_permuted=shard.max_permuted,
                 track_coverage=shard.track_coverage,
             )
-            if shard.population_size is None:
-                tester = SystematicTester(shard.factory, **options)
-            else:
-                tester = PopulationTester(
-                    shard.factory, population_size=shard.population_size, **options
-                )
             self._testers[key] = tester
         return tester
 

@@ -49,7 +49,7 @@ from ..testing.strategies import ExhaustiveStrategy, RandomStrategy
 
 #: Version of the wire format.  Bumped on any incompatible change; both
 #: ends reject mismatched envelopes eagerly.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: The HTTP path prefix of every control-plane route (``/api/v1/lease``
 #: is route ``lease``).
@@ -80,7 +80,7 @@ def open_envelope(message: Any, expect: Optional[str] = None) -> Any:
     >>> open_envelope({"v": 99, "type": "status", "payload": {}})
     Traceback (most recent call last):
         ...
-    repro.swarm.protocol.ProtocolError: protocol version mismatch: got 99, speak 3
+    repro.swarm.protocol.ProtocolError: protocol version mismatch: got 99, speak 4
     """
     if not isinstance(message, dict) or "v" not in message:
         raise ProtocolError(f"not a protocol envelope: {message!r}")
@@ -186,7 +186,6 @@ def encode_shard(shard: Any, *, portable: bool = True) -> Dict[str, Any]:
         "max_permuted": shard.max_permuted,
         "stop_at_first_violation": shard.stop_at_first_violation,
         "track_coverage": shard.track_coverage,
-        "population_size": shard.population_size,
     }
     if isinstance(shard, _RandomShard):
         return {"kind": "random", "seed": shard.seed,
@@ -207,15 +206,7 @@ def decode_shard(data: Dict[str, Any]) -> Any:
             max_permuted=int(data["max_permuted"]),
             stop_at_first_violation=bool(data["stop_at_first_violation"]),
             track_coverage=bool(data["track_coverage"]),
-            # Optional: an absent or null size runs the serial tester.
-            population_size=(
-                None
-                if data.get("population_size") is None
-                else int(data["population_size"])
-            ),
         )
-        if common["population_size"] is not None and common["population_size"] < 1:
-            raise ValueError("population_size must be at least 1")
         if kind == "random":
             return _RandomShard(
                 seed=int(data["seed"]),
@@ -356,60 +347,6 @@ def decode_coverage(data: Optional[List[List[Any]]]) -> Optional[CoverageMap]:
     except (TypeError, ValueError) as error:
         raise ProtocolError(f"malformed coverage map: {error}") from None
     return coverage
-
-
-# --------------------------------------------------------------------- #
-# population statistics (the vectorized plane's bookkeeping)
-# --------------------------------------------------------------------- #
-
-
-def snapshot_population_stats(tester: Any) -> Optional[Dict[str, int]]:
-    """The current counter values of a tester's ``PopulationStats``.
-
-    Returns ``None`` for testers without a ``stats`` attribute (the plain
-    serial :class:`~repro.testing.explorer.SystematicTester`), so callers
-    can treat "no population plane" and "nothing to report" uniformly.
-    """
-    stats = getattr(tester, "stats", None)
-    if stats is None:
-        return None
-    return {
-        key: value
-        for key, value in vars(stats).items()
-        if isinstance(value, int) and not isinstance(value, bool)
-    }
-
-
-def population_stats_delta(
-    tester: Any, before: Optional[Dict[str, int]]
-) -> Optional[Dict[str, int]]:
-    """Counter movement on ``tester`` since a :func:`snapshot_population_stats`.
-
-    Drones report per-lease *deltas*, not absolute counters: a warm drone
-    reuses one tester across consecutive leases of the same workload, so
-    absolute values would double-count every counter from the second
-    lease on.  Deltas sum correctly on the control plane no matter how
-    leases land.  Returns ``None`` when there is no population plane or
-    nothing moved.
-    """
-    if before is None:
-        return None
-    after = snapshot_population_stats(tester)
-    if after is None:
-        return None
-    delta = {key: value - before.get(key, 0) for key, value in after.items()}
-    return delta if any(delta.values()) else None
-
-
-def decode_population_stats(data: Any) -> Dict[str, int]:
-    """Validate a wire-form population-stats delta (string -> int)."""
-    if not isinstance(data, dict):
-        raise ProtocolError(f"population stats must be an object, got {data!r}")
-    try:
-        return {_require_str(key, "population stats"): int(value)
-                for key, value in data.items()}
-    except (TypeError, ValueError) as error:
-        raise ProtocolError(f"malformed population stats: {error}") from None
 
 
 # --------------------------------------------------------------------- #

@@ -90,7 +90,6 @@ class SwarmTester(ParallelTester):
         scenario_overrides: Optional[dict] = None,
         max_permuted: int = 6,
         track_coverage: bool = False,
-        population_size: Optional[int] = None,
     ) -> None:
         if drones < 1:
             raise ValueError("a swarm needs at least one drone")
@@ -101,7 +100,6 @@ class SwarmTester(ParallelTester):
             max_permuted=max_permuted,
             scenario_overrides=scenario_overrides,
             track_coverage=track_coverage,
-            population_size=population_size,
         )
         self.drones = drones
         self.drone_processes = drone_processes

@@ -74,11 +74,6 @@ class _RandomShard:
     max_permuted: int
     stop_at_first_violation: bool
     track_coverage: bool = False
-    #: When set, workers run the population execution plane
-    #: (:class:`~repro.testing.population.PopulationTester`) with this
-    #: snapshot bound instead of the serial tester.  Reports stay
-    #: identical either way; only per-worker throughput changes.
-    population_size: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -92,7 +87,6 @@ class _ExhaustiveShard:
     max_permuted: int
     stop_at_first_violation: bool
     track_coverage: bool = False
-    population_size: Optional[int] = None
 
 
 # --------------------------------------------------------------------- #
@@ -125,10 +119,6 @@ class ParallelReport(TestReport):
     #: The session's self-healing event log (warnings, re-leases, splits,
     #: drone deaths) — the report-side view of the escalation ladder.
     events: List[str] = field(default_factory=list)
-    #: Fleet-wide :class:`~repro.testing.population.PopulationStats`
-    #: counters, summed from every lease's per-drone delta (empty when
-    #: no shard ran the population plane).
-    population_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
     def all_confirmed(self) -> bool:
@@ -162,9 +152,9 @@ class ParallelTester:
     ``scenario`` names a registered scenario (the portable way to describe
     the workload — workers rebuild it by name); alternatively pass
     ``harness_factory`` as for :class:`SystematicTester` (picklable, when
-    several workers each receive it over a pipe).  Workers, probes and
-    :meth:`confirm` all build their model once and reset it between
-    executions.
+    several workers each receive it over a pipe).  Every worker runs the
+    serial :class:`SystematicTester`; workers, probes and :meth:`confirm`
+    all build their model once and reset it between executions.
 
     ``track_coverage=True`` makes every worker feed the coverage plane;
     each streamed record carries its execution's coverage delta, and the
@@ -196,19 +186,15 @@ class ParallelTester:
         max_permuted: int = 6,
         scenario_overrides: Optional[dict] = None,
         track_coverage: bool = False,
-        population_size: Optional[int] = None,
     ) -> None:
         if (scenario is None) == (harness_factory is None):
             raise ValueError("pass exactly one of scenario= or harness_factory=")
-        if population_size is not None and population_size < 1:
-            raise ValueError("population_size must be at least 1")
         if scenario is not None:
             harness_factory = scenario_factory(scenario, **(scenario_overrides or {}))
         elif scenario_overrides:
             raise ValueError("scenario_overrides only applies with scenario=")
         self.harness_factory: HarnessFactory = harness_factory  # type: ignore[assignment]
         self.track_coverage = track_coverage
-        self.population_size = population_size
         self._probe_tester: Optional[SystematicTester] = None
         self.strategy: ChoiceStrategy = strategy or RandomStrategy()
         if not isinstance(self.strategy, (RandomStrategy, ExhaustiveStrategy)):
@@ -241,7 +227,6 @@ class ParallelTester:
                     max_permuted=self.max_permuted,
                     stop_at_first_violation=stop_at_first_violation,
                     track_coverage=self.track_coverage,
-                    population_size=self.population_size,
                 )
             )
             start += size
@@ -313,7 +298,6 @@ class ParallelTester:
                 max_permuted=self.max_permuted,
                 stop_at_first_violation=stop_at_first_violation,
                 track_coverage=self.track_coverage,
-                population_size=self.population_size,
             )
             for prefix_group in assigned
         ]
@@ -442,7 +426,6 @@ class ParallelTester:
         )
         report.duplicates = summary["duplicates"]
         report.events = list(summary["events"])
-        report.population_stats = dict(summary["population_stats"])
         report.invalidate_caches()
 
     @staticmethod

@@ -65,7 +65,7 @@ effective threshold anneals toward eager capture while live runs keep
 replaying long prefixes (measured re-run depth), back toward lazy when
 restores land exactly on the divergence point.
 
-``population_size`` bounds the number of retained snapshots — the
+:data:`POPULATION_SIZE` bounds the number of retained snapshots — the
 working set of materialised row-group states (K bounds state, not
 concurrency: every execution steps its plants through the same scalar
 loop as the serial tester).
@@ -107,6 +107,9 @@ DELTA_CHAIN_LIMIT = 8
 #: any sharing (a compaction, a restore or a snapshot) before the tester
 #: drops it and runs the serial step loop (at least 1).
 SHARING_PROBE = 32
+#: Retained prefix snapshots at most: the materialised row-group working
+#: set (at least 1).
+POPULATION_SIZE = 256
 
 
 @dataclass
@@ -269,20 +272,16 @@ def _pin_types() -> tuple:
 class PopulationTester(SystematicTester):
     """A :class:`SystematicTester` that compacts and shares executions.
 
-    Drop-in replacement: same constructor arguments plus
-    ``population_size``, same :meth:`explore`/:meth:`run_single`/:meth:`replay`
-    API, and — the load-bearing property — reports identical to the
-    serial tester on every scenario and strategy (trails, steps,
-    violations, coverage).  It always reuses one instance: row-group
-    sharing is defined over it.
-
-    Args:
-        population_size: bound on retained prefix snapshots (the
-            materialised row-group working set).
+    Drop-in replacement: same constructor arguments, same
+    :meth:`explore`/:meth:`run_single`/:meth:`replay` API, and — the
+    load-bearing property — reports identical to the serial tester on
+    every scenario and strategy (trails, steps, violations, coverage).
+    It always reuses one instance: row-group sharing is defined over it.
 
     The snapshot schedule reads :data:`SNAPSHOT_AFTER`,
-    :data:`SNAPSHOT_MIN_STEPS` and :data:`DELTA_CHAIN_LIMIT`, and the
-    sharing probe :data:`SHARING_PROBE`, when the tester is built.
+    :data:`SNAPSHOT_MIN_STEPS`, :data:`DELTA_CHAIN_LIMIT` and the
+    snapshot bound :data:`POPULATION_SIZE`, and the sharing probe
+    :data:`SHARING_PROBE`, when the tester is built.
 
     >>> from repro.testing import RandomStrategy, scenario_factory
     >>> tester = PopulationTester(
@@ -301,17 +300,16 @@ class PopulationTester(SystematicTester):
         strategy: Optional[ChoiceStrategy] = None,
         max_permuted: int = 6,
         track_coverage: Optional[bool] = None,
-        population_size: int = 256,
     ) -> None:
-        if population_size < 1:
-            raise ValueError("population_size must be at least 1")
+        if POPULATION_SIZE < 1:
+            raise ValueError("POPULATION_SIZE must be at least 1")
         super().__init__(
             harness_factory,
             strategy,
             max_permuted=max_permuted,
             track_coverage=track_coverage,
         )
-        self.population_size = population_size
+        self._max_snapshots = POPULATION_SIZE
         self._snapshot_after = SNAPSHOT_AFTER
         self._snapshot_min_steps = SNAPSHOT_MIN_STEPS
         self._delta_chain_limit = DELTA_CHAIN_LIMIT
@@ -515,7 +513,7 @@ class PopulationTester(SystematicTester):
                     if (
                         node.boundary_hits >= snapshot_after
                         and steps >= min_steps
-                        and population.snapshots_retained < self.population_size
+                        and population.snapshots_retained < self._max_snapshots
                         and self._snapshots_ok
                     ):
                         try:

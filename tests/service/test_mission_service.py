@@ -52,6 +52,18 @@ def _record_keys(records):
     ]
 
 
+def _rejected(server, spec):
+    """POST ``spec`` as a mission; assert a 400 and return its error payload."""
+    request = urllib.request.Request(
+        server.url + "/api/v1/mission", method="POST",
+        data=protocol.dumps("request", spec),
+        headers={"Content-Type": "application/json"})
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=5.0)
+    assert excinfo.value.code == 400
+    return protocol.loads(excinfo.value.read(), expect="response")
+
+
 def _serial(scenario, strategy, *, overrides=None, track_coverage=False):
     return SystematicTester(
         scenario_factory(scenario, **(overrides or {})),
@@ -434,43 +446,6 @@ class TestFleets:
         assert not thread.is_alive()
 
 
-class TestPopulationMissions:
-    def test_population_mission_matches_serial_and_surfaces_stats(self, client):
-        report = client.run(
-            "drone-surveillance",
-            strategy=RandomStrategy(seed=6, max_executions=20),
-            overrides={"include_unsafe_position": True},
-            population_size=32,
-            track_coverage=True,
-        )
-        serial = _serial(
-            "drone-surveillance",
-            RandomStrategy(seed=6, max_executions=20),
-            overrides={"include_unsafe_position": True},
-            track_coverage=True,
-        )
-        assert _record_keys(decode_report_records(report)) == _record_keys(
-            serial.executions
-        )
-        assert decode_report_coverage(report).counts == serial.coverage.counts
-        # The population plane's fleet-wide counters ride the report.
-        stats = report["population_stats"]
-        assert stats["executions"] == 20
-        assert stats["live_runs"] + stats["compacted"] == stats["executions"]
-        assert stats["snapshot_fallbacks"] == 0
-        # The full PopulationStats counter set crosses the wire, so
-        # clients can see how the work was elided (or that it wasn't).
-        for key in ("snapshots_taken", "restores", "delta_snapshots",
-                    "replayed_choices", "live_choices"):
-            assert key in stats
-
-    def test_plain_missions_report_empty_population_stats(self, client):
-        report = client.run(
-            "toy-closed-loop", strategy=RandomStrategy(seed=1, max_executions=3)
-        )
-        assert report["population_stats"] == {}
-
-
 class TestErrorPaths:
     def test_unknown_scenario_fails_at_submission(self, client):
         with pytest.raises(protocol.ProtocolError, match="bad mission workload"):
@@ -488,14 +463,7 @@ class TestErrorPaths:
             "strategy": protocol.encode_strategy(RandomStrategy(max_executions=1)),
             "shards": "abc",
         }
-        request = urllib.request.Request(
-            server.url + "/api/v1/mission", method="POST",
-            data=protocol.dumps("request", spec),
-            headers={"Content-Type": "application/json"})
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=5.0)
-        assert excinfo.value.code == 400
-        detail = protocol.loads(excinfo.value.read(), expect="response")
+        detail = _rejected(server, spec)
         assert "shards" in detail["error"]
 
     def test_an_unknown_override_is_a_400_naming_it(self, server):
@@ -504,14 +472,7 @@ class TestErrorPaths:
             "strategy": protocol.encode_strategy(RandomStrategy(max_executions=1)),
             "overrides": {"bogus": 1},
         }
-        request = urllib.request.Request(
-            server.url + "/api/v1/mission", method="POST",
-            data=protocol.dumps("request", spec),
-            headers={"Content-Type": "application/json"})
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=5.0)
-        assert excinfo.value.code == 400
-        detail = protocol.loads(excinfo.value.read(), expect="response")
+        detail = _rejected(server, spec)
         assert "bad mission workload" in detail["error"]
         assert "bogus" in detail["error"]
 
@@ -525,33 +486,28 @@ class TestErrorPaths:
         # JSON NaN/Infinity literals: the wire format lets them through.
         data = protocol.dumps("request", spec)
         assert b"NaN" in data or b"Infinity" in data
-        request = urllib.request.Request(
-            server.url + "/api/v1/mission", method="POST", data=data,
-            headers={"Content-Type": "application/json"})
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=5.0)
-        assert excinfo.value.code == 400
-        detail = protocol.loads(excinfo.value.read(), expect="response")
+        detail = _rejected(server, spec)
         assert "environment_period" in detail["error"]
         assert "finite" in detail["error"]
 
     @pytest.mark.parametrize(
         "override, field", [("physics_dt", "physics_dt"), ("environment_period", "period")]
     )
-    def test_a_vanishing_step_override_ends_the_mission_with_an_error(
-        self, client, override, field
+    def test_a_vanishing_step_override_is_a_400_with_the_builders_message(
+        self, server, override, field
     ):
-        # Finite, so it passes submission; the scenario build then rejects
-        # it instead of a drone integrating a window that never ends.
-        mission_id = client.submit(
-            "plant-surveillance",
-            strategy=RandomStrategy(seed=1, max_executions=2),
-            overrides={override: 1e-20, "horizon": 0.5},
-        )
-        finished = list(client.events(mission_id))[-1]
-        assert finished["type"] == "finished"
-        assert finished["ok"] is None
-        assert f"{field} must be finite and at least MIN_STEP" in finished["error"]
+        # Finite, so it passes the wire checks; the build at submission
+        # then rejects it instead of a drone integrating a window that
+        # never ends.
+        spec = {
+            "scenario": "plant-surveillance",
+            "strategy": protocol.encode_strategy(RandomStrategy(seed=1, max_executions=2)),
+            "overrides": {override: 1e-20, "horizon": 0.5},
+        }
+        detail = _rejected(server, spec)
+        assert "bad mission workload" in detail["error"]
+        assert f"{field} must be finite and at least MIN_STEP" in detail["error"]
+        assert "Traceback" not in detail["error"]
 
     @pytest.mark.parametrize(
         "field,value",
@@ -559,15 +515,14 @@ class TestErrorPaths:
             ("shards", 0),
             ("shards", True),
             ("shards", 2.5),
-            ("population_size", 0),
-            ("population_size", -3),
-            ("population_size", "abc"),
-            ("population_size", True),
-            ("population_size", 2.5),
             ("stop_at_first_violation", "false"),
             ("confirm", "false"),
             ("track_coverage", 1),
             ("confirm", None),
+            # Fields the service does not know, such as the removed
+            # population_size, are rejected rather than ignored.
+            ("population_size", 8),
+            ("reuse_instances", False),
         ],
     )
     def test_a_malformed_spec_field_is_a_400_naming_it(self, server, field, value):
@@ -576,14 +531,7 @@ class TestErrorPaths:
             "strategy": protocol.encode_strategy(RandomStrategy(max_executions=1)),
             field: value,
         }
-        request = urllib.request.Request(
-            server.url + "/api/v1/mission", method="POST",
-            data=protocol.dumps("request", spec),
-            headers={"Content-Type": "application/json"})
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=5.0)
-        assert excinfo.value.code == 400
-        detail = protocol.loads(excinfo.value.read(), expect="response")
+        detail = _rejected(server, spec)
         assert field in detail["error"]
 
     def test_result_before_done_is_an_error(self):

@@ -161,8 +161,7 @@ class TestAtomicResultWindows:
         window = [result(wire_record(0), [["v", "SC", "R0", 1]]),
                   result(wire_record(1), [["v", "AC", "R1", 2], bad_row])]
         with pytest.raises(protocol.ProtocolError, match="malformed result window"):
-            plane.ingest(session, grant["lease"], results=window,
-                         population_stats={"executions": 2})
+            plane.ingest(session, grant["lease"], results=window)
         assert plane.session_report(session) == before
         assert listener.seen == []
         # The corrected resend is accepted once, counted and streamed.
@@ -183,44 +182,6 @@ class TestAtomicResultWindows:
             plane.call("result", {"session": session, "lease": grant["lease"],
                                   "results": [{"record": {"index": "x"}}]})
         assert plane.session_report(session)["records"] == []
-
-
-class TestPopulationStatsIngestion:
-    def test_per_lease_deltas_sum_into_the_session(self):
-        clock = FakeClock()
-        plane = make_plane(clock)
-        session = plane.create_session([random_shard_wire((0,)), random_shard_wire((1,))])
-        first = plane.request_lease("d0")
-        second = plane.request_lease("d1")
-        plane.ingest(session, first["lease"], results=[result(wire_record(0))],
-                     done=True,
-                     population_stats={"executions": 1, "live_runs": 1,
-                                       "restores": 3})
-        plane.ingest(session, second["lease"], results=[result(wire_record(1))],
-                     done=True,
-                     population_stats={"executions": 1, "compacted": 1,
-                                       "restores": 2})
-        report = plane.session_report(session)
-        assert report["population_stats"] == {
-            "executions": 2, "live_runs": 1, "compacted": 1, "restores": 5,
-        }
-
-    def test_sessions_without_population_shards_report_empty_stats(self):
-        clock = FakeClock()
-        plane = make_plane(clock)
-        session = plane.create_session([random_shard_wire((0,))])
-        grant = plane.request_lease("d0")
-        plane.ingest(session, grant["lease"], results=[result(wire_record(0))],
-                     done=True)
-        assert plane.session_report(session)["population_stats"] == {}
-
-    def test_malformed_stats_rejected(self):
-        clock = FakeClock()
-        plane = make_plane(clock)
-        session = plane.create_session([random_shard_wire((0,))])
-        grant = plane.request_lease("d0")
-        with pytest.raises(protocol.ProtocolError, match="population stats"):
-            plane.ingest(session, grant["lease"], population_stats=["not", "a", "dict"])
 
 
 class TestEscalationLadder:
@@ -470,6 +431,6 @@ class TestRouteTable:
             plane.call("lease", {"drone": "d0", "poll": "abc"})
         session = plane.call("session", {"shards": [random_shard_wire((0,))]})["session"]
         lease = plane.call("lease", {"drone": "d0", "poll": 0.0})["lease"]["lease"]
-        with pytest.raises(protocol.ProtocolError, match="^population stats must be"):
+        with pytest.raises(protocol.ProtocolError, match="^malformed result window"):
             plane.call("result", {"session": session, "lease": lease,
-                                  "population_stats": ["not", "a", "dict"]})
+                                  "results": [{"record": {"index": "x"}}]})

@@ -63,6 +63,13 @@ class TestEnvelope:
         with pytest.raises(protocol.ProtocolError, match="version mismatch"):
             protocol.open_envelope(message)
 
+    def test_version_three_envelope_rejected(self):
+        # Version 3 shards carried population_size; version 4 dropped it.
+        message = protocol.envelope("lease", {})
+        message["v"] = 3
+        with pytest.raises(protocol.ProtocolError, match="got 3, speak 4"):
+            protocol.open_envelope(message)
+
     def test_wrong_type_rejected(self):
         with pytest.raises(protocol.ProtocolError, match="expected a"):
             protocol.open_envelope(protocol.envelope("lease", {}), expect="result")
@@ -96,29 +103,6 @@ class TestShards:
         unsafe = type(factory)(name=factory.name, overrides=(("horizon", object()),))
         with pytest.raises(protocol.ProtocolError, match="JSON-safe"):
             protocol.encode_shard(random_shard(factory=unsafe))
-
-    @pytest.mark.parametrize(
-        "shard",
-        [random_shard(population_size=64), exhaustive_shard(population_size=8)],
-        ids=["random", "exhaustive"],
-    )
-    def test_population_size_crosses_the_wire(self, shard):
-        assert protocol.decode_shard(protocol.encode_shard(shard)) == shard
-
-    @pytest.mark.parametrize("size", [0, -3])
-    def test_population_size_below_one_rejected(self, size):
-        wire = dict(protocol.encode_shard(random_shard()), population_size=size)
-        with pytest.raises(protocol.ProtocolError, match="population_size"):
-            protocol.decode_shard(wire)
-
-    @pytest.mark.parametrize("shard", [random_shard(), exhaustive_shard()],
-                             ids=["random", "exhaustive"])
-    def test_legacy_peer_without_population_size_decodes(self, shard):
-        # The key is optional: decoding without it must default to the
-        # serial (non-population) tester, not crash.
-        wire = protocol.encode_shard(shard)
-        del wire["population_size"]
-        assert protocol.decode_shard(wire).population_size is None
 
     def test_malformed_shard_rejected(self):
         with pytest.raises(protocol.ProtocolError, match="malformed shard"):
@@ -191,41 +175,3 @@ class TestExecutionKey:
             ExecutionRecord(index=0, steps=3, violations=[], trail=[1, 1]))
         assert protocol.execution_key("exhaustive", other) != \
             protocol.execution_key("exhaustive", thief)
-
-
-class TestPopulationStats:
-    def test_snapshot_and_delta_bracket_a_run(self):
-        from repro.testing import PopulationTester, RandomStrategy
-
-        tester = PopulationTester(
-            scenario_factory("toy-closed-loop", broken_ttf=True),
-            RandomStrategy(seed=0, max_executions=6),
-        )
-        before = protocol.snapshot_population_stats(tester)
-        assert before is not None and before["executions"] == 0
-        tester.explore()
-        delta = protocol.population_stats_delta(tester, before)
-        assert delta is not None
-        assert delta["executions"] == 6
-        assert set(delta) == set(before)  # the full counter set travels
-        # Nothing moved since the sweep: the delta collapses to None.
-        assert protocol.population_stats_delta(
-            tester, protocol.snapshot_population_stats(tester)
-        ) is None
-
-    def test_serial_testers_have_no_stats(self):
-        from repro.testing import RandomStrategy, SystematicTester
-
-        tester = SystematicTester(
-            scenario_factory("toy-closed-loop"),
-            RandomStrategy(seed=0, max_executions=1),
-        )
-        assert protocol.snapshot_population_stats(tester) is None
-        assert protocol.population_stats_delta(tester, None) is None
-
-    def test_decode_validates(self):
-        assert protocol.decode_population_stats({"executions": 3}) == {"executions": 3}
-        with pytest.raises(protocol.ProtocolError, match="population stats"):
-            protocol.decode_population_stats([1, 2])
-        with pytest.raises(protocol.ProtocolError, match="population stats"):
-            protocol.decode_population_stats({"executions": "many"})

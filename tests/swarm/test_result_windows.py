@@ -19,15 +19,12 @@ import math
 import threading
 from collections import Counter
 
-import pytest
-
 from repro.swarm import drone as drone_module
 from repro.swarm import protocol
 from repro.swarm.controlplane import ControlPlane
 from repro.swarm.drone import RESULT_WINDOW, Drone
 from repro.testing import RandomStrategy, SystematicTester
 from repro.testing.parallel import _RandomShard
-from repro.testing.population import PopulationTester
 from repro.testing.scenarios import scenario_factory
 
 EXECUTIONS = 40
@@ -151,10 +148,9 @@ def test_a_violating_record_is_posted_before_the_next_execution(monkeypatch):
             assert posted_at[index][0] < started_at[index + 1], index
 
 
-@pytest.mark.parametrize("population_size", [None, 8])
-def test_posted_coverage_equals_the_whole_map_diff(population_size):
+def test_posted_coverage_equals_the_whole_map_diff():
     factory = scenario_factory("drone-surveillance", horizon=0.5, include_unsafe_position=True)
-    shard = _shard(factory, population_size=population_size, max_permuted=1)
+    shard = _shard(factory, max_permuted=1)
     plane = ControlPlane()
     recorder = Recorder(plane)
     _lease(plane, shard, Drone(recorder, "coverage-drone"))
@@ -163,11 +159,7 @@ def test_posted_coverage_equals_the_whole_map_diff(population_size):
 
     # The reference: the same lease on a fresh tester, each execution's
     # coverage taken as the diff of the cumulative map around it.
-    options = dict(max_permuted=shard.max_permuted, track_coverage=True)
-    if population_size is None:
-        tester = SystematicTester(factory, **options)
-    else:
-        tester = PopulationTester(factory, population_size=population_size, **options)
+    tester = SystematicTester(factory, max_permuted=shard.max_permuted, track_coverage=True)
     strategy = RandomStrategy(seed=SEED, max_executions=EXECUTIONS)
     tester.strategy = strategy
     expected = {}
@@ -182,8 +174,6 @@ def test_posted_coverage_equals_the_whole_map_diff(population_size):
                            for (vehicle, mode, region), count in sorted((+delta).items())]
     assert posted == expected
     assert len({len(rows) for rows in expected.values()}) > 1  # coverage varies per run
-    if population_size is not None:
-        assert tester.stats.compacted > 0  # the compacted-leaf path is covered too
 
 
 def test_a_sibling_drains_and_releases_after_the_first_violation():

@@ -19,6 +19,7 @@ from repro.testing import (
     SystematicTester,
     scenario_factory,
 )
+from repro.testing import population as population_module
 
 PLANNER = "fault-injected-planner"
 SURVEILLANCE = "fault-injected-surveillance"
@@ -122,7 +123,8 @@ class TestParallelAndPopulationParity:
         assert sorted(_report_keys(parallel_report)) == sorted(_report_keys(serial_report))
         assert parallel_report.all_confirmed
 
-    def test_population_compaction_matches_serial_byte_for_byte(self):
+    def test_population_compaction_matches_serial_byte_for_byte(self, monkeypatch):
+        monkeypatch.setattr(population_module, "POPULATION_SIZE", 16)
         factory = scenario_factory(SURVEILLANCE)
         serial = SystematicTester(
             factory, RandomStrategy(seed=5, max_executions=40), max_permuted=1
@@ -130,7 +132,6 @@ class TestParallelAndPopulationParity:
         population = PopulationTester(
             factory,
             RandomStrategy(seed=5, max_executions=40),
-            population_size=16,
             max_permuted=1,
         )
         serial_report = serial.explore()

@@ -14,7 +14,6 @@ import pytest
 
 from repro.testing import (
     ExhaustiveStrategy,
-    ParallelTester,
     PopulationTester,
     RandomStrategy,
     SystematicTester,
@@ -140,6 +139,7 @@ class TestPopulationVsSerialEquivalence:
 
     def test_shared_prefixes_restore_snapshots(self, monkeypatch):
         _schedule(monkeypatch, share=True)
+        monkeypatch.setattr(population_module, "POPULATION_SIZE", 4)
         population = PopulationTester(
             scenario_factory("drone-surveillance", include_unsafe_position=True),
             RandomStrategy(seed=7, max_executions=40),
@@ -149,7 +149,7 @@ class TestPopulationVsSerialEquivalence:
         stats = population.stats
         assert stats.snapshots_taken > 0
         assert stats.restores > 0
-        assert stats.snapshots_retained <= population.population_size
+        assert 0 < stats.snapshots_retained <= 4
 
     def test_replay_matches_serial_replay(self):
         factory = scenario_factory("drone-surveillance", include_unsafe_position=True)
@@ -450,57 +450,19 @@ class TestReplayLeavesTheTrieAlone:
 
 
 class TestPopulationValidation:
-    def test_population_size_must_be_positive(self):
-        with pytest.raises(ValueError, match="population_size"):
-            PopulationTester(scenario_factory("toy-closed-loop"), population_size=0)
-
-    @pytest.mark.parametrize("size", [0, -3])
-    def test_parallel_population_size_must_be_positive(self, size):
-        with pytest.raises(ValueError, match="population_size"):
-            ParallelTester(scenario="toy-closed-loop", workers=2, population_size=size)
+    def test_population_size_must_be_positive(self, monkeypatch):
+        monkeypatch.setattr(population_module, "POPULATION_SIZE", 0)
+        with pytest.raises(ValueError, match="POPULATION_SIZE"):
+            PopulationTester(scenario_factory("toy-closed-loop"))
 
     def test_constants_are_read_when_the_tester_is_built(self, monkeypatch):
         monkeypatch.setattr(population_module, "SNAPSHOT_AFTER", 5)
         monkeypatch.setattr(population_module, "SNAPSHOT_MIN_STEPS", 2)
         monkeypatch.setattr(population_module, "DELTA_CHAIN_LIMIT", 4)
+        monkeypatch.setattr(population_module, "POPULATION_SIZE", 7)
         tester = PopulationTester(scenario_factory("toy-closed-loop"))
         monkeypatch.setattr(population_module, "SNAPSHOT_AFTER", 1)
+        monkeypatch.setattr(population_module, "POPULATION_SIZE", 1)
         assert (tester._snapshot_after, tester._snapshot_min_steps,
-                tester._delta_chain_limit, tester._effective_after) == (5, 2, 4, 5)
-
-
-class TestParallelPopulationEquivalence:
-    def test_parallel_random_matches_serial_shards(self):
-        strategy = lambda: RandomStrategy(seed=9, max_executions=12)
-        plain = ParallelTester(
-            scenario="multi-obstacle-geofence",
-            scenario_overrides={"include_breach": True},
-            strategy=strategy(),
-            workers=2,
-        ).explore()
-        population = ParallelTester(
-            scenario="multi-obstacle-geofence",
-            scenario_overrides={"include_breach": True},
-            strategy=strategy(),
-            workers=2,
-            population_size=64,
-        ).explore()
-        assert _report_keys(population) == _report_keys(plain)
-        assert population.all_confirmed
-
-    def test_parallel_exhaustive_matches_serial_shards(self):
-        strategy = lambda: ExhaustiveStrategy(max_depth=3, max_executions=40)
-        plain = ParallelTester(
-            scenario="toy-closed-loop",
-            scenario_overrides={"broken_ttf": True},
-            strategy=strategy(),
-            workers=2,
-        ).explore()
-        population = ParallelTester(
-            scenario="toy-closed-loop",
-            scenario_overrides={"broken_ttf": True},
-            strategy=strategy(),
-            workers=2,
-            population_size=32,
-        ).explore()
-        assert _report_keys(population) == _report_keys(plain)
+                tester._delta_chain_limit, tester._effective_after,
+                tester._max_snapshots) == (5, 2, 4, 5, 7)
