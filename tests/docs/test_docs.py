@@ -11,6 +11,7 @@ Two enforcement planes for ``docs/`` and the README:
 """
 
 import doctest
+import importlib
 import pathlib
 import re
 
@@ -19,6 +20,23 @@ import pytest
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent.parent
 DOCS = sorted((REPO_ROOT / "docs").glob("*.md"))
 LINKED_SOURCES = DOCS + [REPO_ROOT / "README.md"]
+
+#: Modules whose docstring ``>>>`` examples are part of the public API's
+#: documentation; each is doctested on its own, so one failing module
+#: does not hide the others.
+DOCTESTED_MODULES = (
+    "repro.core.regions",
+    "repro.runtime.faults",
+    "repro.service.client",
+    "repro.swarm.protocol",
+    "repro.swarm.tester",
+    "repro.testing.coverage",
+    "repro.testing.explorer",
+    "repro.testing.parallel",
+    "repro.testing.population",
+    "repro.testing.scenarios",
+    "repro.testing.strategies",
+)
 
 #: Markdown inline links: [text](target).  Images ![alt](target) match too.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -53,37 +71,14 @@ class TestDocs:
         assert results.attempted > 0, f"{path.name} has no executable examples"
         assert results.failed == 0, f"{results.failed} doctest failure(s) in {path.name}"
 
-    def test_public_testing_api_docstrings_pass_doctest(self):
-        import repro.core.regions
-        import repro.runtime.faults
-        import repro.service.client
-        import repro.swarm.protocol
-        import repro.swarm.tester
-        import repro.testing.coverage
-        import repro.testing.explorer
-        import repro.testing.parallel
-        import repro.testing.population
-        import repro.testing.scenarios
-        import repro.testing.strategies
-
-        for module in (
-            repro.core.regions,
-            repro.runtime.faults,
-            repro.service.client,
-            repro.swarm.protocol,
-            repro.swarm.tester,
-            repro.testing.coverage,
-            repro.testing.explorer,
-            repro.testing.parallel,
-            repro.testing.population,
-            repro.testing.scenarios,
-            repro.testing.strategies,
-        ):
-            results = doctest.testmod(module, verbose=False)
-            assert results.failed == 0, f"doctest failure(s) in {module.__name__}"
-            # The docstring pass is part of the contract: losing a module's
-            # examples (e.g. a refactor stripping docstrings) fails loudly.
-            assert results.attempted > 0, f"{module.__name__} has no examples"
+    @pytest.mark.parametrize("name", DOCTESTED_MODULES)
+    def test_public_testing_api_docstrings_pass_doctest(self, name):
+        module = importlib.import_module(name)
+        results = doctest.testmod(module, verbose=False)
+        assert results.failed == 0, f"doctest failure(s) in {name}"
+        # The docstring pass is part of the contract: losing a module's
+        # examples (e.g. a refactor stripping docstrings) fails loudly.
+        assert results.attempted > 0, f"{name} has no examples"
 
     @pytest.mark.parametrize("path", LINKED_SOURCES, ids=_doc_ids(LINKED_SOURCES))
     def test_intra_repo_links_resolve(self, path):

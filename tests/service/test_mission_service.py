@@ -24,14 +24,14 @@ import urllib.request
 
 import pytest
 
-from repro.service import MissionClient, MissionServer
+from repro.service import MissionClient, MissionServer, MissionService
 from repro.service.client import (
     decode_report_coverage,
     decode_report_records,
 )
 from repro.swarm import drone as drone_module
 from repro.swarm import protocol
-from repro.swarm.controlplane import _Handler
+from repro.swarm.controlplane import ControlPlane, _Handler
 from repro.swarm.drone import Drone, LocalFleet
 from repro.testing import (
     ExhaustiveStrategy,
@@ -446,6 +446,39 @@ class TestFleets:
         assert not thread.is_alive()
 
 
+class TestSerialMissions:
+    def test_a_violating_coverage_mission_matches_serial(self, client):
+        report = client.run(
+            "drone-surveillance",
+            strategy=RandomStrategy(seed=6, max_executions=20),
+            overrides={"include_unsafe_position": True},
+            track_coverage=True,
+        )
+        serial = _serial(
+            "drone-surveillance",
+            RandomStrategy(seed=6, max_executions=20),
+            overrides={"include_unsafe_position": True},
+            track_coverage=True,
+        )
+        assert _record_keys(decode_report_records(report)) == _record_keys(
+            serial.executions
+        )
+        assert decode_report_coverage(report).counts == serial.coverage.counts
+        assert report["ok"] is False and report["all_confirmed"] is True
+
+    def test_the_result_carries_exactly_the_report_fields(self, client):
+        # Drones run the serial tester, so the result has no
+        # population-plane counters; every key is one a client decodes.
+        report = client.run(
+            "toy-closed-loop", strategy=RandomStrategy(seed=1, max_executions=3)
+        )
+        assert set(report) == {
+            "mission", "session", "ok", "all_confirmed", "records", "coverage",
+            "confirmations", "duplicates", "events", "workers", "wall_time",
+        }
+        assert len(report["records"]) == 3
+
+
 class TestErrorPaths:
     def test_unknown_scenario_fails_at_submission(self, client):
         with pytest.raises(protocol.ProtocolError, match="bad mission workload"):
@@ -508,6 +541,81 @@ class TestErrorPaths:
         assert "bad mission workload" in detail["error"]
         assert f"{field} must be finite and at least MIN_STEP" in detail["error"]
         assert "Traceback" not in detail["error"]
+
+    @pytest.mark.parametrize(
+        "scenario, overrides, message",
+        [
+            ("toy-closed-loop", {"period": 0.0}, "environment period must be positive"),
+            ("toy-closed-loop", {"period": -0.1}, "environment period must be positive"),
+            ("plant-surveillance", {"physics_dt": 0.0},
+             "physics_dt must be finite and at least MIN_STEP"),
+            ("plant-surveillance", {"environment_period": -1.0},
+             "period must be finite and at least MIN_STEP"),
+        ],
+        ids=["toy-zero-period", "toy-negative-period", "plant-zero-physics-dt",
+             "plant-negative-environment-period"],
+    )
+    def test_an_override_the_builder_rejects_is_a_400_with_its_message(
+        self, server, scenario, overrides, message
+    ):
+        spec = {
+            "scenario": scenario,
+            "strategy": protocol.encode_strategy(RandomStrategy(seed=1, max_executions=2)),
+            "overrides": overrides,
+        }
+        detail = _rejected(server, spec)
+        assert "bad mission workload" in detail["error"]
+        assert message in detail["error"]
+
+    def test_submission_builds_the_workload_once(self, monkeypatch, client):
+        # The build at submission happens in the service's own process;
+        # the standing fleet's drones were forked before the counter.
+        builds = []
+        original = protocol.scenario_factory
+
+        def counting(name, **overrides):
+            factory = original(name, **overrides)
+
+            def build():
+                builds.append(name)
+                return factory()
+
+            return build
+
+        monkeypatch.setattr(protocol, "scenario_factory", counting)
+        report = client.run(
+            "toy-closed-loop", strategy=RandomStrategy(seed=2, max_executions=4)
+        )
+        assert builds == ["toy-closed-loop"]
+        assert len(report["records"]) == 4
+
+    def test_a_rejected_submission_starts_no_mission(self):
+        plane = ControlPlane()
+        service = MissionService(plane)
+        spec = {
+            "scenario": "toy-closed-loop",
+            "strategy": protocol.encode_strategy(RandomStrategy(max_executions=1)),
+            "overrides": {"period": 0.0},
+        }
+        with pytest.raises(protocol.ProtocolError, match="bad mission workload"):
+            service.submit(spec)
+        with pytest.raises(protocol.ProtocolError, match="unknown mission"):
+            service.mission("m1")
+        assert plane.status()["sessions"] == {}
+
+    def test_every_unknown_spec_field_is_named(self):
+        service = MissionService(ControlPlane())
+        spec = {
+            "scenario": "toy-closed-loop",
+            "strategy": protocol.encode_strategy(RandomStrategy(max_executions=1)),
+            "population_size": 8,
+            "workers": 2,
+        }
+        with pytest.raises(
+            protocol.ProtocolError,
+            match=r"unknown mission spec field\(s\): 'population_size', 'workers'$",
+        ):
+            service.submit(spec)
 
     @pytest.mark.parametrize(
         "field,value",

@@ -88,6 +88,18 @@ class TestLeaseLifecycle:
         assert report["coverage"] == [["v", "m", "r", 2]]
         assert report["shards"][0]["status"] == "done"
 
+    def test_the_session_report_carries_exactly_the_facade_fields(self):
+        # The report is the facades' whole view of a session; a key that
+        # no facade reads (such as the dropped population stats) is gone.
+        plane = make_plane(FakeClock())
+        session = plane.create_session([random_shard_wire((0,))])
+        grant = plane.request_lease("d0")
+        plane.ingest(session, grant["lease"], results=[result(wire_record(0))], done=True)
+        assert set(plane.session_report(session)) == {
+            "session", "finished", "failed", "stopping", "records", "coverage",
+            "duplicates", "events", "shards",
+        }
+
     def test_idle_fleet_gets_no_lease(self):
         plane = make_plane(FakeClock())
         assert plane.request_lease("d0") is None

@@ -1,5 +1,7 @@
 """The wire protocol: round trips, versioning, execution identity."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.monitor import Violation
@@ -85,6 +87,14 @@ class TestShards:
     def test_round_trip_is_identity(self, shard):
         # Shards are frozen value objects, so == is field-wise equality.
         assert protocol.decode_shard(protocol.encode_shard(shard)) == shard
+
+    @pytest.mark.parametrize("shard", [random_shard(), exhaustive_shard()],
+                             ids=["random", "exhaustive"])
+    def test_the_wire_form_carries_exactly_the_shard_fields(self, shard):
+        # Version 4 peers exchange the shard's own fields plus its kind,
+        # nothing more: no key a receiver would have to ignore or default.
+        wire = protocol.encode_shard(shard)
+        assert set(wire) == {"kind"} | {field.name for field in dataclasses.fields(shard)}
 
     def test_round_trip_survives_json(self):
         import json

@@ -14,6 +14,7 @@ import pytest
 
 from repro.testing import (
     ExhaustiveStrategy,
+    ParallelTester,
     PopulationTester,
     RandomStrategy,
     SystematicTester,
@@ -150,6 +151,23 @@ class TestPopulationVsSerialEquivalence:
         assert stats.snapshots_taken > 0
         assert stats.restores > 0
         assert 0 < stats.snapshots_retained <= 4
+
+    @pytest.mark.parametrize("size", [1, 2, 64])
+    def test_the_snapshot_bound_changes_no_record(self, size, monkeypatch):
+        _schedule(monkeypatch, share=True)
+        monkeypatch.setattr(population_module, "POPULATION_SIZE", size)
+        factory = scenario_factory("drone-surveillance", include_unsafe_position=True)
+        serial = SystematicTester(
+            factory, RandomStrategy(seed=7, max_executions=40), max_permuted=1
+        )
+        population = PopulationTester(
+            factory, RandomStrategy(seed=7, max_executions=40), max_permuted=1
+        )
+        assert _report_keys(population.explore()) == _report_keys(serial.explore())
+        # A smaller population retains fewer snapshots and restores less
+        # often, but restores still happen and every record is the same.
+        assert 0 < population.stats.snapshots_retained <= size
+        assert population.stats.restores > 0
 
     def test_replay_matches_serial_replay(self):
         factory = scenario_factory("drone-surveillance", include_unsafe_position=True)
@@ -466,3 +484,35 @@ class TestPopulationValidation:
         assert (tester._snapshot_after, tester._snapshot_min_steps,
                 tester._delta_chain_limit, tester._effective_after,
                 tester._max_snapshots) == (5, 2, 4, 5, 7)
+
+
+class TestPopulationVsPool:
+    """The in-process population plane equals the pool, whose workers run
+    the serial tester on shards of the same sweep."""
+
+    def test_random_sweep_matches_pool_shards(self):
+        pool = ParallelTester(
+            scenario="multi-obstacle-geofence",
+            scenario_overrides={"include_breach": True},
+            strategy=RandomStrategy(seed=9, max_executions=12),
+            workers=2,
+        ).explore()
+        population = PopulationTester(
+            scenario_factory("multi-obstacle-geofence", include_breach=True),
+            RandomStrategy(seed=9, max_executions=12),
+        ).explore()
+        assert _report_keys(population) == _report_keys(pool)
+        assert pool.all_confirmed and not population.ok
+
+    def test_exhaustive_enumeration_matches_pool_shards(self):
+        pool = ParallelTester(
+            scenario="toy-closed-loop",
+            scenario_overrides={"broken_ttf": True},
+            strategy=ExhaustiveStrategy(max_depth=3, max_executions=40),
+            workers=2,
+        ).explore()
+        population = PopulationTester(
+            scenario_factory("toy-closed-loop", broken_ttf=True),
+            ExhaustiveStrategy(max_depth=3, max_executions=40),
+        ).explore()
+        assert _report_keys(population) == _report_keys(pool)
