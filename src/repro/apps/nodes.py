@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Any, List, Mapping, Optional, Sequence
 
 from ..core.node import Node
+from ..core.resettable import StatelessSnapshot
 from ..dynamics import DroneState
 from ..geometry import Vec3, Workspace
 from ..planning import Plan, landing_plan, straight_line_plan
@@ -233,7 +234,7 @@ class PlannerNode(Node):
         ) = state
 
 
-class PlanForwardNode(Node):
+class PlanForwardNode(StatelessSnapshot, Node):
     """The battery module's advanced controller: forwards the motion plan unchanged.
 
     (Section V-B: "N_ac is a node that receives the current motion plan

@@ -13,6 +13,7 @@ import abc
 from typing import Any, Callable, Mapping, Sequence, Tuple
 
 from .errors import NodeError
+from .resettable import StatelessSnapshot
 
 
 class Node(abc.ABC):
@@ -86,7 +87,7 @@ class Node(abc.ABC):
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-class FunctionNode(Node):
+class FunctionNode(StatelessSnapshot, Node):
     """A node whose transition relation is a plain function.
 
     The function receives ``(now, inputs)`` and returns the output mapping;
@@ -112,7 +113,7 @@ class FunctionNode(Node):
         return {} if outputs is None else outputs
 
 
-class RelayNode(Node):
+class RelayNode(StatelessSnapshot, Node):
     """A node that copies values from input topics to output topics every period.
 
     The battery-safety module's advanced controller in the paper is exactly
@@ -148,7 +149,11 @@ class RelayNode(Node):
 
 
 class ConstantNode(Node):
-    """A node that publishes fixed values; useful for tests and abstractions."""
+    """A node that publishes fixed values; useful for tests and abstractions.
+
+    It has no snapshot hooks on purpose: tests subclass it with state of
+    their own, which a no-op capture would silently skip.
+    """
 
     def __init__(
         self,

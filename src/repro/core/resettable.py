@@ -37,7 +37,8 @@ Delta state (incremental snapshots)
 The population tester extends reset-and-reuse with *copy-on-write
 snapshots*: instead of pickling the whole model at a trie boundary it
 captures, per component, only the state that changed since the parent
-snapshot.  Components opt in to cheap capture with two optional hooks:
+snapshot.  Every snapshot component captures through two hooks of its
+own:
 
 ``capture_delta_state() -> state``
     Return every per-execution mutable value as plain (copied or
@@ -49,10 +50,13 @@ snapshot.  Components opt in to cheap capture with two optional hooks:
     place matters: other components hold references to this object, and
     a restore must not change its identity.
 
-Objects without the hooks are captured generically — a ``deepcopy`` of
-their ``__dict__`` (against a memo that pins shared structure) and an
-in-place ``clear()``/``update()`` on restore — via :func:`capture_state`
-and :func:`restore_state`.
+There is no generic fallback: a class opts in explicitly, and a
+component without the hooks makes the population tester run without
+snapshots (see :class:`~repro.testing.population.PopulationTester`).
+Classes that hold no per-execution state at all mix in
+:class:`StatelessSnapshot`.  The base ``Node`` deliberately has no
+hooks, so a stateful subclass that forgets them is noticed instead of
+silently skipping its capture.
 
 Components that additionally expose a ``delta_version`` attribute let
 the snapshotter skip them entirely: the version is a *unique id of a
@@ -63,8 +67,7 @@ older value), and equal versions prove equal state.
 
 from __future__ import annotations
 
-import copy
-from typing import Any, Dict, Iterable, Optional, Protocol, runtime_checkable
+from typing import Any, Iterable, Protocol, runtime_checkable
 
 
 @runtime_checkable
@@ -88,31 +91,11 @@ def reset_all(objects: Iterable[Any]) -> None:
             reset()
 
 
-def capture_state(obj: Any, memo: Optional[Dict[int, Any]] = None) -> Any:
-    """Capture one component's per-execution state.
+class StatelessSnapshot:
+    """Delta-snapshot hooks of a class with no per-execution state."""
 
-    Components with a ``capture_delta_state`` hook return their own
-    compact representation; everything else falls back to a deep copy of
-    ``__dict__`` against ``memo`` (a deepcopy memo pre-seeded with every
-    shared object that must be kept by reference, not copied).
-    """
-    hook = getattr(obj, "capture_delta_state", None)
-    if hook is not None:
-        return hook()
-    return copy.deepcopy(obj.__dict__, memo if memo is not None else {})
+    def capture_delta_state(self) -> None:
+        return None
 
-
-def restore_state(obj: Any, state: Any, memo: Optional[Dict[int, Any]] = None) -> None:
-    """Rewind one component, in place, to a :func:`capture_state` point.
-
-    The stored ``state`` stays pristine (the generic path deep-copies it
-    again on the way back in), so one capture supports arbitrarily many
-    restores.
-    """
-    hook = getattr(obj, "restore_delta_state", None)
-    if hook is not None:
-        hook(state)
-        return
-    attributes = obj.__dict__
-    attributes.clear()
-    attributes.update(copy.deepcopy(state, memo if memo is not None else {}))
+    def restore_delta_state(self, state: None) -> None:
+        pass

@@ -20,10 +20,10 @@ same constructor signature, ``==`` (same class, then a field-tuple
 compare), ``hash`` of the field tuple and the ``Name(field=value, ...)``
 repr (unless the class body defines its own).  A ``__post_init__`` in
 the class body runs after the fields are set.  Defaults are shared by
-every instance, so they must themselves be immutable.  ``copy`` and
-``deepcopy`` return the object itself — the delta snapshots of the
-testing engine rely on that — and pickling rebuilds it through the
-constructor.
+every instance, so they must themselves be immutable (the delta
+snapshots of the testing engine keep them by reference).  ``copy`` and
+``deepcopy`` return the object itself, and pickling rebuilds it through
+the constructor.
 """
 
 from __future__ import annotations

@@ -383,6 +383,26 @@ class ChoiceFaultInjector(Node):
         self._rng = random.Random(self.site.seed)
         self.injected_faults = 0
 
+    # -- delta-snapshot hooks (see repro.core.resettable) --------------- #
+    def capture_delta_state(self) -> Any:
+        """The NOISE stream, window decisions, crash flag, last outputs (a
+        dict only ever replaced, never mutated) and the wrapped node's own
+        capture."""
+        return (
+            self._rng.getstate(),
+            tuple(self._state._decisions),
+            self._crashed,
+            self.injected_faults,
+            self._last_outputs,
+            self.inner.capture_delta_state(),
+        )
+
+    def restore_delta_state(self, state: Any) -> None:
+        rng, decisions, self._crashed, self.injected_faults, self._last_outputs, inner = state
+        self._rng.setstate(rng)
+        self._state._decisions = list(decisions)
+        self.inner.restore_delta_state(inner)
+
     def step(self, now: float, inputs: Mapping[str, Any]) -> Mapping[str, Any]:
         kind = self._state.active_kind(now)
         if kind is FaultKind.CRASH:

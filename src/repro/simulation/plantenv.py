@@ -25,7 +25,6 @@ they schedule executions, never in how a window is integrated.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
@@ -210,8 +209,8 @@ class PlantEnvironment:
 
         Plant fields are immutable value objects (``Vec3``/``DroneState``/
         ``BatteryState``/floats), so a tuple of references is already a
-        snapshot; estimators and sensors (RNG streams) are
-        deep-copied.
+        snapshot; estimators and battery sensors capture their RNG
+        streams through their own hooks.
         """
         plants = tuple(
             (
@@ -227,7 +226,11 @@ class PlantEnvironment:
             for channel in self.channels
         )
         sensors = tuple(
-            copy.deepcopy((channel.estimator, channel.battery_sensor))
+            (
+                channel.estimator.capture_delta_state(),
+                None if channel.battery_sensor is None
+                else channel.battery_sensor.capture_delta_state(),
+            )
             for channel in self.channels
         )
         return (
@@ -244,7 +247,7 @@ class PlantEnvironment:
         self._next_time = next_time
         self._physics_time = physics_time
         self._window_gusts = list(gusts)
-        for channel, row, pair in zip(self.channels, plants, sensors):
+        for channel, row, (estimator, battery_sensor) in zip(self.channels, plants, sensors):
             plant = channel.plant
             (
                 plant.time,
@@ -256,5 +259,7 @@ class PlantEnvironment:
                 plant.distance_flown,
                 plant.min_clearance,
             ) = row
-            channel.estimator, channel.battery_sensor = copy.deepcopy(pair)
+            channel.estimator.restore_delta_state(estimator)
+            if channel.battery_sensor is not None:
+                channel.battery_sensor.restore_delta_state(battery_sensor)
         self._touch()

@@ -13,13 +13,24 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from ..core.resettable import StatelessSnapshot
 from ..dynamics import DroneState
 from ..geometry import Vec3
 from .drone import BatteryStatus, DronePlant
 
 
+class _NoiseStream:
+    """Delta-snapshot hooks of a sensor whose only state is its ``_rng``."""
+
+    def capture_delta_state(self) -> tuple:
+        return self._rng.getstate()
+
+    def restore_delta_state(self, state: tuple) -> None:
+        self._rng.setstate(state)  # in place: the stream object stays
+
+
 @dataclass
-class StateEstimator:
+class StateEstimator(_NoiseStream):
     """Adds bounded position/velocity noise to the ground-truth drone state."""
 
     position_noise: float = 0.03
@@ -52,7 +63,7 @@ class StateEstimator:
 
 
 @dataclass
-class BatterySensor:
+class BatterySensor(_NoiseStream):
     """Reports the state of charge with a small bounded error."""
 
     charge_noise: float = 0.002
@@ -76,7 +87,7 @@ class BatterySensor:
 
 
 @dataclass
-class PerfectEstimator:
+class PerfectEstimator(StatelessSnapshot):
     """Noise-free estimator for deterministic unit tests."""
 
     def estimate(self, state: DroneState) -> DroneState:

@@ -56,6 +56,9 @@ RESULT_WINDOW = 16
 #: The longest, in seconds, an item waits in a lease's buffer; checked
 #: after each execution.  It also caps what a dead drone forfeits.
 RESULT_WINDOW_S = 0.05
+#: Warm testers a drone keeps, one per workload identity; the least
+#: recently used one is dropped first.
+WARM_TESTERS = 8
 
 
 # --------------------------------------------------------------------- #
@@ -164,8 +167,9 @@ class Drone:
         # restarting against a recovering control plane must not retry in
         # lockstep, and a deterministic per-drone stream keeps tests exact.
         self._backoff_rng = random.Random(self.drone_id)
-        # One warm tester per workload identity: consecutive leases of the
-        # same scenario reuse the built model instance across shards (the
+        # One warm tester per workload identity, at most WARM_TESTERS in
+        # least-recently-used order: consecutive leases of the same
+        # scenario reuse the built model instance across shards (the
         # zero-rebuild hot path).
         self._testers: Dict[Any, SystematicTester] = {}
 
@@ -308,14 +312,17 @@ class Drone:
     def _tester(self, shard: Any) -> SystematicTester:
         """The warm reset-and-reuse tester for a shard's workload."""
         key = (shard.factory, shard.max_permuted, shard.track_coverage)
-        tester = self._testers.get(key)
+        testers = self._testers
+        tester = testers.pop(key, None)
         if tester is None:
             tester = SystematicTester(
                 shard.factory,
                 max_permuted=shard.max_permuted,
                 track_coverage=shard.track_coverage,
             )
-            self._testers[key] = tester
+            if len(testers) >= WARM_TESTERS:
+                del testers[next(iter(testers))]
+        testers[key] = tester  # (re)inserted last: the most recently used
         return tester
 
     def _stream(

@@ -65,6 +65,13 @@ class NondeterministicNode(Node):
             outputs[topic] = options[index]
         return outputs
 
+    # -- delta-snapshot hooks (see repro.core.resettable) --------------- #
+    def capture_delta_state(self) -> int:
+        return self.choices_made
+
+    def restore_delta_state(self, state: int) -> None:
+        self.choices_made = state
+
 
 class AbstractEnvironment:
     """A nondeterministic environment: chooses input-topic values every sample.

@@ -253,6 +253,14 @@ class CoverageTracker:
         """Start the next execution's map (the cumulative one is the owner's)."""
         self._execution = CoverageMap()
 
+    # -- delta-snapshot hooks (see repro.core.resettable) ---------------- #
+    def capture_delta_state(self) -> Counter:
+        return self._execution.counts.copy()
+
+    def restore_delta_state(self, state: Counter) -> None:
+        # A fresh map: one handed over by take_execution_map is the owner's.
+        self._execution = CoverageMap(counts=state.copy())
+
     @property
     def tracks_anything(self) -> bool:
         """False with no RTA modules and no fault sites (nothing to classify)."""

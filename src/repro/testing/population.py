@@ -52,12 +52,14 @@ hooks, the engine's per-node fire clock).  A restore resolves each
 component against the delta chain up to the deepest full snapshot and
 rewinds the **live** instance in place, skipping components whose
 version already matches — no pickling, no object-graph rebuild, and
-capture cost proportional to what actually changed.  A model some
-component of which resists capture (e.g. un-deepcopyable state) stops
-snapshotting at the first failure and replays prefixes from then on
-(compaction only), so only the speed changes
-(``PopulationStats.snapshot_fallbacks`` records the switch); snapshots
-captured before the failure keep restoring.
+capture cost proportional to what actually changed.  Every component
+captures and restores through its own ``capture_delta_state``/
+``restore_delta_state`` hooks; there is no generic copy.  A model with a
+component that has no hooks runs without snapshots from the start, and
+one whose hook raises stops snapshotting at that failure; either way
+later live runs replay their prefixes (compaction only), so only the
+speed changes (``PopulationStats.snapshot_fallbacks`` records the
+switch), and snapshots captured before a failure keep restoring.
 
 Snapshot *scheduling* is adaptive: :data:`SNAPSHOT_AFTER` caps how many
 boundary visits a node needs before it earns a snapshot, and the
@@ -85,12 +87,10 @@ on the serial route and touches neither the trie nor the probe.
 
 from __future__ import annotations
 
-import types
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.monitor import Violation
-from ..core.resettable import capture_state, restore_state
 from .coverage import CoverageMap
 from .explorer import ExecutionRecord, ModelInstance, SystematicTester
 from .strategies import ChoiceStrategy, record_trail
@@ -246,7 +246,7 @@ class PopulationStats:
     replayed_choices: int = 0  # choices answered from the trie during live runs
     live_choices: int = 0
     delta_snapshots: int = 0  # incremental (non-full) component captures
-    snapshot_fallbacks: int = 0  # 1 once a failed capture switched to replay
+    snapshot_fallbacks: int = 0  # 1 once a missing hook or failed capture switched to replay
     serial_runs: int = 0  # executions run on the serial route (no trie)
 
     @property
@@ -255,18 +255,6 @@ class PopulationStats:
         if self.executions == 0:
             return 0.0
         return self.compacted / self.executions
-
-
-#: Object types never captured into snapshots: immutable (or
-#: execution-invariant) geometry shared by every execution.  Missing a
-#: type here costs snapshot size, never correctness — a copied workspace
-#: answers queries identically.
-def _pin_types() -> tuple:
-    from ..geometry.clearance import ClearanceField
-    from ..geometry.occupancy import OccupancyGrid
-    from ..geometry.workspace import Workspace
-
-    return (Workspace, ClearanceField, OccupancyGrid)
 
 
 class PopulationTester(SystematicTester):
@@ -282,6 +270,17 @@ class PopulationTester(SystematicTester):
     :data:`SNAPSHOT_MIN_STEPS`, :data:`DELTA_CHAIN_LIMIT` and the
     snapshot bound :data:`POPULATION_SIZE`, and the sharing probe
     :data:`SHARING_PROBE`, when the tester is built.
+
+    Snapshots need every component of the reused instance (engine,
+    board, calendar, each node, each monitor — the coverage tracker
+    included —, the environment) to define the
+    ``capture_delta_state``/``restore_delta_state`` hooks of
+    :mod:`repro.core.resettable`.  The first snapshot checks that up
+    front: if any component lacks them, the tester runs compact-only
+    (trail compaction, prefixes replayed) and counts one
+    ``stats.snapshot_fallbacks``.  A hook that raises takes the same
+    route at that capture; snapshots taken before it keep restoring.
+    Records are the serial tester's either way.
 
     >>> from repro.testing import RandomStrategy, scenario_factory
     >>> tester = PopulationTester(
@@ -320,14 +319,12 @@ class PopulationTester(SystematicTester):
         # The track_coverage setting the trie's leaves and snapshots were
         # recorded under (None until the first execution).
         self._trie_tracking: Optional[bool] = None
-        self._snapshots_ok = True  # flips off after the first failed capture
+        self._snapshots_ok = True  # off for good at a hook-less or failing component
         # Snapshot bookkeeping: the component decomposition of the reused
-        # instance, the objects every capture/restore memo keeps by
-        # reference, and the version vector of the state point the live
+        # instance, and the version vector of the state point the live
         # graph last synchronised with (None right after a reset — the
         # next capture must be a full vector).
         self._components: Optional[List[Tuple[str, Any]]] = None
-        self._component_pins: List[Any] = []
         self._delta_baseline: Optional[Dict[str, Optional[int]]] = None
         self._delta_parent: Optional[_Snapshot] = None
         self._effective_after = self._snapshot_after
@@ -519,9 +516,8 @@ class PopulationTester(SystematicTester):
                         try:
                             node.snapshot = self._take_snapshot(steps, violations, position)
                         except Exception:
-                            # Some component resists capture (e.g.
-                            # un-deepcopyable state): replay prefixes from
-                            # now on.
+                            # A component without hooks, or a hook that
+                            # raised: replay prefixes from now on.
                             self._snapshots_ok = False
                             population.snapshot_fallbacks += 1
                             return
@@ -548,7 +544,6 @@ class PopulationTester(SystematicTester):
         """Forget every recorded trail and snapshot, and the component list."""
         self._root = _TrieNode()
         self._components = None
-        self._component_pins = []
         self._delta_baseline = None
         self._delta_parent = None
         self._router.arm(None, [], [], 0)
@@ -619,11 +614,10 @@ class PopulationTester(SystematicTester):
 
         Component keys are stable across the sweep (the reuse contract
         fixes the node set and monitor roster after the first acquire).
-        Every component object — plus the system wiring it hangs from, the
-        router and the static geometry — is pinned into capture/restore
-        memos, so a component's captured state holds cross-component
-        *references*, never clones: each component's state always comes
-        from its own snapshot entry.
+        Each component captures and restores only itself, through its
+        own hooks; one holding another keeps the reference.  Raises
+        ``TypeError`` naming every component without hooks, before
+        anything is captured.
         """
         engine = self._engine
         instance = self._instance
@@ -640,18 +634,13 @@ class PopulationTester(SystematicTester):
             components.append((f"monitor:{index}", monitor))
         if instance.environment is not None:
             components.append(("environment", instance.environment))
-        pins: List[Any] = [obj for _, obj in components]
-        pins.extend([instance, instance.monitors, engine.system, self._router])
-        for module in getattr(engine.system, "modules", ()):
-            pins.extend([module, module.spec])
-        pins.extend(self._collect_pins(instance, engine))
+        missing = [
+            key for key, obj in components
+            if not (hasattr(obj, "capture_delta_state") and hasattr(obj, "restore_delta_state"))
+        ]
+        if missing:
+            raise TypeError(f"snapshot components without delta hooks: {missing}")
         self._components = components
-        self._component_pins = pins
-
-    def _component_memo(self) -> Dict[int, Any]:
-        """Deepcopy memo for one capture/restore event: every pinned object
-        (kept by reference; components are restored via their own entry)."""
-        return {id(obj): obj for obj in self._component_pins}
 
     def _take_snapshot(
         self, steps: int, violations: List[Violation], position: int
@@ -670,7 +659,6 @@ class PopulationTester(SystematicTester):
         )
         if full:
             parent = None
-        memo = self._component_memo()
         vector: Dict[str, Any] = {}
         versions: Dict[str, Optional[int]] = {}
         for key, obj in self._components:
@@ -680,7 +668,7 @@ class PopulationTester(SystematicTester):
                 version = getattr(obj, "delta_version", None)
             versions[key] = version
             if full or version is None or baseline.get(key) != version:
-                vector[key] = capture_state(obj, memo)
+                vector[key] = obj.capture_delta_state()
         snapshot = _Snapshot(
             steps=steps,
             violations=tuple(violations),
@@ -711,7 +699,6 @@ class PopulationTester(SystematicTester):
                 if key not in resolved:
                     resolved[key] = state
             chain = chain.parent
-        memo = self._component_memo()
         engine = self._engine
         node_versions = engine.node_versions
         versions = snapshot.versions
@@ -722,55 +709,13 @@ class PopulationTester(SystematicTester):
                 name = key[5:]
                 if node_versions.get(name, 0) == target:
                     continue
-                restore_state(obj, resolved[key], memo)
+                obj.restore_delta_state(resolved[key])
                 node_versions[name] = target  # type: ignore[assignment]
             else:
                 if target is not None and getattr(obj, "delta_version", None) == target:
                     continue
-                restore_state(obj, resolved[key], memo)
+                obj.restore_delta_state(resolved[key])
                 if target is not None:
                     obj.delta_version = target
         self._delta_baseline = versions
         self._delta_parent = snapshot
-
-    def _collect_pins(self, *roots: Any) -> List[Any]:
-        """Find the static geometry reachable from the model object graph.
-
-        A plain iterative traversal over ``__dict__``/container structure;
-        objects of the pinned types are collected and not descended into.
-        The traversal runs once per component decomposition — objects it
-        misses (e.g. geometry reachable only through ``__slots__``) merely
-        get copied into snapshots, which costs memory, not correctness.
-        """
-        pin_types = _pin_types()
-        pins: List[Any] = []
-        seen: set = set()
-        atomic = (str, bytes, int, float, bool, complex, type(None))
-        stack: List[Any] = [obj for obj in roots if obj is not None]
-        while stack:
-            obj = stack.pop()
-            if isinstance(obj, atomic):
-                continue
-            oid = id(obj)
-            if oid in seen:
-                continue
-            seen.add(oid)
-            if isinstance(obj, pin_types):
-                pins.append(obj)
-                continue
-            if isinstance(obj, (types.FunctionType, types.BuiltinFunctionType, types.ModuleType, type)):
-                continue
-            if isinstance(obj, types.MethodType):
-                stack.append(obj.__self__)
-                continue
-            if isinstance(obj, dict):
-                stack.extend(obj.keys())
-                stack.extend(obj.values())
-                continue
-            if isinstance(obj, (list, tuple, set, frozenset)):
-                stack.extend(obj)
-                continue
-            attributes = getattr(obj, "__dict__", None)
-            if attributes:
-                stack.extend(attributes.values())
-        return pins

@@ -470,6 +470,29 @@ class TestPlantEnvironment:
         replay_inputs = [(t, repr(v)) for t, v in engine.inputs]
         assert replay_inputs == first_inputs[-len(replay_inputs):]
 
+    def test_a_restore_rewinds_the_sensors_in_place(self):
+        # Estimators and battery sensors rewind their noise streams through
+        # their own hooks: the channel keeps the same objects, and the
+        # readings after a restore repeat the ones after the capture.
+        workspace = surveillance_city().workspace
+        env = _environment(workspace, 2, seed=5)  # unbound: calm gusts
+        engine = _StubEngine({})
+        env.apply(engine, 0.5)
+        mark = env.capture_delta_state()
+        sensors = [(channel.estimator, channel.battery_sensor) for channel in env.channels]
+        engine.inputs.clear()
+        env.apply(engine, 1.5)
+        first = [(t, repr(v)) for t, v in engine.inputs]
+        env.restore_delta_state(mark)
+        assert all(
+            channel.estimator is estimator and channel.battery_sensor is battery
+            for channel, (estimator, battery) in zip(env.channels, sensors)
+        )
+        engine.inputs.clear()
+        env.apply(engine, 1.5)
+        assert [(t, repr(v)) for t, v in engine.inputs] == first
+        assert any("BatteryStatus" in value for _, value in first)
+
     @pytest.mark.parametrize(
         "gust", [Vec3.zero(), Vec3(1.0, 0.0, 0.0)], ids=["calm", "gusty"]
     )

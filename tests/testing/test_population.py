@@ -12,6 +12,7 @@ snapshots and with none.  These tests are the proof the ≥5x speedup claim ride
 
 import pytest
 
+from repro.core.node import Node
 from repro.testing import (
     ExhaustiveStrategy,
     ParallelTester,
@@ -79,45 +80,94 @@ def _check_compact_only(population, share):
         assert population.stats.restores == 0
 
 
+#: The equivalence arms: eager snapshots with coverage off and on (the
+#: coverage tracker is then a snapshot component too), and compact-only.
+ARMS = pytest.mark.parametrize(
+    "share,coverage",
+    [(True, None), (True, True), (False, None)],
+    ids=["shared", "shared-coverage", "compact-only"],
+)
+
+
+def _check_snapshots(population, share):
+    """No sweep of a registered scenario falls back to prefix replay."""
+    assert population.stats.snapshot_fallbacks == 0
+    _check_compact_only(population, share)
+
+
 class TestPopulationVsSerialEquivalence:
-    @pytest.mark.parametrize("share", [True, False], ids=["shared", "compact-only"])
+    @ARMS
     @pytest.mark.parametrize(
         "name,overrides",
         SCENARIOS,
         ids=[f"{s[0]}-{s[1]['drones']}d" if "drones" in s[1] else s[0] for s in SCENARIOS],
     )
-    def test_random_sweep_identical(self, name, overrides, share, monkeypatch):
+    def test_random_sweep_identical(self, name, overrides, share, coverage, monkeypatch):
         _schedule(monkeypatch, share)
         factory = scenario_factory(name, **overrides)
-        serial = SystematicTester(factory, RandomStrategy(seed=3, max_executions=14))
-        population = PopulationTester(factory, RandomStrategy(seed=3, max_executions=14))
+        serial = SystematicTester(
+            factory, RandomStrategy(seed=3, max_executions=14), track_coverage=coverage
+        )
+        population = PopulationTester(
+            factory, RandomStrategy(seed=3, max_executions=14), track_coverage=coverage
+        )
         serial_report = serial.explore()
         population_report = population.explore()
         assert _report_keys(population_report) == _report_keys(serial_report)
         assert population.coverage.counts == serial.coverage.counts
         assert population.stats.executions == 14
-        _check_compact_only(population, share)
+        _check_snapshots(population, share)
         # fault-injected-surveillance is safe by construction; the toy
         # scenario only violates under broken_ttf-specific trails.
         if name not in ("toy-closed-loop", "fault-injected-surveillance"):
             assert not population_report.ok
 
-    @pytest.mark.parametrize("share", [True, False], ids=["shared", "compact-only"])
+    @ARMS
     @pytest.mark.parametrize(
         "name,overrides",
         SCENARIOS,
         ids=[f"{s[0]}-{s[1]['drones']}d" if "drones" in s[1] else s[0] for s in SCENARIOS],
     )
-    def test_exhaustive_enumeration_identical(self, name, overrides, share, monkeypatch):
+    def test_exhaustive_enumeration_identical(
+        self, name, overrides, share, coverage, monkeypatch
+    ):
         _schedule(monkeypatch, share)
         factory = scenario_factory(name, **overrides)
-        serial = SystematicTester(factory, ExhaustiveStrategy(max_depth=4, max_executions=20))
+        serial = SystematicTester(
+            factory, ExhaustiveStrategy(max_depth=4, max_executions=20), track_coverage=coverage
+        )
         population = PopulationTester(
-            factory, ExhaustiveStrategy(max_depth=4, max_executions=20)
+            factory, ExhaustiveStrategy(max_depth=4, max_executions=20), track_coverage=coverage
         )
         assert _report_keys(population.explore()) == _report_keys(serial.explore())
         assert population.coverage.counts == serial.coverage.counts
-        _check_compact_only(population, share)
+        _check_snapshots(population, share)
+
+    @pytest.mark.parametrize("coverage", [None, True], ids=["plain", "coverage"])
+    @pytest.mark.parametrize(
+        "name,overrides",
+        SCENARIOS,
+        ids=[f"{s[0]}-{s[1]['drones']}d" if "drones" in s[1] else s[0] for s in SCENARIOS],
+    )
+    def test_every_component_snapshots_through_its_hooks(
+        self, name, overrides, coverage, monkeypatch
+    ):
+        # The hook census: a depth-first enumeration without schedule
+        # permutation re-runs deep shared prefixes, so every scenario
+        # captures and restores.  A component without hooks (the coverage
+        # tracker included, when tracking is on) would show as a fallback.
+        _schedule(monkeypatch, share=True)
+        factory = scenario_factory(name, **overrides)
+        strategy = lambda: ExhaustiveStrategy(max_depth=12, max_executions=16)
+        serial = SystematicTester(factory, strategy(), max_permuted=1, track_coverage=coverage)
+        population = PopulationTester(
+            factory, strategy(), max_permuted=1, track_coverage=coverage
+        )
+        assert _report_keys(population.explore()) == _report_keys(serial.explore())
+        assert population.coverage.counts == serial.coverage.counts
+        stats = population.stats
+        assert stats.snapshot_fallbacks == 0
+        assert stats.snapshots_taken > 0 and stats.restores > 0
 
     def test_duplicate_trails_are_compacted_not_rerun(self):
         # A short-horizon surveillance sweep with no schedule permutation
@@ -194,25 +244,40 @@ class TestPopulationVsSerialEquivalence:
             )
 
 
-class _Unpicklable:
-    """Deep-copyable but pickle-resistant payload (e.g. a C handle)."""
+class _Accumulator(Node):
+    """A stateful test-local node with no snapshot hooks.
+
+    It publishes the running sum of the chosen ``x`` values, so every
+    later output (and the monitor verdict on it) depends on its history:
+    a restore that skipped it would show in the records.
+    """
 
     def __init__(self):
-        self.ticks = 0
+        super().__init__("accumulator", subscribes=("x",), publishes=("total",), period=0.1)
+        self.total = 0.0
+
+    def reset(self):
+        self.total = 0.0
+
+    def step(self, now, inputs):
+        self.total += inputs.get("x") or 0.0
+        return {"total": self.total}
+
+
+class _Unpicklable:
+    """A pickle-resistant capture (e.g. a native handle)."""
+
+    def __init__(self, total):
+        self.total = total
 
     def __reduce__(self):
         import pickle
 
         raise pickle.PicklingError("opaque native handle")
 
-    def __deepcopy__(self, memo):
-        clone = _Unpicklable()
-        clone.ticks = self.ticks
-        return clone
 
-
-class _CopyBudget:
-    """Shared ledger of a :class:`_CopyLimited` family of objects."""
+class _CaptureBudget:
+    """Shared ledger of a :class:`_BudgetedAccumulator` family."""
 
     def __init__(self, limit):
         self.limit = limit
@@ -221,54 +286,74 @@ class _CopyBudget:
         self.restores_after_exhaustion = 0
 
 
-class _CopyLimited:
-    """State whose capture fails from the ``limit + 1``-th copy on.
+class _BudgetedAccumulator(_Accumulator):
+    """Hooks whose capture raises from the ``limit + 1``-th call on; a
+    restore always succeeds, so earlier snapshots keep restoring."""
 
-    Copying a live object is a snapshot capture and spends the budget;
-    copying a stored capture is a restore and always succeeds (it yields
-    a live object again), so snapshots taken before the budget ran out
-    keep restoring.
-    """
-
-    def __init__(self, budget, stored=False):
+    def __init__(self, budget):
+        super().__init__()
         self.budget = budget
-        self.stored = stored
 
-    def __deepcopy__(self, memo):
+    def capture_delta_state(self):
         budget = self.budget
-        if self.stored:
-            if budget.exhausted:
-                budget.restores_after_exhaustion += 1
-            return _CopyLimited(budget)
         if budget.captures >= budget.limit:
             budget.exhausted = True
-            raise TypeError("capture budget exhausted")
+            raise RuntimeError("capture budget exhausted")
         budget.captures += 1
-        return _CopyLimited(budget, stored=True)
+        return self.total
+
+    def restore_delta_state(self, state):
+        if self.budget.exhausted:
+            self.budget.restores_after_exhaustion += 1
+        self.total = state
+
+
+class _HandleAccumulator(_Accumulator):
+    """Hooks that capture an unpicklable handle."""
+
+    def capture_delta_state(self):
+        return _Unpicklable(self.total)
+
+    def restore_delta_state(self, state):
+        self.total = state.total
 
 
 class TestSnapshotFallback:
-    """A model that resists snapshot capture falls back to prefix replay.
+    """Snapshots need hooks on every component; without them, prefix replay.
 
-    The first failed capture switches the tester to compact-only prefix
-    replay (recorded in ``PopulationStats.snapshot_fallbacks``); the
-    report and coverage stay byte-equal to the serial sweep.
+    A component with no ``capture_delta_state``/``restore_delta_state``
+    hooks makes the tester compact-only from its first snapshot attempt;
+    a hook that raises switches it at that capture.  Either way
+    ``PopulationStats.snapshot_fallbacks`` reads 1, and the report and
+    coverage stay byte-equal to the serial sweep.
     """
 
     @staticmethod
-    def _factory(payload):
-        from repro.testing import build_scenario
+    def _factory(accumulator):
+        from repro.core.compiler import Program, SoterCompiler
+        from repro.core.monitor import MonitorSuite, TopicSafetyMonitor
+        from repro.core.specs import SafetySpec
+        from repro.core.topics import Topic
+        from repro.testing.abstractions import NondeterministicNode
+        from repro.testing.explorer import ModelInstance
 
         def factory():
-            instance = build_scenario("toy-closed-loop", broken_ttf=True)
-            # Plant the object inside a node whose state snapshots capture
-            # generically, by deep copy.
-            node = next(
-                node for node in instance.system.all_nodes()
-                if not hasattr(node, "capture_delta_state")
+            chooser = NondeterministicNode("chooser", {"x": [0.0, 1.0]}, period=0.1)
+            program = Program(
+                name="accumulating",
+                topics=[Topic("x", float), Topic("total", float)],
+                nodes=[chooser, accumulator()],
             )
-            node.opaque_handle = payload()
-            return instance
+            monitor = TopicSafetyMonitor(
+                name="phi_total", topic="total",
+                spec=SafetySpec("total<6", lambda v: v < 6.0),
+            )
+            return ModelInstance(
+                system=SoterCompiler(strict=False).compile(program).system,
+                monitors=MonitorSuite([monitor]),
+                environment=None,
+                horizon=1.0,
+            )
 
         return factory
 
@@ -276,35 +361,39 @@ class TestSnapshotFallback:
     def _eager(self, monkeypatch):
         _schedule(monkeypatch, share=True)
 
-    def _sweep(self, payload):
-        factory = self._factory(payload)
+    def _sweep(self, accumulator):
+        factory = self._factory(accumulator)
         serial = SystematicTester(factory, RandomStrategy(seed=4, max_executions=40))
         population = PopulationTester(factory, RandomStrategy(seed=4, max_executions=40))
         serial_report = serial.explore()
         population_report = population.explore()
         assert _report_keys(population_report) == _report_keys(serial_report)
         assert population.coverage.counts == serial.coverage.counts
+        # Violating and safe trails both occur, so the records carry the
+        # accumulated state.
+        verdicts = {bool(record.violations) for record in serial_report.executions}
+        assert verdicts == {True, False}
         return population
 
-    def test_uncopyable_state_replays_prefixes(self):
-        population = self._sweep(lambda: _CopyLimited(_CopyBudget(limit=0)))
+    def test_a_component_without_hooks_runs_compact_only_from_the_start(self):
+        population = self._sweep(_Accumulator)
         stats = population.stats
         assert stats.snapshots_taken == 0
         assert stats.restores == 0
         assert stats.snapshot_fallbacks == 1
 
     def test_snapshots_before_a_failed_capture_keep_restoring(self):
-        budget = _CopyBudget(limit=3)
-        population = self._sweep(lambda: _CopyLimited(budget))
+        budget = _CaptureBudget(limit=3)
+        population = self._sweep(lambda: _BudgetedAccumulator(budget))
         stats = population.stats
         assert budget.exhausted
         assert stats.snapshot_fallbacks == 1
         assert stats.snapshots_taken == 3
         assert budget.restores_after_exhaustion > 0
 
-    def test_unpicklable_state_costs_nothing(self):
-        # Capture never pickles, so the opaque object costs nothing.
-        population = self._sweep(_Unpicklable)
+    def test_a_hook_that_returns_an_unpicklable_handle_costs_nothing(self):
+        # Capture never pickles, so the opaque handle costs nothing.
+        population = self._sweep(_HandleAccumulator)
         assert population.stats.snapshot_fallbacks == 0
         assert population.stats.restores > 0
 
