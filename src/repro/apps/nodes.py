@@ -28,7 +28,7 @@ from .topics import (
 
 
 @dataclass
-class StraightLinePlanner:
+class StraightLinePlanner(StatelessSnapshot):
     """The trivial planner: fly straight at the goal (used for the g1..g4 missions)."""
 
     altitude: float = 2.0
@@ -191,6 +191,7 @@ class PlannerNode(Node):
         self._current_plan: Optional[Plan] = None
         self.plans_produced = 0
         self.failed_queries = 0
+        self.planner.reset()
 
     def step(self, now: float, inputs: Mapping[str, Any]) -> Mapping[str, Any]:
         goal = inputs.get(self.goal_topic)
@@ -223,6 +224,7 @@ class PlannerNode(Node):
             self._current_plan,
             self.plans_produced,
             self.failed_queries,
+            self.planner.capture_delta_state(),
         )
 
     def restore_delta_state(self, state: tuple) -> None:
@@ -231,7 +233,9 @@ class PlannerNode(Node):
             self._current_plan,
             self.plans_produced,
             self.failed_queries,
+            planner_state,
         ) = state
+        self.planner.restore_delta_state(planner_state)
 
 
 class PlanForwardNode(StatelessSnapshot, Node):

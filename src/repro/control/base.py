@@ -14,12 +14,18 @@ from typing import Optional
 
 import numpy as np
 
+from ..core.resettable import StatelessSnapshot
 from ..dynamics import ControlCommand, DroneState
 from ..geometry import Vec3
 
 
-class WaypointTracker(abc.ABC):
-    """Generates acceleration commands that drive the drone toward a waypoint."""
+class WaypointTracker(StatelessSnapshot, abc.ABC):
+    """Generates acceleration commands that drive the drone toward a waypoint.
+
+    Stateless by default: memo caches of deterministic sub-queries are warm
+    state that resets and snapshots leave alone.  Stateful trackers (the
+    learned tracker's RNG, the safe tracker's reference) override the hooks.
+    """
 
     #: Human-readable controller name used in traces and benchmark tables.
     name: str = "tracker"
@@ -35,21 +41,6 @@ class WaypointTracker(abc.ABC):
         plan's collision-free reference trajectory to pick its carrot
         point instead of chasing a possibly occluded waypoint.
         """
-
-    def reset(self) -> None:
-        """Clear any internal state between missions (default: nothing to clear)."""
-
-    # -- delta-snapshot hooks (see repro.core.resettable) -------------- #
-    # Most trackers are pure control laws whose only instance state is
-    # memo caches of deterministic sub-queries — semantics-neutral warm
-    # state that snapshots deliberately leave alone.  Stateful trackers
-    # (the learned tracker's RNG, the safe tracker's reference) override.
-    def capture_delta_state(self) -> object:
-        """Everything that evolves during a mission, as plain values."""
-        return None
-
-    def restore_delta_state(self, state: object) -> None:
-        """Rewind to a :meth:`capture_delta_state` point, in place."""
 
     def command_batch(
         self,

@@ -15,6 +15,7 @@ this gives the module its P2a (never leaves φ_safe once inside) and P2b
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -209,9 +210,12 @@ class SafeWaypointTracker(WaypointTracker):
         ``command(state_i, target_i, now).acceleration`` bit for bit.
         This is what lets the batched well-formedness rollouts integrate
         every falsification sample simultaneously yet land on the same
-        trajectories as the scalar path.  Carrot-following along a plan
-        reference is not vectorised (the checker rollouts never set a
-        plan); that case falls back to the scalar loop.
+        trajectories as the scalar path.  The row-for-row contract covers
+        finite positions: on a NaN or ±inf position the two laws may
+        disagree, and the plants fly a non-finite command as no thrust.
+        Carrot-following along a plan reference is not vectorised (the
+        checker rollouts never set a plan); that case falls back to the
+        scalar loop.
         """
         if self._reference is not None:
             return super().command_batch(positions, velocities, targets, now)
@@ -225,17 +229,22 @@ class SafeWaypointTracker(WaypointTracker):
         desired = clamp_norm_rows(desired, params.max_speed)
         tracking = (desired - V) * params.velocity_gain
         tracking = clamp_norm_rows(tracking, params.max_acceleration)
-        # One fused obstacle sweep feeds both the urgency band (clearance)
+        # One nearest-obstacle query feeds both the urgency band (clearance)
         # and, for the urgent rows, the away direction (nearest box).
-        geometry = self._batch_geometry(P)
-        if geometry[0] is None:  # no workspace: never urgent
+        workspace = self.workspace
+        if workspace is None:  # never urgent
             urgency = np.zeros(P.shape[0])
         else:
-            urgency = self._urgency_from_clearance(geometry[0])
+            nearest, d2 = workspace.nearest_obstacle_batch(P)
+            obstacle_dist = np.sqrt(d2)
+            boundary = workspace.distance_to_boundary_batch(P)
+            urgency = self._urgency_from_clearance(np.minimum(boundary, obstacle_dist))
         acceleration = tracking
         urgent = np.nonzero(urgency > 0.0)[0]
         if urgent.size:
-            away = self._away_from_geometry(P, urgent, geometry)
+            away = self._away_direction_batch(
+                P[urgent], nearest[urgent], obstacle_dist[urgent], boundary[urgent]
+            )
             to_target = T[urgent] - P[urgent]
             to_target[:, 2] = 0.0
             norms = row_norms(to_target)
@@ -268,72 +277,34 @@ class SafeWaypointTracker(WaypointTracker):
             acceleration[urgent] = blended
         return clamp_norm_rows(acceleration, params.max_acceleration)
 
-    def _batch_geometry(self, positions: np.ndarray):
-        """One obstacle/boundary sweep shared by urgency and away-direction.
-
-        Returns ``(clearance, closest, dist, boundary)``: the exact
-        clearances (same values as ``workspace.clearance_batch``), the
-        per-(box, row) closest points and distances (``None`` without
-        obstacles), and the boundary distances.
-        """
-        workspace = self.workspace
-        if workspace is None:
-            return None, None, None, None
-        if workspace.obstacles:
-            lo, hi = workspace.obstacle_arrays()  # (M, 3)
-            closest = np.minimum(np.maximum(positions[None, :, :], lo[:, None, :]), hi[:, None, :])
-            delta = positions[None, :, :] - closest  # (M, K, 3)
-            dx, dy, dz = delta[:, :, 0], delta[:, :, 1], delta[:, :, 2]
-            dist = np.sqrt(dx * dx + dy * dy + dz * dz)  # (M, K)
-            obstacle_dist = dist.min(axis=0)
-        else:
-            closest = dist = None
-            obstacle_dist = np.full(positions.shape[0], np.inf)
-        boundary = workspace.distance_to_boundary_batch(positions)
-        clearance = np.minimum(boundary, obstacle_dist)
-        return clearance, closest, dist, boundary
-
     def _urgency_from_clearance(self, clearance: np.ndarray) -> np.ndarray:
         """Row-wise :meth:`_urgency` from precomputed exact clearances."""
         band = max(self.recovery_clearance - self.params.obstacle_margin, 1e-6)
         urgency = np.minimum(1.0, np.maximum(0.0, (self.recovery_clearance - clearance) / band))
         return np.where(clearance >= self.recovery_clearance, 0.0, urgency)
 
-    def _away_from_geometry(
-        self, positions: np.ndarray, rows: np.ndarray, geometry
-    ) -> np.ndarray:
-        """Away directions for the selected ``rows``, reusing the shared sweep."""
+    def _away_direction_batch(self, positions, nearest, obstacle_dist, boundary) -> np.ndarray:
+        """Row-wise :meth:`_compute_away_direction` from the nearest-obstacle query."""
         workspace = self.workspace
         assert workspace is not None
-        _, closest, dist, boundary = geometry
-        selected = positions[rows]
-        count = rows.shape[0]
-        if closest is not None:
-            dist = dist[:, rows]  # (M, K')
-            nearest = np.argmin(dist, axis=0)  # first minimum, like the scalar strict <
-            cols = np.arange(count)
-            nearest_dist = dist[nearest, cols]
-            away = selected - closest[:, rows, :][nearest, cols, :]
+        directions = np.zeros_like(positions)
+        if workspace.obstacles:
+            # A row without a box (index -1) reads the last one; the
+            # ``where`` below discards it.
+            lo, hi = workspace.obstacle_arrays()
+            lo, hi = lo[nearest], hi[nearest]
+            away = positions - np.minimum(np.maximum(positions, lo), hi)
             degenerate = row_norms(away) < 1e-6
             if degenerate.any():
-                lo, hi = workspace.obstacle_arrays()
-                centers = (lo + hi) * 0.5
-                away = np.where(degenerate[:, None], selected - centers[nearest], away)
-            directions = unit_rows(away)
-        else:
-            nearest_dist = np.full(count, np.inf)
-            directions = np.zeros((count, 3))
-        center = workspace.bounds.center
-        toward = np.empty_like(selected)
-        toward[:, 0] = center.x - selected[:, 0]
-        toward[:, 1] = center.y - selected[:, 1]
-        toward[:, 2] = 0.0
-        toward_norms = row_norms(toward)
-        use_boundary = (boundary[rows] < nearest_dist) & (toward_norms > 1e-6)
-        if use_boundary.any():
-            directions = np.where(use_boundary[:, None], unit_rows(toward), directions)
-        # The scalar path re-normalises the (single) chosen direction once
-        # more when summing the direction list; replicate that exactly.
+                away = np.where(degenerate[:, None], positions - (lo + hi) * 0.5, away)
+            directions = np.where((nearest >= 0)[:, None], unit_rows(away), directions)
+        walls = boundary < obstacle_dist
+        if walls.any():
+            toward = np.array(workspace.bounds.center.as_tuple()) - positions
+            toward[:, 2] = 0.0
+            walls &= row_norms(toward) > 1e-6
+            directions = np.where(walls[:, None], unit_rows(toward), directions)
+        # The scalar path re-normalises the chosen direction once more.
         return unit_rows(directions)
 
     def _urgency(self, state: DroneState) -> float:
@@ -371,34 +342,24 @@ class SafeWaypointTracker(WaypointTracker):
         return cached
 
     def _compute_away_direction(self, position: Vec3) -> Vec3:
-        assert self.workspace is not None
-        nearest_box = None
-        nearest_dist = float("inf")
-        for obstacle in self.workspace.obstacles:
-            dist = obstacle.distance_to_point(position)
-            if dist < nearest_dist:
-                nearest_dist = dist
-                nearest_box = obstacle
-        directions = []
-        if nearest_box is not None and nearest_dist < float("inf"):
-            closest = nearest_box.closest_point(position)
-            away = position - closest
+        workspace = self.workspace
+        assert workspace is not None
+        index, d2 = workspace.nearest_obstacle(position)
+        nearest_dist = math.sqrt(d2)
+        direction = Vec3.zero()
+        if index >= 0:
+            box = workspace.obstacles[index]
+            away = position - box.closest_point(position)
             if away.norm() < 1e-6:
-                away = position - nearest_box.center
-            directions.append(away.unit())
-        # Also push away from the workspace boundary if that is the nearest hazard.
-        boundary_dist = self.workspace.distance_to_boundary(position)
-        if boundary_dist < nearest_dist:
-            center = self.workspace.bounds.center
-            toward_center = (center - position).with_z(0.0)
+                away = position - box.center
+            direction = away.unit()
+        # Push away from the workspace boundary if that is the nearest hazard.
+        if workspace.distance_to_boundary(position) < nearest_dist:
+            toward_center = (workspace.bounds.center - position).with_z(0.0)
             if toward_center.norm() > 1e-6:
-                directions = [toward_center.unit()]
-        if not directions:
-            return Vec3.zero()
-        combined = Vec3.zero()
-        for direction in directions:
-            combined = combined + direction
-        return combined.unit() if combined.norm() > 1e-6 else Vec3.zero()
+                direction = toward_center.unit()
+        # Re-normalised once more: the golden missions fly this rounding.
+        return direction.unit()
 
 
 class BrakingController(WaypointTracker):

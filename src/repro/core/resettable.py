@@ -92,7 +92,10 @@ def reset_all(objects: Iterable[Any]) -> None:
 
 
 class StatelessSnapshot:
-    """Delta-snapshot hooks of a class with no per-execution state."""
+    """Reset and delta-snapshot hooks of a class with no per-execution state."""
+
+    def reset(self) -> None:
+        pass
 
     def capture_delta_state(self) -> None:
         return None

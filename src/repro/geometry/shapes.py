@@ -140,18 +140,6 @@ class AABB:
         """Euclidean distance from ``point`` to the box (zero if inside)."""
         return point.distance_to(self.closest_point(point))
 
-    def distance_to_points(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`distance_to_point` over an ``(N, 3)`` point array.
-
-        Mirrors the scalar evaluation (clamp each axis, then
-        ``sqrt((dx*dx + dy*dy) + dz*dz)``) so results are bit-identical.
-        """
-        pts = points_as_array(points)
-        dx = pts[:, 0] - np.minimum(np.maximum(pts[:, 0], self.lo.x), self.hi.x)
-        dy = pts[:, 1] - np.minimum(np.maximum(pts[:, 1], self.lo.y), self.hi.y)
-        dz = pts[:, 2] - np.minimum(np.maximum(pts[:, 2], self.lo.z), self.hi.z)
-        return np.sqrt(dx * dx + dy * dy + dz * dz)
-
     def clamp(self, point: Vec3) -> Vec3:
         """Clamp ``point`` inside the box."""
         return self.closest_point(point)
@@ -228,10 +216,6 @@ class Sphere:
     def distance_to_point(self, point: Vec3) -> float:
         """Distance from ``point`` to the sphere surface (zero if inside)."""
         return max(0.0, self.center.distance_to(point) - self.radius)
-
-    def distance_to_points(self, points: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`distance_to_point` over an ``(N, 3)`` point array."""
-        return np.maximum(0.0, self._center_distances(points) - self.radius)
 
     def _center_distances(self, points: np.ndarray) -> np.ndarray:
         pts = points_as_array(points)

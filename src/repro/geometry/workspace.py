@@ -191,31 +191,37 @@ class Workspace:
                 return False
         return True
 
-    def distance_to_nearest_obstacle(self, point: Vec3) -> float:
-        """Distance to the nearest obstacle surface (inf if there are none).
+    def nearest_obstacle(self, point: Vec3) -> Tuple[int, float]:
+        """Index of the nearest obstacle and its squared distance to ``point``.
 
-        Equal to :func:`min_distance_to_boxes`: the per-axis gap is the
-        magnitude of ``x - min(max(x, lo), hi)`` (negating a float
-        difference is exact, and a NaN coordinate stays NaN), the squared
-        norm sums in :meth:`Vec3.dot` order, and one ``sqrt`` of the
-        smallest square equals the smallest ``sqrt`` because ``sqrt`` is
-        correctly rounded and monotone.  A NaN coordinate gives NaN when
-        there is at least one obstacle, as the batch kernel does: a point
-        of unknown position must not read as clear.
+        Per axis the gap is the magnitude of ``x - min(max(x, lo), hi)``,
+        squared and summed in :meth:`Vec3.dot` order; a strict ``<`` keeps
+        the first of equally near boxes.  ``(-1, inf)`` when no box is at a
+        finite square: no obstacles, or a NaN or ±inf coordinate.
         """
         x, y, z = point.x, point.y, point.z
-        best = math.inf
-        rows = self._obstacle_rows()
-        for lx, ly, lz, hx, hy, hz in rows:
+        index, best = -1, math.inf
+        for i, (lx, ly, lz, hx, hy, hz) in enumerate(self._obstacle_rows()):
             dx = (0.0 if x <= hx else x - hx) if x >= lx else lx - x
             dy = (0.0 if y <= hy else y - hy) if y >= ly else ly - y
             dz = (0.0 if z <= hz else z - hz) if z >= lz else lz - z
             d2 = dx * dx + dy * dy + dz * dz
             if d2 < best:
-                best = d2
-        # A NaN coordinate makes every d2 NaN, which ``<`` never admits:
-        # answer NaN (not a clear inf) when there was a box to be near.
-        if best == math.inf and rows and (x != x or y != y or z != z):
+                index, best = i, d2
+        return index, best
+
+    def distance_to_nearest_obstacle(self, point: Vec3) -> float:
+        """Distance to the nearest obstacle surface (inf if there are none).
+
+        Equal to :func:`min_distance_to_boxes`: ``sqrt`` is correctly
+        rounded and monotone, so the root of the :meth:`nearest_obstacle`
+        square is the smallest root.  A NaN coordinate gives NaN when there
+        is a box to be near, as the batch kernel does: a point of unknown
+        position must not read as clear.
+        """
+        index, best = self.nearest_obstacle(point)
+        x, y, z = point.x, point.y, point.z
+        if index < 0 and self.obstacles and (x != x or y != y or z != z):
             return math.nan
         return math.sqrt(best)
 
@@ -245,15 +251,15 @@ class Workspace:
         long as its clearance is positive.  A NaN coordinate gives NaN.
         """
         lo, hi = self.bounds.lo, self.bounds.hi
-        x, y = point.x, point.y
-        distance = self.distance_to_nearest_obstacle(point)
-        # A NaN coordinate already made ``distance`` NaN when there are
-        # obstacles; without them the boundary term alone sees it.
-        if distance == math.inf and (x != x or y != y or point.z != point.z):
+        x, y, z = point.x, point.y, point.z
+        index, best = self.nearest_obstacle(point)
+        # A NaN coordinate names no box, and ``min`` would skip a NaN
+        # boundary term: answer NaN, not a clear distance.
+        if index < 0 and (x != x or y != y or z != z):
             return math.nan
         return min(
-            distance,
-            min(min(x - lo.x, hi.x - x), min(y - lo.y, hi.y - y), hi.z - point.z),
+            math.sqrt(best),
+            min(min(x - lo.x, hi.x - x), min(y - lo.y, hi.y - y), hi.z - z),
         )
 
     # ------------------------------------------------------------------ #
@@ -322,6 +328,29 @@ class Workspace:
             d2 += _squared_gap(z, lz, hz, gap)
             np.minimum(best, d2, out=best)
         return np.sqrt(best, out=best)
+
+    def nearest_obstacle_batch(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorised :meth:`nearest_obstacle`: ``(N,)`` indices and squares.
+
+        Squares of the clamp gap ``x - min(max(x, lo), hi)`` in ``(dx*dx +
+        dy*dy) + dz*dz`` order are the scalar ones bit for bit; ``argmin``
+        keeps the first minimum.  One ``(3, M, N)`` block over contiguous
+        rows, not a loop over boxes: the callers' batches are small, so
+        per-call overhead dominates.
+        """
+        pts = points_as_array(points)
+        count = pts.shape[0]
+        if not self.obstacles:
+            return np.full(count, -1), np.full(count, np.inf)
+        lo, hi = self.obstacle_arrays()  # (M, 3)
+        coords = np.ascontiguousarray(pts.T)[:, None, :]  # (3, 1, N)
+        gap = coords - np.minimum(np.maximum(coords, lo.T[:, :, None]), hi.T[:, :, None])
+        gap *= gap
+        d2 = gap[0] + gap[1] + gap[2]  # (M, N)
+        index = d2.argmin(axis=0)
+        best = d2[index, np.arange(count)]
+        found = best < np.inf
+        return np.where(found, index, -1), np.where(found, best, np.inf)
 
     def distance_to_boundary_batch(self, points: np.ndarray, include_floor: bool = False) -> np.ndarray:
         """Vectorised :meth:`distance_to_boundary` over an ``(N, 3)`` point array.

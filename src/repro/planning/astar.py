@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..core.resettable import StatelessSnapshot
 from ..geometry import OccupancyGrid, Vec3, Workspace
 from ..geometry.occupancy import STEPS
 from .plan import Plan
@@ -23,7 +24,7 @@ Cell = Tuple[int, int]
 
 
 @dataclass
-class GridAStarPlanner:
+class GridAStarPlanner(StatelessSnapshot):
     """Deterministic A* over a 2-D occupancy grid at a fixed flight altitude."""
 
     workspace: Workspace

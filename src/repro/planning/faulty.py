@@ -29,12 +29,16 @@ from .plan import Plan, straight_line_plan
 
 
 class Planner(Protocol):
-    """Anything that can produce a plan between two points."""
+    """Anything that can produce a plan between two points (and reset and snapshot)."""
 
     name: str
 
     def plan(self, start: Vec3, goal: Vec3, created_at: float = 0.0) -> Optional[Plan]:
         ...
+
+    def reset(self) -> None: ...
+    def capture_delta_state(self) -> object: ...
+    def restore_delta_state(self, state: object) -> None: ...
 
 
 class PlannerBug(enum.Enum):
@@ -64,6 +68,20 @@ class FaultyPlanner:
             self.name = f"{self.inner.name}+{self.bug.value}"
         self._rng = random.Random(self.seed)
         self.injected_faults = 0
+
+    def reset(self) -> None:
+        self._rng.seed(self.seed)
+        self.injected_faults = 0
+        self.inner.reset()
+
+    # Delta-snapshot hooks (see repro.core.resettable).
+    def capture_delta_state(self) -> tuple:
+        return (self._rng.getstate(), self.injected_faults, self.inner.capture_delta_state())
+
+    def restore_delta_state(self, state: tuple) -> None:
+        rng_state, self.injected_faults, inner_state = state
+        self._rng.setstate(rng_state)
+        self.inner.restore_delta_state(inner_state)
 
     def plan(self, start: Vec3, goal: Vec3, created_at: float = 0.0) -> Optional[Plan]:
         """Plan with the inner planner, then possibly corrupt the result."""

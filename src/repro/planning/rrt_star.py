@@ -52,6 +52,17 @@ class RRTStarPlanner:
             raise ValueError("goal_bias must be in [0, 1]")
         self._rng = random.Random(self.seed)
 
+    # Reset and delta-snapshot hooks (see repro.core.resettable): the
+    # sampler is the planner's only per-execution state.
+    def reset(self) -> None:
+        self._rng.seed(self.seed)
+
+    def capture_delta_state(self) -> tuple:
+        return self._rng.getstate()
+
+    def restore_delta_state(self, state: tuple) -> None:
+        self._rng.setstate(state)
+
     # ------------------------------------------------------------------ #
     # public API
     # ------------------------------------------------------------------ #

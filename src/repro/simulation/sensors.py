@@ -92,6 +92,3 @@ class PerfectEstimator(StatelessSnapshot):
 
     def estimate(self, state: DroneState) -> DroneState:
         return state
-
-    def reset(self) -> None:
-        """Stateless; present for Resettable-protocol uniformity."""

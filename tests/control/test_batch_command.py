@@ -24,6 +24,8 @@ from repro.geometry import (
 )
 from repro.reachability import synthesize_safe_tracker
 
+from ..geometry.test_batch_equivalence import HOSTILE_WORLDS, assert_bit_equal, hostile_points
+
 
 def _random_batch(seed, count, speed=4.0):
     rng = random.Random(seed)
@@ -196,3 +198,59 @@ class TestCommandBatch:
         first = [safe_tracker.command(s, t, 0.0) for s, t in zip(states, targets)]
         second = [safe_tracker.command(s, t, 0.0) for s, t in zip(states, targets)]
         assert all(a is b for a, b in zip(first, second))  # served from the memo
+
+
+def _hostile_positions(workspace):
+    """Finite hostile positions of ``workspace`` for the tracker laws.
+
+    Every box and bound corner, edge midpoint and face centre one ulp
+    either side (the ``touching`` world's box is flush with a wall), the
+    point midway between two boxes (the ``pair`` world's two-box tie),
+    each box's exact centre (the degenerate ``away`` case), and a point
+    inside each box.
+    """
+    points = hostile_points(workspace)
+    inside = [box.center.lerp(box.hi, 0.5).as_tuple() for box in workspace.obstacles]
+    points = np.concatenate([points, np.array(inside, dtype=float).reshape(-1, 3)])
+    return points[np.isfinite(points).all(axis=1)]
+
+
+class TestHostileCommandDifferential:
+    """``command == command_batch`` row for row on finite hostile positions."""
+
+    @pytest.mark.parametrize("use_field", [False, True], ids=["exact", "clearance-field"])
+    @pytest.mark.parametrize("name", sorted(HOSTILE_WORLDS))
+    def test_scalar_and_batched_laws_agree(self, name, use_field):
+        workspace = HOSTILE_WORLDS[name]()
+        model = BoundedDoubleIntegrator(DoubleIntegratorParams(max_speed=4.0, max_acceleration=6.0))
+        params, _ = synthesize_safe_tracker(model, workspace, safe_speed_fraction=0.35)
+        tracker = SafeWaypointTracker(
+            params=params,
+            workspace=workspace,
+            recovery_clearance=3.2,
+            clearance_field=workspace.clearance_field() if use_field else None,
+        )
+        P = _hostile_positions(workspace)
+        rng = random.Random(len(P))
+        V = np.array([[rng.uniform(-3.0, 3.0) for _ in range(3)] for _ in P])
+        V[::5] = 0.0
+        far = np.array(workspace.bounds.center.as_tuple())
+        # A far target, the position itself (no progress) and straight above
+        # it (no horizontal progress), row by row.
+        T = np.where((np.arange(len(P)) % 3 == 0)[:, None], far, P)
+        T[2::3, 2] += 1.0
+        batch = tracker.command_batch(P, V, T, 0.0)
+        scalar = [
+            tracker.command(DroneState(position=Vec3(*p), velocity=Vec3(*v)), Vec3(*t), 0.0)
+            .acceleration.as_tuple()
+            for p, v, t in zip(P, V, T)
+        ]
+        assert_bit_equal(batch, scalar)
+        # The away-direction branch ran.
+        assert (tracker._urgency_from_clearance(workspace.clearance_batch(P)) > 0.0).any()
+
+    def test_an_urgent_two_box_tie_is_exercised(self):
+        workspace = HOSTILE_WORLDS["pair"]()
+        tie = np.array([[10.0, 6.0, 2.5]])
+        assert tie.tolist()[0] in _hostile_positions(workspace).tolist()
+        assert [box.distance_to_point(Vec3(*tie[0])) for box in workspace.obstacles] == [2.0, 2.0]

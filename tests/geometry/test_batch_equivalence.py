@@ -312,9 +312,18 @@ def touching_workspace():
     return workspace
 
 
+def pair_workspace():
+    """Two equal boxes 4 m apart on dyadic coordinates: exact two-box ties."""
+    workspace = empty_workspace(side=20.0, ceiling=10.0, name="pair")
+    workspace.add_obstacle(AABB(Vec3(4.0, 4.0, 0.0), Vec3(8.0, 8.0, 5.0)))
+    workspace.add_obstacle(AABB(Vec3(12.0, 4.0, 0.0), Vec3(16.0, 8.0, 5.0)))
+    return workspace
+
+
 HOSTILE_WORLDS = {
     "city": lambda: surveillance_city().workspace,
     "touching": touching_workspace,
+    "pair": pair_workspace,
     "empty": empty_workspace,
 }
 
@@ -340,6 +349,11 @@ def hostile_points(workspace):
             for b in SPECIALS:
                 points.append([a, b, coords[2]])
                 points.append([coords[0], a, b])
+    for i, box in enumerate(workspace.obstacles):
+        # Midway between two boxes' centres: equally near both when they
+        # match (the pair world's is an exact tie).
+        for other in workspace.obstacles[i + 1:]:
+            points.append(box.center.lerp(other.center, 0.5).as_tuple())
     for box in [*workspace.obstacles, bounds]:
         # Every corner, edge midpoint and face centre, one ulp either side
         # on each axis.
@@ -384,6 +398,31 @@ class TestHostilePointDifferential:
                     lambda p: workspace.distance_to_boundary(p, include_floor=include_floor), points
                 ),
             )
+
+    def test_nearest_obstacle_kernels_agree(self, name):
+        """Scalar and batched kernels against a first-minimum ``AABB`` loop.
+
+        The oracle picks the first box with the least
+        :meth:`AABB.distance_to_point` (the sqrt domain); the kernels must
+        name the same box, with that distance's exact square.  A NaN or
+        ±inf coordinate names no box: ``(-1, inf)``.
+        """
+        workspace = HOSTILE_WORLDS[name]()
+        points = hostile_points(workspace)
+        indices, squares = workspace.nearest_obstacle_batch(points)
+        for coords, index, square in zip(points, indices, squares):
+            point = Vec3(*coords)
+            expected, nearest = -1, math.inf
+            for candidate, box in enumerate(workspace.obstacles):
+                distance = box.distance_to_point(point)
+                if distance < nearest:
+                    expected, nearest = candidate, distance
+            assert (index, math.sqrt(square)) == (expected, nearest)
+            assert workspace.nearest_obstacle(point) == (index, square)
+            if not np.isfinite(coords).all():
+                assert (index, square) == (-1, math.inf)
+        indices, squares = workspace.nearest_obstacle_batch(np.empty((0, 3)))
+        assert indices.shape == squares.shape == (0,)
 
     def test_single_point_and_empty_batches(self, name):
         workspace = HOSTILE_WORLDS[name]()
